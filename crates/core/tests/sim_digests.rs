@@ -1,0 +1,113 @@
+//! Simulated-statistics snapshot: for every suite application under every
+//! preset at `tiny` scale on `rtx2080ti`, the predicted cycles, the issued
+//! instructions, and an FNV-1a digest over every catalog stat, diffed
+//! against a golden file.
+//!
+//! The other suites compare simulated stats *within* one commit (dense vs
+//! event-driven, threads 1 vs N, text vs chunked). This one compares them
+//! *across* commits: a host-side optimisation — a denser trace layout, a
+//! cached issue verdict, a different hash map — must leave every line of
+//! the golden file untouched, which is the condition a simulator speed-up
+//! has to meet before it counts.
+//!
+//! When a *model* change moves the numbers on purpose, regenerate with:
+//!
+//! ```sh
+//! UPDATE_DIGESTS=1 cargo test -p swiftsim-core --test sim_digests
+//! git diff crates/core/tests/golden/sim_digests.txt  # review the delta
+//! ```
+
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use swiftsim_config::{fnv1a64, presets};
+use swiftsim_core::{RunOptions, SimulationResult, SimulatorPreset, StatId};
+use swiftsim_workloads::Scale;
+
+fn golden_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sim_digests.txt")
+}
+
+/// FNV-1a over every `(name, value bits)` of `result.stats()` except
+/// `sim_threads`, the one stat that describes the host side of a run.
+fn stats_digest(result: &SimulationResult) -> u64 {
+    let mut bytes = Vec::new();
+    for (id, value) in result.stats() {
+        if id != StatId::SimThreads {
+            bytes.extend_from_slice(id.name().as_bytes());
+            bytes.extend_from_slice(&value.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+fn current_digests() -> String {
+    let cfg = presets::rtx2080ti();
+    let mut out = String::new();
+    writeln!(
+        out,
+        "# swiftsim-core simulated statistics, tiny scale, rtx2080ti"
+    )
+    .unwrap();
+    writeln!(out, "# app preset cycles instructions fnv1a64(stats)").unwrap();
+    for workload in swiftsim_workloads::suite() {
+        let app = workload.generate(Scale::Tiny);
+        for (preset, label) in [
+            (SimulatorPreset::Detailed, "detailed"),
+            (SimulatorPreset::SwiftBasic, "swift-basic"),
+            (SimulatorPreset::SwiftMemory, "swift-memory"),
+        ] {
+            let result = swiftsim_core::run(&app, &cfg, &RunOptions::default().with_preset(preset))
+                .unwrap_or_else(|e| panic!("{} under {label}: {e}", workload.name));
+            writeln!(
+                out,
+                "{} {label} {} {} {:016x}",
+                workload.name,
+                result.cycles,
+                result.instructions(),
+                stats_digest(&result)
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn simulated_stats_match_the_golden_snapshot() {
+    let current = current_digests();
+    let path = golden_path();
+
+    if std::env::var_os("UPDATE_DIGESTS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
+        std::fs::write(&path, &current).expect("write golden snapshot");
+        eprintln!("simulated-stats snapshot regenerated at {}", path.display());
+        return;
+    }
+
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} ({e}); run with UPDATE_DIGESTS=1 to create it",
+            path.display()
+        )
+    });
+    if golden == current {
+        return;
+    }
+
+    let golden_lines: std::collections::BTreeSet<&str> = golden.lines().collect();
+    let current_lines: std::collections::BTreeSet<&str> = current.lines().collect();
+    let mut diff = String::new();
+    for gone in golden_lines.difference(&current_lines) {
+        writeln!(diff, "  - {gone}").unwrap();
+    }
+    for new in current_lines.difference(&golden_lines) {
+        writeln!(diff, "  + {new}").unwrap();
+    }
+    panic!(
+        "simulated statistics no longer match tests/golden/sim_digests.txt.\n\
+         A host-side change (layout, caching, data structures) must not move\n\
+         any of them. If the timing *model* changed on purpose, regenerate\n\
+         with `UPDATE_DIGESTS=1 cargo test -p swiftsim-core --test\n\
+         sim_digests` and review the diff. Changes:\n{diff}"
+    );
+}
