@@ -39,6 +39,17 @@ pub trait AluModel: Send {
     /// instruction at `now`.
     fn port_free(&self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> bool;
 
+    /// [`AluModel::port_free`] for every unit kind of `sub_core` at once:
+    /// bit [`ExecUnitKind::index`] is set when that kind's issue port can
+    /// accept an instruction at `now`. The warp scheduler reads this once
+    /// per scan instead of asking once per candidate warp.
+    fn ports_free(&self, sub_core: usize, now: Cycle) -> u8 {
+        ExecUnitKind::ALL
+            .into_iter()
+            .filter(|&kind| self.port_free(sub_core, kind, now))
+            .fold(0, |free, kind| free | 1 << kind.index())
+    }
+
     /// Issue one warp instruction; returns its writeback cycle.
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle;
 
@@ -54,6 +65,15 @@ pub trait AluModel: Send {
 struct UnitShape {
     initiation_interval: Cycle,
     latency: Cycle,
+}
+
+/// Bit `k` set when `busy_until[k] <= now`: the ports of one sub-core that
+/// have finished their initiation interval.
+fn idle_ports(busy_until: &[Cycle; 6], now: Cycle) -> u8 {
+    busy_until
+        .iter()
+        .enumerate()
+        .fold(0, |free, (k, &until)| free | u8::from(until <= now) << k)
 }
 
 fn shapes(sm: &SmConfig) -> [UnitShape; 6] {
@@ -155,6 +175,14 @@ impl AluModel for CycleAccurateAlu {
     fn port_free(&self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> bool {
         self.port_busy[sub_core][kind.index()] <= now
             && self.collectors[sub_core].iter().any(|c| c.pending == 0)
+    }
+
+    fn ports_free(&self, sub_core: usize, now: Cycle) -> u8 {
+        if self.collectors[sub_core].iter().any(|c| c.pending == 0) {
+            idle_ports(&self.port_busy[sub_core], now)
+        } else {
+            0
+        }
     }
 
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
@@ -267,6 +295,10 @@ impl AluModel for AnalyticalAlu {
         self.port_busy[sub_core][kind.index()] <= now
     }
 
+    fn ports_free(&self, sub_core: usize, now: Cycle) -> u8 {
+        idle_ports(&self.port_busy[sub_core], now)
+    }
+
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
         let shape = self.shapes[kind.index()];
         // Contention delay (issue-port occupancy) is simulated; the rest of
@@ -315,6 +347,37 @@ mod tests {
         // Other sub-cores and units are unaffected.
         assert!(ca.port_free(1, ExecUnitKind::Int, 1));
         assert!(ca.port_free(0, ExecUnitKind::Sp, 1));
+    }
+
+    #[test]
+    fn ports_free_agrees_with_port_free() {
+        let cfg = sm();
+        let models: [Box<dyn AluModel>; 2] = [
+            Box::new(CycleAccurateAlu::new(&cfg)),
+            Box::new(AnalyticalAlu::new(&cfg)),
+        ];
+        for mut alu in models {
+            // Fill every collector of sub-core 0, so the detailed model
+            // closes all of its ports at once.
+            for (n, kind) in ExecUnitKind::ALL.into_iter().cycle().take(10).enumerate() {
+                alu.issue(0, kind, n as Cycle);
+            }
+            alu.issue(1, ExecUnitKind::Dp, 3);
+            for now in 0..40 {
+                alu.tick(now);
+                for sc in 0..2 {
+                    let free = alu.ports_free(sc, now);
+                    for kind in ExecUnitKind::ALL {
+                        assert_eq!(
+                            free & 1 << kind.index() != 0,
+                            alu.port_free(sc, kind, now),
+                            "{} sub-core {sc} {kind} at {now}",
+                            alu.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@ use crate::mem_system::{MemCompletion, MemorySystem};
 use crate::scheduler::make_policy;
 use crate::sm::{SmCore, SmStats, WbTarget};
 use crate::Cycle;
-use std::collections::HashMap;
 use swiftsim_config::GpuConfig;
+use swiftsim_mem::FastMap;
 use swiftsim_metrics::{ProfModule, Profiler};
 use swiftsim_trace::KernelTrace;
 
@@ -123,7 +123,7 @@ pub(crate) fn run_kernel_shard(
         .collect();
 
     let mut bs = BlockScheduler::new(num_local_sms, block_indices.len(), occupancy.blocks_per_sm);
-    let mut tokens: HashMap<u64, (usize, WbTarget)> = HashMap::new();
+    let mut tokens: FastMap<u64, (usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
     let mut now = start;
     let mut idle_streak = 0u32;

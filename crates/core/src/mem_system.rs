@@ -1554,6 +1554,43 @@ impl MemorySystem for AnalyticalMemory {
     }
 }
 
+/// The two buffers every memory instruction of a trace is coalesced
+/// through — by the LD/ST issue path and by the analytical pre-passes — so
+/// neither allocates per instruction.
+#[derive(Debug, Default)]
+pub(crate) struct CoalesceScratch {
+    lane_addrs: Vec<u64>,
+    txns: Vec<swiftsim_mem::MemTxn>,
+}
+
+impl CoalesceScratch {
+    /// The line transactions of `inst`, or `None` when it is not a global
+    /// or local memory access (the only spaces the hierarchy serves).
+    pub(crate) fn coalesce(
+        &mut self,
+        mapping: &AddressMapping,
+        inst: &swiftsim_trace::TraceInstruction,
+    ) -> Option<&[swiftsim_mem::MemTxn]> {
+        let mem = inst.mem.as_ref()?;
+        if !matches!(
+            mem.space,
+            swiftsim_trace::MemSpace::Global | swiftsim_trace::MemSpace::Local
+        ) {
+            return None;
+        }
+        mem.addresses
+            .expand_into(inst.active_lanes(), &mut self.lane_addrs);
+        swiftsim_mem::coalesce_accesses_into(
+            mapping,
+            &self.lane_addrs,
+            mem.width,
+            inst.opcode.is_store(),
+            &mut self.txns,
+        );
+        Some(&self.txns)
+    }
+}
+
 /// Streaming accumulator behind [`build_analytical_memory`]: the
 /// functional cache-simulation pre-pass (§III-D2's "cache simulator")
 /// consumed kernel-by-kernel, so a lazily-decoded application never has to
@@ -1565,6 +1602,7 @@ pub struct AnalyticalMemoryBuilder {
     mapping: AddressMapping,
     pcs: std::collections::HashSet<u32>,
     num_sms: usize,
+    scratch: CoalesceScratch,
 }
 
 impl AnalyticalMemoryBuilder {
@@ -1576,6 +1614,7 @@ impl AnalyticalMemoryBuilder {
             mapping: AddressMapping::new(&cfg.sm.l1d),
             pcs: std::collections::HashSet::new(),
             num_sms: cfg.num_sms.max(1) as usize,
+            scratch: CoalesceScratch::default(),
         }
     }
 
@@ -1587,20 +1626,10 @@ impl AnalyticalMemoryBuilder {
             let sm = b % self.num_sms;
             for warp in block.warps() {
                 for inst in warp {
-                    let Some(mem) = &inst.mem else { continue };
-                    if !matches!(
-                        mem.space,
-                        swiftsim_trace::MemSpace::Global | swiftsim_trace::MemSpace::Local
-                    ) {
+                    let Some(txns) = self.scratch.coalesce(&self.mapping, inst) else {
                         continue;
-                    }
-                    let addrs = mem.addresses.expand(inst.active_lanes());
-                    for txn in swiftsim_mem::coalesce_accesses(
-                        &self.mapping,
-                        &addrs,
-                        mem.width,
-                        inst.opcode.is_store(),
-                    ) {
+                    };
+                    for &txn in txns {
                         self.funcsim.access(sm, inst.pc, txn);
                     }
                     self.pcs.insert(inst.pc);
@@ -1714,6 +1743,7 @@ pub struct ReuseAnalyticalMemoryBuilder {
     l1_rd: Vec<ReuseDistanceAnalyzer>,
     l2_rd: ReuseDistanceAnalyzer,
     per_pc: HashMap<u32, ReuseCounts>,
+    scratch: CoalesceScratch,
 }
 
 impl ReuseAnalyticalMemoryBuilder {
@@ -1731,6 +1761,7 @@ impl ReuseAnalyticalMemoryBuilder {
             l1_rd: (0..num_sms).map(|_| ReuseDistanceAnalyzer::new()).collect(),
             l2_rd: ReuseDistanceAnalyzer::new(),
             per_pc: HashMap::new(),
+            scratch: CoalesceScratch::default(),
         }
     }
 
@@ -1741,21 +1772,11 @@ impl ReuseAnalyticalMemoryBuilder {
             let sm = b % self.num_sms;
             for warp in block.warps() {
                 for inst in warp {
-                    let Some(mem) = &inst.mem else { continue };
-                    if !matches!(
-                        mem.space,
-                        swiftsim_trace::MemSpace::Global | swiftsim_trace::MemSpace::Local
-                    ) {
+                    let Some(txns) = self.scratch.coalesce(&self.mapping, inst) else {
                         continue;
-                    }
-                    let addrs = mem.addresses.expand(inst.active_lanes());
+                    };
                     let counts = self.per_pc.entry(inst.pc).or_default();
-                    for txn in swiftsim_mem::coalesce_accesses(
-                        &self.mapping,
-                        &addrs,
-                        mem.width,
-                        inst.opcode.is_store(),
-                    ) {
+                    for txn in txns {
                         let l1_hit = if txn.write {
                             false // write-through, no-write-allocate L1
                         } else {

@@ -16,7 +16,18 @@ use swiftsim_config::SchedulerPolicy;
 /// the next issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarpView {
-    /// Stable identifier of the warp within its sub-core.
+    /// The warp's rank among its sub-core's *live* warps this cycle: the
+    /// SM numbers the views `0..n` in scan order (block slot, then warp)
+    /// and skips warps that have exited.
+    ///
+    /// It identifies a warp within one `pick` call only. It is **not**
+    /// stable across cycles: when a warp exits or a block is installed,
+    /// every later warp's rank shifts, so a policy that remembers an id —
+    /// GTO's `last`, the two-level active set — silently carries on with
+    /// whichever warp now holds that rank. That is the model the goldens
+    /// record (`sm::tests::view_ids_are_ranks_among_live_warps` pins it);
+    /// changing it moves simulated cycles and is a model change of its
+    /// own.
     pub id: usize,
     /// Whether the warp has an instruction ready to issue this cycle
     /// (hazards and structural constraints already checked).

@@ -9,6 +9,28 @@
 
 use swiftsim_trace::{Reg, TraceInstruction};
 
+/// The registers one instruction reads or writes, as a 256-bit set: what a
+/// [`Scoreboard`] tests against its pending writes. The SM computes it once
+/// when an instruction becomes a warp's head, so the per-cycle hazard test
+/// is four ANDs however many sources the instruction has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RegSet([u64; 4]);
+
+impl RegSet {
+    /// No register at all.
+    pub(crate) const EMPTY: RegSet = RegSet([0; 4]);
+
+    /// Destination (WAW) and sources (RAW) of `inst`.
+    pub(crate) fn hazards_of(inst: &TraceInstruction) -> Self {
+        let mut set = RegSet::EMPTY;
+        for &reg in inst.dst.iter().chain(inst.srcs.iter()) {
+            let (word, mask) = Scoreboard::bit(reg);
+            set.0[word] |= mask;
+        }
+        set
+    }
+}
+
 /// Pending-write tracker for one warp.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Scoreboard {
@@ -37,15 +59,16 @@ impl Scoreboard {
     /// Whether `inst` can issue: no RAW hazard on its sources and no WAW
     /// hazard on its destination.
     pub fn can_issue(&self, inst: &TraceInstruction) -> bool {
-        if self.outstanding == 0 {
-            return true;
-        }
-        if let Some(dst) = inst.dst {
-            if self.is_pending(dst) {
-                return false;
-            }
-        }
-        inst.srcs.iter().all(|&src| !self.is_pending(src))
+        self.is_clear_of(&RegSet::hazards_of(inst))
+    }
+
+    /// Whether none of `regs` has a pending write.
+    #[inline]
+    pub(crate) fn is_clear_of(&self, regs: &RegSet) -> bool {
+        self.pending
+            .iter()
+            .zip(&regs.0)
+            .all(|(pending, regs)| pending & regs == 0)
     }
 
     /// Record the issue of `inst` (reserves its destination register).

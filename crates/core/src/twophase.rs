@@ -57,9 +57,9 @@ use crate::scheduler::make_policy;
 use crate::sm::{SmCore, SmStats, WbTarget};
 use crate::spsc;
 use crate::Cycle;
-use std::collections::HashMap;
 use std::sync::mpsc;
 use swiftsim_config::GpuConfig;
+use swiftsim_mem::FastMap;
 use swiftsim_mem::MemTxn;
 use swiftsim_metrics::{MetricsCollector, ProfModule, ProfileReport, Profiler};
 use swiftsim_trace::{KernelTrace, TraceSource};
@@ -533,7 +533,7 @@ fn coordinate(
     prof: &mut Profiler,
 ) -> CoordEnd {
     let shards = sm_id_groups.len();
-    let mut tokens: HashMap<u64, (usize, usize, WbTarget)> = HashMap::new();
+    let mut tokens: FastMap<u64, (usize, usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
     let mut record_buf: Vec<AccessRecord> = Vec::new();
     let mut now = start;

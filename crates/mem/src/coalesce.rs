@@ -53,12 +53,28 @@ pub fn coalesce_accesses(
     width: u8,
     write: bool,
 ) -> Vec<MemTxn> {
+    let mut txns = Vec::with_capacity(4);
+    coalesce_accesses_into(mapping, addresses, width, write, &mut txns);
+    txns
+}
+
+/// [`coalesce_accesses`] into a caller-owned buffer, which is cleared
+/// first: the LD/ST issue path and the analytical pre-passes coalesce
+/// every memory instruction of a trace and reuse one allocation for all of
+/// them.
+pub fn coalesce_accesses_into(
+    mapping: &AddressMapping,
+    addresses: &[u64],
+    width: u8,
+    write: bool,
+    txns: &mut Vec<MemTxn>,
+) {
     // The transaction list is kept sorted by line address so each lane
     // costs one binary search instead of a linear scan over every
     // transaction accumulated so far; a fully divergent warp is
     // O(lanes log lanes) rather than O(lanes^2), and the ascending output
     // order falls out for free.
-    let mut txns: Vec<MemTxn> = Vec::with_capacity(4);
+    txns.clear();
     let upsert = |txns: &mut Vec<MemTxn>, line_addr: u64, mask: u8| {
         let pos = txns.partition_point(|t| t.line_addr < line_addr);
         match txns.get_mut(pos) {
@@ -76,17 +92,16 @@ pub fn coalesce_accesses(
     for &addr in addresses {
         let line_addr = mapping.line_addr(addr);
         let mask = mapping.sector_mask(addr, u32::from(width));
-        upsert(&mut txns, line_addr, mask);
+        upsert(txns, line_addr, mask);
         // Accesses wider than the distance to the line end spill into the
         // next line's first sector(s).
         let end = addr + u64::from(width.max(1)) - 1;
         let end_line = mapping.line_addr(end);
         if end_line != line_addr {
             let spill_mask = mapping.sector_mask(end_line, (end - end_line + 1) as u32);
-            upsert(&mut txns, end_line, spill_mask);
+            upsert(txns, end_line, spill_mask);
         }
     }
-    txns
 }
 
 #[cfg(test)]

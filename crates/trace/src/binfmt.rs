@@ -31,9 +31,9 @@
 //! value by encoding payloads one kernel at a time and discarding them.
 
 use crate::error::TraceError;
-use crate::inst::{AddressList, MemInfo, Reg, TraceInstruction};
+use crate::inst::{AddressList, MemInfo, Reg, SrcList, TraceInstruction};
 use crate::isa::Opcode;
-use crate::kernel::{ApplicationTrace, Dim3, KernelTrace, WarpTrace};
+use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, WarpTrace};
 use crate::source::KernelMeta;
 
 pub(crate) const MAGIC: &[u8; 4] = b"SSTB";
@@ -44,6 +44,12 @@ const FLAG_HAS_DST: u8 = 0b0000_0001;
 const FLAG_HAS_MEM: u8 = 0b0000_0010;
 const FLAG_EXPLICIT_ADDRS: u8 = 0b0000_0100;
 const SRC_COUNT_SHIFT: u8 = 4;
+
+/// The shortest encoded instruction: one byte each of pc, opcode, flags and
+/// active mask.
+const MIN_ENCODED_INST_BYTES: usize = 4;
+/// The shortest encoded block or warp: its one-byte item count.
+const MIN_ENCODED_LIST_BYTES: usize = 1;
 
 /// FNV-1a over a byte slice — the stable hash used for section hashes and
 /// the whole-trace content hash (`DefaultHasher` would not survive a
@@ -86,6 +92,13 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn pos(&self) -> usize {
         self.pos
+    }
+
+    /// A count read from the data, cut down to how many items of at least
+    /// `min_item_bytes` each the unread bytes can still hold — what is safe
+    /// to reserve before decoding the items.
+    fn bounded_count(&self, claimed: usize, min_item_bytes: usize) -> usize {
+        claimed.min((self.bytes.len() - self.pos) / min_item_bytes)
     }
 
     pub(crate) fn err(&self, what: &str) -> TraceError {
@@ -203,9 +216,8 @@ fn decode_inst(r: &mut Reader<'_>) -> Result<TraceInstruction, TraceError> {
     } else {
         None
     };
-    let n_srcs = usize::from(flags >> SRC_COUNT_SHIFT);
-    let mut srcs = Vec::with_capacity(n_srcs);
-    for _ in 0..n_srcs {
+    let mut srcs = SrcList::new();
+    for _ in 0..flags >> SRC_COUNT_SHIFT {
         srcs.push(Reg(
             u16::try_from(r.varint()?).map_err(|_| r.err("src register"))?
         ));
@@ -234,11 +246,11 @@ fn decode_inst(r: &mut Reader<'_>) -> Result<TraceInstruction, TraceError> {
             let stride = r.varint()?;
             AddressList::Strided { base, stride }
         };
-        Some(MemInfo {
+        Some(Box::new(MemInfo {
             space,
             width,
             addresses,
-        })
+        }))
     } else {
         None
     };
@@ -292,27 +304,35 @@ pub(crate) fn decode_kernel_payload(
     let mut kernel = KernelTrace::new(meta.name.clone(), meta.grid_dim, meta.block_dim);
     kernel.shared_mem_bytes = meta.shared_mem_bytes;
     kernel.regs_per_thread = meta.regs_per_thread;
+    // Every container is reserved once, at the count the payload states cut
+    // down to what its unread bytes can hold: no regrowth copies or
+    // capacity slack on a sound payload, and a hostile count cannot force
+    // an allocation larger than a small multiple of the payload itself.
     let num_blocks = r.varint()? as usize;
     if num_blocks > 1 << 24 {
         return Err(r.err("block count"));
     }
+    kernel.reserve_blocks(r.bounded_count(num_blocks, MIN_ENCODED_LIST_BYTES));
     for _ in 0..num_blocks {
-        let block = kernel.push_block();
         let num_warps = r.varint()? as usize;
         if num_warps > 1 << 16 {
             return Err(r.err("warp count"));
         }
+        let mut block =
+            BlockTrace::with_capacity(r.bounded_count(num_warps, MIN_ENCODED_LIST_BYTES));
         for _ in 0..num_warps {
             let num_insts = r.varint()? as usize;
             if num_insts > 1 << 28 {
                 return Err(r.err("instruction count"));
             }
-            let mut warp = WarpTrace::new();
+            let warp = block.push_warp_trace(WarpTrace::with_capacity(
+                r.bounded_count(num_insts, MIN_ENCODED_INST_BYTES),
+            ));
             for _ in 0..num_insts {
                 warp.push(decode_inst(&mut r)?);
             }
-            *block.push_warp() = warp;
         }
+        kernel.push_block_trace(block);
     }
     if r.pos() != bytes.len() {
         return Err(r.err("trailing payload bytes"));
@@ -622,6 +642,36 @@ mod tests {
         let bytes = app.to_binary();
         let back = ApplicationTrace::from_binary(&bytes).expect("round trip");
         assert_eq!(back, app);
+    }
+
+    fn app_of(inst: TraceInstruction) -> ApplicationTrace {
+        let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
+        kernel.push_block().push_warp().push(inst);
+        ApplicationTrace::new("one", vec![kernel])
+    }
+
+    #[test]
+    fn fifteen_sources_round_trip() {
+        // The most the 4-bit source count of the flags byte can state, and
+        // more than a `SrcList` holds inline.
+        let wide = (0..15).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
+        let app = app_of(wide.build());
+        let back = ApplicationTrace::from_binary(&app.to_binary()).expect("round trip");
+        assert_eq!(back, app);
+        let inst = &back.kernels()[0].blocks()[0].warps()[0].instructions()[0];
+        assert_eq!(inst.srcs.len(), 15);
+        assert_eq!(inst.srcs[14], Reg(14));
+    }
+
+    #[test]
+    fn content_hash_ignores_how_sources_are_stored() {
+        let inline = InstBuilder::new(Opcode::Ffma).dst(9).src(1).src(2).build();
+        let mut spilled = inline.clone();
+        spilled.srcs = SrcList::spilled_for_tests(&[Reg(1), Reg(2)]);
+        let (inline, spilled) = (app_of(inline), app_of(spilled));
+        assert_eq!(inline, spilled);
+        assert_eq!(inline.to_binary(), spilled.to_binary());
+        assert_eq!(inline.content_hash(), spilled.content_hash());
     }
 
     #[test]

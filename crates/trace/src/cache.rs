@@ -22,30 +22,16 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Rough heap footprint of a decoded kernel, for the cache's byte budget.
+/// Heap footprint of a decoded kernel, for the cache's byte budget.
 ///
-/// Counts the dominant terms — the per-instruction records and their
-/// address lists — plus a fixed overhead per kernel/block/warp. An
-/// estimate is fine here: the budget bounds memory growth, it is not an
-/// allocator.
+/// Counts what the kernel actually holds: every `Vec` at its *capacity*
+/// (block array, warp arrays, 40-byte instruction records), every boxed
+/// memory payload, explicit address list and spilled source list, plus the
+/// allocator's overhead on each of those heap blocks. `tests/footprint.rs`
+/// holds it to within 10% of the allocator's own count for decoded
+/// kernels.
 pub fn kernel_approx_bytes(kernel: &KernelTrace) -> usize {
-    let mut bytes = 256 + kernel.name.len();
-    for block in kernel.blocks() {
-        bytes += 64;
-        for warp in block.warps() {
-            bytes += 64;
-            for inst in warp.instructions() {
-                bytes += std::mem::size_of_val(inst)
-                    + inst.srcs.len() * std::mem::size_of::<crate::inst::Reg>();
-                if let Some(mem) = &inst.mem {
-                    if let crate::inst::AddressList::Explicit(addrs) = &mem.addresses {
-                        bytes += addrs.len() * std::mem::size_of::<u64>();
-                    }
-                }
-            }
-        }
-    }
-    bytes
+    std::mem::size_of::<KernelTrace>() + kernel.heap_bytes()
 }
 
 #[derive(Debug)]

@@ -27,7 +27,7 @@
 //! (`AD:` comma-separated hex).
 
 use crate::error::TraceError;
-use crate::inst::{AddressList, MemInfo, Reg, TraceInstruction};
+use crate::inst::{AddressList, MemInfo, Reg, SrcList, TraceInstruction};
 use crate::isa::Opcode;
 use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, WarpTrace};
 use std::fmt::Write as _;
@@ -141,6 +141,19 @@ fn write_inst(out: &mut String, inst: &TraceInstruction) {
     out.push('\n');
 }
 
+/// The shortest instruction line: a one-digit pc, a three-letter opcode
+/// and a one-digit mask, `0 BAR M:0`.
+const MIN_INST_LINE_BYTES: usize = 9;
+
+/// A raw line without its `#` comment and surrounding whitespace.
+pub(crate) fn strip_comment(raw: &str) -> &str {
+    match raw.find('#') {
+        Some(pos) => &raw[..pos],
+        None => raw,
+    }
+    .trim()
+}
+
 struct Parser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
     line_offset: usize,
@@ -166,11 +179,7 @@ impl<'a> Parser<'a> {
             return Some(item);
         }
         for (idx, raw) in self.lines.by_ref() {
-            let line = match raw.find('#') {
-                Some(pos) => &raw[..pos],
-                None => raw,
-            }
-            .trim();
+            let line = strip_comment(raw);
             if !line.is_empty() {
                 return Some((self.line_offset + idx + 1, line));
             }
@@ -270,8 +279,7 @@ impl<'a> Parser<'a> {
             match line {
                 "warp_begin" => {
                     self.next_line();
-                    let warp = self.parse_warp()?;
-                    *block.push_warp() = warp;
+                    block.push_warp_trace(self.parse_warp()?);
                 }
                 "block_end" => {
                     self.next_line();
@@ -287,8 +295,24 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// How many instruction lines the warp starting at the cursor can
+    /// hold: the lines up to its `warp_end` that are long enough to be an
+    /// instruction. Counting them first lets the warp be one right-sized
+    /// allocation instead of a `Vec` doubling its way up; a line too short
+    /// to parse reserves nothing, so garbage input cannot inflate it.
+    fn warp_len_ahead(&self) -> usize {
+        let peeked = self.peeked.map(|(_, line)| line);
+        let ahead = self.lines.clone().map(|(_, raw)| strip_comment(raw));
+        peeked
+            .into_iter()
+            .chain(ahead)
+            .take_while(|&line| line != "warp_end")
+            .filter(|line| line.len() >= MIN_INST_LINE_BYTES)
+            .count()
+    }
+
     fn parse_warp(&mut self) -> Result<WarpTrace, TraceError> {
-        let mut warp = WarpTrace::new();
+        let mut warp = WarpTrace::with_capacity(self.warp_len_ahead());
         loop {
             let (no, line) = self
                 .next_line()
@@ -344,7 +368,7 @@ fn parse_inst(no: usize, line: &str) -> Result<TraceInstruction, TraceError> {
     let opcode: Opcode = op_tok.parse()?;
 
     let mut dst = None;
-    let mut srcs = Vec::new();
+    let mut srcs = SrcList::new();
     let mut active_mask = None;
     let mut mem_space = None;
     let mut width = None;
@@ -378,12 +402,15 @@ fn parse_inst(no: usize, line: &str) -> Result<TraceInstruction, TraceError> {
                 .map_err(|_| TraceError::invalid_value("address stride", stride))?;
             addresses = Some(AddressList::Strided { base, stride });
         } else if let Some(ad) = tok.strip_prefix("AD:") {
-            let addrs = ad
-                .split(',')
-                .map(|a| {
-                    u64::from_str_radix(a, 16).map_err(|_| TraceError::invalid_value("address", a))
-                })
-                .collect::<Result<Vec<u64>, TraceError>>()?;
+            // One right-sized allocation: the list has a comma fewer than
+            // it has addresses.
+            let mut addrs = Vec::with_capacity(1 + ad.bytes().filter(|&b| b == b',').count());
+            for a in ad.split(',') {
+                addrs.push(
+                    u64::from_str_radix(a, 16)
+                        .map_err(|_| TraceError::invalid_value("address", a))?,
+                );
+            }
             addresses = Some(AddressList::Explicit(addrs));
         } else if let Ok(space) = tok.parse() {
             mem_space = Some(space);
@@ -397,11 +424,11 @@ fn parse_inst(no: usize, line: &str) -> Result<TraceInstruction, TraceError> {
 
     let mem = match (mem_space, width, addresses) {
         (None, None, None) => None,
-        (Some(space), Some(width), Some(addresses)) => Some(MemInfo {
+        (Some(space), Some(width), Some(addresses)) => Some(Box::new(MemInfo {
             space,
             width,
             addresses,
-        }),
+        })),
         _ => {
             return Err(TraceError::parse(
                 no,
@@ -430,7 +457,7 @@ fn parse_inst(no: usize, line: &str) -> Result<TraceInstruction, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::InstBuilder;
+    use crate::inst::{heap_block, InstBuilder};
 
     fn sample_app() -> ApplicationTrace {
         let mut kernel = KernelTrace::new("k0", (1, 2, 1), (64, 1, 1));
@@ -478,6 +505,34 @@ mod tests {
         let text = app.to_trace_text();
         let parsed = ApplicationTrace::parse(&text).expect("parse");
         assert_eq!(parsed, app);
+    }
+
+    #[test]
+    fn any_number_of_sources_round_trips() {
+        // Twenty sources: past what a `SrcList` holds inline.
+        let wide = (0..20).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
+        let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
+        kernel.push_block().push_warp().push(wide);
+        let app = ApplicationTrace::new("wide", vec![kernel]);
+        let parsed = ApplicationTrace::parse(&app.to_trace_text()).expect("parse");
+        assert_eq!(parsed, app);
+        let inst = &parsed.kernels()[0].blocks()[0].warps()[0].instructions()[0];
+        assert_eq!(inst.srcs.len(), 20);
+    }
+
+    #[test]
+    fn warps_parse_into_right_sized_allocations() {
+        // Comments, blank lines and a trailing comment between the
+        // instructions: the look-ahead counts instruction lines only.
+        let text = "app a\nkernel k\ngrid 1 1 1\nblock 32 1 1\nshmem 0\nregs 8\n\
+                    block_begin\nwarp_begin\n# prologue\n0000 IADD D:R1 M:ffffffff\n\n\
+                    0010 IADD D:R2 S:R1 M:ffffffff # use\n0020 EXIT M:ffffffff\nwarp_end\n\
+                    warp_begin\nwarp_end\nblock_end\nkernel_end\n";
+        let app = ApplicationTrace::parse(text).expect("parse");
+        let warps = app.kernels()[0].blocks()[0].warps();
+        assert_eq!((warps[0].len(), warps[1].len()), (3, 0));
+        assert_eq!(warps[0].heap_bytes(), heap_block::<TraceInstruction>(3));
+        assert_eq!(warps[1].heap_bytes(), 0);
     }
 
     #[test]

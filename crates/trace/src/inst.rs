@@ -22,6 +22,167 @@ impl From<u16> for Reg {
     }
 }
 
+/// What the allocator spends on one heap block beyond the bytes asked for:
+/// glibc's chunk header plus rounding up to 16 bytes, about 16 on average.
+const MALLOC_BLOCK_OVERHEAD: usize = 16;
+
+/// Heap bytes behind a block of `capacity` items of `T`, allocator overhead
+/// included; an empty `Vec` owns no block.
+pub(crate) fn heap_block<T>(capacity: usize) -> usize {
+    match capacity * std::mem::size_of::<T>() {
+        0 => 0,
+        bytes => bytes + MALLOC_BLOCK_OVERHEAD,
+    }
+}
+
+/// Registers a [`SrcList`] holds without a heap block: the tag, the length
+/// and seven 2-byte registers fill the 16 bytes the spill pointer needs
+/// anyway.
+const INLINE_SRCS: usize = 7;
+
+/// The source registers of one instruction.
+///
+/// Traced SASS instructions read at most a handful of registers, so the
+/// list lives inline in the instruction record and a non-memory
+/// instruction owns no heap block at all; only lists longer than seven
+/// registers (the binary format allows 15, the text format any number)
+/// spill to the heap. Equality, ordering of iteration and hashing go by
+/// content, never by which representation holds it.
+///
+/// # Examples
+///
+/// ```
+/// use swiftsim_trace::{Reg, SrcList};
+///
+/// let srcs: SrcList = [Reg(4), Reg(5)].into_iter().collect();
+/// assert_eq!(srcs.len(), 2);
+/// assert_eq!(srcs[1], Reg(5));
+/// assert!(srcs.iter().all(|r| r.0 >= 4));
+/// ```
+#[derive(Clone)]
+pub struct SrcList(SrcRepr);
+
+#[derive(Clone)]
+enum SrcRepr {
+    Inline {
+        len: u8,
+        regs: [Reg; INLINE_SRCS],
+    },
+    // A thin pointer: `Box<[Reg]>` is two words and would grow every
+    // instruction record by eight bytes for a case that almost never occurs.
+    #[allow(clippy::box_collection)]
+    Spilled(Box<Vec<Reg>>),
+}
+
+const _: () = assert!(std::mem::size_of::<SrcList>() == 16);
+
+impl SrcList {
+    /// An empty list.
+    pub const fn new() -> Self {
+        SrcList(SrcRepr::Inline {
+            len: 0,
+            regs: [Reg(0); INLINE_SRCS],
+        })
+    }
+
+    /// Append a register.
+    pub fn push(&mut self, reg: Reg) {
+        match &mut self.0 {
+            SrcRepr::Inline { len, regs } => {
+                let n = usize::from(*len);
+                if n < INLINE_SRCS {
+                    regs[n] = reg;
+                    *len += 1;
+                } else {
+                    let mut spilled = Vec::with_capacity(2 * INLINE_SRCS);
+                    spilled.extend_from_slice(regs);
+                    spilled.push(reg);
+                    self.0 = SrcRepr::Spilled(Box::new(spilled));
+                }
+            }
+            SrcRepr::Spilled(regs) => regs.push(reg),
+        }
+    }
+
+    /// The registers, in operand order.
+    pub fn as_slice(&self) -> &[Reg] {
+        match &self.0 {
+            SrcRepr::Inline { len, regs } => &regs[..usize::from(*len)],
+            SrcRepr::Spilled(regs) => regs,
+        }
+    }
+
+    /// A heap-backed list of any length, so tests can compare the two
+    /// representations of the same content.
+    #[cfg(test)]
+    pub(crate) fn spilled_for_tests(regs: &[Reg]) -> Self {
+        SrcList(SrcRepr::Spilled(Box::new(regs.to_vec())))
+    }
+
+    /// Bytes this list holds on the heap (0 unless spilled).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            SrcRepr::Inline { .. } => 0,
+            SrcRepr::Spilled(regs) => {
+                heap_block::<Vec<Reg>>(1) + heap_block::<Reg>(regs.capacity())
+            }
+        }
+    }
+}
+
+impl Default for SrcList {
+    fn default() -> Self {
+        SrcList::new()
+    }
+}
+
+impl std::ops::Deref for SrcList {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        self.as_slice()
+    }
+}
+
+impl<'a> IntoIterator for &'a SrcList {
+    type Item = &'a Reg;
+    type IntoIter = std::slice::Iter<'a, Reg>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl FromIterator<Reg> for SrcList {
+    fn from_iter<I: IntoIterator<Item = Reg>>(iter: I) -> Self {
+        let mut list = SrcList::new();
+        for reg in iter {
+            list.push(reg);
+        }
+        list
+    }
+}
+
+impl PartialEq for SrcList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for SrcList {}
+
+impl std::hash::Hash for SrcList {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for SrcList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// Per-thread addresses of a memory instruction, compressed.
 ///
 /// NVBit-style traces record one address per active thread. Storing 32
@@ -50,11 +211,21 @@ impl AddressList {
     /// [`AddressList::Explicit`] the stored list is returned as-is (callers
     /// validate length at construction).
     pub fn expand(&self, active_lanes: u32) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.expand_into(active_lanes, &mut out);
+        out
+    }
+
+    /// [`expand`](AddressList::expand) into a caller-owned buffer, which is
+    /// cleared first: a loop over many memory instructions reuses one
+    /// allocation instead of making one per instruction.
+    pub fn expand_into(&self, active_lanes: u32, out: &mut Vec<u64>) {
+        out.clear();
         match self {
-            AddressList::Strided { base, stride } => (0..u64::from(active_lanes))
-                .map(|i| base.wrapping_add(i * stride))
-                .collect(),
-            AddressList::Explicit(addrs) => addrs.clone(),
+            AddressList::Strided { base, stride } => out.extend(
+                (0..u64::from(active_lanes)).map(|i| base.wrapping_add(i.wrapping_mul(*stride))),
+            ),
+            AddressList::Explicit(addrs) => out.extend_from_slice(addrs),
         }
     }
 
@@ -84,6 +255,12 @@ pub struct MemInfo {
 }
 
 /// One dynamic instruction of one warp.
+///
+/// A 40-byte record: the decoded trace is the simulator's largest data
+/// structure and the issue loop's first touch of each record is a
+/// compulsory cache miss, so everything the issue decision reads (opcode,
+/// destination, sources, PC) sits inline and the cold memory payload sits
+/// behind one pointer. An arithmetic instruction owns no heap block.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TraceInstruction {
     /// Program counter (byte offset of the instruction in the kernel).
@@ -92,13 +269,15 @@ pub struct TraceInstruction {
     pub opcode: Opcode,
     /// Destination register, if the instruction writes one.
     pub dst: Option<Reg>,
-    /// Source registers (data dependences).
-    pub srcs: Vec<Reg>,
+    /// Source registers (data dependences), inline.
+    pub srcs: SrcList,
     /// 32-bit lane mask of threads executing this instruction.
     pub active_mask: u32,
-    /// Memory payload for load/store opcodes.
-    pub mem: Option<MemInfo>,
+    /// Memory payload for load/store opcodes, out of line.
+    pub mem: Option<Box<MemInfo>>,
 }
+
+const _: () = assert!(std::mem::size_of::<TraceInstruction>() <= 40);
 
 impl TraceInstruction {
     /// Number of active lanes.
@@ -109,6 +288,20 @@ impl TraceInstruction {
     /// Whether the instruction accesses memory.
     pub fn is_memory(&self) -> bool {
         self.mem.is_some()
+    }
+
+    /// Bytes this instruction holds on the heap beyond its own record: the
+    /// boxed memory payload, an explicit address list at its capacity, and
+    /// a spilled source list.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let mem = self.mem.as_ref().map_or(0, |mem| {
+            heap_block::<MemInfo>(1)
+                + match &mem.addresses {
+                    AddressList::Strided { .. } => 0,
+                    AddressList::Explicit(addrs) => heap_block::<u64>(addrs.capacity()),
+                }
+        });
+        mem + self.srcs.heap_bytes()
     }
 
     /// Internal consistency check used by the parser and by property tests:
@@ -165,7 +358,7 @@ impl InstBuilder {
                 pc: 0,
                 opcode,
                 dst: None,
-                srcs: Vec::new(),
+                srcs: SrcList::new(),
                 active_mask: u32::MAX,
                 mem: None,
             },
@@ -208,11 +401,11 @@ impl InstBuilder {
             .opcode
             .mem_space()
             .expect("strided access attached to non-memory opcode");
-        self.inst.mem = Some(MemInfo {
+        self.inst.mem = Some(Box::new(MemInfo {
             space,
             width,
             addresses: AddressList::Strided { base, stride },
-        });
+        }));
         self
     }
 
@@ -235,11 +428,11 @@ impl InstBuilder {
         } else {
             (1u32 << addrs.len()) - 1
         };
-        self.inst.mem = Some(MemInfo {
+        self.inst.mem = Some(Box::new(MemInfo {
             space,
             width,
             addresses: AddressList::Explicit(addrs),
-        });
+        }));
         self
     }
 
@@ -288,6 +481,51 @@ mod tests {
         let addrs = vec![0x10, 0x200, 0x8];
         let list = AddressList::Explicit(addrs.clone());
         assert_eq!(list.expand(3), addrs);
+    }
+
+    #[test]
+    fn expand_into_reuses_the_buffer() {
+        let mut buf = vec![7, 7, 7];
+        AddressList::Strided { base: 8, stride: 8 }.expand_into(2, &mut buf);
+        assert_eq!(buf, [8, 16]);
+        AddressList::Explicit(vec![1, 2, 3]).expand_into(3, &mut buf);
+        assert_eq!(buf, [1, 2, 3]);
+    }
+
+    fn regs(n: u16) -> Vec<Reg> {
+        (0..n).map(Reg).collect()
+    }
+
+    #[test]
+    fn src_list_spills_past_the_inline_capacity() {
+        for n in 0..=20u16 {
+            let list: SrcList = regs(n).into_iter().collect();
+            assert_eq!(list.as_slice(), regs(n), "{n} sources");
+            assert_eq!(list.len(), usize::from(n));
+            let inline = matches!(list.0, SrcRepr::Inline { .. });
+            assert_eq!(inline, usize::from(n) <= INLINE_SRCS, "{n} sources");
+            assert_eq!(list.heap_bytes() == 0, inline);
+        }
+    }
+
+    #[test]
+    fn src_list_compares_and_hashes_by_content() {
+        use std::hash::{Hash, Hasher};
+        let hash = |inst: &TraceInstruction| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            inst.hash(&mut h);
+            h.finish()
+        };
+        let inline = InstBuilder::new(Opcode::Ffma).dst(9).src(1).src(2).build();
+        let mut spilled = inline.clone();
+        spilled.srcs = SrcList::spilled_for_tests(&[Reg(1), Reg(2)]);
+        assert_eq!(inline, spilled);
+        assert_eq!(hash(&inline), hash(&spilled));
+        assert_eq!(format!("{:?}", inline.srcs), format!("{:?}", spilled.srcs));
+
+        let mut other = inline.clone();
+        other.srcs = [Reg(1), Reg(3)].into_iter().collect();
+        assert_ne!(inline, other);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Kernel, block, warp, and application trace containers.
 
-use crate::inst::TraceInstruction;
+use crate::inst::{heap_block, TraceInstruction};
 use crate::isa::OpcodeClass;
 use std::fmt;
 
@@ -49,6 +49,25 @@ impl WarpTrace {
     /// Create an empty warp trace.
     pub fn new() -> Self {
         WarpTrace::default()
+    }
+
+    /// Create an empty warp trace with room for `insts` instructions, so a
+    /// producer that knows the count fills one right-sized allocation.
+    pub fn with_capacity(insts: usize) -> Self {
+        WarpTrace {
+            insts: Vec::with_capacity(insts),
+        }
+    }
+
+    /// Bytes this warp holds on the heap: the record array at its capacity
+    /// plus what the instructions hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        heap_block::<TraceInstruction>(self.insts.capacity())
+            + self
+                .insts
+                .iter()
+                .map(TraceInstruction::heap_bytes)
+                .sum::<usize>()
     }
 
     /// Append an instruction (anything convertible, e.g. an
@@ -113,10 +132,29 @@ impl BlockTrace {
         BlockTrace::default()
     }
 
+    /// Create an empty block trace with room for `warps` warps.
+    pub fn with_capacity(warps: usize) -> Self {
+        BlockTrace {
+            warps: Vec::with_capacity(warps),
+        }
+    }
+
     /// Append an empty warp and return a mutable handle to fill it.
     pub fn push_warp(&mut self) -> &mut WarpTrace {
-        self.warps.push(WarpTrace::new());
+        self.push_warp_trace(WarpTrace::new())
+    }
+
+    /// Append a pre-built warp and return a mutable handle to it.
+    pub fn push_warp_trace(&mut self, warp: WarpTrace) -> &mut WarpTrace {
+        self.warps.push(warp);
         self.warps.last_mut().expect("just pushed")
+    }
+
+    /// Bytes this block holds on the heap: the warp array at its capacity
+    /// plus what the warps hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        heap_block::<WarpTrace>(self.warps.capacity())
+            + self.warps.iter().map(WarpTrace::heap_bytes).sum::<usize>()
     }
 
     /// The block's warps.
@@ -185,6 +223,23 @@ impl KernelTrace {
     /// Append a pre-built block.
     pub fn push_block_trace(&mut self, block: BlockTrace) {
         self.blocks.push(block);
+    }
+
+    /// Make room for `additional` more blocks.
+    pub fn reserve_blocks(&mut self, additional: usize) {
+        self.blocks.reserve_exact(additional);
+    }
+
+    /// Bytes this kernel holds on the heap: its name, the block array at
+    /// its capacity, and what the blocks hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        heap_block::<u8>(self.name.capacity())
+            + heap_block::<BlockTrace>(self.blocks.capacity())
+            + self
+                .blocks
+                .iter()
+                .map(BlockTrace::heap_bytes)
+                .sum::<usize>()
     }
 
     /// The kernel's blocks, in launch order.

@@ -30,7 +30,7 @@ use crate::binfmt::{
     MAGIC,
 };
 use crate::error::TraceError;
-use crate::format::{parse_dim3, parse_kernel_text, parse_u32};
+use crate::format::{parse_dim3, parse_kernel_text, parse_u32, strip_comment};
 use crate::kernel::{ApplicationTrace, Dim3, KernelTrace};
 use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom};
@@ -249,11 +249,7 @@ impl TextTraceSource {
             let start = pos;
             pos += raw.len();
             let no = idx + 1;
-            let line = match raw.find('#') {
-                Some(cut) => &raw[..cut],
-                None => raw,
-            }
-            .trim();
+            let line = strip_comment(raw);
             if line.is_empty() {
                 continue;
             }

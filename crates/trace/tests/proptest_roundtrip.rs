@@ -45,11 +45,11 @@ fn arb_inst() -> impl Strategy<Value = TraceInstruction> {
                     } else {
                         AddressList::Strided { base, stride }
                     };
-                    MemInfo {
+                    Box::new(MemInfo {
                         space,
                         width,
                         addresses,
-                    }
+                    })
                 });
                 TraceInstruction {
                     pc: u32::from(pc),
