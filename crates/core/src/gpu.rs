@@ -36,15 +36,12 @@ use crate::error::SimError;
 use crate::fidelity::{AluModelKind, FidelityConfig, FrontendModelKind, SkipPolicy};
 use crate::mem_system::{MemCompletion, MemorySystem};
 use crate::scheduler::make_policy;
-use crate::sm::{SmCore, SmStats, WbTarget};
+use crate::sm::{SmCore, SmStats, TickOutcome, WbTarget};
 use crate::Cycle;
 use swiftsim_config::GpuConfig;
 use swiftsim_mem::FastMap;
 use swiftsim_metrics::{ProfModule, Profiler};
 use swiftsim_trace::KernelTrace;
-
-#[cfg(doc)]
-use crate::sm::TickOutcome;
 
 /// Outcome of simulating one kernel on one shard.
 #[derive(Debug, Clone, Copy, Default)]
@@ -125,6 +122,7 @@ pub(crate) fn run_kernel_shard(
     let mut bs = BlockScheduler::new(num_local_sms, block_indices.len(), occupancy.blocks_per_sm);
     let mut tokens: FastMap<u64, (usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
+    let mut outcome = TickOutcome::default();
     let mut now = start;
     let mut idle_streak = 0u32;
     // An armed clock jump: `(target, per-SM stat snapshots)` captured at
@@ -172,15 +170,14 @@ pub(crate) fn run_kernel_shard(
         let mut any_completed = false;
         let mut any_tokens = false;
         for (sm_idx, sm) in sms.iter_mut().enumerate() {
-            let outcome = sm.tick(now, mem, prof);
+            sm.tick(now, mem, prof, &mut outcome);
             issued += outcome.issued;
             any_unit_busy |= outcome.unit_busy_stall;
-            for global in outcome.completed_blocks {
-                let _ = global;
+            for _ in &outcome.completed_blocks {
                 any_completed = true;
                 bs.complete(sm_idx);
             }
-            for (token, target) in outcome.new_tokens {
+            for &(token, target) in &outcome.new_tokens {
                 any_tokens = true;
                 tokens.insert(token, (sm_idx, target));
             }

@@ -61,6 +61,7 @@ mod builder;
 pub mod checkpoint;
 mod error;
 mod fidelity;
+mod gate;
 mod gpu;
 mod input;
 mod json;
@@ -73,7 +74,6 @@ mod sampling;
 mod scheduler;
 mod scoreboard;
 mod sm;
-mod spsc;
 mod stats;
 mod twophase;
 

@@ -738,10 +738,14 @@ impl MemorySystem for CycleAccurateMemory {
             },
         );
 
-        let mut sync_ready: Vec<Cycle> = Vec::new();
+        let mut sync_count = 0u32;
+        let mut sync_latest: Cycle = 0;
         for &txn in txns {
             match self.process_l1_txn(sm, txn, packed, now) {
-                TxnDisposition::Sync(ready) => sync_ready.push(ready),
+                TxnDisposition::Sync(ready) => {
+                    sync_count += 1;
+                    sync_latest = sync_latest.max(ready);
+                }
                 TxnDisposition::Async => {}
                 TxnDisposition::Blocked => {
                     self.retry_cycles += 1;
@@ -750,11 +754,11 @@ impl MemorySystem for CycleAccurateMemory {
             }
         }
 
+        // Looked up only now: an event-path retry inside the loop may have
+        // touched the entry.
         let req = self.reqs.get_mut(&token).expect("just inserted");
-        req.outstanding -= sync_ready.len() as u32;
-        for r in sync_ready {
-            req.last_ready = req.last_ready.max(r);
-        }
+        req.outstanding -= sync_count;
+        req.last_ready = req.last_ready.max(sync_latest);
         if req.outstanding == 0 {
             let req = self.reqs.remove(&token).expect("present");
             return MemReply::Done(req.last_ready);

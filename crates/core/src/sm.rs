@@ -233,7 +233,10 @@ pub(crate) struct WbTarget {
     pub reg: Reg,
 }
 
-/// What one SM tick produced, for the top-level run loop.
+/// What one SM tick produced, for the top-level run loop. Owned by the
+/// caller and handed to every [`SmCore::tick`], so its two lists keep
+/// their capacity instead of allocating on each tick that retires a block
+/// or issues a memory instruction.
 #[derive(Debug, Default)]
 pub(crate) struct TickOutcome {
     /// Instructions issued this cycle across sub-cores.
@@ -249,6 +252,16 @@ pub(crate) struct TickOutcome {
     pub unit_busy_stall: bool,
     /// Pending memory tokens issued this cycle: (token, writeback target).
     pub new_tokens: Vec<(u64, WbTarget)>,
+}
+
+impl TickOutcome {
+    fn reset(&mut self) {
+        self.issued = 0;
+        self.completed_blocks.clear();
+        self.next_wakeup = None;
+        self.unit_busy_stall = false;
+        self.new_tokens.clear();
+    }
 }
 
 /// One streaming multiprocessor.
@@ -547,12 +560,15 @@ impl<'a> SmCore<'a> {
     }
 
     /// Simulate one cycle; issues at most one instruction per sub-core.
+    /// `outcome` is overwritten with what the cycle produced.
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
         mem: &mut dyn MemorySystem,
         prof: &mut Profiler,
-    ) -> TickOutcome {
+        outcome: &mut TickOutcome,
+    ) {
+        outcome.reset();
         // Quiescence cache: with two consecutive quiescent ticks behind us,
         // no writeback due, and no chance of a memory-queue unpark, this
         // tick is provably identical to the last — replay its stat delta
@@ -566,10 +582,8 @@ impl<'a> SmCore<'a> {
         {
             self.stats.add(&self.q_delta);
             prof.add_cycles(ProfModule::WarpScheduler, self.q_delta.active_cycles);
-            return TickOutcome {
-                next_wakeup: self.wb_events.peek().map(|Reverse((at, ..))| *at),
-                ..TickOutcome::default()
-            };
+            outcome.next_wakeup = self.wb_events.peek().map(|Reverse((at, ..))| *at);
+            return;
         }
 
         let stats_before = self.stats;
@@ -578,7 +592,6 @@ impl<'a> SmCore<'a> {
         let drained = self.drain_writebacks(now);
         prof.record(ProfModule::Alu, t0);
 
-        let mut outcome = TickOutcome::default();
         if self.is_active() {
             self.stats.active_cycles += 1;
             prof.add_cycles(ProfModule::WarpScheduler, 1);
@@ -611,11 +624,11 @@ impl<'a> SmCore<'a> {
                 self.stats.stall_scoreboard += u64::from(self.cfg.sub_cores);
             }
             outcome.next_wakeup = self.wb_events.peek().map(|Reverse((at, ..))| *at);
-            self.note_quiescence(&stats_before, &outcome, drained, unparked);
-            return outcome;
+            self.note_quiescence(&stats_before, outcome, drained, unparked);
+            return;
         }
         for sc in 0..self.cfg.sub_cores as usize {
-            self.tick_sub_core(sc, now, mem, mem_ok, &mut outcome, prof);
+            self.tick_sub_core(sc, now, mem, mem_ok, outcome, prof);
         }
 
         // Wakeups for the event-driven engine: pending writebacks, and
@@ -625,8 +638,7 @@ impl<'a> SmCore<'a> {
             wakeup = Some(wakeup.map_or(now + 1, |w| w.min(now + 1)));
         }
         outcome.next_wakeup = wakeup;
-        self.note_quiescence(&stats_before, &outcome, drained, unparked);
-        outcome
+        self.note_quiescence(&stats_before, outcome, drained, unparked);
     }
 
     /// Track consecutive quiescent ticks and memoize the second one's stat
@@ -1200,8 +1212,9 @@ mod tests {
 
         let mut mem = crate::mem_system::AnalyticalMemory::new(&cfg, &Default::default());
         let mut prof = Profiler::disabled();
-        sm.tick(0, &mut mem, &mut prof);
-        sm.tick(1, &mut mem, &mut prof);
+        let mut outcome = TickOutcome::default();
+        sm.tick(0, &mut mem, &mut prof, &mut outcome);
+        sm.tick(1, &mut mem, &mut prof, &mut outcome);
 
         let seen = logs[0].lock().unwrap();
         assert_eq!(seen[0], [0, 1], "two live warps: ranks 0 and 1");

@@ -7,17 +7,23 @@
 //! caveats: there is **one** shared memory system, and simulated time
 //! advances in *synchronization quanta* ([`SyncQuantum`]):
 //!
-//! 1. **Compute phase** — every shard worker ticks its SMs through the
-//!    quantum independently. Memory-visible events (global/local accesses)
-//!    are not applied; they are buffered into a per-shard SPSC queue
-//!    ([`crate::spsc`]) behind a [`DeferredPort`], in deterministic buffer
-//!    order (cycle-major, then SM, then issue order within the tick).
-//! 2. **Commit phase** — the coordinator drains the queues *in shard
-//!    order* and applies every buffered access to the shared memory
-//!    system. Shard-major order over contiguous SM ranges is exactly the
-//!    sequential engine's SM-tick order, so the memory system observes the
-//!    same calls in the same order with the same arguments as a
-//!    single-threaded run.
+//! 1. **Compute phase** — every shard ticks its SMs through the quantum
+//!    independently: shard 0 on the calling thread, every other shard on
+//!    its own worker, so N shards are N OS threads. Memory-visible events
+//!    (global/local accesses) are not applied; a [`DeferredPort`] buffers
+//!    them into the shard's [`Mailbox`] in deterministic buffer order
+//!    (cycle-major, then SM, then issue order within the tick).
+//! 2. **Commit phase** — the coordinator (the calling thread again) takes
+//!    the mailboxes *in shard order*, each as soon as that shard's epoch
+//!    lands at the [`Gate`], and applies every buffered access to the
+//!    shared memory system. Shard-major order over contiguous SM ranges is
+//!    exactly the sequential engine's SM-tick order, so the memory system
+//!    observes the same calls in the same order with the same arguments as
+//!    a single-threaded run.
+//!
+//! Commands and results cross threads through [`crate::gate`]: one reused
+//! mailbox per shard, published by an epoch counter and waited for on a
+//! yield → park ladder — no channel, no per-quantum allocation.
 //!
 //! Under [`SyncQuantum::PerCycle`] the quantum is one cycle and the replay
 //! is *exact*: block dispatch, completion delivery, `can_accept`
@@ -44,6 +50,7 @@ use crate::error::SimError;
 use crate::fidelity::{
     FidelityConfig, FrontendModelKind, MemoryModelKind, SkipPolicy, SyncQuantum,
 };
+use crate::gate::{Coordinator, Dead, Gate};
 use crate::gpu::{make_alu, merge_into};
 use crate::mem_system::{
     build_analytical_memory_for, build_analytical_memory_reuse_for, CycleAccurateMemory,
@@ -54,23 +61,25 @@ use crate::prefetch::Prefetcher;
 use crate::result::{KernelResult, SimulationResult};
 use crate::sampling::RepMeasure;
 use crate::scheduler::make_policy;
-use crate::sm::{SmCore, SmStats, WbTarget};
-use crate::spsc;
+use crate::sm::{SmCore, SmStats, TickOutcome, WbTarget};
 use crate::Cycle;
-use std::sync::mpsc;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 use swiftsim_config::GpuConfig;
 use swiftsim_mem::FastMap;
 use swiftsim_mem::MemTxn;
 use swiftsim_metrics::{MetricsCollector, ProfModule, ProfileReport, Profiler};
-use swiftsim_trace::{KernelTrace, TraceSource};
+use swiftsim_trace::{BlockTrace, KernelTrace, TraceSource};
 
 /// One buffered memory access: everything the sequential engine would have
 /// passed to [`MemorySystem::access`], plus the writeback target filled in
-/// from the issuing SM's [`TickOutcome::new_tokens`](crate::sm::TickOutcome).
+/// from the issuing SM's [`TickOutcome::new_tokens`].
 struct AccessRecord {
     local_sm: usize,
     pc: u32,
-    txns: Vec<MemTxn>,
+    /// The access's transactions, as a range of [`Mailbox::txns`].
+    txns: Range<usize>,
     /// The `now` argument the SM passed (AGU/port availability), which the
     /// sequential engine hands to the memory system verbatim.
     agu_done: Cycle,
@@ -80,7 +89,7 @@ struct AccessRecord {
 }
 
 /// A `MemReply::Done` resolved during commit, to be applied by the owning
-/// worker just before its next compute phase.
+/// shard just before its next compute phase.
 struct DeferredDone {
     local_sm: usize,
     target: WbTarget,
@@ -88,10 +97,22 @@ struct DeferredDone {
     issue_now: Cycle,
 }
 
-/// One synchronization quantum's worth of coordinator → worker state.
-struct QuantumCmd {
+/// One shard's mailbox in the [`Gate`]: the coordinator fills the command
+/// side and the shard's [`Shard::step`] the result side, both in place, so
+/// after warm-up a quantum allocates nothing. Each list is drained by the
+/// side that reads it.
+#[derive(Default)]
+struct Mailbox {
+    // Command: coordinator → shard.
     base: Cycle,
     len: Cycle,
+    /// Replay the armed quiescent delta this many times (an event-driven
+    /// clock jump) before anything else in this quantum; 0 = no jump.
+    jump: Cycle,
+    /// Snapshot per-SM stats after the jump replay and before this
+    /// quantum's events (the coordinator just observed a quiet cycle and
+    /// armed a clock jump).
+    arm: bool,
     /// Blocks dispatched this quantum: `(local SM, global block id)`.
     installs: Vec<(usize, usize)>,
     /// Memory completions due now: writeback targets per local SM.
@@ -100,40 +121,22 @@ struct QuantumCmd {
     dones: Vec<DeferredDone>,
     /// Per-local-SM memory back-pressure snapshot.
     can_accept: Vec<bool>,
-    /// Snapshot per-SM stats *before* processing this command (the
-    /// coordinator just observed a quiet cycle and armed a clock jump).
-    arm: bool,
-}
 
-enum Cmd {
-    Quantum(QuantumCmd),
-    /// Replay the armed quiescent delta `extra` times (event-driven jump).
-    Jump {
-        extra: Cycle,
-    },
-    /// Kernel over (or aborting): apply leftover dones, report and exit.
-    Finish {
-        dones: Vec<DeferredDone>,
-    },
-}
-
-/// Worker → coordinator phase summary. Sent *after* the quantum's access
-/// records are pushed to the SPSC queue, so receiving it guarantees
-/// `records` entries are poppable.
-#[derive(Default)]
-struct Summary {
+    // Result: shard → coordinator.
     issued: u32,
     unit_busy: bool,
     /// Local SM index per completed block, in tick order.
     completed: Vec<usize>,
     /// Minimum next-wakeup hint across SMs for the quantum's last cycle.
     wakeup: Option<Cycle>,
-    /// Access records pushed this quantum.
-    records: usize,
+    /// This quantum's accesses in buffer order (cycle-major, then SM, then
+    /// issue order within the tick), their transactions flat in `txns`.
+    records: Vec<AccessRecord>,
+    txns: Vec<MemTxn>,
 }
 
-/// What a worker thread returns on join.
-struct WorkerExit {
+/// What a shard leaves behind when its kernel ends.
+struct ShardExit {
     stats: SmStats,
     stalled: Option<String>,
 }
@@ -146,7 +149,7 @@ enum CoordEnd {
     Deadlock {
         cycle: Cycle,
     },
-    /// A worker's channel closed unexpectedly (it panicked).
+    /// A worker unwound mid-kernel.
     Dead {
         shard: usize,
     },
@@ -159,27 +162,34 @@ fn min_opt(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
-/// The worker-side stand-in for the shared memory system: buffers accesses
-/// instead of applying them, and answers `can_accept` from the
-/// coordinator's per-quantum snapshot. Every access "replies"
-/// `Pending(record index)`, which routes the writeback target back here
-/// through the SM's normal token path.
-struct DeferredPort {
-    can_accept: Vec<bool>,
-    now: Cycle,
-    records: Vec<AccessRecord>,
+fn elapsed_ns(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
-impl MemorySystem for DeferredPort {
+/// The shard-side stand-in for the shared memory system: buffers accesses
+/// into the mailbox instead of applying them, and answers `can_accept`
+/// from the coordinator's per-quantum snapshot. Every access "replies"
+/// `Pending(record index)`, which routes the writeback target back here
+/// through the SM's normal token path.
+struct DeferredPort<'m> {
+    can_accept: &'m [bool],
+    now: Cycle,
+    records: &'m mut Vec<AccessRecord>,
+    txns: &'m mut Vec<MemTxn>,
+}
+
+impl MemorySystem for DeferredPort<'_> {
     fn can_accept(&self, sm: usize) -> bool {
         self.can_accept[sm]
     }
 
     fn access(&mut self, sm: usize, pc: u32, txns: &[MemTxn], now: Cycle) -> MemReply {
+        let first = self.txns.len();
+        self.txns.extend_from_slice(txns);
         self.records.push(AccessRecord {
             local_sm: sm,
             pc,
-            txns: txns.to_vec(),
+            txns: first..self.txns.len(),
             agu_done: now,
             issue_now: self.now,
             target: WbTarget {
@@ -375,7 +385,7 @@ fn run_kernel_two_phase(
     quantum: Cycle,
     fidelity: FidelityConfig,
     mem: &mut dyn MemorySystem,
-    worker_profs: &mut [Profiler],
+    shard_profs: &mut [Profiler],
     prof: &mut Profiler,
     start: Cycle,
 ) -> Result<KernelOutcome, SimError> {
@@ -390,75 +400,81 @@ fn run_kernel_two_phase(
         });
     }
     let occupancy = Occupancy::compute(&cfg.sm, kernel)?;
-    let warps_per_block = kernel.blocks().first().map_or(0, |b| b.warps().len());
-    let shards = sm_id_groups.len();
+    let slots = occupancy.blocks_per_sm as usize;
     let total_sms: usize = sm_id_groups.iter().map(Vec::len).sum();
-
-    let mut cmd_txs = Vec::with_capacity(shards);
-    let mut rec_rxs = Vec::with_capacity(shards);
-    let mut sum_rxs = Vec::with_capacity(shards);
-    let mut worker_ends = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-        let (rec_tx, rec_rx) = spsc::channel::<AccessRecord>();
-        let (sum_tx, sum_rx) = mpsc::channel::<Summary>();
-        cmd_txs.push(cmd_tx);
-        rec_rxs.push(rec_rx);
-        sum_rxs.push(sum_rx);
-        worker_ends.push((cmd_rx, rec_tx, sum_tx));
-    }
+    let frame = format!("k{kidx}:{}", kernel.name);
 
     let mut bs = BlockScheduler::new(total_sms, kernel.blocks().len(), occupancy.blocks_per_sm);
-    let mut pending_dones: Vec<Vec<DeferredDone>> = (0..shards).map(|_| Vec::new()).collect();
+    let gate: Gate<Mailbox> = Gate::new(sm_id_groups.len());
+    let (own_prof, worker_profs) = shard_profs
+        .split_first_mut()
+        .expect("split_sms yields at least one shard");
 
-    prof.begin_frame(&format!("k{kidx}:{}", kernel.name));
+    prof.begin_frame(&frame);
     let (end, exits) = std::thread::scope(|scope| {
+        // First in, last out: however this closure is left — normally, or
+        // unwinding from a failed spawn — dropping `coord` stops the
+        // workers, so the scope's join cannot hang.
+        let coord = gate.coordinator();
         let handles: Vec<_> = worker_profs
             .iter_mut()
-            .zip(sm_id_groups)
-            .zip(worker_ends.drain(..))
-            .map(|((wprof, sm_ids), (cmd_rx, rec_tx, sum_tx))| {
+            .zip(&sm_id_groups[1..])
+            .enumerate()
+            .map(|(i, (wprof, sm_ids))| {
+                let (gate, frame) = (&gate, &frame);
                 scope.spawn(move || {
-                    worker_loop(
-                        cfg,
-                        kernel,
-                        kidx,
-                        occupancy.blocks_per_sm as usize,
-                        warps_per_block,
-                        fidelity,
-                        sm_ids,
-                        cmd_rx,
-                        rec_tx,
-                        sum_tx,
-                        wprof,
-                    )
+                    // The port before anything that can panic: its drop is
+                    // what tells the coordinator this shard is gone.
+                    let mut port = gate.port(i + 1);
+                    // Built here: a shard's models need not be `Send`.
+                    let mut shard = Shard::new(cfg, kernel, slots, fidelity, sm_ids);
+                    wprof.begin_frame(frame);
+                    while let Some(mut mb) = port.recv() {
+                        shard.step(&mut mb, wprof);
+                        port.done(mb);
+                    }
+                    let exit = shard.finish(port.mailbox().as_deref_mut(), wprof);
+                    wprof.end_frame();
+                    exit
                 })
             })
             .collect();
 
-        let end = coordinate(
-            mem,
-            &mut bs,
-            sm_id_groups,
-            quantum,
-            fidelity.skip_policy == SkipPolicy::EventDriven && quantum == 1,
-            start,
-            &cmd_txs,
-            &rec_rxs,
-            &sum_rxs,
-            &mut pending_dones,
-            prof,
-        );
-
-        // Wind down every worker (alive or not), shipping leftover dones
-        // so their LD/ST attribution is complete, then collect exits.
-        for (shard, tx) in cmd_txs.iter().enumerate() {
-            let _ = tx.send(Cmd::Finish {
-                dones: std::mem::take(&mut pending_dones[shard]),
-            });
-        }
-        drop(cmd_txs);
-        let exits: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        // The calling thread is shard 0 as well as the coordinator, so
+        // `--threads N` is N OS threads. A panic on it is reported like
+        // one on any other shard's thread; what it was mutating (`mem`,
+        // `bs`, its own shard) is abandoned with the failed run, which is
+        // what makes asserting unwind safety sound.
+        let own = catch_unwind(AssertUnwindSafe(|| {
+            let mut own = Shard::new(cfg, kernel, slots, fidelity, &sm_id_groups[0]);
+            own_prof.begin_frame(&frame);
+            let end = coordinate(
+                mem,
+                &mut bs,
+                sm_id_groups,
+                quantum,
+                fidelity.skip_policy == SkipPolicy::EventDriven && quantum == 1,
+                start,
+                &coord,
+                &mut own,
+                own_prof,
+                prof,
+            );
+            // Every shard, whichever way the loop ended, finds the `Done`
+            // replies of the last commit still in its mailbox and applies
+            // them before it reports, so LD/ST attribution is complete.
+            let exit = own.finish(coord.mailbox(0).ok().as_deref_mut(), own_prof);
+            own_prof.end_frame();
+            (end, exit)
+        }));
+        drop(coord);
+        let (end, own_exit) = match own {
+            Ok((end, exit)) => (Some(end), Ok(exit)),
+            Err(payload) => (None, Err(payload)),
+        };
+        let exits: Vec<_> = std::iter::once(own_exit)
+            .chain(handles.into_iter().map(|h| h.join()))
+            .collect();
         (end, exits)
     });
     mem.report_profile(prof);
@@ -475,9 +491,9 @@ fn run_kernel_two_phase(
             message: crate::error::panic_message(payload.as_ref()),
         });
     }
-    let exits: Vec<WorkerExit> = exits.into_iter().filter_map(Result::ok).collect();
+    let exits: Vec<ShardExit> = exits.into_iter().filter_map(Result::ok).collect();
 
-    match end {
+    match end.expect("no thread panicked, so the coordinator returned") {
         CoordEnd::Finished { end } => {
             let mut stats = SmStats::default();
             for e in &exits {
@@ -509,15 +525,17 @@ fn run_kernel_two_phase(
         }
         CoordEnd::Dead { shard } => Err(SimError::WorkerPanic {
             context: format!("shard {shard} of kernel {:?}", kernel.name),
-            message: "worker channel closed without a panic payload".to_owned(),
+            message: "worker left the gate without a panic payload".to_owned(),
         }),
     }
 }
 
 /// The coordinator: runs the quantum loop against the shared memory
 /// system. Mirrors the sequential engine's per-cycle step order exactly —
-/// dispatch, advance/deliver, (workers tick), commit, terminate/advance —
-/// including the event-driven arm/confirm/jump protocol.
+/// dispatch, advance/deliver, (shards tick), commit, terminate/advance —
+/// including the event-driven arm/confirm/jump protocol. Shard 0's compute
+/// phase runs inline between publishing the other shards' commands and
+/// waiting for their results.
 #[allow(clippy::too_many_arguments)]
 fn coordinate(
     mem: &mut dyn MemorySystem,
@@ -526,32 +544,39 @@ fn coordinate(
     quantum: Cycle,
     event_driven: bool,
     start: Cycle,
-    cmd_txs: &[mpsc::Sender<Cmd>],
-    rec_rxs: &[spsc::Receiver<AccessRecord>],
-    sum_rxs: &[mpsc::Receiver<Summary>],
-    pending_dones: &mut [Vec<DeferredDone>],
+    coord: &Coordinator<'_, Mailbox>,
+    own: &mut Shard<'_>,
+    own_prof: &mut Profiler,
     prof: &mut Profiler,
 ) -> CoordEnd {
     let shards = sm_id_groups.len();
     let mut tokens: FastMap<u64, (usize, usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
-    let mut record_buf: Vec<AccessRecord> = Vec::new();
+    // Every shard's mailbox, held from the top of a quantum to its publish.
+    let mut boxes = Vec::with_capacity(shards);
     let mut now = start;
     let mut idle_streak: u64 = 0;
     let mut plan: Option<Cycle> = None;
     let mut arm_next = false;
+    let mut jump_next: Cycle = 0;
 
     loop {
+        for shard in 0..shards {
+            match coord.mailbox(shard) {
+                Ok(mb) => boxes.push(mb),
+                Err(Dead) => return CoordEnd::Dead { shard },
+            }
+        }
+
         // 1. Dispatch pending blocks (global Block Scheduler over global SM
         //    ids — identical pick order to the sequential engine).
-        let mut installs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
         let mut installed = false;
         if bs.remaining() > 0 {
             let t0 = prof.start();
-            for (shard, ids) in sm_id_groups.iter().enumerate() {
+            for (mb, ids) in boxes.iter_mut().zip(sm_id_groups) {
                 for (local, &global_sm) in ids.iter().enumerate() {
                     while let Some(block) = bs.dispatch(global_sm) {
-                        installs[shard].push((local, block));
+                        mb.installs.push((local, block));
                         installed = true;
                     }
                 }
@@ -564,10 +589,9 @@ fn coordinate(
         completions.clear();
         mem.advance(now, &mut completions);
         let delivered = !completions.is_empty();
-        let mut writebacks: Vec<Vec<(usize, WbTarget)>> = vec![Vec::new(); shards];
         for c in completions.drain(..) {
             if let Some((shard, local, target)) = tokens.remove(&c.token) {
-                writebacks[shard].push((local, target));
+                boxes[shard].writebacks.push((local, target));
             }
         }
 
@@ -576,73 +600,88 @@ fn coordinate(
         //    queue, which cannot change before that SM's tick, so the
         //    snapshot equals what the sequential engine would read.
         let arm = std::mem::take(&mut arm_next);
-        for (shard, ids) in sm_id_groups.iter().enumerate() {
-            let cmd = Cmd::Quantum(QuantumCmd {
-                base: now,
-                len: quantum,
-                installs: std::mem::take(&mut installs[shard]),
-                writebacks: std::mem::take(&mut writebacks[shard]),
-                dones: std::mem::take(&mut pending_dones[shard]),
-                can_accept: ids.iter().map(|&g| mem.can_accept(g)).collect(),
-                arm,
-            });
-            if cmd_txs[shard].send(cmd).is_err() {
-                return CoordEnd::Dead { shard };
-            }
+        let jump = std::mem::take(&mut jump_next);
+        for (mb, ids) in boxes.iter_mut().zip(sm_id_groups) {
+            mb.base = now;
+            mb.len = quantum;
+            mb.jump = jump;
+            mb.arm = arm;
+            mb.can_accept.clear();
+            mb.can_accept.extend(ids.iter().map(|&g| mem.can_accept(g)));
         }
-        let t0 = prof.start();
-        let mut sums: Vec<Summary> = Vec::with_capacity(shards);
-        for (shard, rx) in sum_rxs.iter().enumerate() {
-            match rx.recv() {
-                Ok(s) => sums.push(s),
-                Err(_) => return CoordEnd::Dead { shard },
-            }
+        let mut filled = boxes.drain(..);
+        let mut own_box = filled.next().expect("split_sms yields at least one shard");
+        for (worker, mb) in filled.enumerate() {
+            drop(mb);
+            coord.publish(worker + 1);
         }
-        prof.record(ProfModule::PhaseSync, t0);
+        own.step(&mut own_box, own_prof);
 
         // 4. Commit phase: apply buffered accesses in shard-major order —
         //    for contiguous shards this is global SM order, i.e. the exact
-        //    sequential call order.
-        let t1 = prof.start();
+        //    sequential call order. Each shard commits as soon as its own
+        //    epoch lands; later shards keep computing meanwhile. Exactly
+        //    two phase-sync records per quantum: total wait, total commit.
+        let mut wait_ns = 0u64;
+        let mut commit_ns = 0u64;
         let mut issued = 0u32;
         let mut any_unit_busy = false;
         let mut any_completed = false;
         let mut any_tokens = false;
         let mut wakeup: Option<Cycle> = None;
-        for (shard, sum) in sums.iter().enumerate() {
-            record_buf.clear();
-            rec_rxs[shard].pop_n(sum.records, &mut record_buf);
-            for r in record_buf.drain(..) {
-                let global_sm = sm_id_groups[shard][r.local_sm];
-                match mem.access(global_sm, r.pc, &r.txns, r.agu_done) {
-                    MemReply::Done(at) => pending_dones[shard].push(DeferredDone {
-                        local_sm: r.local_sm,
-                        target: r.target,
-                        at,
-                        issue_now: r.issue_now,
-                    }),
+        let mut own_box = Some(own_box);
+        for (shard, ids) in sm_id_groups.iter().enumerate() {
+            let mut mb = match own_box.take() {
+                Some(mb) => mb,
+                None => {
+                    let t0 = prof.start();
+                    let landed = coord.wait(shard).and_then(|()| coord.mailbox(shard));
+                    wait_ns += elapsed_ns(t0);
+                    match landed {
+                        Ok(mb) => mb,
+                        Err(Dead) => return CoordEnd::Dead { shard },
+                    }
+                }
+            };
+            let t1 = prof.start();
+            let Mailbox {
+                records,
+                txns,
+                dones,
+                ..
+            } = &mut *mb;
+            for r in records.drain(..) {
+                match mem.access(ids[r.local_sm], r.pc, &txns[r.txns], r.agu_done) {
+                    MemReply::Done(at) => {
+                        // The shard cannot see a `Done` reply until next
+                        // quantum, so fold its time into the wakeup hint
+                        // here.
+                        wakeup = min_opt(wakeup, Some(at));
+                        dones.push(DeferredDone {
+                            local_sm: r.local_sm,
+                            target: r.target,
+                            at,
+                            issue_now: r.issue_now,
+                        });
+                    }
                     MemReply::Pending(token) => {
                         any_tokens = true;
                         tokens.insert(token, (shard, r.local_sm, r.target));
                     }
                 }
             }
-            issued += sum.issued;
-            any_unit_busy |= sum.unit_busy;
-            for &local in &sum.completed {
+            txns.clear();
+            issued += mb.issued;
+            any_unit_busy |= mb.unit_busy;
+            for &local in &mb.completed {
                 any_completed = true;
-                bs.complete(sm_id_groups[shard][local]);
+                bs.complete(ids[local]);
             }
-            wakeup = min_opt(wakeup, sum.wakeup);
+            wakeup = min_opt(wakeup, mb.wakeup);
+            commit_ns += elapsed_ns(t1);
         }
-        // Workers cannot see `Done` replies until next quantum, so fold
-        // the committed completion times into the wakeup hint here.
-        for dones in pending_dones.iter() {
-            for d in dones {
-                wakeup = min_opt(wakeup, Some(d.at));
-            }
-        }
-        prof.record(ProfModule::PhaseSync, t1);
+        prof.record_wall_ns(ProfModule::PhaseSync, wait_ns, 1);
+        prof.record_wall_ns(ProfModule::PhaseSync, commit_ns, 1);
 
         let quantum_end = now + quantum - 1;
 
@@ -662,12 +701,8 @@ fn coordinate(
 
         if let Some(target) = plan.take() {
             if quiet {
-                let extra = target - quantum_end - 1;
-                for (shard, tx) in cmd_txs.iter().enumerate() {
-                    if tx.send(Cmd::Jump { extra }).is_err() {
-                        return CoordEnd::Dead { shard };
-                    }
-                }
+                // Rides along with the next quantum's command.
+                jump_next = target - quantum_end - 1;
                 now = target;
                 idle_streak = 0;
                 continue;
@@ -704,126 +739,129 @@ fn coordinate(
     }
 }
 
-/// One shard worker: owns its SMs for the kernel's duration and replays
-/// whatever the coordinator committed.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    cfg: &GpuConfig,
-    kernel: &KernelTrace,
-    kidx: usize,
-    slots: usize,
-    warps_per_block: usize,
-    fidelity: FidelityConfig,
-    sm_ids: &[usize],
-    cmds: mpsc::Receiver<Cmd>,
-    recs: spsc::Sender<AccessRecord>,
-    sums: mpsc::Sender<Summary>,
-    prof: &mut Profiler,
-) -> WorkerExit {
-    let blocks = kernel.blocks();
-    let detailed_frontend = fidelity.frontend == FrontendModelKind::Detailed;
-    let event_driven = fidelity.skip_policy == SkipPolicy::EventDriven;
-    let mut sms: Vec<SmCore<'_>> = sm_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &global)| {
-            SmCore::new(
-                i,
-                global,
-                &cfg.sm,
-                slots,
-                warps_per_block,
-                make_alu(fidelity.alu, cfg),
-                detailed_frontend,
-                event_driven,
-                &|| make_policy(cfg.sm.scheduler),
-            )
-        })
-        .collect();
-    let mut port = DeferredPort {
-        can_accept: vec![true; sm_ids.len()],
-        now: 0,
-        records: Vec::new(),
-    };
-    let mut snaps: Vec<SmStats> = Vec::new();
-    prof.begin_frame(&format!("k{kidx}:{}", kernel.name));
+/// One shard: owns its SMs for the kernel's duration and replays whatever
+/// the coordinator committed. The coordinator drives shard 0's directly;
+/// every other shard's is driven by its worker thread through the gate.
+struct Shard<'a> {
+    sms: Vec<SmCore<'a>>,
+    blocks: &'a [BlockTrace],
+    /// Per-SM stats at the last armed quantum (see [`Mailbox::arm`]).
+    snaps: Vec<SmStats>,
+    outcome: TickOutcome,
+}
 
-    'run: while let Ok(cmd) = cmds.recv() {
-        match cmd {
-            Cmd::Finish { dones } => {
-                for d in dones {
-                    sms[d.local_sm].apply_deferred_done(d.target, d.at, d.issue_now, prof);
-                }
-                break;
-            }
-            Cmd::Jump { extra } => {
-                for (sm, snap) in sms.iter_mut().zip(&snaps) {
-                    sm.scale_quiescent_delta(snap, extra, prof);
-                }
-                if extra > 0 {
-                    prof.add_cycles(ProfModule::CycleSkip, extra);
-                }
-            }
-            Cmd::Quantum(q) => {
-                // The arm snapshot is "state at the end of the previous
-                // cycle" — i.e. before this command's events are applied.
-                if q.arm {
-                    snaps = sms.iter().map(SmCore::stats).collect();
-                }
-                for d in q.dones {
-                    sms[d.local_sm].apply_deferred_done(d.target, d.at, d.issue_now, prof);
-                }
-                // Installs before writeback deliveries: the sequential
-                // loop dispatches (step 1) before delivering completions
-                // (step 2), so a completion racing a slot refill must see
-                // the new block, exactly as it would there.
-                for (local, block) in q.installs {
-                    sms[local].install_block(block, &blocks[block], q.base);
-                }
-                for (local, target) in q.writebacks {
-                    sms[local].writeback_now(target);
-                }
-                port.can_accept.clear();
-                port.can_accept.extend_from_slice(&q.can_accept);
-
-                let mut sum = Summary::default();
-                for c in q.base..q.base + q.len {
-                    port.now = c;
-                    let mut wakeup: Option<Cycle> = None;
-                    for (i, sm) in sms.iter_mut().enumerate() {
-                        let outcome = sm.tick(c, &mut port, prof);
-                        sum.issued += outcome.issued;
-                        sum.unit_busy |= outcome.unit_busy_stall;
-                        for _ in outcome.completed_blocks {
-                            sum.completed.push(i);
-                        }
-                        for (token, target) in outcome.new_tokens {
-                            port.records[token as usize].target = target;
-                        }
-                        wakeup = min_opt(wakeup, outcome.next_wakeup);
-                    }
-                    sum.wakeup = wakeup;
-                }
-                sum.records = port.records.len();
-                for r in port.records.drain(..) {
-                    if !recs.push(r) {
-                        break 'run;
-                    }
-                }
-                if sums.send(sum).is_err() {
-                    break;
-                }
-            }
+impl<'a> Shard<'a> {
+    fn new(
+        cfg: &GpuConfig,
+        kernel: &'a KernelTrace,
+        slots: usize,
+        fidelity: FidelityConfig,
+        sm_ids: &[usize],
+    ) -> Self {
+        let blocks = kernel.blocks();
+        let warps_per_block = blocks.first().map_or(0, |b| b.warps().len());
+        let sms = sm_ids
+            .iter()
+            .enumerate()
+            .map(|(i, &global)| {
+                SmCore::new(
+                    i,
+                    global,
+                    &cfg.sm,
+                    slots,
+                    warps_per_block,
+                    make_alu(fidelity.alu, cfg),
+                    fidelity.frontend == FrontendModelKind::Detailed,
+                    fidelity.skip_policy == SkipPolicy::EventDriven,
+                    &|| make_policy(cfg.sm.scheduler),
+                )
+            })
+            .collect();
+        Shard {
+            sms,
+            blocks,
+            snaps: Vec::new(),
+            outcome: TickOutcome::default(),
         }
     }
 
-    prof.end_frame();
-    let mut stats = SmStats::default();
-    for sm in &sms {
-        stats.add(&sm.stats());
+    /// Apply `Done` replies the last commit left in the mailbox.
+    fn apply_dones(&mut self, dones: &mut Vec<DeferredDone>, prof: &mut Profiler) {
+        for d in dones.drain(..) {
+            self.sms[d.local_sm].apply_deferred_done(d.target, d.at, d.issue_now, prof);
+        }
     }
-    WorkerExit {
-        stats,
-        stalled: sms.iter().find_map(SmCore::oldest_stalled),
+
+    /// One compute phase: consume the mailbox's command, tick the quantum,
+    /// leave the result in the same mailbox.
+    fn step(&mut self, mb: &mut Mailbox, prof: &mut Profiler) {
+        for (sm, snap) in self.sms.iter_mut().zip(&self.snaps) {
+            sm.scale_quiescent_delta(snap, mb.jump, prof);
+        }
+        if mb.jump > 0 {
+            prof.add_cycles(ProfModule::CycleSkip, mb.jump);
+        }
+        // The arm snapshot is "state at the end of the previous cycle" —
+        // i.e. before this command's events are applied.
+        if mb.arm {
+            self.snaps.clear();
+            self.snaps.extend(self.sms.iter().map(SmCore::stats));
+        }
+        self.apply_dones(&mut mb.dones, prof);
+        // Installs before writeback deliveries: the sequential loop
+        // dispatches (step 1) before delivering completions (step 2), so a
+        // completion racing a slot refill must see the new block, exactly
+        // as it would there.
+        for (local, block) in mb.installs.drain(..) {
+            self.sms[local].install_block(block, &self.blocks[block], mb.base);
+        }
+        for (local, target) in mb.writebacks.drain(..) {
+            self.sms[local].writeback_now(target);
+        }
+
+        mb.issued = 0;
+        mb.unit_busy = false;
+        mb.completed.clear();
+        mb.wakeup = None;
+        let mut port = DeferredPort {
+            can_accept: &mb.can_accept,
+            now: 0,
+            records: &mut mb.records,
+            txns: &mut mb.txns,
+        };
+        let outcome = &mut self.outcome;
+        for c in mb.base..mb.base + mb.len {
+            port.now = c;
+            let mut wakeup: Option<Cycle> = None;
+            for (i, sm) in self.sms.iter_mut().enumerate() {
+                sm.tick(c, &mut port, prof, outcome);
+                mb.issued += outcome.issued;
+                mb.unit_busy |= outcome.unit_busy_stall;
+                for _ in &outcome.completed_blocks {
+                    mb.completed.push(i);
+                }
+                for &(token, target) in &outcome.new_tokens {
+                    port.records[token as usize].target = target;
+                }
+                wakeup = min_opt(wakeup, outcome.next_wakeup);
+            }
+            mb.wakeup = wakeup;
+        }
+    }
+
+    /// Wind down: apply what the final commit left in `mailbox` (absent
+    /// only if the other side unwound holding it) and report.
+    fn finish(mut self, mailbox: Option<&mut Mailbox>, prof: &mut Profiler) -> ShardExit {
+        if let Some(mb) = mailbox {
+            self.apply_dones(&mut mb.dones, prof);
+        }
+        let mut stats = SmStats::default();
+        for sm in &self.sms {
+            stats.add(&sm.stats());
+        }
+        ShardExit {
+            stats,
+            stalled: self.sms.iter().find_map(SmCore::oldest_stalled),
+        }
     }
 }

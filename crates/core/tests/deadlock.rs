@@ -62,13 +62,12 @@ fn forced_deadlock_names_the_shard_and_the_stuck_warp() {
     assert!(msg.contains("barrier"), "{msg}");
 }
 
-/// Two blocks, the second wedged. With one block slot per SM the wedge
-/// lands on SM 1, which under two threads is the second shard's only
-/// (local index 0) SM — a deadlock report keyed by *local* ids would
-/// misname it "SM 0".
-fn app_wedged_on_second_sm() -> ApplicationTrace {
-    let mut kernel = KernelTrace::new("wedge2", (2, 1, 1), (64, 1, 1));
-    {
+/// `sms` blocks, the last wedged. With one block slot per SM the wedge
+/// lands on the last SM, which under sharding is never shard 0's local
+/// index 0 — a deadlock report keyed by *local* ids would misname it.
+fn app_wedged_on_last_sm(sms: u32) -> ApplicationTrace {
+    let mut kernel = KernelTrace::new("wedge2", (sms, 1, 1), (64, 1, 1));
+    for _ in 1..sms {
         let healthy = kernel.push_block();
         for _ in 0..2 {
             let w = healthy.push_warp();
@@ -102,7 +101,7 @@ fn sharded_deadlock_reports_global_sm_ids() {
         let mut fidelity = swiftsim_core::FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
         fidelity.sync_quantum = quantum;
         let err = swiftsim_core::run(
-            &app_wedged_on_second_sm(),
+            &app_wedged_on_last_sm(2),
             &cfg,
             &RunOptions::default()
                 .with_fidelity(fidelity)
@@ -123,5 +122,44 @@ fn sharded_deadlock_reports_global_sm_ids() {
              not the shard-local index: {detail}"
         );
         assert!(detail.contains("barrier"), "{quantum:?}: {detail}");
+    }
+}
+
+/// The two-phase coordinator reports a provably dead model at once (every
+/// idle cycle would be a cross-thread round-trip, see `twophase.rs`) — and
+/// must keep doing so, with the global SM id, when shard 0 runs on the
+/// coordinating thread and the other shards behind the epoch gate.
+#[test]
+fn sharded_fast_deadlock_is_prompt_at_two_and_four_threads() {
+    let mut cfg = presets::rtx2080ti();
+    cfg.num_sms = 4;
+    cfg.memory.partitions = 2;
+    cfg.sm.max_blocks = 1; // one slot per SM: block 3 must land on SM 3
+
+    for threads in [2usize, 4] {
+        let t0 = std::time::Instant::now();
+        let err = swiftsim_core::run(
+            &app_wedged_on_last_sm(4),
+            &cfg,
+            &RunOptions::default()
+                .with_preset(SimulatorPreset::SwiftBasic)
+                .with_threads(threads),
+        )
+        .expect_err("the wedged block must be detected");
+        let elapsed = t0.elapsed();
+
+        let SimError::Deadlock { shard, detail, .. } = &err else {
+            panic!("expected a deadlock at {threads} threads, got: {err}");
+        };
+        // SM 3 is the last SM of the last shard.
+        assert_eq!(*shard, threads - 1, "{threads} threads: {detail}");
+        assert!(detail.contains("SM 3"), "{threads} threads: {detail}");
+        assert!(detail.contains("barrier"), "{threads} threads: {detail}");
+        // The sequential watchdog needs a million idle ticks; the
+        // short-circuit needs a handful of quanta.
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "{threads} threads: took {elapsed:?}"
+        );
     }
 }
