@@ -1241,8 +1241,9 @@ impl LatencyTerms {
 #[derive(Debug)]
 pub struct AnalyticalMemory {
     terms: LatencyTerms,
-    /// Per-PC (expected latency, hit-rate profile).
-    per_pc: HashMap<u32, (f64, PcHitRates)>,
+    /// Per-PC (expected latency, hit-rate profile), read once per issued
+    /// memory instruction.
+    per_pc: FastMap<u32, (f64, PcHitRates)>,
     default_latency: f64,
     /// Outstanding transaction completion times per SM, used for the
     /// contention adder.
@@ -1325,10 +1326,10 @@ impl AnalyticalMemory {
         }
     }
 
-    /// Convenience constructor: replay `replayed` (a finished functional
-    /// simulation) into per-PC rates.
-    pub fn from_funcsim(cfg: &GpuConfig, sim: &FunctionalCacheSim, pcs: &[u32]) -> Self {
-        let rates = pcs.iter().map(|&pc| (pc, sim.rates(pc))).collect();
+    /// Convenience constructor: the per-PC rates of every PC a finished
+    /// functional simulation observed.
+    pub fn from_funcsim(cfg: &GpuConfig, sim: &FunctionalCacheSim) -> Self {
+        let rates = sim.pcs().map(|pc| (pc, sim.rates(pc))).collect();
         AnalyticalMemory::new(cfg, &rates)
     }
 
@@ -1558,13 +1559,12 @@ impl MemorySystem for AnalyticalMemory {
     }
 }
 
-/// The two buffers every memory instruction of a trace is coalesced
-/// through — by the LD/ST issue path and by the analytical pre-passes — so
-/// neither allocates per instruction.
+/// The buffer every memory instruction of a trace is coalesced into — by
+/// the LD/ST issue path and by the analytical pre-passes — so neither
+/// allocates per instruction.
 #[derive(Debug, Default)]
 pub(crate) struct CoalesceScratch {
-    lane_addrs: Vec<u64>,
-    txns: Vec<swiftsim_mem::MemTxn>,
+    txns: Vec<MemTxn>,
 }
 
 impl CoalesceScratch {
@@ -1574,7 +1574,7 @@ impl CoalesceScratch {
         &mut self,
         mapping: &AddressMapping,
         inst: &swiftsim_trace::TraceInstruction,
-    ) -> Option<&[swiftsim_mem::MemTxn]> {
+    ) -> Option<&[MemTxn]> {
         let mem = inst.mem.as_ref()?;
         if !matches!(
             mem.space,
@@ -1582,15 +1582,29 @@ impl CoalesceScratch {
         ) {
             return None;
         }
-        mem.addresses
-            .expand_into(inst.active_lanes(), &mut self.lane_addrs);
-        swiftsim_mem::coalesce_accesses_into(
-            mapping,
-            &self.lane_addrs,
-            mem.width,
-            inst.opcode.is_store(),
-            &mut self.txns,
-        );
+        let write = inst.opcode.is_store();
+        match &mem.addresses {
+            &swiftsim_trace::AddressList::Strided { base, stride } => {
+                swiftsim_mem::coalesce_strided_into(
+                    mapping,
+                    base,
+                    stride,
+                    inst.active_lanes(),
+                    mem.width,
+                    write,
+                    &mut self.txns,
+                );
+            }
+            swiftsim_trace::AddressList::Explicit(addrs) => {
+                swiftsim_mem::coalesce_accesses_into(
+                    mapping,
+                    addrs,
+                    mem.width,
+                    write,
+                    &mut self.txns,
+                );
+            }
+        }
         Some(&self.txns)
     }
 }
@@ -1604,7 +1618,6 @@ pub struct AnalyticalMemoryBuilder {
     cfg: GpuConfig,
     funcsim: FunctionalCacheSim,
     mapping: AddressMapping,
-    pcs: std::collections::HashSet<u32>,
     num_sms: usize,
     scratch: CoalesceScratch,
 }
@@ -1616,7 +1629,6 @@ impl AnalyticalMemoryBuilder {
             cfg: cfg.clone(),
             funcsim: FunctionalCacheSim::new(cfg),
             mapping: AddressMapping::new(&cfg.sm.l1d),
-            pcs: std::collections::HashSet::new(),
             num_sms: cfg.num_sms.max(1) as usize,
             scratch: CoalesceScratch::default(),
         }
@@ -1636,7 +1648,6 @@ impl AnalyticalMemoryBuilder {
                     for &txn in txns {
                         self.funcsim.access(sm, inst.pc, txn);
                     }
-                    self.pcs.insert(inst.pc);
                 }
             }
         }
@@ -1644,12 +1655,7 @@ impl AnalyticalMemoryBuilder {
 
     /// Instantiate the Eq. 1 model from the accumulated per-PC hit rates.
     pub fn finish(self) -> Box<dyn MemorySystem> {
-        let pcs: Vec<u32> = self.pcs.into_iter().collect();
-        Box::new(AnalyticalMemory::from_funcsim(
-            &self.cfg,
-            &self.funcsim,
-            &pcs,
-        ))
+        Box::new(AnalyticalMemory::from_funcsim(&self.cfg, &self.funcsim))
     }
 }
 
@@ -1658,8 +1664,9 @@ impl AnalyticalMemoryBuilder {
 /// of the trace to obtain per-PC hit rates, then instantiates the Eq. 1
 /// model from them. Kernels are decoded one at a time and dropped, so peak
 /// memory is one kernel. The pre-pass cost is part of Swift-Sim-Memory's
-/// runtime and is orders of magnitude cheaper than cycle-accurate
-/// simulation.
+/// runtime: a quarter to a third of a run on the repository benchmark, of which
+/// the decode is the larger part and the coalesce-and-replay loop the
+/// smaller (DESIGN.md, "Analytical pre-pass").
 ///
 /// # Errors
 ///
@@ -1746,7 +1753,7 @@ pub struct ReuseAnalyticalMemoryBuilder {
     l2_lines: u64,
     l1_rd: Vec<ReuseDistanceAnalyzer>,
     l2_rd: ReuseDistanceAnalyzer,
-    per_pc: HashMap<u32, ReuseCounts>,
+    per_pc: FastMap<u32, ReuseCounts>,
     scratch: CoalesceScratch,
 }
 
@@ -1764,7 +1771,7 @@ impl ReuseAnalyticalMemoryBuilder {
                 * u64::from(cfg.memory.partitions),
             l1_rd: (0..num_sms).map(|_| ReuseDistanceAnalyzer::new()).collect(),
             l2_rd: ReuseDistanceAnalyzer::new(),
-            per_pc: HashMap::new(),
+            per_pc: FastMap::default(),
             scratch: CoalesceScratch::default(),
         }
     }

@@ -74,11 +74,22 @@ impl AddressMapping {
         } else {
             self.sectors_per_line - 1
         };
-        let mut mask = 0u8;
-        for s in first..=last {
-            mask |= 1 << s;
-        }
-        mask
+        Self::sector_span(first, last)
+    }
+
+    /// Mask of sectors `first..=last` of a line (`first <= last <= 7`).
+    pub(crate) fn sector_span(first: u32, last: u32) -> u8 {
+        ((2u32 << last) - (1u32 << first)) as u8
+    }
+
+    /// Line size in bytes.
+    pub(crate) fn line_bytes(&self) -> u64 {
+        1 << self.line_shift
+    }
+
+    /// Sector size in bytes.
+    pub(crate) fn sector_bytes(&self) -> u64 {
+        1 << self.sector_shift
     }
 
     /// Bank serving this address. Sector-granularity interleaving, matching

@@ -8,14 +8,16 @@
 //! MSHRs, queues, or cycle ticking — and accumulates, for each load PC,
 //! where its accesses were served.
 //!
-//! One pass over the trace with this simulator is orders of magnitude
-//! cheaper than a cycle-accurate run, which is exactly why
-//! Swift-Sim-Memory's precomputation step does not erase its speedup.
+//! The pass is part of every Swift-Sim-Memory run and is not free beside
+//! it: measured on the repository benchmark it is a quarter to a third of
+//! the run (DESIGN.md, "Analytical pre-pass"), most of that the trace
+//! decode that feeds it. The replay itself is one [`TagArray::touch`] per cache
+//! level and a counter bump per transaction, with no heap traffic.
 
 use crate::addr::AddressMapping;
 use crate::coalesce::MemTxn;
-use crate::tag_array::{Probe, TagArray};
-use std::collections::HashMap;
+use crate::fasthash::FastMap;
+use crate::tag_array::TagArray;
 use swiftsim_config::GpuConfig;
 
 /// Where a PC's accesses were served, as fractions summing to 1.
@@ -61,7 +63,7 @@ pub struct FunctionalCacheSim {
     l2s: Vec<TagArray>,
     line_bytes: u32,
     partitions: u32,
-    per_pc: HashMap<u32, Counts>,
+    per_pc: FastMap<u32, Counts>,
     overall: Counts,
     time: u64,
 }
@@ -78,7 +80,7 @@ impl FunctionalCacheSim {
                 .collect(),
             line_bytes: cfg.memory.l2.line_bytes,
             partitions: cfg.memory.partitions,
-            per_pc: HashMap::new(),
+            per_pc: FastMap::default(),
             overall: Counts::default(),
             time: 0,
         }
@@ -96,43 +98,13 @@ impl FunctionalCacheSim {
         let counts = self.per_pc.entry(pc).or_default();
 
         // Write-through, no-write-allocate L1: stores skip L1 presence.
-        let l1_serves = if txn.write {
-            false
-        } else {
-            match self.l1s[sm].probe(txn.line_addr, txn.sector_mask, now) {
-                Probe::Hit { .. } => true,
-                Probe::SectorMiss { .. } => {
-                    self.l1s[sm].fill(txn.line_addr, txn.sector_mask, now);
-                    false
-                }
-                Probe::LineMiss => {
-                    self.l1s[sm].allocate(txn.line_addr, false, now);
-                    self.l1s[sm].fill(txn.line_addr, txn.sector_mask, now);
-                    false
-                }
-            }
-        };
-        if l1_serves {
+        if !txn.write && self.l1s[sm].touch(txn.line_addr, txn.sector_mask, now) {
             counts.l1_hits += 1;
             self.overall.l1_hits += 1;
             return;
         }
-
         let part = AddressMapping::partition_index(txn.line_addr, self.line_bytes, self.partitions);
-        let l2 = &mut self.l2s[part];
-        let l2_serves = match l2.probe(txn.line_addr, txn.sector_mask, now) {
-            Probe::Hit { .. } => true,
-            Probe::SectorMiss { .. } => {
-                l2.fill(txn.line_addr, txn.sector_mask, now);
-                false
-            }
-            Probe::LineMiss => {
-                l2.allocate(txn.line_addr, false, now);
-                l2.fill(txn.line_addr, txn.sector_mask, now);
-                false
-            }
-        };
-        if l2_serves {
+        if self.l2s[part].touch(txn.line_addr, txn.sector_mask, now) {
             counts.l2_hits += 1;
             self.overall.l2_hits += 1;
         } else {
@@ -179,6 +151,11 @@ impl FunctionalCacheSim {
     /// Distinct load/store PCs observed.
     pub fn num_pcs(&self) -> usize {
         self.per_pc.len()
+    }
+
+    /// The load/store PCs observed, in no particular order.
+    pub fn pcs(&self) -> impl Iterator<Item = u32> + '_ {
+        self.per_pc.keys().copied()
     }
 }
 

@@ -39,7 +39,7 @@ mod sector_cache;
 mod tag_array;
 
 pub use addr::AddressMapping;
-pub use coalesce::{coalesce_accesses, coalesce_accesses_into, MemTxn};
+pub use coalesce::{coalesce_accesses, coalesce_accesses_into, coalesce_strided_into, MemTxn};
 pub use dram::{DramChannel, DramChannelState, DramStats};
 pub use fasthash::FastMap;
 pub use funcsim::{FunctionalCacheSim, PcHitRates};

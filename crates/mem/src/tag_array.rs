@@ -16,33 +16,28 @@ pub enum LineState {
     Valid,
 }
 
+/// Everything about a line but its tag and its two timestamps.
 #[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
+struct Flags {
     state: LineState,
     /// Valid sectors (bit per sector).
     valid_mask: u8,
     /// Dirty sectors (write-back caches).
     dirty_mask: u8,
-    last_use: Cycle,
-    alloc_time: Cycle,
 }
 
-impl Line {
-    const INVALID: Line = Line {
-        tag: 0,
+impl Flags {
+    const INVALID: Flags = Flags {
         state: LineState::Invalid,
         valid_mask: 0,
         dirty_mask: 0,
-        last_use: 0,
-        alloc_time: 0,
     };
 }
 
 /// Serializable snapshot of one cache line (checkpointing). `state` is the
 /// [`LineState`] encoded as 0 = Invalid, 1 = Reserved, 2 = Valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // mirrors the private `Line` fields one-to-one
+#[allow(missing_docs)] // one row across the array's private columns
 pub struct LineSnapshot {
     pub tag: u64,
     pub state: u8,
@@ -94,11 +89,20 @@ pub struct Victim {
 
 /// Sectored tag array: tags at line granularity, validity and dirtiness at
 /// sector granularity, replacement per [`ReplacementPolicy`].
+///
+/// Lines are stored column-wise, each column in `set * ways + way` order. A
+/// lookup compares every tag of a set and reads nothing else of the ways
+/// that do not match, so with the tags on their own a 16-way set is two
+/// host cache lines to search where whole line records would be eight; a
+/// replacement then reads the set's flags and one timestamp column.
 #[derive(Debug, Clone)]
 pub struct TagArray {
     mapping: AddressMapping,
     ways: usize,
-    lines: Vec<Line>,
+    tags: Vec<u64>,
+    flags: Vec<Flags>,
+    last_use: Vec<Cycle>,
+    alloc_time: Vec<Cycle>,
     replacement: ReplacementPolicy,
     rng: SmallRng,
 }
@@ -107,10 +111,14 @@ impl TagArray {
     /// Build a tag array for the given cache configuration. `seed` feeds
     /// the Random replacement policy so simulations stay deterministic.
     pub fn new(cfg: &CacheConfig, seed: u64) -> Self {
+        let lines = (cfg.sets * cfg.ways) as usize;
         TagArray {
             mapping: AddressMapping::new(cfg),
             ways: cfg.ways as usize,
-            lines: vec![Line::INVALID; (cfg.sets * cfg.ways) as usize],
+            tags: vec![0; lines],
+            flags: vec![Flags::INVALID; lines],
+            last_use: vec![0; lines],
+            alloc_time: vec![0; lines],
             replacement: cfg.replacement,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -121,44 +129,90 @@ impl TagArray {
         &self.mapping
     }
 
-    fn set_range(&self, addr: u64) -> std::ops::Range<usize> {
-        let set = self.mapping.set_index(addr);
-        set * self.ways..(set + 1) * self.ways
+    /// Index of way 0 of the set `addr` maps to.
+    fn set_base(&self, addr: u64) -> usize {
+        self.mapping.set_index(addr) * self.ways
+    }
+
+    /// Index of the line holding `addr` (valid or reserved), if any.
+    #[inline]
+    fn find(&self, addr: u64) -> Option<usize> {
+        let line_addr = self.mapping.line_addr(addr);
+        let base = self.set_base(addr);
+        self.tags[base..base + self.ways]
+            .iter()
+            .zip(&self.flags[base..base + self.ways])
+            .position(|(&tag, flags)| tag == line_addr && flags.state != LineState::Invalid)
+            .map(|way| base + way)
+    }
+
+    fn covers(flags: Flags, sector_mask: u8) -> bool {
+        flags.state == LineState::Valid && flags.valid_mask & sector_mask == sector_mask
     }
 
     /// Probe for `addr` requesting `sector_mask` sectors; updates LRU on
     /// hits.
     pub fn probe(&mut self, addr: u64, sector_mask: u8, now: Cycle) -> Probe {
-        let line_addr = self.mapping.line_addr(addr);
-        let range = self.set_range(addr);
-        for way_off in 0..self.ways {
-            let idx = range.start + way_off;
-            let line = &mut self.lines[idx];
-            if line.state != LineState::Invalid && line.tag == line_addr {
-                line.last_use = now;
-                if line.state == LineState::Valid && line.valid_mask & sector_mask == sector_mask {
-                    return Probe::Hit { way: way_off };
-                }
-                return Probe::SectorMiss { way: way_off };
-            }
+        let probe = self.probe_silent(addr, sector_mask);
+        if let Probe::Hit { way } | Probe::SectorMiss { way } = probe {
+            let base = self.set_base(addr);
+            self.last_use[base + way] = now;
         }
-        Probe::LineMiss
+        probe
     }
 
     /// Probe without touching replacement state (for functional inspection).
     pub fn probe_silent(&self, addr: u64, sector_mask: u8) -> Probe {
-        let line_addr = self.mapping.line_addr(addr);
-        let range = self.set_range(addr);
-        for way_off in 0..self.ways {
-            let line = &self.lines[range.start + way_off];
-            if line.state != LineState::Invalid && line.tag == line_addr {
-                if line.state == LineState::Valid && line.valid_mask & sector_mask == sector_mask {
-                    return Probe::Hit { way: way_off };
+        match self.find(addr) {
+            Some(idx) => {
+                let way = idx - self.set_base(addr);
+                if Self::covers(self.flags[idx], sector_mask) {
+                    Probe::Hit { way }
+                } else {
+                    Probe::SectorMiss { way }
                 }
-                return Probe::SectorMiss { way: way_off };
+            }
+            None => Probe::LineMiss,
+        }
+    }
+
+    /// The way a new line takes in the set starting at `base`: the first
+    /// invalid way if there is one, else the policy's victim among the
+    /// valid ways — the first minimum of `last_use` (LRU) or `alloc_time`
+    /// (FIFO) in way order, or for Random the valid way whose rank among
+    /// the valid ways one draw over their number names. Reserved lines are
+    /// never victimized, so this is `None` when every way is reserved.
+    #[inline]
+    fn select_way(&mut self, base: usize) -> Option<usize> {
+        let flags = &self.flags[base..base + self.ways];
+        if let Some(way) = flags.iter().position(|f| f.state == LineState::Invalid) {
+            return Some(way);
+        }
+        let valid = |way: &usize| flags[*way].state == LineState::Valid;
+        match self.replacement {
+            ReplacementPolicy::Lru => (0..self.ways)
+                .filter(valid)
+                .min_by_key(|way| self.last_use[base + way]),
+            ReplacementPolicy::Fifo => (0..self.ways)
+                .filter(valid)
+                .min_by_key(|way| self.alloc_time[base + way]),
+            ReplacementPolicy::Random => {
+                let valid_ways = (0..self.ways).filter(valid).count();
+                if valid_ways == 0 {
+                    return None;
+                }
+                let rank = self.rng.gen_range(0..valid_ways);
+                (0..self.ways).filter(valid).nth(rank)
             }
         }
-        Probe::LineMiss
+    }
+
+    /// Replace line `idx` by a fresh line for `line_addr`.
+    fn install(&mut self, idx: usize, line_addr: u64, flags: Flags, now: Cycle) {
+        self.tags[idx] = line_addr;
+        self.flags[idx] = flags;
+        self.last_use[idx] = now;
+        self.alloc_time[idx] = now;
     }
 
     /// Allocate a way for `addr`, evicting per the replacement policy.
@@ -167,62 +221,60 @@ impl TagArray {
     /// set is reserved.
     pub fn allocate(&mut self, addr: u64, reserve: bool, now: Cycle) -> Option<Victim> {
         let line_addr = self.mapping.line_addr(addr);
-        let range = self.set_range(addr);
-
-        // Prefer an invalid way.
-        let mut victim_off = None;
-        for way_off in 0..self.ways {
-            if self.lines[range.start + way_off].state == LineState::Invalid {
-                victim_off = Some(way_off);
-                break;
-            }
-        }
-        // Otherwise choose among valid (non-reserved) ways.
-        if victim_off.is_none() {
-            let candidates: Vec<usize> = (0..self.ways)
-                .filter(|off| self.lines[range.start + off].state == LineState::Valid)
-                .collect();
-            if candidates.is_empty() {
-                return None;
-            }
-            victim_off = Some(match self.replacement {
-                ReplacementPolicy::Lru => *candidates
-                    .iter()
-                    .min_by_key(|&&off| self.lines[range.start + off].last_use)
-                    .expect("non-empty"),
-                ReplacementPolicy::Fifo => *candidates
-                    .iter()
-                    .min_by_key(|&&off| self.lines[range.start + off].alloc_time)
-                    .expect("non-empty"),
-                ReplacementPolicy::Random => candidates[self.rng.gen_range(0..candidates.len())],
-            });
-        }
-
-        let way = victim_off.expect("selected above");
-        let line = &mut self.lines[range.start + way];
-        let evicted_line = (line.state == LineState::Valid).then_some(line.tag);
-        let dirty_mask = if line.state == LineState::Valid {
-            line.dirty_mask
-        } else {
-            0
-        };
-        *line = Line {
-            tag: line_addr,
-            state: if reserve {
-                LineState::Reserved
-            } else {
-                LineState::Valid
-            },
-            valid_mask: 0,
-            dirty_mask: 0,
-            last_use: now,
-            alloc_time: now,
-        };
-        Some(Victim {
+        let base = self.set_base(addr);
+        let way = self.select_way(base)?;
+        let old = self.flags[base + way];
+        let was_valid = old.state == LineState::Valid;
+        let victim = Victim {
             way,
-            evicted_line,
-            dirty_mask,
-        })
+            evicted_line: was_valid.then_some(self.tags[base + way]),
+            dirty_mask: if was_valid { old.dirty_mask } else { 0 },
+        };
+        let state = if reserve {
+            LineState::Reserved
+        } else {
+            LineState::Valid
+        };
+        self.install(
+            base + way,
+            line_addr,
+            Flags {
+                state,
+                ..Flags::INVALID
+            },
+            now,
+        );
+        Some(victim)
+    }
+
+    /// One functional access: whether `sector_mask` of `addr`'s line was
+    /// all valid, leaving the array as a [`probe`](Self::probe) followed on
+    /// a miss by an unreserved [`allocate`](Self::allocate) (line miss
+    /// only) and a [`fill`](Self::fill) of the requested sectors would —
+    /// without the three searches of the set or the intermediate results.
+    /// This is what a timing-free replay needs; a cache that holds
+    /// reservations across cycles uses the three steps.
+    ///
+    /// A line miss in a set whose every way is reserved allocates nothing.
+    pub fn touch(&mut self, addr: u64, sector_mask: u8, now: Cycle) -> bool {
+        if let Some(idx) = self.find(addr) {
+            self.last_use[idx] = now;
+            let flags = &mut self.flags[idx];
+            let hit = Self::covers(*flags, sector_mask);
+            flags.state = LineState::Valid;
+            flags.valid_mask |= sector_mask;
+            return hit;
+        }
+        let base = self.set_base(addr);
+        if let Some(way) = self.select_way(base) {
+            let flags = Flags {
+                state: LineState::Valid,
+                valid_mask: sector_mask,
+                dirty_mask: 0,
+            };
+            self.install(base + way, self.mapping.line_addr(addr), flags, now);
+        }
+        false
     }
 
     /// Mark sectors of an existing line valid (fill completion).
@@ -232,18 +284,13 @@ impl TagArray {
     /// Panics if the line is not present; fills always target a line that
     /// [`TagArray::allocate`] created.
     pub fn fill(&mut self, addr: u64, sector_mask: u8, now: Cycle) {
-        let line_addr = self.mapping.line_addr(addr);
-        let range = self.set_range(addr);
-        for way_off in 0..self.ways {
-            let line = &mut self.lines[range.start + way_off];
-            if line.state != LineState::Invalid && line.tag == line_addr {
-                line.state = LineState::Valid;
-                line.valid_mask |= sector_mask;
-                line.last_use = now;
-                return;
-            }
-        }
-        panic!("fill for absent line {line_addr:#x}");
+        let Some(idx) = self.find(addr) else {
+            panic!("fill for absent line {:#x}", self.mapping.line_addr(addr));
+        };
+        let flags = &mut self.flags[idx];
+        flags.state = LineState::Valid;
+        flags.valid_mask |= sector_mask;
+        self.last_use[idx] = now;
     }
 
     /// Mark sectors dirty (write hit in a write-back cache).
@@ -252,30 +299,23 @@ impl TagArray {
     ///
     /// Panics if the line is not valid.
     pub fn mark_dirty(&mut self, addr: u64, sector_mask: u8) {
-        let line_addr = self.mapping.line_addr(addr);
-        let range = self.set_range(addr);
-        for way_off in 0..self.ways {
-            let line = &mut self.lines[range.start + way_off];
-            if line.state == LineState::Valid && line.tag == line_addr {
-                line.dirty_mask |= sector_mask;
-                line.valid_mask |= sector_mask;
-                return;
+        match self.find(addr) {
+            Some(idx) if self.flags[idx].state == LineState::Valid => {
+                let flags = &mut self.flags[idx];
+                flags.dirty_mask |= sector_mask;
+                flags.valid_mask |= sector_mask;
             }
+            _ => panic!(
+                "mark_dirty for absent line {:#x}",
+                self.mapping.line_addr(addr)
+            ),
         }
-        panic!("mark_dirty for absent line {line_addr:#x}");
     }
 
     /// State of the line holding `addr`, if any.
     pub fn line_state(&self, addr: u64) -> Option<(LineState, u8)> {
-        let line_addr = self.mapping.line_addr(addr);
-        let range = self.set_range(addr);
-        for way_off in 0..self.ways {
-            let line = &self.lines[range.start + way_off];
-            if line.state != LineState::Invalid && line.tag == line_addr {
-                return Some((line.state, line.valid_mask));
-            }
-        }
-        None
+        self.find(addr)
+            .map(|idx| (self.flags[idx].state, self.flags[idx].valid_mask))
     }
 
     /// Number of ways per set.
@@ -286,20 +326,18 @@ impl TagArray {
     /// Snapshot every line and the replacement RNG for checkpointing.
     pub fn save_state(&self) -> TagArrayState {
         TagArrayState {
-            lines: self
-                .lines
-                .iter()
-                .map(|l| LineSnapshot {
-                    tag: l.tag,
-                    state: match l.state {
+            lines: (0..self.tags.len())
+                .map(|idx| LineSnapshot {
+                    tag: self.tags[idx],
+                    state: match self.flags[idx].state {
                         LineState::Invalid => 0,
                         LineState::Reserved => 1,
                         LineState::Valid => 2,
                     },
-                    valid_mask: l.valid_mask,
-                    dirty_mask: l.dirty_mask,
-                    last_use: l.last_use,
-                    alloc_time: l.alloc_time,
+                    valid_mask: self.flags[idx].valid_mask,
+                    dirty_mask: self.flags[idx].dirty_mask,
+                    last_use: self.last_use[idx],
+                    alloc_time: self.alloc_time[idx],
                 })
                 .collect(),
             rng: self.rng.state(),
@@ -313,16 +351,16 @@ impl TagArray {
     /// Rejects a snapshot whose geometry or line-state encoding does not
     /// match this array.
     pub fn restore_state(&mut self, state: &TagArrayState) -> Result<(), String> {
-        if state.lines.len() != self.lines.len() {
+        if state.lines.len() != self.tags.len() {
             return Err(format!(
                 "tag array snapshot has {} lines, this array has {}",
                 state.lines.len(),
-                self.lines.len()
+                self.tags.len()
             ));
         }
-        for (line, snap) in self.lines.iter_mut().zip(&state.lines) {
-            *line = Line {
-                tag: snap.tag,
+        for (idx, snap) in state.lines.iter().enumerate() {
+            self.tags[idx] = snap.tag;
+            self.flags[idx] = Flags {
                 state: match snap.state {
                     0 => LineState::Invalid,
                     1 => LineState::Reserved,
@@ -331,9 +369,9 @@ impl TagArray {
                 },
                 valid_mask: snap.valid_mask,
                 dirty_mask: snap.dirty_mask,
-                last_use: snap.last_use,
-                alloc_time: snap.alloc_time,
             };
+            self.last_use[idx] = snap.last_use;
+            self.alloc_time[idx] = snap.alloc_time;
         }
         self.rng = SmallRng::from_state(state.rng);
         Ok(())
@@ -447,5 +485,179 @@ mod tests {
     fn fill_absent_line_panics() {
         let mut t = TagArray::new(&small_cfg(ReplacementPolicy::Lru), 0);
         t.fill(0x1000, 0b0001, 0);
+    }
+
+    /// The three-step functional access `touch` stands in for.
+    fn reference_touch(t: &mut TagArray, addr: u64, sector_mask: u8, now: Cycle) -> bool {
+        match t.probe(addr, sector_mask, now) {
+            Probe::Hit { .. } => true,
+            Probe::SectorMiss { .. } => {
+                t.fill(addr, sector_mask, now);
+                false
+            }
+            Probe::LineMiss => {
+                t.allocate(addr, false, now);
+                t.fill(addr, sector_mask, now);
+                false
+            }
+        }
+    }
+
+    /// Victim selection as `allocate` did it before it shared one routine
+    /// with `touch`: the first invalid way, else the valid ways collected
+    /// into a list and the policy applied to the list. Returns the way and
+    /// the replacement RNG afterwards.
+    fn reference_victim(
+        state: &TagArrayState,
+        set: usize,
+        ways: usize,
+        policy: ReplacementPolicy,
+    ) -> (Option<usize>, [u64; 4]) {
+        let lines = &state.lines[set * ways..(set + 1) * ways];
+        let mut rng = SmallRng::from_state(state.rng);
+        if let Some(way) = lines.iter().position(|l| l.state == 0) {
+            return (Some(way), rng.state());
+        }
+        let candidates: Vec<usize> = (0..ways).filter(|&w| lines[w].state == 2).collect();
+        if candidates.is_empty() {
+            return (None, rng.state());
+        }
+        let way = match policy {
+            ReplacementPolicy::Lru => *candidates
+                .iter()
+                .min_by_key(|&&w| lines[w].last_use)
+                .expect("non-empty"),
+            ReplacementPolicy::Fifo => *candidates
+                .iter()
+                .min_by_key(|&&w| lines[w].alloc_time)
+                .expect("non-empty"),
+            ReplacementPolicy::Random => candidates[rng.gen_range(0..candidates.len())],
+        };
+        (Some(way), rng.state())
+    }
+
+    const POLICIES: [ReplacementPolicy; 3] = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Random,
+    ];
+
+    /// A 4-way L1, a 16-way L2 slice and a direct-mapped edge case, each
+    /// cut down to four sets so a short stream evicts constantly.
+    fn geometries(replacement: ReplacementPolicy) -> [CacheConfig; 3] {
+        let gpu = presets::rtx2080ti();
+        let shrink = |mut cfg: CacheConfig, ways: u32| {
+            cfg.sets = 4;
+            cfg.ways = ways;
+            cfg.replacement = replacement;
+            cfg
+        };
+        [
+            shrink(gpu.sm.l1d.clone(), 4),
+            shrink(gpu.memory.l2.clone(), 16),
+            shrink(gpu.sm.l1d, 1),
+        ]
+    }
+
+    /// A random sectored access: one of three times as many lines as the
+    /// array holds, a non-empty sector mask, and a clock that sometimes
+    /// stands still so timestamps tie.
+    fn random_access(rng: &mut SmallRng, cfg: &CacheConfig, now: &mut Cycle) -> (u64, u8) {
+        let lines = u64::from(cfg.sets * cfg.ways) * 3;
+        let addr = rng.gen_range(0..lines) * u64::from(cfg.line_bytes) + rng.gen_range(0u64..128);
+        let mask = rng.gen_range(1u32..16) as u8;
+        *now += rng.gen_range(0u64..3);
+        (addr, mask)
+    }
+
+    #[test]
+    fn touch_matches_probe_allocate_fill() {
+        for policy in POLICIES {
+            for (g, cfg) in geometries(policy).iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64(0x70c4 + g as u64);
+                let mut fused = TagArray::new(cfg, 9);
+                let mut steps = TagArray::new(cfg, 9);
+                let mut now = 0;
+                let mut hits = 0;
+                for i in 0..4000 {
+                    let (addr, mask) = random_access(&mut rng, cfg, &mut now);
+                    let hit = fused.touch(addr, mask, now);
+                    assert_eq!(
+                        hit,
+                        reference_touch(&mut steps, addr, mask, now),
+                        "{policy:?} geometry {g} access {i}"
+                    );
+                    assert_eq!(
+                        fused.save_state(),
+                        steps.save_state(),
+                        "{policy:?} geometry {g} access {i}"
+                    );
+                    hits += u32::from(hit);
+                }
+                // The stream must exercise both verdicts to mean anything.
+                assert!((100..3900).contains(&hits), "{policy:?} {g}: {hits} hits");
+            }
+        }
+    }
+
+    #[test]
+    fn allocate_picks_the_way_the_collecting_reference_did() {
+        for policy in POLICIES {
+            for (g, cfg) in geometries(policy).iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64(0xa110c + g as u64);
+                let mut t = TagArray::new(cfg, 5);
+                let ways = cfg.ways as usize;
+                let mut now = 0;
+                let mut refused = 0;
+                for i in 0..4000 {
+                    let (addr, mask) = random_access(&mut rng, cfg, &mut now);
+                    if t.probe(addr, mask, now) != Probe::LineMiss {
+                        // Complete the line's fill, if it was reserved.
+                        t.fill(addr, mask, now);
+                        continue;
+                    }
+                    let before = t.save_state();
+                    let set = t.mapping().set_index(addr);
+                    let (want, rng_after) = reference_victim(&before, set, ways, policy);
+                    // Every third allocation reserves, so sets fill up with
+                    // lines that must not be victimized.
+                    let got = t.allocate(addr, i % 3 == 0, now);
+                    assert_eq!(
+                        got.map(|v| v.way),
+                        want,
+                        "{policy:?} geometry {g} access {i}"
+                    );
+                    assert_eq!(t.save_state().rng, rng_after, "{policy:?} geometry {g}");
+                    if let (Some(victim), Some(way)) = (got, want) {
+                        let old = before.lines[set * ways + way];
+                        let held_data = old.state == 2;
+                        assert_eq!(victim.evicted_line, held_data.then_some(old.tag));
+                        assert_eq!(
+                            victim.dirty_mask,
+                            if held_data { old.dirty_mask } else { 0 }
+                        );
+                    }
+                    refused += u32::from(got.is_none());
+                }
+                assert!(
+                    refused > 0,
+                    "{policy:?} geometry {g}: no all-reserved set seen"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn touch_in_an_all_reserved_set_allocates_nothing() {
+        let mut t = TagArray::new(&small_cfg(ReplacementPolicy::Lru), 0);
+        t.allocate(0x0000, true, 0).unwrap();
+        t.allocate(0x0100, true, 1).unwrap();
+        let before = t.save_state();
+        assert!(!t.touch(0x0200, 0b0001, 2));
+        assert_eq!(t.save_state(), before);
+        // Touching a reserved line completes it like a fill would.
+        assert!(!t.touch(0x0100, 0b0011, 3));
+        assert_eq!(t.line_state(0x0100), Some((LineState::Valid, 0b0011)));
+        assert!(t.touch(0x0100, 0b0001, 4));
     }
 }

@@ -211,21 +211,11 @@ impl AddressList {
     /// [`AddressList::Explicit`] the stored list is returned as-is (callers
     /// validate length at construction).
     pub fn expand(&self, active_lanes: u32) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.expand_into(active_lanes, &mut out);
-        out
-    }
-
-    /// [`expand`](AddressList::expand) into a caller-owned buffer, which is
-    /// cleared first: a loop over many memory instructions reuses one
-    /// allocation instead of making one per instruction.
-    pub fn expand_into(&self, active_lanes: u32, out: &mut Vec<u64>) {
-        out.clear();
         match self {
-            AddressList::Strided { base, stride } => out.extend(
-                (0..u64::from(active_lanes)).map(|i| base.wrapping_add(i.wrapping_mul(*stride))),
-            ),
-            AddressList::Explicit(addrs) => out.extend_from_slice(addrs),
+            AddressList::Strided { base, stride } => (0..u64::from(active_lanes))
+                .map(|i| base.wrapping_add(i.wrapping_mul(*stride)))
+                .collect(),
+            AddressList::Explicit(addrs) => addrs.clone(),
         }
     }
 
@@ -481,15 +471,6 @@ mod tests {
         let addrs = vec![0x10, 0x200, 0x8];
         let list = AddressList::Explicit(addrs.clone());
         assert_eq!(list.expand(3), addrs);
-    }
-
-    #[test]
-    fn expand_into_reuses_the_buffer() {
-        let mut buf = vec![7, 7, 7];
-        AddressList::Strided { base: 8, stride: 8 }.expand_into(2, &mut buf);
-        assert_eq!(buf, [8, 16]);
-        AddressList::Explicit(vec![1, 2, 3]).expand_into(3, &mut buf);
-        assert_eq!(buf, [1, 2, 3]);
     }
 
     fn regs(n: u16) -> Vec<Reg> {
