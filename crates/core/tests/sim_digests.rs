@@ -1,7 +1,7 @@
 //! Simulated-statistics snapshot: for every suite application under every
-//! preset at `tiny` scale on `rtx2080ti`, the predicted cycles, the issued
-//! instructions, and an FNV-1a digest over every catalog stat, diffed
-//! against a golden file.
+//! preset at `tiny` scale on `rtx2080ti`, and under each of the three warp
+//! scheduling policies, the predicted cycles, the issued instructions, and
+//! an FNV-1a digest over every catalog stat, diffed against a golden file.
 //!
 //! The other suites compare simulated stats *within* one commit (dense vs
 //! event-driven, threads 1 vs N, text vs chunked). This one compares them
@@ -36,7 +36,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use swiftsim_config::{fnv1a64, presets};
+use swiftsim_config::{fnv1a64, presets, SchedulerPolicy};
 use swiftsim_core::{RunOptions, SimulationResult, SimulatorPreset, StatId};
 use swiftsim_workloads::Scale;
 
@@ -57,8 +57,14 @@ fn stats_digest(result: &SimulationResult) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// The golden rows: every suite app under every preset, first with the
+/// preset's own warp scheduler (GTO, Table II) and then once per other
+/// policy, whose name joins the preset in the key (`swift-basic/lrr`).
 fn current_digests() -> String {
-    let cfg = presets::rtx2080ti();
+    let apps: Vec<_> = swiftsim_workloads::suite()
+        .into_iter()
+        .map(|workload| (workload.name, workload.generate(Scale::Tiny)))
+        .collect();
     let mut out = String::new();
     writeln!(
         out,
@@ -66,24 +72,43 @@ fn current_digests() -> String {
     )
     .unwrap();
     writeln!(out, "# app preset cycles instructions fnv1a64(stats)").unwrap();
-    for workload in swiftsim_workloads::suite() {
-        let app = workload.generate(Scale::Tiny);
-        for (preset, label) in [
-            (SimulatorPreset::Detailed, "detailed"),
-            (SimulatorPreset::SwiftBasic, "swift-basic"),
-            (SimulatorPreset::SwiftMemory, "swift-memory"),
-        ] {
-            let result = swiftsim_core::run(&app, &cfg, &RunOptions::default().with_preset(preset))
-                .unwrap_or_else(|e| panic!("{} under {label}: {e}", workload.name));
+    for policy in [
+        SchedulerPolicy::Gto,
+        SchedulerPolicy::Lrr,
+        SchedulerPolicy::TwoLevel,
+    ] {
+        let mut cfg = presets::rtx2080ti();
+        let suffix = if policy == cfg.sm.scheduler {
+            String::new()
+        } else {
+            format!("/{policy}")
+        };
+        if !suffix.is_empty() {
             writeln!(
                 out,
-                "{} {label} {} {} {:016x}",
-                workload.name,
-                result.cycles,
-                result.instructions(),
-                stats_digest(&result)
+                "# app preset/{policy} cycles instructions fnv1a64(stats)"
             )
             .unwrap();
+        }
+        cfg.sm.scheduler = policy;
+        for (name, app) in &apps {
+            for (preset, label) in [
+                (SimulatorPreset::Detailed, "detailed"),
+                (SimulatorPreset::SwiftBasic, "swift-basic"),
+                (SimulatorPreset::SwiftMemory, "swift-memory"),
+            ] {
+                let result =
+                    swiftsim_core::run(app, &cfg, &RunOptions::default().with_preset(preset))
+                        .unwrap_or_else(|e| panic!("{name} under {label}{suffix}: {e}"));
+                writeln!(
+                    out,
+                    "{name} {label}{suffix} {} {} {:016x}",
+                    result.cycles,
+                    result.instructions(),
+                    stats_digest(&result)
+                )
+                .unwrap();
+            }
         }
     }
     out
