@@ -400,7 +400,7 @@ pub struct SmConfig {
     pub sub_cores: u32,
     /// Threads per warp (32 on all NVIDIA GPUs).
     pub warp_size: u32,
-    /// Maximum resident warps per SM.
+    /// Maximum resident warps per SM; at most 64.
     pub max_warps: u32,
     /// Maximum resident thread blocks per SM.
     pub max_blocks: u32,
@@ -435,7 +435,8 @@ impl SmConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when structural limits are zero or mutually
-    /// inconsistent (e.g. `max_threads < warp_size`).
+    /// inconsistent (e.g. `max_threads < warp_size`), or when `max_warps`
+    /// exceeds 64.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.sub_cores == 0 {
             return Err(ConfigError::constraint(
@@ -456,6 +457,13 @@ impl SmConfig {
             return Err(ConfigError::constraint(
                 "max warps and max blocks per SM must be positive",
             ));
+        }
+        if self.max_warps > 64 {
+            return Err(ConfigError::constraint(format!(
+                "max_warps {} exceeds the 64-warp limit: a sub-core's warp scheduler \
+                 holds its warps in one 64-bit mask",
+                self.max_warps
+            )));
         }
         if self.max_warps * self.warp_size < self.max_threads {
             return Err(ConfigError::constraint(
@@ -717,6 +725,18 @@ mod tests {
         let mut cfg = presets::rtx2080ti();
         cfg.sm.max_threads = cfg.sm.max_warps * cfg.sm.warp_size + 32;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_more_than_64_warps() {
+        let mut cfg = presets::rtx2080ti();
+        cfg.sm.max_warps = 65;
+        let err = cfg.validate().unwrap_err();
+        assert!(matches!(err, ConfigError::Constraint(_)), "{err:?}");
+        assert!(err.to_string().contains("64-warp limit"), "{err}");
+
+        cfg.sm.max_warps = 64;
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -337,4 +337,18 @@ mod tests {
             Err(ConfigError::Constraint(_))
         ));
     }
+
+    #[test]
+    fn parse_rejects_more_warps_than_a_mask_holds() {
+        let cfg = presets::rtx2080ti();
+        let text = cfg.to_config_text().replace(
+            &format!("-sm:max_warps {}", cfg.sm.max_warps),
+            "-sm:max_warps 65",
+        );
+        assert!(text.contains("-sm:max_warps 65"));
+        assert!(matches!(
+            GpuConfig::parse(&text),
+            Err(ConfigError::Constraint(_))
+        ));
+    }
 }

@@ -92,7 +92,9 @@ pub use mem_system::{MemReply, MemorySystem};
 pub use options::{CheckpointOptions, RunOptions};
 pub use parallel::max_threads;
 pub use result::{Confidence, KernelResult, SimulationResult};
-pub use scheduler::{GtoScheduler, LrrScheduler, TwoLevelScheduler, WarpSchedulerPolicy, WarpView};
+pub use scheduler::{
+    GtoScheduler, IssueMasks, LrrScheduler, TwoLevelScheduler, WarpSchedulerPolicy,
+};
 pub use scoreboard::Scoreboard;
 pub use stats::{StatId, StatUnit, UnknownStat};
 

@@ -19,6 +19,11 @@
 //! `Vec<Option<Block>> -> Vec<Warp>` pointers, keeping the hot loop
 //! cache-friendly.
 //!
+//! Which warps are live, at a barrier, or parked is not stored per warp but
+//! in per-sub-core bitmasks ([`SubCore`]), so the issue scan visits only the
+//! warps that could issue and the policy picks from a ready mask (DESIGN.md,
+//! "Warp issue stage").
+//!
 //! The decoded trace itself is the one structure too large for any cache,
 //! so the scan never reads it: everything the issue decision needs from a
 //! warp's next instruction is copied into its [`Head`] when the program
@@ -38,7 +43,7 @@
 //! [`SkipPolicy::EventDriven`]: crate::fidelity::SkipPolicy::EventDriven
 
 use crate::alu::AluModel;
-use crate::scheduler::{WarpSchedulerPolicy, WarpView};
+use crate::scheduler::{IssueMasks, WarpSchedulerPolicy};
 use crate::scoreboard::{RegSet, Scoreboard};
 use crate::Cycle;
 use std::cmp::Reverse;
@@ -103,11 +108,31 @@ impl SmStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WarpState {
-    Running,
-    AtBarrier,
-    Done,
+/// One sub-core's issue stage: its scheduling policy and the state of its
+/// warps, one bit each. Warp `w` of block slot `s` is bit
+/// `s * slot_bits + w / sub_cores` of sub-core `w % sub_cores`, so bit
+/// order is scan order (block slot, then warp). The SM updates the masks
+/// where the state changes; they are its only copy of it.
+struct SubCore {
+    policy: Box<dyn WarpSchedulerPolicy>,
+    /// Resident warps that have not exited.
+    live: u64,
+    /// Live warps waiting at their block's barrier.
+    at_barrier: u64,
+    /// Live warps parked on a scoreboard hazard or a full LD/ST queue: not
+    /// re-checked until one of their pending writebacks lands or the memory
+    /// system accepts again (readiness cannot change before then).
+    parked: u64,
+    /// SoA index of the warp behind each bit (the layout above, inverted
+    /// once per kernel so the scan never divides).
+    warp_index: [u8; 64],
+}
+
+impl SubCore {
+    /// The warps a scan must check: live, not at a barrier, not parked.
+    fn candidates(&self) -> u64 {
+        self.live & !(self.at_barrier | self.parked)
+    }
 }
 
 /// What a warp's next instruction issues through.
@@ -272,23 +297,19 @@ pub(crate) struct SmCore<'a> {
     /// the id a user can find in the profile/trace.
     global_id: usize,
     cfg: SmConfig,
-    schedulers: Vec<Box<dyn WarpSchedulerPolicy>>,
+    subs: Vec<SubCore>,
     /// Warps per block slot: warp `w` of slot `s` is SoA index
     /// `s * stride + w`. Uniform per kernel (`is_consistent` is checked
     /// before cores are built).
     stride: usize,
+    /// Mask bits per block slot in each sub-core: `ceil(stride / sub_cores)`.
+    slot_bits: u32,
     /// Per-warp SoA arrays, length `slots * stride`.
     w_insts: Vec<&'a [TraceInstruction]>,
     w_next: Vec<u32>,
     /// `Head::of(w_insts[i].get(w_next[i]))`, refreshed only where
     /// `w_next` changes ([`SmCore::install_block`], [`SmCore::advance`]).
     w_head: Vec<Head>,
-    w_state: Vec<WarpState>,
-    /// Parked on a scoreboard hazard or a full LD/ST queue: skip
-    /// re-evaluation until one of this warp's pending writebacks lands or
-    /// the memory system accepts again (hot-path optimization — readiness
-    /// cannot change before then).
-    w_parked: Vec<bool>,
     w_scoreboard: Vec<Scoreboard>,
     /// Per-slot SoA arrays, length `slots`.
     s_occupied: Vec<bool>,
@@ -303,16 +324,9 @@ pub(crate) struct SmCore<'a> {
     frontend: FrontendCaches,
     mapping: AddressMapping,
     stats: SmStats,
-    /// Warps in `Running` state and not parked — the only warps a
-    /// scheduler could possibly pick. When zero, the whole tick can
-    /// early-out (hybrid fast path).
-    schedulable: u32,
     /// Warps parked on a full LD/ST queue, woken in bulk when the memory
     /// system accepts again.
     mem_parked: Vec<(usize, usize)>,
-    /// Reused scan buffers (hot path, avoids per-cycle allocation).
-    scan_views: Vec<WarpView>,
-    scan_refs: Vec<(usize, usize)>,
     /// Reused LD/ST coalescer buffers (no allocation per memory
     /// instruction).
     coalescer: CoalesceScratch,
@@ -350,17 +364,37 @@ impl<'a> SmCore<'a> {
         make_scheduler: &dyn Fn() -> Box<dyn WarpSchedulerPolicy>,
     ) -> Self {
         let n = slots * warps_per_block;
+        let slot_bits = warps_per_block.div_ceil(cfg.sub_cores as usize).max(1);
+        // `Occupancy` keeps `slots * warps_per_block` within `max_warps`,
+        // which `SmConfig::validate` caps at 64.
+        assert!(
+            slots * slot_bits <= 64,
+            "{slots} block slots of {warps_per_block} warps exceed a sub-core's 64 warp bits"
+        );
+        let sub_cores = cfg.sub_cores as usize;
+        let mut subs: Vec<SubCore> = (0..sub_cores)
+            .map(|_| SubCore {
+                policy: make_scheduler(),
+                live: 0,
+                at_barrier: 0,
+                parked: 0,
+                warp_index: [0; 64],
+            })
+            .collect();
+        for i in 0..n {
+            let (slot, w) = (i / warps_per_block, i % warps_per_block);
+            subs[w % sub_cores].warp_index[slot * slot_bits + w / sub_cores] = i as u8;
+        }
         SmCore {
             id,
             global_id,
             cfg: cfg.clone(),
-            schedulers: (0..cfg.sub_cores).map(|_| make_scheduler()).collect(),
+            subs,
             stride: warps_per_block,
+            slot_bits: slot_bits as u32,
             w_insts: vec![&[]; n],
             w_next: vec![0; n],
             w_head: vec![Head::EMPTY; n],
-            w_state: vec![WarpState::Done; n],
-            w_parked: vec![false; n],
             w_scoreboard: (0..n).map(|_| Scoreboard::new()).collect(),
             s_occupied: vec![false; slots],
             s_global_block: vec![0; slots],
@@ -373,10 +407,7 @@ impl<'a> SmCore<'a> {
             frontend: FrontendCaches::new(detailed_frontend),
             mapping: AddressMapping::new(&cfg.l1d),
             stats: SmStats::default(),
-            schedulable: 0,
             mem_parked: Vec::new(),
-            scan_views: Vec::new(),
-            scan_refs: Vec::new(),
             coalescer: CoalesceScratch::default(),
             event_driven,
             q_streak: 0,
@@ -407,6 +438,10 @@ impl<'a> SmCore<'a> {
             self.stride,
             "block warp count must match the kernel-uniform stride"
         );
+        // A slot frees only once its last warp exits, so its bits are clear
+        // (`at_barrier` and `parked` only ever hold live warps).
+        let slot_mask = self.slot_mask(slot);
+        debug_assert!(self.subs.iter().all(|sub| sub.live & slot_mask == 0));
         let mut live = 0u32;
         for (w, warp) in warps.iter().enumerate() {
             let i = slot * self.stride + w;
@@ -414,15 +449,12 @@ impl<'a> SmCore<'a> {
             self.w_next[i] = 0;
             self.w_head[i] = Head::of(warp.instructions().first());
             self.w_scoreboard[i] = Scoreboard::new();
-            self.w_parked[i] = false;
-            self.w_state[i] = if warp.is_empty() {
-                WarpState::Done
-            } else {
+            if !warp.is_empty() {
                 live += 1;
-                WarpState::Running
-            };
+                let (sc, bit) = self.warp_bit(slot, w);
+                self.subs[sc].live |= bit;
+            }
         }
-        self.schedulable += live;
         self.s_occupied[slot] = true;
         self.s_global_block[slot] = global_block;
         self.s_barrier_waiting[slot] = 0;
@@ -437,6 +469,28 @@ impl<'a> SmCore<'a> {
         self.resident > 0
     }
 
+    /// The sub-core and mask bit of warp `w` of block slot `slot`.
+    fn warp_bit(&self, slot: usize, w: usize) -> (usize, u64) {
+        let sub_cores = self.subs.len();
+        let bit = slot * self.slot_bits as usize + w / sub_cores;
+        (w % sub_cores, 1 << bit)
+    }
+
+    /// The bits of block slot `slot` in every sub-core's masks.
+    fn slot_mask(&self, slot: usize) -> u64 {
+        (u64::MAX >> (64 - self.slot_bits)) << (slot as u32 * self.slot_bits)
+    }
+
+    /// Clear the parked bit of warp `w` of `slot`; returns whether it was
+    /// set.
+    fn unpark(&mut self, slot: usize, w: usize) -> bool {
+        let (sc, bit) = self.warp_bit(slot, w);
+        let parked = &mut self.subs[sc].parked;
+        let was_parked = *parked & bit != 0;
+        *parked &= !bit;
+        was_parked
+    }
+
     /// Apply a writeback immediately (memory completion path). A register
     /// of `u16::MAX` marks a completion nobody waits on (a rare dst-less
     /// pending access) and is ignored.
@@ -448,10 +502,7 @@ impl<'a> SmCore<'a> {
         if self.s_occupied[target.slot] {
             let i = target.slot * self.stride + target.warp;
             self.w_scoreboard[i].writeback(target.reg);
-            if self.w_parked[i] {
-                self.w_parked[i] = false;
-                self.schedulable += 1;
-            }
+            self.unpark(target.slot, target.warp);
         }
     }
 
@@ -489,8 +540,8 @@ impl<'a> SmCore<'a> {
                 continue;
             }
             for w in 0..self.stride {
-                let i = slot * self.stride + w;
-                if self.w_state[i] == WarpState::Done {
+                let (sc, bit) = self.warp_bit(slot, w);
+                if self.subs[sc].live & bit == 0 {
                     continue;
                 }
                 let key = (self.s_age[slot], slot, w);
@@ -501,16 +552,16 @@ impl<'a> SmCore<'a> {
         }
         let (_, slot, w) = oldest?;
         let i = slot * self.stride + w;
-        let why = match self.w_state[i] {
-            WarpState::AtBarrier => "at barrier".to_owned(),
-            WarpState::Done => unreachable!("Done warps are skipped"),
-            WarpState::Running => {
-                let pos = format!("at inst {}/{}", self.w_next[i], self.w_insts[i].len());
-                if self.w_parked[i] {
-                    format!("{pos}, parked on a pending writeback or full LD/ST queue")
-                } else {
-                    pos
-                }
+        let (sc, bit) = self.warp_bit(slot, w);
+        let sub = &self.subs[sc];
+        let why = if sub.at_barrier & bit != 0 {
+            "at barrier".to_owned()
+        } else {
+            let pos = format!("at inst {}/{}", self.w_next[i], self.w_insts[i].len());
+            if sub.parked & bit != 0 {
+                format!("{pos}, parked on a pending writeback or full LD/ST queue")
+            } else {
+                pos
             }
         };
         Some(format!(
@@ -550,10 +601,7 @@ impl<'a> SmCore<'a> {
             if self.s_occupied[slot] {
                 let i = slot * self.stride + warp;
                 self.w_scoreboard[i].writeback(Reg(reg));
-                if self.w_parked[i] {
-                    self.w_parked[i] = false;
-                    self.schedulable += 1;
-                }
+                self.unpark(slot, warp);
             }
         }
         drained
@@ -607,17 +655,12 @@ impl<'a> SmCore<'a> {
         if mem_ok && !self.mem_parked.is_empty() {
             let parked = std::mem::take(&mut self.mem_parked);
             for (slot, w) in parked {
-                if self.s_occupied[slot] {
-                    let i = slot * self.stride + w;
-                    if self.w_parked[i] {
-                        self.w_parked[i] = false;
-                        self.schedulable += 1;
-                        unparked = true;
-                    }
+                if self.s_occupied[slot] && self.unpark(slot, w) {
+                    unparked = true;
                 }
             }
         }
-        if !self.frontend.detailed && self.schedulable == 0 {
+        if !self.frontend.detailed && self.subs.iter().all(|sub| sub.candidates() == 0) {
             // Hybrid fast path: every warp is parked, at a barrier, or
             // done — no scheduler can issue, so skip the scan entirely.
             if self.is_active() {
@@ -675,18 +718,28 @@ impl<'a> SmCore<'a> {
     /// exactly the frontend activity a detailed simulator like Accel-Sim
     /// performs (and the work the hybrid presets eliminate).
     fn detailed_core_tick(&mut self) {
-        let frontend = &mut self.frontend;
-        let stats = &mut self.stats;
-        for slot in 0..self.s_occupied.len() {
-            if !self.s_occupied[slot] {
-                continue;
-            }
-            for w in 0..self.stride {
-                let i = slot * self.stride + w;
-                if self.w_state[i] == WarpState::Done {
+        // Slot-major, then warp: the direct-mapped tags make the miss count
+        // depend on the probe order. Bit `b` of every sub-core holds warps
+        // of one slot numbered `row * sub_cores + sc`, so visiting the bits
+        // in order and the sub-cores within each bit keeps that order.
+        let SmCore {
+            frontend,
+            stats,
+            subs,
+            w_head,
+            w_scoreboard,
+            ..
+        } = self;
+        let mut rows = subs.iter().fold(0, |rows, sub| rows | sub.live);
+        while rows != 0 {
+            let bit = rows.trailing_zeros() as usize;
+            rows &= rows - 1;
+            for sub in subs.iter() {
+                if sub.live >> bit & 1 == 0 {
                     continue;
                 }
-                let head = &self.w_head[i];
+                let i = usize::from(sub.warp_index[bit]);
+                let head = &w_head[i];
                 if head.kind != HeadKind::Empty {
                     // Fetch: the fetch group is re-probed each cycle the
                     // warp occupies an ibuffer slot.
@@ -697,7 +750,7 @@ impl<'a> SmCore<'a> {
                         stats.icache_misses += 1;
                     }
                     // Decode: dependence pre-check against the scoreboard.
-                    std::hint::black_box(self.w_scoreboard[i].is_clear_of(&head.hazards));
+                    std::hint::black_box(w_scoreboard[i].is_clear_of(&head.hazards));
                 }
             }
         }
@@ -712,106 +765,85 @@ impl<'a> SmCore<'a> {
         outcome: &mut TickOutcome,
         prof: &mut Profiler,
     ) {
-        // Scan this sub-core's warps: warp w of slot s belongs to sub-core
-        // (w % sub_cores). Disjoint-field destructuring keeps the SoA scan
-        // borrow-checker-clean without cloning.
+        // Check only the warps that could issue. Disjoint-field
+        // destructuring keeps the SoA reads borrow-checker-clean.
         let t_sched = prof.start();
-        let sub_cores = self.cfg.sub_cores as usize;
-        let stride = self.stride;
         let SmCore {
             alu,
-            schedulers,
+            subs,
             w_head,
-            w_state,
-            w_parked,
             w_scoreboard,
-            s_occupied,
             s_age,
-            schedulable,
             mem_parked,
             stats,
-            scan_views,
-            scan_refs,
+            stride,
+            slot_bits,
             ..
         } = self;
-        let views = scan_views;
-        let refs = scan_refs;
-        views.clear();
-        refs.clear();
+        let sub = &mut subs[sc];
+        // A parked warp stalls on a pending writeback (or, from the cycle
+        // after it found the LD/ST queue full, counts as one).
+        let mut any_scoreboard = sub.parked != 0;
         let mut any_unit_busy = false;
-        let mut any_scoreboard = false;
-        let mut any_barrier = false;
-
-        let ports_free = alu.ports_free(sc, now);
-        for (slot, &occupied) in s_occupied.iter().enumerate() {
-            if !occupied {
-                continue;
-            }
-            let age = s_age[slot];
-            let mut w = sc;
-            while w < stride {
-                let i = slot * stride + w;
-                if w_state[i] == WarpState::Done {
-                    w += sub_cores;
-                    continue;
-                }
-                let id = refs.len();
-                refs.push((slot, w));
-                let ready = if w_state[i] == WarpState::AtBarrier {
-                    any_barrier = true;
-                    false
-                } else if w_parked[i] {
-                    // Still waiting on a pending writeback: readiness
-                    // cannot have changed, skip the full check.
+        let mut ready = 0u64;
+        let mut rest = sub.candidates();
+        // The ports are read only when some warp could use them.
+        let ports_free = if rest != 0 {
+            alu.ports_free(sc, now)
+        } else {
+            0
+        };
+        while rest != 0 {
+            let bit = rest.trailing_zeros();
+            rest &= rest - 1;
+            let i = usize::from(sub.warp_index[bit as usize]);
+            match issue_check(&w_head[i], &w_scoreboard[i], ports_free, mem_ok) {
+                Ok(()) => ready |= 1 << bit,
+                Err(Stall::Scoreboard) => {
+                    sub.parked |= 1 << bit;
                     any_scoreboard = true;
-                    false
-                } else {
-                    match issue_check(&w_head[i], &w_scoreboard[i], ports_free, mem_ok) {
-                        Ok(()) => true,
-                        Err(Stall::Scoreboard) => {
-                            w_parked[i] = true;
-                            *schedulable -= 1;
-                            any_scoreboard = true;
-                            false
-                        }
-                        Err(Stall::UnitBusy) => {
-                            any_unit_busy = true;
-                            false
-                        }
-                        Err(Stall::MemQueue) => {
-                            w_parked[i] = true;
-                            *schedulable -= 1;
-                            mem_parked.push((slot, w));
-                            any_unit_busy = true;
-                            false
-                        }
-                        Err(Stall::Empty) => false,
-                    }
-                };
-                views.push(WarpView { id, ready, age });
-                w += sub_cores;
+                }
+                Err(Stall::UnitBusy) => any_unit_busy = true,
+                Err(Stall::MemQueue) => {
+                    sub.parked |= 1 << bit;
+                    mem_parked.push((i / *stride, i % *stride));
+                    any_unit_busy = true;
+                }
+                Err(Stall::Empty) => {}
             }
         }
 
         if any_unit_busy {
             outcome.unit_busy_stall = true;
         }
-        let picked = schedulers[sc].pick(views, now);
-        let target = picked.map(|view_id| refs[view_id]);
-        if target.is_none() {
+        let warps = IssueMasks {
+            live: sub.live,
+            ready,
+            slot_bits: *slot_bits,
+            ages: s_age,
+        };
+        let picked = sub.policy.pick(&warps, now);
+        if picked.is_none() {
             if any_scoreboard {
                 stats.stall_scoreboard += 1;
             } else if any_unit_busy {
                 stats.stall_unit_busy += 1;
-            } else if any_barrier {
+            } else if sub.at_barrier != 0 {
                 stats.stall_barrier += 1;
-            } else if !views.is_empty() {
+            } else if sub.live != 0 {
                 stats.stall_empty += 1;
             }
         }
         prof.record(ProfModule::WarpScheduler, t_sched);
-        if let Some((slot, warp_idx)) = target {
-            self.issue(slot, warp_idx, sc, now, mem, outcome, prof);
+        if let Some(bit) = picked {
+            debug_assert!(
+                ready >> bit & 1 != 0,
+                "{} picked an unready warp",
+                sub.policy.name()
+            );
+            let i = usize::from(sub.warp_index[bit as usize]);
+            let stride = *stride;
+            self.issue(i / stride, i % stride, sc, now, mem, outcome, prof);
         }
     }
 
@@ -825,12 +857,9 @@ impl<'a> SmCore<'a> {
     /// Wake every warp waiting at `slot`'s barrier.
     fn release_barrier(&mut self, slot: usize) {
         self.s_barrier_waiting[slot] = 0;
-        for w in 0..self.stride {
-            let i = slot * self.stride + w;
-            if self.w_state[i] == WarpState::AtBarrier {
-                self.w_state[i] = WarpState::Running;
-                self.schedulable += 1;
-            }
+        let slot_mask = self.slot_mask(slot);
+        for sub in &mut self.subs {
+            sub.at_barrier &= !slot_mask;
         }
     }
 
@@ -856,8 +885,8 @@ impl<'a> SmCore<'a> {
             HeadKind::Empty => unreachable!("a ready warp has an instruction"),
             HeadKind::Barrier => {
                 self.advance(i);
-                self.w_state[i] = WarpState::AtBarrier;
-                self.schedulable -= 1;
+                let (sc, bit) = self.warp_bit(slot, warp_idx);
+                self.subs[sc].at_barrier |= bit;
                 self.s_barrier_waiting[slot] += 1;
                 if self.s_barrier_waiting[slot] == self.s_live_warps[slot] {
                     self.release_barrier(slot);
@@ -865,8 +894,8 @@ impl<'a> SmCore<'a> {
             }
             HeadKind::Exit => {
                 self.advance(i);
-                self.w_state[i] = WarpState::Done;
-                self.schedulable -= 1;
+                let (sc, bit) = self.warp_bit(slot, warp_idx);
+                self.subs[sc].live &= !bit;
                 self.s_live_warps[slot] -= 1;
                 // A warp at the barrier may now satisfy it.
                 if self.s_live_warps[slot] > 0
@@ -1154,14 +1183,18 @@ mod tests {
         );
     }
 
-    /// Records the ids it is shown and issues from the first ready warp.
-    struct RecordingPolicy(std::sync::Arc<std::sync::Mutex<Vec<Vec<usize>>>>);
+    /// Logs the live mask it is shown and what the GTO policy it wraps
+    /// picks from it.
+    struct RecordingPolicy(crate::scheduler::GtoScheduler, PickLog);
+
+    type PickLog = std::sync::Arc<std::sync::Mutex<Vec<(u64, Option<u32>)>>>;
 
     impl WarpSchedulerPolicy for RecordingPolicy {
-        fn pick(&mut self, warps: &[WarpView], _now: u64) -> Option<usize> {
-            let ids = warps.iter().map(|w| w.id).collect();
-            self.0.lock().expect("no panic holds the log").push(ids);
-            warps.iter().find(|w| w.ready).map(|w| w.id)
+        fn pick(&mut self, warps: &IssueMasks<'_>, now: u64) -> Option<u32> {
+            let bit = self.0.pick(warps, now);
+            let mut log = self.1.lock().expect("no panic holds the log");
+            log.push((warps.live, bit));
+            bit
         }
 
         fn name(&self) -> &'static str {
@@ -1169,23 +1202,29 @@ mod tests {
         }
     }
 
-    /// `WarpView::id` is documented as a rank, not an identity: pinned
-    /// here because GTO's greedy target and the two-level active set
-    /// inherit it, and the simulated-stats goldens with them.
+    /// A policy remembers a warp by its rank among the live warps, not by
+    /// its bit (`IssueMasks` docs): pinned here because GTO's greedy target
+    /// and the two-level active set inherit it, and the simulated-stats
+    /// goldens with them.
     #[test]
     fn view_ids_are_ranks_among_live_warps() {
         use swiftsim_trace::{InstBuilder, Opcode};
         let cfg = swiftsim_config::presets::rtx2080ti();
         let sub_cores = cfg.sm.sub_cores as usize;
 
-        // Sub-core 0 owns warps 0 and `sub_cores`: the first exits at
-        // once, the second has work left.
+        // Sub-core 0 owns warps 0, `sub_cores` and `2 * sub_cores`: bits
+        // 0, 1 and 2 of one block, so all equally old. Warp 0 issues two
+        // independent integer adds (the second waits out the port's
+        // initiation interval), warp `sub_cores` exits at once, warp
+        // `2 * sub_cores` has an FFMA to issue.
         let mut block = BlockTrace::new();
-        for w in 0..2 * sub_cores {
+        for w in 0..3 * sub_cores {
             let warp = block.push_warp();
-            if w == sub_cores {
+            if w == 0 {
                 warp.push(InstBuilder::new(Opcode::Iadd).dst(1));
                 warp.push(InstBuilder::new(Opcode::Iadd).pc(16).dst(2));
+            } else if w == 2 * sub_cores {
+                warp.push(InstBuilder::new(Opcode::Ffma).dst(3));
             }
             warp.push(InstBuilder::new(Opcode::Exit).pc(32));
         }
@@ -1198,14 +1237,14 @@ mod tests {
             0,
             &cfg.sm,
             1,
-            2 * sub_cores,
+            3 * sub_cores,
             Box::new(crate::alu::AnalyticalAlu::new(&cfg.sm)),
             false,
             false,
             &|| {
                 let log = std::sync::Arc::clone(&logs[handed_out.get()]);
                 handed_out.set(handed_out.get() + 1);
-                Box::new(RecordingPolicy(log))
+                Box::new(RecordingPolicy(Default::default(), log))
             },
         );
         sm.install_block(0, &block, 0);
@@ -1213,15 +1252,22 @@ mod tests {
         let mut mem = crate::mem_system::AnalyticalMemory::new(&cfg, &Default::default());
         let mut prof = Profiler::disabled();
         let mut outcome = TickOutcome::default();
-        sm.tick(0, &mut mem, &mut prof, &mut outcome);
-        sm.tick(1, &mut mem, &mut prof, &mut outcome);
+        for now in 0..3 {
+            sm.tick(now, &mut mem, &mut prof, &mut outcome);
+        }
 
         let seen = logs[0].lock().unwrap();
-        assert_eq!(seen[0], [0, 1], "two live warps: ranks 0 and 1");
+        assert_eq!(seen[0], (0b111, Some(0)), "the lowest of equals first");
         assert_eq!(
             seen[1],
-            [0],
-            "warp 0 exited: the warp that was id 1 is now id 0"
+            (0b111, Some(1)),
+            "warp 0 waits for the port: the greedy target becomes rank 1, which exits"
+        );
+        assert_eq!(
+            seen[2],
+            (0b101, Some(2)),
+            "rank 1 is now bit 2, and the greedy target follows it there \
+             although bit 0 is ready again and as old"
         );
     }
 

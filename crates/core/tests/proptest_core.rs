@@ -4,63 +4,18 @@
 // workspace manifest) to run it.
 #![cfg(feature = "proptest")]
 
-//! Property-based tests for the framework's scheduling and analytical
-//! model invariants.
+//! Property-based tests for the framework's block-scheduling and analytical
+//! model invariants. (The warp-scheduler property lives with the policies,
+//! in `scheduler::tests::masks_agree_with_the_view_reference`.)
 
 use proptest::prelude::*;
 use swiftsim_config::presets;
 use swiftsim_core::mem_system::{AnalyticalMemory, LatencyTerms, MemReply, MemorySystem};
-use swiftsim_core::{
-    BlockScheduler, GtoScheduler, LrrScheduler, TwoLevelScheduler, WarpSchedulerPolicy, WarpView,
-};
+use swiftsim_core::BlockScheduler;
 use swiftsim_mem::{MemTxn, PcHitRates};
-
-fn arb_views() -> impl Strategy<Value = Vec<WarpView>> {
-    prop::collection::vec((any::<bool>(), 0u64..16), 0..12).prop_map(|entries| {
-        entries
-            .into_iter()
-            .enumerate()
-            .map(|(id, (ready, age))| WarpView { id, ready, age })
-            .collect()
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Every policy only ever picks a ready warp, and picks one whenever
-    /// any warp is ready.
-    #[test]
-    fn schedulers_pick_only_ready_warps(
-        rounds in prop::collection::vec(arb_views(), 1..20),
-    ) {
-        let mut policies: Vec<Box<dyn WarpSchedulerPolicy>> = vec![
-            Box::new(GtoScheduler::new()),
-            Box::new(LrrScheduler::new()),
-            Box::new(TwoLevelScheduler::new(4)),
-        ];
-        for policy in &mut policies {
-            for (now, views) in rounds.iter().enumerate() {
-                let pick = policy.pick(views, now as u64);
-                let any_ready = views.iter().any(|v| v.ready);
-                match pick {
-                    Some(id) => {
-                        let v = views.iter().find(|v| v.id == id);
-                        prop_assert!(
-                            v.is_some_and(|v| v.ready),
-                            "{} picked non-ready warp {id}",
-                            policy.name()
-                        );
-                    }
-                    None => prop_assert!(
-                        !any_ready,
-                        "{} refused to pick despite ready warps",
-                        policy.name()
-                    ),
-                }
-            }
-        }
-    }
 
     /// Block scheduler conservation: every block is dispatched exactly
     /// once, per-SM occupancy never exceeds the limit, and completion

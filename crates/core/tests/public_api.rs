@@ -144,11 +144,11 @@ fn load_bearing_exports_exist() {
     #[allow(unused_imports)]
     use swiftsim_core::{
         alu::AluModel, panic_message, AluModelKind, BlockScheduler, CheckpointOptions, Confidence,
-        Cycle, FidelityConfig, FrontendModelKind, GpuSimulator, GtoScheduler, KernelResult,
-        LrrScheduler, MemReply, MemoryModelKind, MemorySystem, Occupancy, RunOptions,
+        Cycle, FidelityConfig, FrontendModelKind, GpuSimulator, GtoScheduler, IssueMasks,
+        KernelResult, LrrScheduler, MemReply, MemoryModelKind, MemorySystem, Occupancy, RunOptions,
         SamplingPolicy, Scoreboard, SimError, SimulationResult, SimulatorPreset, SkipPolicy,
         Snapshot, StatId, StatUnit, TraceInput, TwoLevelScheduler, UnknownStat,
-        WarpSchedulerPolicy, WarpView, RESULT_SCHEMA_VERSION,
+        WarpSchedulerPolicy, RESULT_SCHEMA_VERSION,
     };
     let _ = swiftsim_core::max_threads();
 }
