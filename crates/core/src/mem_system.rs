@@ -30,6 +30,7 @@ use swiftsim_mem::{
 };
 use swiftsim_metrics::{Json, MetricsCollector, ProfModule, Profiler, Value};
 use swiftsim_noc::{Crossbar, Interconnect, Mesh, NocState, NocStats, PortState};
+use swiftsim_trace::{AddressView, MemInstRef, TraceSource};
 
 use crate::checkpoint::{WordReader, WordWriter};
 
@@ -1575,44 +1576,44 @@ impl CoalesceScratch {
         mapping: &AddressMapping,
         inst: &swiftsim_trace::TraceInstruction,
     ) -> Option<&[MemTxn]> {
-        let mem = inst.mem.as_ref()?;
-        if !matches!(
-            mem.space,
-            swiftsim_trace::MemSpace::Global | swiftsim_trace::MemSpace::Local
-        ) {
-            return None;
+        let inst = MemInstRef::of(0, inst)?;
+        Some(self.coalesce_ref(mapping, &inst))
+    }
+
+    /// The line transactions of a global or local memory instruction,
+    /// coalesced from its borrowed addresses.
+    pub(crate) fn coalesce_ref(
+        &mut self,
+        mapping: &AddressMapping,
+        inst: &MemInstRef<'_>,
+    ) -> &[MemTxn] {
+        match inst.addresses {
+            AddressView::Strided { base, stride } => swiftsim_mem::coalesce_strided_into(
+                mapping,
+                base,
+                stride,
+                inst.active_lanes(),
+                inst.width,
+                inst.write,
+                &mut self.txns,
+            ),
+            AddressView::Explicit(addrs) => swiftsim_mem::coalesce_accesses_into(
+                mapping,
+                addrs,
+                inst.width,
+                inst.write,
+                &mut self.txns,
+            ),
         }
-        let write = inst.opcode.is_store();
-        match &mem.addresses {
-            &swiftsim_trace::AddressList::Strided { base, stride } => {
-                swiftsim_mem::coalesce_strided_into(
-                    mapping,
-                    base,
-                    stride,
-                    inst.active_lanes(),
-                    mem.width,
-                    write,
-                    &mut self.txns,
-                );
-            }
-            swiftsim_trace::AddressList::Explicit(addrs) => {
-                swiftsim_mem::coalesce_accesses_into(
-                    mapping,
-                    addrs,
-                    mem.width,
-                    write,
-                    &mut self.txns,
-                );
-            }
-        }
-        Some(&self.txns)
+        &self.txns
     }
 }
 
 /// Streaming accumulator behind [`build_analytical_memory`]: the
 /// functional cache-simulation pre-pass (§III-D2's "cache simulator")
-/// consumed kernel-by-kernel, so a lazily-decoded application never has to
-/// be materialized whole. Feed kernels in launch order, then
+/// consumed one memory instruction at a time, so no kernel has to be
+/// decoded for it. Feed every kernel's instructions in launch order, as
+/// [`TraceSource::for_each_mem_inst`] hands them out, then
 /// [`finish`](AnalyticalMemoryBuilder::finish).
 pub struct AnalyticalMemoryBuilder {
     cfg: GpuConfig,
@@ -1634,22 +1635,13 @@ impl AnalyticalMemoryBuilder {
         }
     }
 
-    /// Replay one kernel's global/local memory instructions through the
-    /// functional cache simulator. The kernel can be dropped afterwards.
-    pub fn feed_kernel(&mut self, kernel: &swiftsim_trace::KernelTrace) {
-        for (b, block) in kernel.blocks().iter().enumerate() {
-            // Approximate the block scheduler's round-robin placement.
-            let sm = b % self.num_sms;
-            for warp in block.warps() {
-                for inst in warp {
-                    let Some(txns) = self.scratch.coalesce(&self.mapping, inst) else {
-                        continue;
-                    };
-                    for &txn in txns {
-                        self.funcsim.access(sm, inst.pc, txn);
-                    }
-                }
-            }
+    /// Replay one global or local memory instruction through the
+    /// functional cache simulator.
+    pub fn feed(&mut self, inst: &MemInstRef<'_>) {
+        // Approximate the block scheduler's round-robin placement.
+        let sm = inst.block % self.num_sms;
+        for &txn in self.scratch.coalesce_ref(&self.mapping, inst) {
+            self.funcsim.access(sm, inst.pc, txn);
         }
     }
 
@@ -1662,18 +1654,18 @@ impl AnalyticalMemoryBuilder {
 /// Build an [`AnalyticalMemory`] for `source`: the functional
 /// cache-simulation pre-pass replays every global/local memory instruction
 /// of the trace to obtain per-PC hit rates, then instantiates the Eq. 1
-/// model from them. Kernels are decoded one at a time and dropped, so peak
-/// memory is one kernel. The pre-pass cost is part of Swift-Sim-Memory's
-/// runtime: a quarter to a third of a run on the repository benchmark, of which
-/// the decode is the larger part and the coalesce-and-replay loop the
-/// smaller (DESIGN.md, "Analytical pre-pass").
+/// model from them. Each kernel is skimmed once
+/// ([`TraceSource::for_each_mem_inst`]) and never decoded, so peak memory
+/// is one kernel's bytes. The pre-pass cost is part of Swift-Sim-Memory's
+/// runtime; DESIGN.md, "Analytical pre-pass", gives its cost model and its
+/// share of a run on the repository benchmark.
 ///
 /// # Errors
 ///
-/// Returns [`crate::SimError::Trace`] when a kernel fails to decode.
+/// Returns [`crate::SimError::Trace`] when a kernel fails its skim.
 pub fn build_analytical_memory(
     cfg: &GpuConfig,
-    source: &dyn swiftsim_trace::TraceSource,
+    source: &dyn TraceSource,
 ) -> Result<Box<dyn MemorySystem>, crate::SimError> {
     let all: Vec<usize> = (0..source.num_kernels()).collect();
     build_analytical_memory_for(cfg, source, &all)
@@ -1686,16 +1678,15 @@ pub fn build_analytical_memory(
 ///
 /// # Errors
 ///
-/// Returns [`crate::SimError::Trace`] when a kernel fails to decode.
+/// Returns [`crate::SimError::Trace`] when a kernel fails its skim.
 pub fn build_analytical_memory_for(
     cfg: &GpuConfig,
-    source: &dyn swiftsim_trace::TraceSource,
+    source: &dyn TraceSource,
     kernels: &[usize],
 ) -> Result<Box<dyn MemorySystem>, crate::SimError> {
     let mut builder = AnalyticalMemoryBuilder::new(cfg);
     for &k in kernels {
-        let kernel = source.decode_kernel(k)?;
-        builder.feed_kernel(&kernel);
+        source.for_each_mem_inst(k, &mut |inst| builder.feed(inst))?;
     }
     Ok(builder.finish())
 }
@@ -1710,7 +1701,7 @@ pub fn build_analytical_memory_for(
 /// the cycle-accurate cache module instead).
 pub fn build_analytical_memory_reuse(
     cfg: &GpuConfig,
-    source: &dyn swiftsim_trace::TraceSource,
+    source: &dyn TraceSource,
 ) -> Result<Box<dyn MemorySystem>, crate::SimError> {
     let all: Vec<usize> = (0..source.num_kernels()).collect();
     build_analytical_memory_reuse_for(cfg, source, &all)
@@ -1721,16 +1712,15 @@ pub fn build_analytical_memory_reuse(
 ///
 /// # Errors
 ///
-/// Returns [`crate::SimError::Trace`] when a kernel fails to decode.
+/// Returns [`crate::SimError::Trace`] when a kernel fails its skim.
 pub fn build_analytical_memory_reuse_for(
     cfg: &GpuConfig,
-    source: &dyn swiftsim_trace::TraceSource,
+    source: &dyn TraceSource,
     kernels: &[usize],
 ) -> Result<Box<dyn MemorySystem>, crate::SimError> {
     let mut builder = ReuseAnalyticalMemoryBuilder::new(cfg);
     for &k in kernels {
-        let kernel = source.decode_kernel(k)?;
-        builder.feed_kernel(&kernel);
+        source.for_each_mem_inst(k, &mut |inst| builder.feed(inst))?;
     }
     Ok(builder.finish())
 }
@@ -1743,8 +1733,10 @@ struct ReuseCounts {
 }
 
 /// Streaming accumulator behind [`build_analytical_memory_reuse`]: the
-/// reuse-distance pre-pass consumed kernel-by-kernel. Feed kernels in
-/// launch order, then [`finish`](ReuseAnalyticalMemoryBuilder::finish).
+/// reuse-distance pre-pass consumed one memory instruction at a time. Feed
+/// every kernel's instructions in launch order, as
+/// [`TraceSource::for_each_mem_inst`] hands them out, then
+/// [`finish`](ReuseAnalyticalMemoryBuilder::finish).
 pub struct ReuseAnalyticalMemoryBuilder {
     cfg: GpuConfig,
     mapping: AddressMapping,
@@ -1776,37 +1768,28 @@ impl ReuseAnalyticalMemoryBuilder {
         }
     }
 
-    /// Replay one kernel's global/local memory instructions through the
-    /// reuse-distance analyzers. The kernel can be dropped afterwards.
-    pub fn feed_kernel(&mut self, kernel: &swiftsim_trace::KernelTrace) {
-        for (b, block) in kernel.blocks().iter().enumerate() {
-            let sm = b % self.num_sms;
-            for warp in block.warps() {
-                for inst in warp {
-                    let Some(txns) = self.scratch.coalesce(&self.mapping, inst) else {
-                        continue;
-                    };
-                    let counts = self.per_pc.entry(inst.pc).or_default();
-                    for txn in txns {
-                        let l1_hit = if txn.write {
-                            false // write-through, no-write-allocate L1
-                        } else {
-                            matches!(self.l1_rd[sm].record(txn.line_addr),
-                                     Some(d) if d < self.l1_lines)
-                        };
-                        if l1_hit {
-                            counts.l1 += 1;
-                            continue;
-                        }
-                        let l2_hit = matches!(self.l2_rd.record(txn.line_addr),
-                                              Some(d) if d < self.l2_lines);
-                        if l2_hit {
-                            counts.l2 += 1;
-                        } else {
-                            counts.dram += 1;
-                        }
-                    }
-                }
+    /// Replay one global or local memory instruction through the
+    /// reuse-distance analyzers.
+    pub fn feed(&mut self, inst: &MemInstRef<'_>) {
+        let sm = inst.block % self.num_sms;
+        let counts = self.per_pc.entry(inst.pc).or_default();
+        for txn in self.scratch.coalesce_ref(&self.mapping, inst) {
+            let l1_hit = if txn.write {
+                false // write-through, no-write-allocate L1
+            } else {
+                matches!(self.l1_rd[sm].record(txn.line_addr),
+                         Some(d) if d < self.l1_lines)
+            };
+            if l1_hit {
+                counts.l1 += 1;
+                continue;
+            }
+            let l2_hit = matches!(self.l2_rd.record(txn.line_addr),
+                                  Some(d) if d < self.l2_lines);
+            if l2_hit {
+                counts.l2 += 1;
+            } else {
+                counts.dram += 1;
             }
         }
     }

@@ -75,8 +75,8 @@ pub(crate) fn run_parallel(
     // Shard configurations and memory systems (persisting across kernels so
     // caches stay warm, as in the single-threaded path). Memory partitions
     // are apportioned exactly across the shards — their counts sum to the
-    // GPU's total. The analytical pre-passes stream: each kernel is decoded
-    // once and fed to every shard's accumulator, then dropped.
+    // GPU's total. The analytical pre-passes stream: each kernel is skimmed
+    // once, every memory instruction fed to every shard's accumulator.
     let group_sizes_u32: Vec<u32> = group_sizes.iter().map(|&n| n as u32).collect();
     let partition_split = shard_partitions(sim.cfg.memory.partitions, &group_sizes_u32);
     let shard_cfgs: Vec<_> = group_sizes_u32
@@ -95,10 +95,9 @@ pub(crate) fn run_parallel(
                 .map(AnalyticalMemoryBuilder::new)
                 .collect();
             for k in 0..source.num_kernels() {
-                let kernel = source.decode_kernel(k)?;
-                for b in &mut builders {
-                    b.feed_kernel(&kernel);
-                }
+                source.for_each_mem_inst(k, &mut |inst| {
+                    builders.iter_mut().for_each(|b| b.feed(inst));
+                })?;
             }
             builders.into_iter().map(|b| b.finish()).collect()
         }
@@ -108,10 +107,9 @@ pub(crate) fn run_parallel(
                 .map(ReuseAnalyticalMemoryBuilder::new)
                 .collect();
             for k in 0..source.num_kernels() {
-                let kernel = source.decode_kernel(k)?;
-                for b in &mut builders {
-                    b.feed_kernel(&kernel);
-                }
+                source.for_each_mem_inst(k, &mut |inst| {
+                    builders.iter_mut().for_each(|b| b.feed(inst));
+                })?;
             }
             builders.into_iter().map(|b| b.finish()).collect()
         }

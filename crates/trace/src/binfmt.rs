@@ -20,9 +20,19 @@
 //!
 //! All integers are LEB128 varints; strings are length-prefixed UTF-8;
 //! `payload-hash` is the FNV-1a of the payload bytes, fixed 8-byte
-//! little-endian. An instruction is `pc opcode flags [dst] srcs... mask
-//! [space width addrs]` where `flags` packs the destination presence,
-//! source count, and address-list kind.
+//! little-endian. An instruction is
+//!
+//! ```text
+//! pc opcode flags [dst] [src-count] srcs... mask [width addrs]
+//! ```
+//!
+//! where the `flags` byte holds, from bit 0: the destination's presence,
+//! the memory payload's presence, an explicit (rather than strided)
+//! address list, the long-source-list flag, and in bits 4-7 the source
+//! count. Up to 15 sources are counted in those four bits and `src-count`
+//! is absent; a longer list sets the long-source-list flag, leaves the four
+//! bits 0, and writes its count as the `src-count` varint. The memory
+//! space is the opcode's, so it is not stored.
 //!
 //! Because every section entry commits to its payload (length + content
 //! hash), the [`ApplicationTrace::content_hash`] of a trace is defined as
@@ -31,10 +41,14 @@
 //! value by encoding payloads one kernel at a time and discarding them.
 
 use crate::error::TraceError;
-use crate::inst::{AddressList, MemInfo, Reg, SrcList, TraceInstruction};
-use crate::isa::Opcode;
+use crate::inst::{
+    mem_payload_fits, AddressList, AddressView, MemInfo, MemInstRef, Reg, SrcList,
+    TraceInstruction, WARP_LANES,
+};
+use crate::isa::{MemSpace, Opcode};
 use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, WarpTrace};
 use crate::source::KernelMeta;
+use swiftsim_config::fnv1a64;
 
 pub(crate) const MAGIC: &[u8; 4] = b"SSTB";
 const VERSION: u8 = 2;
@@ -43,25 +57,21 @@ const VERSION: u8 = 2;
 const FLAG_HAS_DST: u8 = 0b0000_0001;
 const FLAG_HAS_MEM: u8 = 0b0000_0010;
 const FLAG_EXPLICIT_ADDRS: u8 = 0b0000_0100;
+const FLAG_MANY_SRCS: u8 = 0b0000_1000;
 const SRC_COUNT_SHIFT: u8 = 4;
+/// The most sources the 4-bit count field of the flags byte states.
+const MAX_FLAG_SRCS: usize = 15;
+
+// Largest counts a payload may state, whatever its length.
+const MAX_BLOCKS: usize = 1 << 24;
+const MAX_WARPS: usize = 1 << 16;
+const MAX_INSTS: usize = 1 << 28;
 
 /// The shortest encoded instruction: one byte each of pc, opcode, flags and
 /// active mask.
 const MIN_ENCODED_INST_BYTES: usize = 4;
 /// The shortest encoded block or warp: its one-byte item count.
 const MIN_ENCODED_LIST_BYTES: usize = 1;
-
-/// FNV-1a over a byte slice — the stable hash used for section hashes and
-/// the whole-trace content hash (`DefaultHasher` would not survive a
-/// toolchain upgrade).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -98,9 +108,14 @@ impl<'a> Reader<'a> {
     /// `min_item_bytes` each the unread bytes can still hold — what is safe
     /// to reserve before decoding the items.
     fn bounded_count(&self, claimed: usize, min_item_bytes: usize) -> usize {
-        claimed.min((self.bytes.len() - self.pos) / min_item_bytes)
+        claimed.min(self.remaining() / min_item_bytes)
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    #[cold]
     pub(crate) fn err(&self, what: &str) -> TraceError {
         TraceError::invalid_value("binary trace", format!("{what} at byte {}", self.pos))
     }
@@ -118,24 +133,53 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    // `byte` and `varint` are the inner loop of every decode and skim:
+    // they read straight off the slice, and build an error only once the
+    // bytes run out or a value exceeds ten bytes.
+    #[inline]
     fn byte(&mut self) -> Result<u8, TraceError> {
-        Ok(self.take(1)?[0])
+        let Some(&b) = self.bytes.get(self.pos) else {
+            return Err(self.err("unexpected end of data"));
+        };
+        self.pos += 1;
+        Ok(b)
     }
 
+    #[inline]
     fn varint(&mut self) -> Result<u64, TraceError> {
         let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
+        let mut shift = 0;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            self.pos += 1;
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
             }
+            shift += 7;
+            if shift >= 64 {
+                return Err(self.err("varint too long"));
+            }
         }
-        Err(self.err("varint too long"))
+        Err(self.err("unexpected end of data"))
     }
 
     fn varint_u32(&mut self, what: &str) -> Result<u32, TraceError> {
         u32::try_from(self.varint()?).map_err(|_| self.err(what))
+    }
+
+    fn reg(&mut self, what: &str) -> Result<Reg, TraceError> {
+        u16::try_from(self.varint()?)
+            .map(Reg)
+            .map_err(|_| self.err(what))
+    }
+
+    /// A count read from the data, refused above `limit`.
+    fn count(&mut self, limit: usize, what: &str) -> Result<usize, TraceError> {
+        let n = self.varint()?;
+        if n > limit as u64 {
+            return Err(self.err(what));
+        }
+        Ok(n as usize)
     }
 
     fn string(&mut self) -> Result<String, TraceError> {
@@ -170,11 +214,19 @@ fn encode_inst(out: &mut Vec<u8>, inst: &TraceInstruction) {
     if explicit {
         flags |= FLAG_EXPLICIT_ADDRS;
     }
-    flags |= (inst.srcs.len().min(15) as u8) << SRC_COUNT_SHIFT;
+    let many_srcs = inst.srcs.len() > MAX_FLAG_SRCS;
+    if many_srcs {
+        flags |= FLAG_MANY_SRCS;
+    } else {
+        flags |= (inst.srcs.len() as u8) << SRC_COUNT_SHIFT;
+    }
     out.push(flags);
 
     if let Some(dst) = inst.dst {
         push_varint(out, u64::from(dst.0));
+    }
+    if many_srcs {
+        push_varint(out, inst.srcs.len() as u64);
     }
     for src in &inst.srcs {
         push_varint(out, u64::from(src.0));
@@ -202,7 +254,23 @@ fn encode_inst(out: &mut Vec<u8>, inst: &TraceInstruction) {
     }
 }
 
-fn decode_inst(r: &mut Reader<'_>) -> Result<TraceInstruction, TraceError> {
+/// The fields of one encoded instruction, read and checked exactly as the
+/// decoder checks them. The addresses of an explicit access borrow the
+/// caller's lane buffer.
+struct RawInst<'l> {
+    pc: u32,
+    opcode: Opcode,
+    dst: Option<Reg>,
+    active_mask: u32,
+    mem: Option<(MemSpace, u8, AddressView<'l>)>,
+}
+
+/// Read one instruction, handing each source register to `src`.
+fn read_inst<'l>(
+    r: &mut Reader<'_>,
+    lanes: &'l mut [u64; WARP_LANES],
+    mut src: impl FnMut(Reg),
+) -> Result<RawInst<'l>, TraceError> {
     let pc = r.varint_u32("pc out of range")?;
     let op_index = r.byte()? as usize;
     let opcode = *Opcode::ALL
@@ -210,17 +278,23 @@ fn decode_inst(r: &mut Reader<'_>) -> Result<TraceInstruction, TraceError> {
         .ok_or_else(|| r.err("opcode index out of range"))?;
     let flags = r.byte()?;
     let dst = if flags & FLAG_HAS_DST != 0 {
-        Some(Reg(
-            u16::try_from(r.varint()?).map_err(|_| r.err("dst register"))?
-        ))
+        Some(r.reg("dst register")?)
     } else {
         None
     };
-    let mut srcs = SrcList::new();
-    for _ in 0..flags >> SRC_COUNT_SHIFT {
-        srcs.push(Reg(
-            u16::try_from(r.varint()?).map_err(|_| r.err("src register"))?
-        ));
+    let num_srcs = if flags & FLAG_MANY_SRCS == 0 {
+        u64::from(flags >> SRC_COUNT_SHIFT)
+    } else {
+        // A list the 4-bit field can state has only that encoding, and
+        // every source takes at least one of the unread bytes.
+        let n = r.varint()?;
+        if flags >> SRC_COUNT_SHIFT != 0 || n <= MAX_FLAG_SRCS as u64 || n > r.remaining() as u64 {
+            return Err(r.err("source count"));
+        }
+        n
+    };
+    for _ in 0..num_srcs {
+        src(r.reg("src register")?);
     }
     let active_mask = r.varint_u32("active mask")?;
 
@@ -230,43 +304,64 @@ fn decode_inst(r: &mut Reader<'_>) -> Result<TraceInstruction, TraceError> {
             .ok_or_else(|| r.err("memory payload on non-memory opcode"))?;
         let width = r.byte()?;
         let addresses = if flags & FLAG_EXPLICIT_ADDRS != 0 {
-            let n = r.varint()? as usize;
-            if n > 32 {
+            let n = r.varint()?;
+            if n > WARP_LANES as u64 {
                 return Err(r.err("more than 32 lane addresses"));
             }
-            let mut addrs = Vec::with_capacity(n);
+            let lanes = &mut lanes[..n as usize];
             let mut prev = 0u64;
-            for _ in 0..n {
+            for lane in lanes.iter_mut() {
                 prev = prev.wrapping_add(r.varint()?);
-                addrs.push(prev);
+                *lane = prev;
             }
-            AddressList::Explicit(addrs)
+            AddressView::Explicit(lanes)
         } else {
             let base = r.varint()?;
             let stride = r.varint()?;
-            AddressList::Strided { base, stride }
+            AddressView::Strided { base, stride }
         };
-        Some(Box::new(MemInfo {
-            space,
-            width,
-            addresses,
-        }))
+        Some((space, width, addresses))
     } else {
         None
     };
 
-    let inst = TraceInstruction {
+    let well_formed = match mem {
+        None => opcode.mem_space().is_none(),
+        Some((_, width, addresses)) => mem_payload_fits(width, addresses, active_mask),
+    };
+    if !well_formed {
+        return Err(r.err("inconsistent instruction"));
+    }
+    Ok(RawInst {
         pc,
         opcode,
         dst,
-        srcs,
         active_mask,
         mem,
-    };
-    if !inst.is_well_formed() {
-        return Err(r.err("inconsistent instruction"));
-    }
-    Ok(inst)
+    })
+}
+
+fn decode_inst(
+    r: &mut Reader<'_>,
+    lanes: &mut [u64; WARP_LANES],
+) -> Result<TraceInstruction, TraceError> {
+    let mut srcs = SrcList::new();
+    let raw = read_inst(r, lanes, |reg| srcs.push(reg))?;
+    let mem = raw.mem.map(|(space, width, addresses)| {
+        Box::new(MemInfo {
+            space,
+            width,
+            addresses: addresses.into(),
+        })
+    });
+    Ok(TraceInstruction {
+        pc: raw.pc,
+        opcode: raw.opcode,
+        dst: raw.dst,
+        srcs,
+        active_mask: raw.active_mask,
+        mem,
+    })
 }
 
 /// One entry of the version-2 section table: a kernel's launch metadata
@@ -308,47 +403,82 @@ pub(crate) fn decode_kernel_payload(
     // down to what its unread bytes can hold: no regrowth copies or
     // capacity slack on a sound payload, and a hostile count cannot force
     // an allocation larger than a small multiple of the payload itself.
-    let num_blocks = r.varint()? as usize;
-    if num_blocks > 1 << 24 {
-        return Err(r.err("block count"));
-    }
+    let mut lanes = [0u64; WARP_LANES];
+    let num_blocks = r.count(MAX_BLOCKS, "block count")?;
     kernel.reserve_blocks(r.bounded_count(num_blocks, MIN_ENCODED_LIST_BYTES));
     for _ in 0..num_blocks {
-        let num_warps = r.varint()? as usize;
-        if num_warps > 1 << 16 {
-            return Err(r.err("warp count"));
-        }
+        let num_warps = r.count(MAX_WARPS, "warp count")?;
         let mut block =
             BlockTrace::with_capacity(r.bounded_count(num_warps, MIN_ENCODED_LIST_BYTES));
         for _ in 0..num_warps {
-            let num_insts = r.varint()? as usize;
-            if num_insts > 1 << 28 {
-                return Err(r.err("instruction count"));
-            }
+            let num_insts = r.count(MAX_INSTS, "instruction count")?;
             let warp = block.push_warp_trace(WarpTrace::with_capacity(
                 r.bounded_count(num_insts, MIN_ENCODED_INST_BYTES),
             ));
             for _ in 0..num_insts {
-                warp.push(decode_inst(&mut r)?);
+                warp.push(decode_inst(&mut r, &mut lanes)?);
             }
         }
         kernel.push_block_trace(block);
     }
-    if r.pos() != bytes.len() {
+    check_payload_end(&r, meta, kernel.num_insts())?;
+    Ok(kernel)
+}
+
+/// Walk one kernel payload with every check [`decode_kernel_payload`]
+/// makes, in the same order and with the same errors, handing `f` each
+/// global or local memory instruction. Builds no instruction record,
+/// source list or container: the only buffer is a lane array on the stack.
+pub(crate) fn skim_kernel_payload(
+    bytes: &[u8],
+    meta: &KernelMeta,
+    f: &mut dyn FnMut(&MemInstRef<'_>),
+) -> Result<(), TraceError> {
+    let mut r = Reader::new(bytes);
+    let mut lanes = [0u64; WARP_LANES];
+    let mut insts = 0u64;
+    for block in 0..r.count(MAX_BLOCKS, "block count")? {
+        for _ in 0..r.count(MAX_WARPS, "warp count")? {
+            let num_insts = r.count(MAX_INSTS, "instruction count")?;
+            for _ in 0..num_insts {
+                let inst = read_inst(&mut r, &mut lanes, |_| ())?;
+                let Some((space, width, addresses)) = inst.mem else {
+                    continue;
+                };
+                if let Some(mem) = MemInstRef::in_hierarchy(
+                    block,
+                    inst.pc,
+                    inst.opcode,
+                    space,
+                    inst.active_mask,
+                    width,
+                    addresses,
+                ) {
+                    f(&mem);
+                }
+            }
+            insts += num_insts as u64;
+        }
+    }
+    check_payload_end(&r, meta, insts)
+}
+
+/// The checks after a payload's last instruction: no bytes left over, and
+/// as many instructions as the section table promised.
+fn check_payload_end(r: &Reader<'_>, meta: &KernelMeta, insts: u64) -> Result<(), TraceError> {
+    if r.remaining() != 0 {
         return Err(r.err("trailing payload bytes"));
     }
-    if kernel.num_insts() != meta.num_insts {
+    if insts != meta.num_insts {
         return Err(TraceError::invalid_value(
             "binary trace",
             format!(
-                "kernel {:?} payload has {} instructions, section table says {}",
-                meta.name,
-                kernel.num_insts(),
-                meta.num_insts
+                "kernel {:?} payload has {insts} instructions, section table says {}",
+                meta.name, meta.num_insts
             ),
         ));
     }
-    Ok(kernel)
+    Ok(())
 }
 
 fn encode_section_entry(out: &mut Vec<u8>, s: &Section) {
@@ -441,7 +571,7 @@ fn section_of(kernel: &KernelTrace) -> (Section, Vec<u8>) {
     let section = Section {
         meta: KernelMeta::of(kernel),
         payload_len: payload.len() as u64,
-        payload_hash: fnv1a(&payload),
+        payload_hash: fnv1a64(&payload),
     };
     (section, payload)
 }
@@ -535,7 +665,7 @@ impl ApplicationTrace {
                 section
             })
             .collect();
-        fnv1a(&encode_header(&self.name, &sections))
+        fnv1a64(&encode_header(&self.name, &sections))
     }
 
     /// Parse the chunked binary format.
@@ -560,7 +690,7 @@ impl ApplicationTrace {
                     TraceError::invalid_value("binary trace", "truncated kernel payload")
                 })?;
             let payload = &bytes[offset..end];
-            if fnv1a(payload) != section.payload_hash {
+            if fnv1a64(payload) != section.payload_hash {
                 return Err(TraceError::invalid_value(
                     "binary trace",
                     format!("section hash mismatch for kernel {:?}", section.meta.name),
@@ -650,6 +780,14 @@ mod tests {
         ApplicationTrace::new("one", vec![kernel])
     }
 
+    /// The encoding of an instruction with `n` sources and a destination.
+    fn wide_inst_bytes(n: u16) -> Vec<u8> {
+        let wide = (0..n).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
+        let mut out = Vec::new();
+        encode_inst(&mut out, &wide.build());
+        out
+    }
+
     #[test]
     fn fifteen_sources_round_trip() {
         // The most the 4-bit source count of the flags byte can state, and
@@ -661,6 +799,116 @@ mod tests {
         let inst = &back.kernels()[0].blocks()[0].warps()[0].instructions()[0];
         assert_eq!(inst.srcs.len(), 15);
         assert_eq!(inst.srcs[14], Reg(14));
+        // pc, opcode, then flags: the count in the high nibble, no varint.
+        assert_eq!(wide_inst_bytes(15)[2], 15 << SRC_COUNT_SHIFT | FLAG_HAS_DST);
+    }
+
+    #[test]
+    fn longer_source_lists_carry_a_count_varint() {
+        for n in [16u16, 20, 64, 200] {
+            let bytes = wide_inst_bytes(n);
+            // Flags: the long-list flag and an empty nibble; after the
+            // destination, the count.
+            assert_eq!(bytes[2], FLAG_MANY_SRCS | FLAG_HAS_DST, "{n} sources");
+            let mut r = Reader::new(&bytes[3..]);
+            assert_eq!(r.varint().unwrap(), 40);
+            assert_eq!(r.varint().unwrap(), u64::from(n));
+
+            let wide = (0..n).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
+            let app = app_of(wide.build());
+            let back = ApplicationTrace::from_binary(&app.to_binary()).expect("round trip");
+            assert_eq!(back, app, "{n} sources");
+        }
+    }
+
+    #[test]
+    fn non_canonical_or_oversized_source_counts_are_rejected() {
+        let decode = |bytes: &[u8]| decode_inst(&mut Reader::new(bytes), &mut [0; WARP_LANES]);
+        let good = wide_inst_bytes(16);
+        assert!(decode(&good).is_ok());
+        // A count the nibble could have stated.
+        let mut short = good.clone();
+        short[4] = 15;
+        assert!(decode(&short).is_err());
+        // The long-list flag beside a non-empty nibble.
+        let mut both = good.clone();
+        both[2] |= 1 << SRC_COUNT_SHIFT;
+        assert!(decode(&both).is_err());
+        // More sources than bytes left to hold them.
+        let mut huge = good[..4].to_vec();
+        push_varint(&mut huge, 1 << 40);
+        huge.extend_from_slice(&good[5..]);
+        let err = decode(&huge).unwrap_err();
+        assert!(err.to_string().contains("source count"), "{err}");
+    }
+
+    /// A memory-instruction record with its addresses owned.
+    type Owned = (usize, u32, bool, u8, u32, AddressList);
+
+    fn owned(m: &MemInstRef<'_>) -> Owned {
+        let m = *m;
+        (
+            m.block,
+            m.pc,
+            m.write,
+            m.width,
+            m.active_mask,
+            m.addresses.into(),
+        )
+    }
+
+    /// The records [`skim_kernel_payload`] hands out, owned.
+    fn skim_records(payload: &[u8], meta: &KernelMeta) -> Result<Vec<Owned>, TraceError> {
+        let mut out = Vec::new();
+        skim_kernel_payload(payload, meta, &mut |m| out.push(owned(m)))?;
+        Ok(out)
+    }
+
+    #[test]
+    fn skim_matches_decode_on_every_damaged_payload() {
+        // Damage below the section hash, which would otherwise catch it:
+        // the skim must make the decoder's every check, so it agrees with
+        // the decoder on the records and on the error, byte for byte.
+        let mut app = sample_app();
+        let wide = (0..20).fold(InstBuilder::new(Opcode::Ldg).dst(40), |b, r| b.src(r));
+        let mut k1 = KernelTrace::new("k1", (1, 1, 1), (32, 1, 1));
+        k1.push_block()
+            .push_warp()
+            .push(wide.global_strided(0x80, 4, 8));
+        app = ApplicationTrace::new(app.name.clone(), vec![app.kernels()[0].clone(), k1]);
+        for kernel in app.kernels() {
+            let meta = KernelMeta::of(kernel);
+            let payload = encode_kernel_payload(kernel);
+            let mut damaged: Vec<Vec<u8>> = (0..payload.len())
+                .map(|cut| payload[..cut].to_vec())
+                .collect();
+            for i in 0..payload.len() {
+                for flip in [0x01u8, 0x08, 0x80, 0xff] {
+                    let mut p = payload.clone();
+                    p[i] ^= flip;
+                    damaged.push(p);
+                }
+            }
+            damaged.push(payload);
+            let mut accepted = 0;
+            for (i, p) in damaged.iter().enumerate() {
+                let skim = skim_records(p, &meta);
+                match decode_kernel_payload(p, &meta) {
+                    Ok(decoded) => {
+                        accepted += 1;
+                        let mut want = Vec::new();
+                        decoded.for_each_mem_inst(|m| want.push(owned(m)));
+                        assert_eq!(skim, Ok(want), "damaged payload {i} of {}", meta.name);
+                    }
+                    Err(e) => assert_eq!(skim, Err(e), "damaged payload {i} of {}", meta.name),
+                }
+            }
+            assert!(
+                accepted > 1,
+                "{}: only the intact payload decoded",
+                meta.name
+            );
+        }
     }
 
     #[test]
@@ -747,7 +995,7 @@ mod tests {
         let app = sample_app();
         let bytes = app.to_binary();
         let (_, _, header_len) = decode_header(&bytes).unwrap();
-        assert_eq!(app.content_hash(), fnv1a(&bytes[..header_len]));
+        assert_eq!(app.content_hash(), fnv1a64(&bytes[..header_len]));
 
         // Any change to any instruction changes the hash.
         let mut other = sample_app();

@@ -16,6 +16,7 @@
 //! moves.
 
 use crate::error::TraceError;
+use crate::inst::MemInstRef;
 use crate::kernel::KernelTrace;
 use crate::source::{KernelMeta, TraceSource};
 use std::borrow::Cow;
@@ -159,6 +160,17 @@ impl DecodedKernelCache {
         Ok(kernel)
     }
 
+    /// Kernel `index` of the source identified by `source_hash` if it is
+    /// resident. A peek is neither a hit nor a miss, and leaves the LRU
+    /// order alone: only decodes count.
+    fn peek(&self, source_hash: u64, index: usize) -> Option<Arc<KernelTrace>> {
+        let state = self.lock();
+        state
+            .map
+            .get(&(source_hash, index))
+            .map(|entry| Arc::clone(&entry.kernel))
+    }
+
     /// Current statistics.
     pub fn stats(&self) -> KernelCacheStats {
         let state = self.lock();
@@ -183,6 +195,9 @@ impl DecodedKernelCache {
 /// consults the cache first. Cache hits clone the kernel out of the shared
 /// [`Arc`] — a memcpy of the instruction vectors, which is still far
 /// cheaper than a disk read + parse + verify for file-backed sources.
+/// [`TraceSource::for_each_mem_inst`] walks a resident kernel in place and
+/// otherwise forwards to the inner source's skim, filling nothing: the
+/// simulation's own decode fills the cache.
 pub struct CachedTraceSource {
     inner: Arc<dyn TraceSource>,
     cache: Arc<DecodedKernelCache>,
@@ -228,6 +243,20 @@ impl TraceSource for CachedTraceSource {
             .cache
             .get_or_decode(self.hash, index, self.inner.as_ref())?;
         Ok(Cow::Owned(kernel.as_ref().clone()))
+    }
+
+    fn for_each_mem_inst(
+        &self,
+        index: usize,
+        f: &mut dyn FnMut(&MemInstRef<'_>),
+    ) -> Result<(), TraceError> {
+        match self.cache.peek(self.hash, index) {
+            Some(kernel) => {
+                kernel.for_each_mem_inst(f);
+                Ok(())
+            }
+            None => self.inner.for_each_mem_inst(index, f),
+        }
     }
 
     fn content_hash(&self) -> Result<u64, TraceError> {

@@ -27,8 +27,11 @@
 //! (`AD:` comma-separated hex).
 
 use crate::error::TraceError;
-use crate::inst::{AddressList, MemInfo, Reg, SrcList, TraceInstruction};
-use crate::isa::Opcode;
+use crate::inst::{
+    mem_payload_fits, AddressList, AddressView, MemInfo, MemInstRef, Reg, SrcList,
+    TraceInstruction, WARP_LANES,
+};
+use crate::isa::{MemSpace, Opcode};
 use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, WarpTrace};
 use std::fmt::Write as _;
 
@@ -154,10 +157,24 @@ pub(crate) fn strip_comment(raw: &str) -> &str {
     .trim()
 }
 
+/// Match `line` against a section keyword: the keyword alone, or followed
+/// by whitespace (so `"block"` does not match `"block_begin"`).
+pub(crate) fn keyword<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
+    let rest = line.strip_prefix(kw)?;
+    if rest.is_empty() || rest.starts_with(char::is_whitespace) {
+        Some(rest.trim())
+    } else {
+        None
+    }
+}
+
 struct Parser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
     line_offset: usize,
     peeked: Option<(usize, &'a str)>,
+    /// Where an explicit address list is read before it is copied into
+    /// its own right-sized allocation.
+    lanes: [u64; WARP_LANES],
 }
 
 impl<'a> Parser<'a> {
@@ -170,6 +187,7 @@ impl<'a> Parser<'a> {
             lines: text.lines().enumerate(),
             line_offset,
             peeked: None,
+            lanes: [0; WARP_LANES],
         }
     }
 
@@ -194,22 +212,13 @@ impl<'a> Parser<'a> {
         self.peeked
     }
 
-    fn expect_keyword(
-        &mut self,
-        keyword: &str,
-        section: &str,
-    ) -> Result<(usize, &'a str), TraceError> {
+    fn expect_keyword(&mut self, kw: &str, section: &str) -> Result<(usize, &'a str), TraceError> {
         let (no, line) = self
             .next_line()
             .ok_or_else(|| TraceError::eof(section.to_owned()))?;
-        match line.strip_prefix(keyword) {
-            Some(rest) if rest.is_empty() || rest.starts_with(char::is_whitespace) => {
-                Ok((no, rest.trim()))
-            }
-            _ => Err(TraceError::parse(
-                no,
-                format!("expected {keyword:?}, found {line:?}"),
-            )),
+        match keyword(line, kw) {
+            Some(rest) => Ok((no, rest)),
+            None => Err(expected(no, kw, line)),
         }
     }
 
@@ -320,7 +329,7 @@ impl<'a> Parser<'a> {
             if line == "warp_end" {
                 return Ok(warp);
             }
-            warp.push(parse_inst(no, line)?);
+            warp.push(parse_inst(no, line, &mut self.lanes)?);
         }
     }
 }
@@ -346,52 +355,65 @@ pub(crate) fn parse_u32(no: usize, s: &str, what: &str) -> Result<u32, TraceErro
         .map_err(|_| TraceError::parse(no, format!("invalid {what}: {s:?}")))
 }
 
-fn parse_reg(token: &str) -> Result<Reg, TraceError> {
-    let body = token
+/// A register token's value. The error names the line: registers are the
+/// one operand the pre-pass skim never reads, so this error often surfaces
+/// only when the simulation decodes the kernel, long after the skim.
+fn parse_reg(no: usize, token: &str) -> Result<Reg, TraceError> {
+    token
         .strip_prefix('R')
-        .ok_or_else(|| TraceError::invalid_value("register", token))?;
-    body.parse::<u16>()
+        .and_then(|body| body.parse::<u16>().ok())
         .map(Reg)
-        .map_err(|_| TraceError::invalid_value("register", token))
+        .ok_or_else(|| TraceError::parse(no, format!("invalid register {token:?}")))
 }
 
-fn parse_inst(no: usize, line: &str) -> Result<TraceInstruction, TraceError> {
-    let mut tokens = line.split_whitespace();
-    let pc_tok = tokens
-        .next()
-        .ok_or_else(|| TraceError::parse(no, "empty instruction"))?;
-    let pc = u32::from_str_radix(pc_tok, 16)
-        .map_err(|_| TraceError::invalid_value("program counter", pc_tok))?;
-    let op_tok = tokens
-        .next()
-        .ok_or_else(|| TraceError::parse(no, "instruction missing opcode"))?;
-    let opcode: Opcode = op_tok.parse()?;
+fn expected(no: usize, kw: &str, line: &str) -> TraceError {
+    TraceError::parse(no, format!("expected {kw:?}, found {line:?}"))
+}
 
-    let mut dst = None;
-    let mut srcs = SrcList::new();
-    let mut active_mask = None;
-    let mut mem_space = None;
-    let mut width = None;
-    let mut addresses = None;
+fn parse_pc(token: &str) -> Result<u32, TraceError> {
+    u32::from_str_radix(token, 16).map_err(|_| TraceError::invalid_value("program counter", token))
+}
 
-    for tok in tokens {
-        if let Some(r) = tok.strip_prefix("D:") {
-            if dst.replace(parse_reg(r)?).is_some() {
-                return Err(TraceError::parse(no, "multiple destination registers"));
-            }
-        } else if let Some(r) = tok.strip_prefix("S:") {
-            srcs.push(parse_reg(r)?);
-        } else if let Some(m) = tok.strip_prefix("M:") {
+/// Where an instruction line's addresses are: its `ST:` descriptor, or the
+/// first `n` entries of the lane buffer its `AD:` list was read into.
+#[derive(Clone, Copy)]
+enum Addrs {
+    Strided { base: u64, stride: u64 },
+    Explicit(usize),
+}
+
+/// A memory instruction's space, width and addresses.
+type MemOperands = (MemSpace, u8, Addrs);
+
+/// The tokens of an instruction line other than its pc, opcode and
+/// registers, as the decoder and the skim both read them.
+#[derive(Default)]
+struct Operands {
+    active_mask: Option<u32>,
+    space: Option<MemSpace>,
+    width: Option<u8>,
+    addresses: Option<Addrs>,
+}
+
+impl Operands {
+    /// Read one token; an `AD:` list overwrites the front of `lanes`.
+    fn read(
+        &mut self,
+        no: usize,
+        tok: &str,
+        lanes: &mut [u64; WARP_LANES],
+    ) -> Result<(), TraceError> {
+        if let Some(m) = tok.strip_prefix("M:") {
             let mask = u32::from_str_radix(m, 16)
                 .map_err(|_| TraceError::invalid_value("active mask", m))?;
-            if active_mask.replace(mask).is_some() {
+            if self.active_mask.replace(mask).is_some() {
                 return Err(TraceError::parse(no, "multiple active masks"));
             }
         } else if let Some(w) = tok.strip_prefix("W:") {
             let w: u8 = w
                 .parse()
                 .map_err(|_| TraceError::invalid_value("access width", w))?;
-            width = Some(w);
+            self.width = Some(w);
         } else if let Some(st) = tok.strip_prefix("ST:") {
             let (base, stride) = st
                 .split_once(':')
@@ -400,42 +422,91 @@ fn parse_inst(no: usize, line: &str) -> Result<TraceInstruction, TraceError> {
                 .map_err(|_| TraceError::invalid_value("address base", base))?;
             let stride = u64::from_str_radix(stride, 16)
                 .map_err(|_| TraceError::invalid_value("address stride", stride))?;
-            addresses = Some(AddressList::Strided { base, stride });
+            self.addresses = Some(Addrs::Strided { base, stride });
         } else if let Some(ad) = tok.strip_prefix("AD:") {
-            // One right-sized allocation: the list has a comma fewer than
-            // it has addresses.
-            let mut addrs = Vec::with_capacity(1 + ad.bytes().filter(|&b| b == b',').count());
+            let mut n = 0;
             for a in ad.split(',') {
-                addrs.push(
-                    u64::from_str_radix(a, 16)
-                        .map_err(|_| TraceError::invalid_value("address", a))?,
-                );
+                // One address per lane: a longer list never fits a mask.
+                let lane = lanes
+                    .get_mut(n)
+                    .ok_or_else(|| TraceError::parse(no, "more than 32 lane addresses"))?;
+                *lane = u64::from_str_radix(a, 16)
+                    .map_err(|_| TraceError::invalid_value("address", a))?;
+                n += 1;
             }
-            addresses = Some(AddressList::Explicit(addrs));
+            self.addresses = Some(Addrs::Explicit(n));
         } else if let Ok(space) = tok.parse() {
-            mem_space = Some(space);
+            self.space = Some(space);
         } else {
             return Err(TraceError::parse(no, format!("unrecognized token {tok:?}")));
         }
+        Ok(())
     }
 
-    let active_mask =
-        active_mask.ok_or_else(|| TraceError::parse(no, "instruction missing active mask"))?;
+    /// The active mask, and the memory operands when the line has them:
+    /// space, width and addresses come all together or not at all.
+    fn finish(self, no: usize) -> Result<(u32, Option<MemOperands>), TraceError> {
+        let active_mask = self
+            .active_mask
+            .ok_or_else(|| TraceError::parse(no, "instruction missing active mask"))?;
+        let mem = match (self.space, self.width, self.addresses) {
+            (None, None, None) => None,
+            (Some(space), Some(width), Some(addresses)) => Some((space, width, addresses)),
+            _ => {
+                return Err(TraceError::parse(
+                    no,
+                    "memory instruction needs space, W: width and ST:/AD: addresses together",
+                ))
+            }
+        };
+        Ok((active_mask, mem))
+    }
+}
 
-    let mem = match (mem_space, width, addresses) {
-        (None, None, None) => None,
-        (Some(space), Some(width), Some(addresses)) => Some(Box::new(MemInfo {
-            space,
-            width,
-            addresses,
-        })),
-        _ => {
-            return Err(TraceError::parse(
-                no,
-                "memory instruction needs space, W: width and ST:/AD: addresses together",
-            ))
+fn view(addrs: Addrs, lanes: &[u64; WARP_LANES]) -> AddressView<'_> {
+    match addrs {
+        Addrs::Strided { base, stride } => AddressView::Strided { base, stride },
+        Addrs::Explicit(n) => AddressView::Explicit(&lanes[..n]),
+    }
+}
+
+fn inconsistent(no: usize, opcode: Opcode) -> TraceError {
+    TraceError::parse(
+        no,
+        format!("instruction is inconsistent with opcode {opcode}"),
+    )
+}
+
+fn parse_inst(
+    no: usize,
+    line: &str,
+    lanes: &mut [u64; WARP_LANES],
+) -> Result<TraceInstruction, TraceError> {
+    let mut tokens = line.split_whitespace();
+    let pc_tok = tokens
+        .next()
+        .ok_or_else(|| TraceError::parse(no, "empty instruction"))?;
+    let pc = parse_pc(pc_tok)?;
+    let op_tok = tokens
+        .next()
+        .ok_or_else(|| TraceError::parse(no, "instruction missing opcode"))?;
+    let opcode: Opcode = op_tok.parse()?;
+
+    let mut dst = None;
+    let mut srcs = SrcList::new();
+    let mut operands = Operands::default();
+    for tok in tokens {
+        if let Some(r) = tok.strip_prefix("D:") {
+            if dst.replace(parse_reg(no, r)?).is_some() {
+                return Err(TraceError::parse(no, "multiple destination registers"));
+            }
+        } else if let Some(r) = tok.strip_prefix("S:") {
+            srcs.push(parse_reg(no, r)?);
+        } else {
+            operands.read(no, tok, lanes)?;
         }
-    };
+    }
+    let (active_mask, mem) = operands.finish(no)?;
 
     let inst = TraceInstruction {
         pc,
@@ -443,15 +514,163 @@ fn parse_inst(no: usize, line: &str) -> Result<TraceInstruction, TraceError> {
         dst,
         srcs,
         active_mask,
-        mem,
+        mem: mem.map(|(space, width, addrs)| {
+            Box::new(MemInfo {
+                space,
+                width,
+                addresses: view(addrs, lanes).into(),
+            })
+        }),
     };
     if !inst.is_well_formed() {
-        return Err(TraceError::parse(
-            no,
-            format!("instruction is inconsistent with opcode {}", inst.opcode),
-        ));
+        return Err(inconsistent(no, inst.opcode));
     }
     Ok(inst)
+}
+
+/// The opcodes whose lines the skim reads past the opcode: the global and
+/// local loads and stores, the accesses the cache hierarchy serves.
+const HIERARCHY_OPCODES: [Opcode; 4] = [Opcode::Ldg, Opcode::Stg, Opcode::Ldl, Opcode::Stl];
+
+/// Walk one kernel's text (the slice [`parse_kernel_text`] takes) and hand
+/// `f` each global or local memory instruction, in (block, warp,
+/// instruction) order.
+///
+/// Every line is stripped of its comment and checked against the section
+/// structure [`parse_kernel_text`] requires; an instruction line is read
+/// only up to its opcode unless that opcode is `LDG`/`STG`/`LDL`/`STL`.
+/// Those lines get the decoder's checks on every token but the registers,
+/// which are skipped unparsed, and an `AD:` list lands in one lane buffer
+/// reused for the whole kernel. So the skim accepts every kernel the
+/// decoder accepts, with the same records, but can accept a kernel the
+/// decoder rejects for a register token or for a token on a line it does
+/// not read: a caller must still decode or content-hash each kernel before
+/// trusting it (DESIGN.md, "Analytical pre-pass").
+pub(crate) fn skim_kernel_text(
+    text: &str,
+    line_offset: usize,
+    f: &mut dyn FnMut(&MemInstRef<'_>),
+) -> Result<(), TraceError> {
+    // In ASCII text with no comment and no vertical tab (U+000B, white
+    // space to `char` but not to `u8`), the byte-wise trim and split cut
+    // exactly what `strip_comment` and `split_whitespace` cut, in half the
+    // time. Generated and converted traces are such text.
+    if text.is_ascii() && !text.contains('#') && !text.contains('\x0b') {
+        skim_lines(
+            text,
+            line_offset,
+            str::trim_ascii,
+            str::split_ascii_whitespace,
+            f,
+        )
+    } else {
+        skim_lines(text, line_offset, strip_comment, str::split_whitespace, f)
+    }
+}
+
+/// [`skim_kernel_text`] with the decoder's line cleaning and tokenizing, or
+/// equivalents of them for the text at hand.
+fn skim_lines<'t, T: Iterator<Item = &'t str>>(
+    text: &'t str,
+    line_offset: usize,
+    clean: impl Fn(&'t str) -> &'t str,
+    split: impl Fn(&'t str) -> T,
+    f: &mut dyn FnMut(&MemInstRef<'_>),
+) -> Result<(), TraceError> {
+    let mut lines = text.lines().enumerate().filter_map(|(idx, raw)| {
+        let line = clean(raw);
+        (!line.is_empty()).then_some((line_offset + idx + 1, line))
+    });
+    // The header values were read by the structural scan; only their order
+    // is left to check.
+    for kw in ["kernel", "grid", "block", "shmem", "regs"] {
+        let (no, line) = lines
+            .next()
+            .ok_or_else(|| TraceError::eof("kernel header"))?;
+        if keyword(line, kw).is_none() {
+            return Err(expected(no, kw, line));
+        }
+    }
+    let mut lanes = [0u64; WARP_LANES];
+    let mut block = 0;
+    loop {
+        match lines.next().ok_or_else(|| TraceError::eof("kernel"))? {
+            (_, "block_begin") => {}
+            (_, "kernel_end") => break,
+            (no, other) => {
+                return Err(TraceError::parse(
+                    no,
+                    format!("expected \"block_begin\" or \"kernel_end\", found {other:?}"),
+                ))
+            }
+        }
+        loop {
+            match lines.next().ok_or_else(|| TraceError::eof("block"))? {
+                (_, "warp_begin") => {}
+                (_, "block_end") => break,
+                (no, other) => {
+                    return Err(TraceError::parse(
+                        no,
+                        format!("expected \"warp_begin\" or \"block_end\", found {other:?}"),
+                    ))
+                }
+            }
+            loop {
+                let (no, line) = lines.next().ok_or_else(|| TraceError::eof("warp"))?;
+                if line == "warp_end" {
+                    break;
+                }
+                // A warp line is never empty, so it has a pc token.
+                let mut tokens = split(line);
+                let pc = tokens.next().unwrap_or_default();
+                let op_tok = tokens
+                    .next()
+                    .ok_or_else(|| TraceError::parse(no, "instruction missing opcode"))?;
+                let Some(opcode) = HIERARCHY_OPCODES
+                    .into_iter()
+                    .find(|op| op.mnemonic() == op_tok)
+                else {
+                    continue;
+                };
+                let pc = parse_pc(pc)?;
+                let mut operands = Operands::default();
+                for tok in tokens {
+                    if !(tok.starts_with("D:") || tok.starts_with("S:")) {
+                        operands.read(no, tok, &mut lanes)?;
+                    }
+                }
+                let (active_mask, mem) = operands.finish(no)?;
+                let Some((space, width, addrs)) = mem else {
+                    return Err(inconsistent(no, opcode));
+                };
+                let addresses = view(addrs, &lanes);
+                if Some(space) != opcode.mem_space()
+                    || !mem_payload_fits(width, addresses, active_mask)
+                {
+                    return Err(inconsistent(no, opcode));
+                }
+                let mem = MemInstRef::in_hierarchy(
+                    block,
+                    pc,
+                    opcode,
+                    space,
+                    active_mask,
+                    width,
+                    addresses,
+                )
+                .expect("LDG/STG/LDL/STL access global or local memory");
+                f(&mem);
+            }
+        }
+        block += 1;
+    }
+    if let Some((no, line)) = lines.next() {
+        return Err(TraceError::parse(
+            no,
+            format!("unexpected content after kernel_end: {line:?}"),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -45,9 +45,9 @@ const INLINE_SRCS: usize = 7;
 /// Traced SASS instructions read at most a handful of registers, so the
 /// list lives inline in the instruction record and a non-memory
 /// instruction owns no heap block at all; only lists longer than seven
-/// registers (the binary format allows 15, the text format any number)
-/// spill to the heap. Equality, ordering of iteration and hashing go by
-/// content, never by which representation holds it.
+/// registers (both trace formats allow any number) spill to the heap.
+/// Equality, ordering of iteration and hashing go by content, never by
+/// which representation holds it.
 ///
 /// # Examples
 ///
@@ -231,6 +231,116 @@ impl AddressList {
     pub fn is_empty(&self, active_lanes: u32) -> bool {
         self.len(active_lanes) == 0
     }
+
+    /// The list, borrowed.
+    pub fn view(&self) -> AddressView<'_> {
+        match self {
+            &AddressList::Strided { base, stride } => AddressView::Strided { base, stride },
+            AddressList::Explicit(addrs) => AddressView::Explicit(addrs),
+        }
+    }
+}
+
+/// An [`AddressList`] borrowed from wherever the instruction lives: a
+/// decoded record, or a lane buffer a trace skim reuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AddressView<'a> {
+    /// As [`AddressList::Strided`].
+    Strided {
+        /// Address accessed by the first active lane.
+        base: u64,
+        /// Byte distance between consecutive active lanes.
+        stride: u64,
+    },
+    /// As [`AddressList::Explicit`].
+    Explicit(&'a [u64]),
+}
+
+impl From<AddressView<'_>> for AddressList {
+    fn from(view: AddressView<'_>) -> Self {
+        match view {
+            AddressView::Strided { base, stride } => AddressList::Strided { base, stride },
+            AddressView::Explicit(addrs) => AddressList::Explicit(addrs.to_vec()),
+        }
+    }
+}
+
+/// Lanes of a warp: the most addresses an explicit list can hold.
+pub(crate) const WARP_LANES: usize = 32;
+
+/// Whether a memory payload of `width` bytes per lane at `addresses` fits
+/// an instruction with `active_mask`: a width the hardware has, and an
+/// explicit list with one address per active lane.
+pub(crate) fn mem_payload_fits(width: u8, addresses: AddressView<'_>, active_mask: u32) -> bool {
+    matches!(width, 1 | 2 | 4 | 8 | 16)
+        && match addresses {
+            AddressView::Strided { .. } => true,
+            AddressView::Explicit(addrs) => addrs.len() == active_mask.count_ones() as usize,
+        }
+}
+
+/// One global or local memory instruction, borrowed: what
+/// [`TraceSource::for_each_mem_inst`](crate::TraceSource::for_each_mem_inst)
+/// hands out, and everything the analytical pre-pass reads of an
+/// instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemInstRef<'a> {
+    /// Index of the instruction's thread block in its kernel.
+    pub block: usize,
+    /// Program counter.
+    pub pc: u32,
+    /// Whether the instruction stores.
+    pub write: bool,
+    /// Access width per thread in bytes.
+    pub width: u8,
+    /// 32-bit lane mask of threads executing the instruction.
+    pub active_mask: u32,
+    /// Per-thread addresses.
+    pub addresses: AddressView<'a>,
+}
+
+impl<'a> MemInstRef<'a> {
+    /// The record of an `opcode` instruction in `space`, or `None` unless
+    /// it accesses global or local memory — the spaces the cache hierarchy
+    /// serves.
+    pub(crate) fn in_hierarchy(
+        block: usize,
+        pc: u32,
+        opcode: Opcode,
+        space: MemSpace,
+        active_mask: u32,
+        width: u8,
+        addresses: AddressView<'a>,
+    ) -> Option<Self> {
+        matches!(space, MemSpace::Global | MemSpace::Local).then_some(MemInstRef {
+            block,
+            pc,
+            write: opcode.is_store(),
+            width,
+            active_mask,
+            addresses,
+        })
+    }
+
+    /// `inst` as an instruction of block `block`, or `None` unless it
+    /// accesses global or local memory.
+    pub fn of(block: usize, inst: &'a TraceInstruction) -> Option<Self> {
+        let mem = inst.mem.as_deref()?;
+        Self::in_hierarchy(
+            block,
+            inst.pc,
+            inst.opcode,
+            mem.space,
+            inst.active_mask,
+            mem.width,
+            mem.addresses.view(),
+        )
+    }
+
+    /// Number of active lanes.
+    pub fn active_lanes(&self) -> u32 {
+        self.active_mask.count_ones()
+    }
 }
 
 /// Memory-access payload of a load/store instruction.
@@ -301,16 +411,8 @@ impl TraceInstruction {
         match (&self.mem, self.opcode.mem_space()) {
             (None, None) => true,
             (Some(mem), Some(space)) => {
-                if mem.space != space {
-                    return false;
-                }
-                if !matches!(mem.width, 1 | 2 | 4 | 8 | 16) {
-                    return false;
-                }
-                match &mem.addresses {
-                    AddressList::Strided { .. } => true,
-                    AddressList::Explicit(addrs) => addrs.len() == self.active_lanes() as usize,
-                }
+                mem.space == space
+                    && mem_payload_fits(mem.width, mem.addresses.view(), self.active_mask)
             }
             _ => false,
         }

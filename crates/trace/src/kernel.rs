@@ -1,6 +1,6 @@
 //! Kernel, block, warp, and application trace containers.
 
-use crate::inst::{heap_block, TraceInstruction};
+use crate::inst::{heap_block, MemInstRef, TraceInstruction};
 use crate::isa::OpcodeClass;
 use std::fmt;
 
@@ -260,6 +260,22 @@ impl KernelTrace {
     /// Total dynamic instructions in the kernel.
     pub fn num_insts(&self) -> u64 {
         self.blocks.iter().map(BlockTrace::num_insts).sum()
+    }
+
+    /// Hand `f` every global or local memory instruction, in (block, warp,
+    /// instruction) order. The reference every
+    /// [`TraceSource::for_each_mem_inst`](crate::TraceSource::for_each_mem_inst)
+    /// must agree with.
+    pub fn for_each_mem_inst(&self, mut f: impl FnMut(&MemInstRef<'_>)) {
+        for (b, block) in self.blocks.iter().enumerate() {
+            for warp in &block.warps {
+                for inst in warp {
+                    if let Some(mem) = MemInstRef::of(b, inst) {
+                        f(&mem);
+                    }
+                }
+            }
+        }
     }
 
     /// Check that the trace body matches the launch geometry: one traced

@@ -69,7 +69,9 @@ mod source;
 pub use binfmt::ChunkedTraceWriter;
 pub use cache::{kernel_approx_bytes, CachedTraceSource, DecodedKernelCache, KernelCacheStats};
 pub use error::TraceError;
-pub use inst::{AddressList, InstBuilder, MemInfo, Reg, SrcList, TraceInstruction};
+pub use inst::{
+    AddressList, AddressView, InstBuilder, MemInfo, MemInstRef, Reg, SrcList, TraceInstruction,
+};
 pub use isa::{MemSpace, Opcode, OpcodeClass};
 pub use kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, TraceStats, WarpTrace};
 pub use source::{open_trace, ChunkedTraceSource, KernelMeta, TextTraceSource, TraceSource};

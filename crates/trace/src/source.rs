@@ -19,6 +19,10 @@
 //!   version-2 `.sstraceb` file; each kernel payload is read and decoded
 //!   straight from disk on demand, verified against its section hash.
 //!
+//! The two file-backed sources also walk a kernel's global and local memory
+//! instructions straight from its bytes, building nothing
+//! ([`TraceSource::for_each_mem_inst`]), for the analytical pre-pass.
+//!
 //! [`open_trace`] sniffs the on-disk format and returns the right one.
 //!
 //! All sources agree on [`TraceSource::content_hash`]: the same application
@@ -26,15 +30,19 @@
 //! from, so campaign cache keys are representation-independent.
 
 use crate::binfmt::{
-    decode_header, decode_kernel_payload, encode_header, encode_kernel_payload, fnv1a, Section,
-    MAGIC,
+    decode_header, decode_kernel_payload, encode_header, encode_kernel_payload,
+    skim_kernel_payload, Section, MAGIC,
 };
 use crate::error::TraceError;
-use crate::format::{parse_dim3, parse_kernel_text, parse_u32, strip_comment};
+use crate::format::{
+    keyword, parse_dim3, parse_kernel_text, parse_u32, skim_kernel_text, strip_comment,
+};
+use crate::inst::MemInstRef;
 use crate::kernel::{ApplicationTrace, Dim3, KernelTrace};
 use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::{Mutex, OnceLock};
+use swiftsim_config::fnv1a64;
 
 /// Launch metadata of one kernel, available without decoding its body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,6 +117,36 @@ pub trait TraceSource: Send + Sync {
     /// Panics if `index >= num_kernels()`.
     fn decode_kernel(&self, index: usize) -> Result<Cow<'_, KernelTrace>, TraceError>;
 
+    /// Hand `f` every global or local memory instruction of kernel
+    /// `index`, in the (block, warp, instruction) order of
+    /// [`KernelTrace::for_each_mem_inst`] on the decoded kernel, and with
+    /// the same records. This is the analytical pre-pass's input; sources
+    /// override it to walk their bytes without building the kernel.
+    ///
+    /// The default decodes the kernel and walks it — the reference the
+    /// overrides are tested against. An override must accept every kernel
+    /// [`TraceSource::decode_kernel`] accepts, but may accept a kernel it
+    /// rejects (the text skim does not parse register tokens), so a caller
+    /// must still decode or content-hash every kernel it skims before
+    /// returning a result from it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError`] when the kernel's bytes are unreadable or
+    /// fail a check the walk makes; `f` may have seen part of the kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= num_kernels()`.
+    fn for_each_mem_inst(
+        &self,
+        index: usize,
+        f: &mut dyn FnMut(&MemInstRef<'_>),
+    ) -> Result<(), TraceError> {
+        self.decode_kernel(index)?.for_each_mem_inst(f);
+        Ok(())
+    }
+
     /// Stable identity of the full application content, equal across all
     /// representations of the same trace (see
     /// [`ApplicationTrace::content_hash`] for the definition). Used by the
@@ -176,17 +214,6 @@ impl TraceSource for ApplicationTrace {
 
     fn total_insts(&self) -> u64 {
         self.num_insts()
-    }
-}
-
-/// Match `line` against a section keyword: the keyword alone, or followed
-/// by whitespace (so `"block"` does not match `"block_begin"`).
-fn keyword<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
-    let rest = line.strip_prefix(kw)?;
-    if rest.is_empty() || rest.starts_with(char::is_whitespace) {
-        Some(rest.trim())
-    } else {
-        None
     }
 }
 
@@ -361,6 +388,15 @@ impl TraceSource for TextTraceSource {
         Ok(Cow::Owned(kernel))
     }
 
+    fn for_each_mem_inst(
+        &self,
+        index: usize,
+        f: &mut dyn FnMut(&MemInstRef<'_>),
+    ) -> Result<(), TraceError> {
+        let (start, end) = self.ranges[index];
+        skim_kernel_text(&self.text[start..end], self.line_offsets[index], f)
+    }
+
     fn content_hash(&self) -> Result<u64, TraceError> {
         self.hash
             .get_or_init(|| {
@@ -373,10 +409,10 @@ impl TraceSource for TextTraceSource {
                     sections.push(Section {
                         meta: KernelMeta::of(&kernel),
                         payload_len: payload.len() as u64,
-                        payload_hash: fnv1a(&payload),
+                        payload_hash: fnv1a64(&payload),
                     });
                 }
-                Ok(fnv1a(&encode_header(&self.app_name, &sections)))
+                Ok(fnv1a64(&encode_header(&self.app_name, &sections)))
             })
             .clone()
     }
@@ -435,7 +471,7 @@ impl ChunkedTraceSource {
                 }
             }
         };
-        let hash = fnv1a(&buf[..header_len]);
+        let hash = fnv1a64(&buf[..header_len]);
 
         let mut offsets = Vec::with_capacity(sections.len());
         let mut offset = header_len as u64;
@@ -469,6 +505,28 @@ impl ChunkedTraceSource {
     pub fn path(&self) -> &str {
         &self.path
     }
+
+    /// Kernel `index`'s payload bytes, verified against its section hash.
+    fn read_payload(&self, index: usize) -> Result<Vec<u8>, TraceError> {
+        let section = &self.sections[index];
+        let len = usize::try_from(section.payload_len)
+            .map_err(|_| TraceError::invalid_value("binary trace", "payload length overflow"))?;
+        let mut payload = vec![0u8; len];
+        {
+            let mut file = self.file.lock().unwrap_or_else(|p| p.into_inner());
+            file.seek(SeekFrom::Start(self.offsets[index]))
+                .map_err(|e| TraceError::io(&self.path, &e))?;
+            file.read_exact(&mut payload)
+                .map_err(|e| TraceError::io(&self.path, &e))?;
+        }
+        if fnv1a64(&payload) != section.payload_hash {
+            return Err(TraceError::invalid_value(
+                "binary trace",
+                format!("section hash mismatch for kernel {:?}", section.meta.name),
+            ));
+        }
+        Ok(payload)
+    }
 }
 
 impl TraceSource for ChunkedTraceSource {
@@ -485,24 +543,20 @@ impl TraceSource for ChunkedTraceSource {
     }
 
     fn decode_kernel(&self, index: usize) -> Result<Cow<'_, KernelTrace>, TraceError> {
-        let section = &self.sections[index];
-        let len = usize::try_from(section.payload_len)
-            .map_err(|_| TraceError::invalid_value("binary trace", "payload length overflow"))?;
-        let mut payload = vec![0u8; len];
-        {
-            let mut file = self.file.lock().unwrap_or_else(|p| p.into_inner());
-            file.seek(SeekFrom::Start(self.offsets[index]))
-                .map_err(|e| TraceError::io(&self.path, &e))?;
-            file.read_exact(&mut payload)
-                .map_err(|e| TraceError::io(&self.path, &e))?;
-        }
-        if fnv1a(&payload) != section.payload_hash {
-            return Err(TraceError::invalid_value(
-                "binary trace",
-                format!("section hash mismatch for kernel {:?}", section.meta.name),
-            ));
-        }
-        Ok(Cow::Owned(decode_kernel_payload(&payload, &section.meta)?))
+        let payload = self.read_payload(index)?;
+        Ok(Cow::Owned(decode_kernel_payload(
+            &payload,
+            &self.sections[index].meta,
+        )?))
+    }
+
+    fn for_each_mem_inst(
+        &self,
+        index: usize,
+        f: &mut dyn FnMut(&MemInstRef<'_>),
+    ) -> Result<(), TraceError> {
+        let payload = self.read_payload(index)?;
+        skim_kernel_payload(&payload, &self.sections[index].meta, f)
     }
 
     fn content_hash(&self) -> Result<u64, TraceError> {

@@ -1,15 +1,17 @@
 //! Heap behaviour of the decoded trace, measured with a counting global
 //! allocator: how many heap blocks a decode makes, that a hostile count
-//! cannot force a large one, and that [`kernel_approx_bytes`] tracks what
-//! the allocator really holds.
+//! cannot force a large one, that [`kernel_approx_bytes`] tracks what the
+//! allocator really holds, and that the pre-pass skims build nothing.
 //!
 //! The counters are per thread, so the tests of this binary (each on its
 //! own thread) do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use swiftsim_config::fnv1a64;
 use swiftsim_trace::{
-    kernel_approx_bytes, ApplicationTrace, InstBuilder, KernelTrace, Opcode, TraceInstruction,
+    kernel_approx_bytes, ApplicationTrace, ChunkedTraceSource, InstBuilder, KernelTrace, Opcode,
+    TextTraceSource, TraceInstruction, TraceSource,
 };
 use swiftsim_workloads::Scale;
 
@@ -168,12 +170,6 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[test]
 fn hostile_instruction_count_errors_without_a_large_allocation() {
     // One block, one warp, 2^28 instructions — in a 16-byte payload.
@@ -194,7 +190,7 @@ fn hostile_instruction_count_errors_without_a_large_allocation() {
     for v in [1, 1, 1, 32, 1, 1, 0, 32, 1 << 28, payload.len() as u64] {
         push_varint(&mut file, v); // grid, block, shmem, regs, insts, length
     }
-    file.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
     file.extend_from_slice(&payload);
 
     let (result, counted) = measure(|| ApplicationTrace::from_binary(&file));
@@ -226,4 +222,44 @@ fn kernel_approx_bytes_tracks_the_allocator() {
             "{name}: kernel_approx_bytes says {estimate}, the allocator holds {live} ({ratio:.3}x)"
         );
     }
+}
+
+/// Skim every kernel of `src`, returning the heap blocks each skim made and
+/// the memory instructions it handed out.
+fn skim_blocks(src: &dyn TraceSource) -> Vec<(usize, usize)> {
+    (0..src.num_kernels())
+        .map(|k| {
+            let mut seen = 0;
+            let (result, counted) = measure(|| src.for_each_mem_inst(k, &mut |_| seen += 1));
+            result.expect("skims");
+            (counted.blocks, seen)
+        })
+        .collect()
+}
+
+#[test]
+fn text_skim_allocates_nothing() {
+    let app = ApplicationTrace::new("app", vec![mixed_kernel(3, 4, 25), mixed_kernel(6, 4, 50)]);
+    let src = TextTraceSource::from_text(app.to_trace_text()).expect("text source");
+    // Explicit lists land in a lane buffer on the stack: no heap block per
+    // instruction, nor per kernel.
+    assert_eq!(
+        skim_blocks(&src),
+        [(0, 3 * 4 * 25 * 2), (0, 6 * 4 * 50 * 2)]
+    );
+}
+
+#[test]
+fn binary_skim_allocates_one_payload_buffer_per_kernel() {
+    let app = ApplicationTrace::new("app", vec![mixed_kernel(3, 4, 25), mixed_kernel(6, 4, 50)]);
+    let dir = std::env::temp_dir().join(format!("swiftsim-footprint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("skim.sstraceb");
+    app.write_binary_file(&path).expect("write binary trace");
+    let src = ChunkedTraceSource::open(&path).expect("chunked source");
+    assert_eq!(
+        skim_blocks(&src),
+        [(1, 3 * 4 * 25 * 2), (1, 6 * 4 * 50 * 2)]
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

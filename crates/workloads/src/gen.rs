@@ -424,7 +424,12 @@ pub fn ingest_stress_app(target_insts: u64) -> swiftsim_trace::ApplicationTrace 
     swiftsim_trace::ApplicationTrace::new("ingest_stress", kernels)
 }
 
-/// FNV-1a hash for deterministic per-name seeds.
+/// Deterministic per-name seed. FNV-1a's shape and offset basis, but not
+/// FNV-1a: the prime is `0x1000_0000_01b3`, where FNV's is
+/// `0x100_0000_01b3` (`swiftsim_config::fnv1a64`). It is not replaced by
+/// that function because every generated trace's address base and random
+/// stream derive from it, so the fix would change every generated
+/// application and every number measured on one.
 pub(crate) fn hash64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
