@@ -28,7 +28,7 @@
 use crate::checkpoint::Snapshot;
 use crate::error::SimError;
 use crate::fidelity::{FidelityConfig, MemoryModelKind, SamplingPolicy, SyncQuantum};
-use crate::gpu::{merge_into, run_kernel_shard};
+use crate::gpu::run_kernel_shard;
 use crate::input::TraceInput;
 use crate::mem_system::{
     build_analytical_memory_for, build_analytical_memory_reuse_for, CycleAccurateMemory,
@@ -288,7 +288,7 @@ impl GpuSimulator {
                         instructions: measure.instructions,
                         blocks: measure.blocks,
                     });
-                    merge_into(&mut total_stats, outcome.stats);
+                    total_stats.add(&outcome.stats);
                     start = outcome.end_cycle;
                 } else {
                     // Replayed launch: synthesized from its cluster's

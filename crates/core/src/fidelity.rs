@@ -67,9 +67,9 @@ pub enum FrontendModelKind {
 pub enum SkipPolicy {
     /// Tick every component on every cycle, even quiescent ones.
     Dense,
-    /// Fast-forward the clock to the minimum next-actionable cycle
-    /// reported by the components (writeback heap, memory event queue)
-    /// whenever a cycle issues nothing.
+    /// Stop ticking an SM whose per-cycle effect is known until something
+    /// can change it, and once every SM sleeps, fast-forward the clock to
+    /// the earliest writeback or memory event.
     EventDriven,
 }
 

@@ -16,7 +16,7 @@
 use crate::builder::GpuSimulator;
 use crate::error::SimError;
 use crate::fidelity::MemoryModelKind;
-use crate::gpu::{merge_into, run_kernel_shard, shard_config, shard_partitions, split_blocks};
+use crate::gpu::{run_kernel_shard, shard_config, shard_partitions, split_blocks};
 use crate::mem_system::{
     AnalyticalMemoryBuilder, CycleAccurateMemory, MemorySystem, ReuseAnalyticalMemoryBuilder,
 };
@@ -201,7 +201,7 @@ pub(crate) fn run_parallel(
             for outcome in outcomes {
                 let o = outcome?;
                 end = end.max(o.end_cycle);
-                merge_into(&mut kernel_stats, o.stats);
+                kernel_stats.add(&o.stats);
                 blocks += o.blocks;
             }
             kernels.push(KernelResult {
@@ -210,7 +210,7 @@ pub(crate) fn run_parallel(
                 instructions: kernel_stats.issued,
                 blocks,
             });
-            merge_into(&mut total_stats, kernel_stats);
+            total_stats.add(&kernel_stats);
             start = end;
         }
 

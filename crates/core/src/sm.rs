@@ -30,15 +30,16 @@
 //! counter moves onto that instruction. The trace is read once per dynamic
 //! instruction (that copy) and once more at issue for a memory payload.
 //!
-//! # Quiescence cache (event-driven engine)
+//! # Settling (event-driven engine)
 //!
-//! Under [`SkipPolicy::EventDriven`] the SM memoizes its own per-cycle stat
-//! delta: after two consecutive *quiescent* ticks (nothing issued, drained,
-//! parked, or unparked) the next tick's observable effect is provably the
-//! same delta again, so [`SmCore::tick`] replays it without re-scanning
-//! warps — until a writeback, memory completion, or block install
-//! invalidates the cache. The dense engine never uses the cache, so the
-//! differential suite (`event_engine_equiv.rs`) genuinely exercises it.
+//! Under [`SkipPolicy::EventDriven`] the SM measures its own per-cycle stat
+//! delta: after two consecutive *quiescent* ticks (nothing issued, retired
+//! or unparked, no warp held up by a busy port, no writeback drained in the
+//! second) every further tick would repeat the second one's delta exactly
+//! until a writeback comes due, a completion or block arrives, or the LD/ST
+//! queue accepts again. The engine then stops ticking the SM and credits it
+//! the delta per skipped cycle (`gpu.rs`, "Sleeping SMs"); the dense engine
+//! never does, so `event_engine_equiv.rs` genuinely exercises this.
 //!
 //! [`SkipPolicy::EventDriven`]: crate::fidelity::SkipPolicy::EventDriven
 
@@ -330,15 +331,19 @@ pub(crate) struct SmCore<'a> {
     /// Reused LD/ST coalescer buffers (no allocation per memory
     /// instruction).
     coalescer: CoalesceScratch,
-    /// Quiescence cache (event-driven engine only; see module docs).
+    /// Whether the SM may settle (event-driven engine only; module docs).
     event_driven: bool,
     /// Consecutive quiescent ticks observed, capped at 2 (the point at
     /// which the per-tick delta is provably constant: operand collectors
     /// have settled and scheduler no-pick state has reached its fixed
     /// point).
     q_streak: u8,
-    /// The memoized per-tick stat delta, valid while `q_streak >= 2`.
+    /// The measured per-tick stat delta, valid while `q_streak >= 2`.
     q_delta: SmStats,
+    /// Cycles ticked or credited, and instructions of installed blocks
+    /// neither issued nor cut off behind an issued EXIT (kernel-end checks).
+    cycles: u64,
+    insts_left: u64,
 }
 
 impl std::fmt::Debug for SmCore<'_> {
@@ -412,6 +417,8 @@ impl<'a> SmCore<'a> {
             event_driven,
             q_streak: 0,
             q_delta: SmStats::default(),
+            cycles: 0,
+            insts_left: 0,
         }
     }
 
@@ -462,6 +469,7 @@ impl<'a> SmCore<'a> {
         self.s_age[slot] = now;
         self.resident += 1;
         self.q_streak = 0;
+        self.insts_left += block.num_insts();
     }
 
     /// Whether any block is resident.
@@ -511,24 +519,49 @@ impl<'a> SmCore<'a> {
         self.stats
     }
 
-    /// After a measured quiescent tick whose pre-tick stats were
-    /// `before`, replay its delta `extra` more times — the event-driven
-    /// engine's clock jump, accounting the skipped cycles exactly as the
-    /// dense loop would have ticked them.
-    pub(crate) fn scale_quiescent_delta(
-        &mut self,
-        before: &SmStats,
-        extra: u64,
-        prof: &mut Profiler,
-    ) {
-        if extra == 0 {
-            return;
-        }
-        let delta = self.stats.delta_since(before);
-        self.stats.add_scaled(&delta, extra);
-        if delta.active_cycles > 0 {
-            prof.add_cycles(ProfModule::WarpScheduler, delta.active_cycles * extra);
-        }
+    /// Whether the per-tick delta is measured and repeats until something
+    /// wakes the SM (module docs). Never under the dense engine.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.q_streak >= 2
+    }
+
+    /// Account `cycles` unticked cycles of a settled SM, each exactly as
+    /// the dense loop would have ticked it.
+    pub(crate) fn credit(&mut self, cycles: u64, prof: &mut Profiler) {
+        debug_assert!(self.is_settled(), "only a settled SM is credited");
+        self.cycles += cycles;
+        self.stats.add_scaled(&self.q_delta, cycles);
+        prof.add_cycles(
+            ProfModule::WarpScheduler,
+            self.q_delta.active_cycles * cycles,
+        );
+    }
+
+    /// Whether some warp waits for the LD/ST queue to accept again.
+    pub(crate) fn waits_on_mem_queue(&self) -> bool {
+        !self.mem_parked.is_empty()
+    }
+
+    /// The cycle of the earliest pending writeback.
+    pub(crate) fn next_writeback(&self) -> Option<Cycle> {
+        self.wb_events.peek().map(|Reverse((at, ..))| *at)
+    }
+
+    /// Kernel-end conservation checks (debug builds): each of the kernel's
+    /// `cycles` accounted exactly once, ticked or credited, and with no
+    /// block resident, no writeback, parked warp, scoreboard entry or
+    /// unissued instruction left.
+    pub(crate) fn check_kernel_end(&self, cycles: u64) {
+        let sm = self.global_id;
+        debug_assert_eq!(self.cycles, cycles, "SM {sm}: cycles accounted");
+        debug_assert!(
+            self.is_active()
+                || self.wb_events.is_empty()
+                    && self.mem_parked.is_empty()
+                    && self.insts_left == 0
+                    && self.w_scoreboard.iter().all(Scoreboard::is_clear),
+            "SM {sm}: writebacks, parked warps, instructions or scoreboard entries left"
+        );
     }
 
     /// Describe the oldest still-live warp on this SM, for deadlock
@@ -589,7 +622,7 @@ impl<'a> SmCore<'a> {
     }
 
     /// Drain due writebacks; returns whether any event fired (even for a
-    /// since-freed slot — conservative for the quiescence cache).
+    /// since-freed slot — conservative for settling).
     fn drain_writebacks(&mut self, now: Cycle) -> bool {
         let mut drained = false;
         while let Some(&Reverse((at, slot, warp, reg))) = self.wb_events.peek() {
@@ -617,23 +650,7 @@ impl<'a> SmCore<'a> {
         outcome: &mut TickOutcome,
     ) {
         outcome.reset();
-        // Quiescence cache: with two consecutive quiescent ticks behind us,
-        // no writeback due, and no chance of a memory-queue unpark, this
-        // tick is provably identical to the last — replay its stat delta
-        // and skip the pipeline walk and warp scan entirely.
-        if self.q_streak >= 2
-            && self
-                .wb_events
-                .peek()
-                .is_none_or(|Reverse((at, ..))| *at > now)
-            && (self.mem_parked.is_empty() || !mem.can_accept(self.id))
-        {
-            self.stats.add(&self.q_delta);
-            prof.add_cycles(ProfModule::WarpScheduler, self.q_delta.active_cycles);
-            outcome.next_wakeup = self.wb_events.peek().map(|Reverse((at, ..))| *at);
-            return;
-        }
-
+        self.cycles += 1;
         let stats_before = self.stats;
         let t0 = prof.start();
         self.alu.tick(now);
@@ -666,7 +683,7 @@ impl<'a> SmCore<'a> {
             if self.is_active() {
                 self.stats.stall_scoreboard += u64::from(self.cfg.sub_cores);
             }
-            outcome.next_wakeup = self.wb_events.peek().map(|Reverse((at, ..))| *at);
+            outcome.next_wakeup = self.next_writeback();
             self.note_quiescence(&stats_before, outcome, drained, unparked);
             return;
         }
@@ -676,7 +693,7 @@ impl<'a> SmCore<'a> {
 
         // Wakeups for the event-driven engine: pending writebacks, and
         // next cycle if a port-busy stall can resolve soon.
-        let mut wakeup = self.wb_events.peek().map(|Reverse((at, ..))| *at);
+        let mut wakeup = self.next_writeback();
         if outcome.unit_busy_stall {
             wakeup = Some(wakeup.map_or(now + 1, |w| w.min(now + 1)));
         }
@@ -684,8 +701,12 @@ impl<'a> SmCore<'a> {
         self.note_quiescence(&stats_before, outcome, drained, unparked);
     }
 
-    /// Track consecutive quiescent ticks and memoize the second one's stat
-    /// delta (see module docs for why two ticks suffice).
+    /// Track consecutive quiescent ticks and measure the second one's stat
+    /// delta (see module docs for why two ticks suffice). A writeback that
+    /// drained without letting anything issue still counts as the first:
+    /// the scan after it re-parked every warp it unparked, which leaves the
+    /// same state a drain-free quiescent tick leaves. The measured tick
+    /// itself must drain nothing.
     fn note_quiescence(
         &mut self,
         stats_before: &SmStats,
@@ -700,11 +721,10 @@ impl<'a> SmCore<'a> {
             && !outcome.unit_busy_stall
             && outcome.completed_blocks.is_empty()
             && outcome.new_tokens.is_empty()
-            && !drained
             && !unparked;
         if !quiescent {
             self.q_streak = 0;
-        } else if self.q_streak == 0 {
+        } else if drained || self.q_streak == 0 {
             self.q_streak = 1;
         } else if self.q_streak == 1 {
             self.q_delta = self.stats.delta_since(stats_before);
@@ -879,6 +899,7 @@ impl<'a> SmCore<'a> {
         let fetch_penalty = self.frontend.fetch_penalty(pc, &mut self.stats);
 
         self.stats.issued += 1;
+        self.insts_left -= 1;
         outcome.issued += 1;
 
         match kind {
@@ -894,6 +915,7 @@ impl<'a> SmCore<'a> {
             }
             HeadKind::Exit => {
                 self.advance(i);
+                self.insts_left -= (self.w_insts[i].len() - self.w_next[i] as usize) as u64;
                 let (sc, bit) = self.warp_bit(slot, warp_idx);
                 self.subs[sc].live &= !bit;
                 self.s_live_warps[slot] -= 1;

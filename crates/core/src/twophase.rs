@@ -31,27 +31,27 @@
 //! with the sequential loop's intra-cycle step order (dispatch →
 //! deliver → tick), making the results **bit-identical** to
 //! `run_single` for any thread count — enforced by
-//! `tests/event_engine_equiv.rs`. The event-driven cycle skip is folded
-//! in: the coordinator arms jumps from the same quiet/candidate rules as
-//! the sequential engine and the workers replay their quiescent stat
-//! deltas, so quiescent shards cost no per-cycle work.
+//! `tests/event_engine_equiv.rs`. The event-driven engine is folded in:
+//! every shard ticks only its awake SMs through the same sleep set as the
+//! sequential engine (`gpu.rs`, "Sleeping SMs"), reports whether all of
+//! them sleep and their earliest wake, and when every shard's SMs sleep
+//! after a quiet quantum the coordinator starts the next quantum at the
+//! earliest wake or memory event instead of the next cycle.
 //!
 //! [`SyncQuantum::Cycles`]`(q)` relaxes the hand-off: workers tick `q`
 //! cycles per phase against snapshots taken at the quantum boundary.
 //! Deterministic and reproducible for a fixed configuration, but memory
 //! contention is observed at quantum granularity, so statistics may
 //! diverge from the sequential engine (measured, not silent — see the
-//! `parallel_speedup` bench). Clock jumps are disabled in this mode; the
-//! per-SM quiescence cache keeps idle ticks cheap instead.
+//! `parallel_speedup` bench). Clock jumps are disabled in this mode;
+//! sleeping SMs keep idle ticks cheap instead.
 
-use crate::block_scheduler::{BlockScheduler, Occupancy};
+use crate::block_scheduler::BlockScheduler;
 use crate::builder::{GpuSimulator, RunDriver};
 use crate::error::SimError;
-use crate::fidelity::{
-    FidelityConfig, FrontendModelKind, MemoryModelKind, SkipPolicy, SyncQuantum,
-};
+use crate::fidelity::{FidelityConfig, MemoryModelKind, SkipPolicy, SyncQuantum};
 use crate::gate::{Coordinator, Dead, Gate};
-use crate::gpu::{make_alu, merge_into};
+use crate::gpu::{deadlock_detail, min_opt, occupancy, SmSet};
 use crate::mem_system::{
     build_analytical_memory_for, build_analytical_memory_reuse_for, CycleAccurateMemory,
     MemCompletion, MemReply, MemorySystem,
@@ -60,8 +60,7 @@ use crate::parallel::split_sms;
 use crate::prefetch::Prefetcher;
 use crate::result::{KernelResult, SimulationResult};
 use crate::sampling::RepMeasure;
-use crate::scheduler::make_policy;
-use crate::sm::{SmCore, SmStats, TickOutcome, WbTarget};
+use crate::sm::{SmStats, WbTarget};
 use crate::Cycle;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,7 +69,7 @@ use swiftsim_config::GpuConfig;
 use swiftsim_mem::FastMap;
 use swiftsim_mem::MemTxn;
 use swiftsim_metrics::{MetricsCollector, ProfModule, ProfileReport, Profiler};
-use swiftsim_trace::{BlockTrace, KernelTrace, TraceSource};
+use swiftsim_trace::{KernelTrace, TraceSource};
 
 /// One buffered memory access: everything the sequential engine would have
 /// passed to [`MemorySystem::access`], plus the writeback target filled in
@@ -104,15 +103,10 @@ struct DeferredDone {
 #[derive(Default)]
 struct Mailbox {
     // Command: coordinator → shard.
+    /// The quantum's first cycle, which is where a clock jump lands, and
+    /// its length.
     base: Cycle,
     len: Cycle,
-    /// Replay the armed quiescent delta this many times (an event-driven
-    /// clock jump) before anything else in this quantum; 0 = no jump.
-    jump: Cycle,
-    /// Snapshot per-SM stats after the jump replay and before this
-    /// quantum's events (the coordinator just observed a quiet cycle and
-    /// armed a clock jump).
-    arm: bool,
     /// Blocks dispatched this quantum: `(local SM, global block id)`.
     installs: Vec<(usize, usize)>,
     /// Memory completions due now: writeback targets per local SM.
@@ -127,7 +121,10 @@ struct Mailbox {
     unit_busy: bool,
     /// Local SM index per completed block, in tick order.
     completed: Vec<usize>,
-    /// Minimum next-wakeup hint across SMs for the quantum's last cycle.
+    /// Whether every SM sleeps after the quantum.
+    asleep: bool,
+    /// The earliest cycle an SM could act at on its own: a sleeper's wake,
+    /// or the next-wakeup hint of an SM ticked in the quantum's last cycle.
     wakeup: Option<Cycle>,
     /// This quantum's accesses in buffer order (cycle-major, then SM, then
     /// issue order within the tick), their transactions flat in `txns`.
@@ -153,13 +150,6 @@ enum CoordEnd {
     Dead {
         shard: usize,
     },
-}
-
-fn min_opt(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
-    }
 }
 
 fn elapsed_ns(t0: Option<Instant>) -> u64 {
@@ -320,7 +310,7 @@ pub(crate) fn run_two_phase(
                     instructions: measure.instructions,
                     blocks: measure.blocks,
                 });
-                merge_into(&mut total_stats, outcome.stats);
+                total_stats.add(&outcome.stats);
                 start = outcome.end_cycle;
             } else {
                 // Replayed launch: synthesized from its cluster's
@@ -389,22 +379,12 @@ fn run_kernel_two_phase(
     prof: &mut Profiler,
     start: Cycle,
 ) -> Result<KernelOutcome, SimError> {
-    if !kernel.is_consistent(cfg.sm.warp_size) {
-        return Err(SimError::InconsistentTrace {
-            kernel: kernel.name.clone(),
-            message: format!(
-                "trace has {} blocks for grid {} and warp counts must match block size",
-                kernel.blocks().len(),
-                kernel.grid_dim
-            ),
-        });
-    }
-    let occupancy = Occupancy::compute(&cfg.sm, kernel)?;
-    let slots = occupancy.blocks_per_sm as usize;
+    let per_sm = occupancy(cfg, kernel)?.blocks_per_sm;
+    let slots = per_sm as usize;
     let total_sms: usize = sm_id_groups.iter().map(Vec::len).sum();
     let frame = format!("k{kidx}:{}", kernel.name);
 
-    let mut bs = BlockScheduler::new(total_sms, kernel.blocks().len(), occupancy.blocks_per_sm);
+    let mut bs = BlockScheduler::new(total_sms, kernel.blocks().len(), per_sm);
     let gate: Gate<Mailbox> = Gate::new(sm_id_groups.len());
     let (own_prof, worker_profs) = shard_profs
         .split_first_mut()
@@ -427,13 +407,13 @@ fn run_kernel_two_phase(
                     // what tells the coordinator this shard is gone.
                     let mut port = gate.port(i + 1);
                     // Built here: a shard's models need not be `Send`.
-                    let mut shard = Shard::new(cfg, kernel, slots, fidelity, sm_ids);
+                    let mut sms = SmSet::new(cfg, fidelity, kernel, slots, sm_ids, start);
                     wprof.begin_frame(frame);
                     while let Some(mut mb) = port.recv() {
-                        shard.step(&mut mb, wprof);
+                        step(&mut sms, &mut mb, wprof);
                         port.done(mb);
                     }
-                    let exit = shard.finish(port.mailbox().as_deref_mut(), wprof);
+                    let exit = finish(sms, port.mailbox().as_deref_mut(), wprof);
                     wprof.end_frame();
                     exit
                 })
@@ -446,7 +426,7 @@ fn run_kernel_two_phase(
         // `bs`, its own shard) is abandoned with the failed run, which is
         // what makes asserting unwind safety sound.
         let own = catch_unwind(AssertUnwindSafe(|| {
-            let mut own = Shard::new(cfg, kernel, slots, fidelity, &sm_id_groups[0]);
+            let mut own = SmSet::new(cfg, fidelity, kernel, slots, &sm_id_groups[0], start);
             own_prof.begin_frame(&frame);
             let end = coordinate(
                 mem,
@@ -463,7 +443,7 @@ fn run_kernel_two_phase(
             // Every shard, whichever way the loop ended, finds the `Done`
             // replies of the last commit still in its mailbox and applies
             // them before it reports, so LD/ST attribution is complete.
-            let exit = own.finish(coord.mailbox(0).ok().as_deref_mut(), own_prof);
+            let exit = finish(own, coord.mailbox(0).ok().as_deref_mut(), own_prof);
             own_prof.end_frame();
             (end, exit)
         }));
@@ -497,7 +477,7 @@ fn run_kernel_two_phase(
         CoordEnd::Finished { end } => {
             let mut stats = SmStats::default();
             for e in &exits {
-                merge_into(&mut stats, e.stats);
+                stats.add(&e.stats);
             }
             Ok(KernelOutcome {
                 end_cycle: end,
@@ -509,18 +489,10 @@ fn run_kernel_two_phase(
                 .iter()
                 .enumerate()
                 .find_map(|(i, e)| e.stalled.as_ref().map(|s| (i, s.clone())));
-            let shard = stalled.as_ref().map_or(0, |(i, _)| *i);
-            let warp = stalled.map(|(_, s)| s);
-            let detail = match (warp, mem.oldest_pending()) {
-                (Some(w), Some(m)) => format!("{w}; {m}"),
-                (Some(w), None) => w,
-                (None, Some(m)) => m,
-                (None, None) => "no resident warp or pending memory request".to_owned(),
-            };
             Err(SimError::Deadlock {
                 cycle,
-                shard,
-                detail,
+                shard: stalled.as_ref().map_or(0, |(i, _)| *i),
+                detail: deadlock_detail(stalled.map(|(_, s)| s), mem),
             })
         }
         CoordEnd::Dead { shard } => Err(SimError::WorkerPanic {
@@ -533,9 +505,9 @@ fn run_kernel_two_phase(
 /// The coordinator: runs the quantum loop against the shared memory
 /// system. Mirrors the sequential engine's per-cycle step order exactly —
 /// dispatch, advance/deliver, (shards tick), commit, terminate/advance —
-/// including the event-driven arm/confirm/jump protocol. Shard 0's compute
-/// phase runs inline between publishing the other shards' commands and
-/// waiting for their results.
+/// including its clock jump once every SM sleeps. Shard 0's compute phase
+/// runs inline between publishing the other shards' commands and waiting
+/// for their results.
 #[allow(clippy::too_many_arguments)]
 fn coordinate(
     mem: &mut dyn MemorySystem,
@@ -545,7 +517,7 @@ fn coordinate(
     event_driven: bool,
     start: Cycle,
     coord: &Coordinator<'_, Mailbox>,
-    own: &mut Shard<'_>,
+    own: &mut SmSet<'_>,
     own_prof: &mut Profiler,
     prof: &mut Profiler,
 ) -> CoordEnd {
@@ -556,9 +528,6 @@ fn coordinate(
     let mut boxes = Vec::with_capacity(shards);
     let mut now = start;
     let mut idle_streak: u64 = 0;
-    let mut plan: Option<Cycle> = None;
-    let mut arm_next = false;
-    let mut jump_next: Cycle = 0;
 
     loop {
         for shard in 0..shards {
@@ -599,13 +568,9 @@ fn coordinate(
         //    snapshotted post-advance; it only depends on the SM's own
         //    queue, which cannot change before that SM's tick, so the
         //    snapshot equals what the sequential engine would read.
-        let arm = std::mem::take(&mut arm_next);
-        let jump = std::mem::take(&mut jump_next);
         for (mb, ids) in boxes.iter_mut().zip(sm_id_groups) {
             mb.base = now;
             mb.len = quantum;
-            mb.jump = jump;
-            mb.arm = arm;
             mb.can_accept.clear();
             mb.can_accept.extend(ids.iter().map(|&g| mem.can_accept(g)));
         }
@@ -615,7 +580,7 @@ fn coordinate(
             drop(mb);
             coord.publish(worker + 1);
         }
-        own.step(&mut own_box, own_prof);
+        step(own, &mut own_box, own_prof);
 
         // 4. Commit phase: apply buffered accesses in shard-major order —
         //    for contiguous shards this is global SM order, i.e. the exact
@@ -628,6 +593,7 @@ fn coordinate(
         let mut any_unit_busy = false;
         let mut any_completed = false;
         let mut any_tokens = false;
+        let mut all_asleep = true;
         let mut wakeup: Option<Cycle> = None;
         let mut own_box = Some(own_box);
         for (shard, ids) in sm_id_groups.iter().enumerate() {
@@ -677,6 +643,7 @@ fn coordinate(
                 any_completed = true;
                 bs.complete(ids[local]);
             }
+            all_asleep &= mb.asleep;
             wakeup = min_opt(wakeup, mb.wakeup);
             commit_ns += elapsed_ns(t1);
         }
@@ -690,7 +657,7 @@ fn coordinate(
             return CoordEnd::Finished { end: quantum_end };
         }
 
-        // 6. Advance time — the sequential engine's quiet/arm/jump rules,
+        // 6. Advance time — the sequential engine's quiet and jump rules,
         //    evaluated on the committed global state.
         let quiet = issued == 0
             && !any_unit_busy
@@ -698,40 +665,25 @@ fn coordinate(
             && !any_completed
             && !any_tokens
             && !installed;
-
-        if let Some(target) = plan.take() {
-            if quiet {
-                // Rides along with the next quantum's command.
-                jump_next = target - quantum_end - 1;
-                now = target;
-                idle_streak = 0;
-                continue;
-            }
+        let next = min_opt(wakeup, mem.next_event());
+        if quiet && next.is_none() {
+            // Nothing pending anywhere and nothing happened: the model can
+            // provably never make progress again. Under the dense clock
+            // every idle cycle would be a cross-thread round trip, so this
+            // is reported at once there too.
+            return CoordEnd::Deadlock { cycle: quantum_end };
         }
-
-        if event_driven && quiet {
-            match min_opt(wakeup, mem.next_event()) {
-                Some(t) => {
-                    if t > quantum_end + 1 {
-                        plan = Some(t);
-                        arm_next = true;
-                    }
+        now = quantum_end + 1;
+        match next {
+            // Every SM sleeps: the next quantum starts where one can act.
+            Some(t) if event_driven && quiet && all_asleep => {
+                if t > now {
+                    prof.add_cycles(ProfModule::CycleSkip, t - now);
+                    now = t;
                 }
-                // Nothing pending anywhere and nothing happened: the model
-                // can provably never make progress again. The sequential
-                // engine discovers this after a million idle (cheap) ticks;
-                // here every idle cycle is a cross-thread round-trip, so
-                // report immediately.
-                None => return CoordEnd::Deadlock { cycle: quantum_end },
+                idle_streak = 0;
             }
-            now = quantum_end + 1;
-            idle_streak += 1;
-        } else {
-            if quiet && min_opt(wakeup, mem.next_event()).is_none() {
-                return CoordEnd::Deadlock { cycle: quantum_end };
-            }
-            now = quantum_end + 1;
-            idle_streak = if issued > 0 { 0 } else { idle_streak + quantum };
+            _ => idle_streak = if issued > 0 { 0 } else { idle_streak + quantum },
         }
         if idle_streak > 1_000_000 {
             return CoordEnd::Deadlock { cycle: now };
@@ -739,129 +691,71 @@ fn coordinate(
     }
 }
 
-/// One shard: owns its SMs for the kernel's duration and replays whatever
-/// the coordinator committed. The coordinator drives shard 0's directly;
-/// every other shard's is driven by its worker thread through the gate.
-struct Shard<'a> {
-    sms: Vec<SmCore<'a>>,
-    blocks: &'a [BlockTrace],
-    /// Per-SM stats at the last armed quantum (see [`Mailbox::arm`]).
-    snaps: Vec<SmStats>,
-    outcome: TickOutcome,
+/// Apply `Done` replies the last commit left in the mailbox.
+fn apply_dones(sms: &mut SmSet<'_>, dones: &mut Vec<DeferredDone>, prof: &mut Profiler) {
+    for d in dones.drain(..) {
+        sms.apply_deferred_done(d.local_sm, d.target, d.at, d.issue_now, prof);
+    }
 }
 
-impl<'a> Shard<'a> {
-    fn new(
-        cfg: &GpuConfig,
-        kernel: &'a KernelTrace,
-        slots: usize,
-        fidelity: FidelityConfig,
-        sm_ids: &[usize],
-    ) -> Self {
-        let blocks = kernel.blocks();
-        let warps_per_block = blocks.first().map_or(0, |b| b.warps().len());
-        let sms = sm_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &global)| {
-                SmCore::new(
-                    i,
-                    global,
-                    &cfg.sm,
-                    slots,
-                    warps_per_block,
-                    make_alu(fidelity.alu, cfg),
-                    fidelity.frontend == FrontendModelKind::Detailed,
-                    fidelity.skip_policy == SkipPolicy::EventDriven,
-                    &|| make_policy(cfg.sm.scheduler),
-                )
-            })
-            .collect();
-        Shard {
-            sms,
-            blocks,
-            snaps: Vec::new(),
-            outcome: TickOutcome::default(),
-        }
+/// One shard's compute phase: consume the mailbox's command, tick the
+/// shard's SMs through the quantum, leave the result in the same mailbox.
+/// The coordinator runs shard 0's inline; every other shard's worker thread
+/// runs its own through the gate.
+fn step(sms: &mut SmSet<'_>, mb: &mut Mailbox, prof: &mut Profiler) {
+    apply_dones(sms, &mut mb.dones, prof);
+    // Installs before writeback deliveries: the sequential loop dispatches
+    // (step 1) before delivering completions (step 2), so a completion
+    // racing a slot refill must see the new block, exactly as it would
+    // there.
+    for (local, block) in mb.installs.drain(..) {
+        sms.install(local, block, mb.base, prof);
+    }
+    for (local, target) in mb.writebacks.drain(..) {
+        sms.touch(local, mb.base, prof).writeback_now(target);
     }
 
-    /// Apply `Done` replies the last commit left in the mailbox.
-    fn apply_dones(&mut self, dones: &mut Vec<DeferredDone>, prof: &mut Profiler) {
-        for d in dones.drain(..) {
-            self.sms[d.local_sm].apply_deferred_done(d.target, d.at, d.issue_now, prof);
-        }
-    }
-
-    /// One compute phase: consume the mailbox's command, tick the quantum,
-    /// leave the result in the same mailbox.
-    fn step(&mut self, mb: &mut Mailbox, prof: &mut Profiler) {
-        for (sm, snap) in self.sms.iter_mut().zip(&self.snaps) {
-            sm.scale_quiescent_delta(snap, mb.jump, prof);
-        }
-        if mb.jump > 0 {
-            prof.add_cycles(ProfModule::CycleSkip, mb.jump);
-        }
-        // The arm snapshot is "state at the end of the previous cycle" —
-        // i.e. before this command's events are applied.
-        if mb.arm {
-            self.snaps.clear();
-            self.snaps.extend(self.sms.iter().map(SmCore::stats));
-        }
-        self.apply_dones(&mut mb.dones, prof);
-        // Installs before writeback deliveries: the sequential loop
-        // dispatches (step 1) before delivering completions (step 2), so a
-        // completion racing a slot refill must see the new block, exactly
-        // as it would there.
-        for (local, block) in mb.installs.drain(..) {
-            self.sms[local].install_block(block, &self.blocks[block], mb.base);
-        }
-        for (local, target) in mb.writebacks.drain(..) {
-            self.sms[local].writeback_now(target);
-        }
-
-        mb.issued = 0;
-        mb.unit_busy = false;
-        mb.completed.clear();
-        mb.wakeup = None;
-        let mut port = DeferredPort {
-            can_accept: &mb.can_accept,
-            now: 0,
-            records: &mut mb.records,
-            txns: &mut mb.txns,
-        };
-        let outcome = &mut self.outcome;
-        for c in mb.base..mb.base + mb.len {
-            port.now = c;
-            let mut wakeup: Option<Cycle> = None;
-            for (i, sm) in self.sms.iter_mut().enumerate() {
-                sm.tick(c, &mut port, prof, outcome);
-                mb.issued += outcome.issued;
-                mb.unit_busy |= outcome.unit_busy_stall;
-                for _ in &outcome.completed_blocks {
-                    mb.completed.push(i);
-                }
-                for &(token, target) in &outcome.new_tokens {
-                    port.records[token as usize].target = target;
-                }
-                wakeup = min_opt(wakeup, outcome.next_wakeup);
+    mb.issued = 0;
+    mb.unit_busy = false;
+    mb.completed.clear();
+    let mut port = DeferredPort {
+        can_accept: &mb.can_accept,
+        now: 0,
+        records: &mut mb.records,
+        txns: &mut mb.txns,
+    };
+    let mut wakeup: Option<Cycle> = None;
+    for c in mb.base..mb.base + mb.len {
+        port.now = c;
+        wakeup = None;
+        sms.rouse_due(c, &port, prof);
+        let mut next = 0;
+        while let Some(i) = sms.next_awake(next) {
+            next = i + 1;
+            let outcome = sms.tick(i, c, &mut port, prof);
+            mb.issued += outcome.issued;
+            mb.unit_busy |= outcome.unit_busy_stall;
+            for _ in &outcome.completed_blocks {
+                mb.completed.push(i);
             }
-            mb.wakeup = wakeup;
+            for &(token, target) in &outcome.new_tokens {
+                port.records[token as usize].target = target;
+            }
+            wakeup = min_opt(wakeup, outcome.next_wakeup);
         }
     }
+    mb.asleep = sms.all_asleep();
+    mb.wakeup = min_opt(wakeup, sms.next_wake());
+}
 
-    /// Wind down: apply what the final commit left in `mailbox` (absent
-    /// only if the other side unwound holding it) and report.
-    fn finish(mut self, mailbox: Option<&mut Mailbox>, prof: &mut Profiler) -> ShardExit {
-        if let Some(mb) = mailbox {
-            self.apply_dones(&mut mb.dones, prof);
-        }
-        let mut stats = SmStats::default();
-        for sm in &self.sms {
-            stats.add(&sm.stats());
-        }
-        ShardExit {
-            stats,
-            stalled: self.sms.iter().find_map(SmCore::oldest_stalled),
-        }
+/// Wind a shard down: apply what the final commit left in `mailbox` (absent
+/// only if the other side unwound holding it) and report.
+fn finish(mut sms: SmSet<'_>, mailbox: Option<&mut Mailbox>, prof: &mut Profiler) -> ShardExit {
+    if let Some(mb) = mailbox {
+        apply_dones(&mut sms, &mut mb.dones, prof);
+    }
+    ShardExit {
+        stats: sms.finish(prof),
+        stalled: sms.oldest_stalled(),
     }
 }

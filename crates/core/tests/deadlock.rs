@@ -125,6 +125,50 @@ fn sharded_deadlock_reports_global_sm_ids() {
     }
 }
 
+/// The sequential engine reports a provably dead model at once too: when
+/// every SM sleeps with no wake and the memory system has no next event,
+/// nothing can ever change, so it does not wait out the idle watchdog's
+/// million iterations (whose report would name a cycle past a million).
+#[test]
+fn sequential_fast_deadlock_is_prompt() {
+    let mut cfg = presets::rtx2080ti();
+    cfg.num_sms = 4;
+    cfg.memory.partitions = 2;
+    cfg.sm.max_blocks = 1;
+
+    for preset in [
+        SimulatorPreset::Detailed,
+        SimulatorPreset::SwiftBasic,
+        SimulatorPreset::SwiftMemory,
+    ] {
+        let t0 = std::time::Instant::now();
+        let err = swiftsim_core::run(
+            &app_wedged_on_last_sm(4),
+            &cfg,
+            &RunOptions::default().with_preset(preset).with_threads(1),
+        )
+        .expect_err("the wedged block must be detected");
+        let elapsed = t0.elapsed();
+
+        let SimError::Deadlock {
+            cycle,
+            shard,
+            detail,
+        } = &err
+        else {
+            panic!("expected a deadlock under {preset:?}, got: {err}");
+        };
+        assert_eq!(*shard, 0, "{preset:?}: {detail}");
+        assert!(detail.contains("SM 3"), "{preset:?}: {detail}");
+        assert!(detail.contains("barrier"), "{preset:?}: {detail}");
+        assert!(*cycle < 10_000, "{preset:?}: reported at cycle {cycle}");
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "{preset:?}: took {elapsed:?}"
+        );
+    }
+}
+
 /// The two-phase coordinator reports a provably dead model at once (every
 /// idle cycle would be a cross-thread round-trip, see `twophase.rs`) — and
 /// must keep doing so, with the global SM id, when shard 0 runs on the

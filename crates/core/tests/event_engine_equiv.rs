@@ -275,8 +275,8 @@ fn event_engine_matches_dense_on_custom_hybrids() {
     }
 }
 
-/// A deterministic hand-rolled config sweep: the proptest-based version
-/// below explores further, but this one always runs, even offline.
+/// A deterministic hand-rolled config sweep over a real workload (the
+/// `randomized` module below draws random traces as well).
 #[test]
 fn event_engine_matches_dense_under_config_perturbations() {
     let app = swiftsim_workloads::by_name("bfs")
@@ -337,16 +337,25 @@ fn event_engine_is_the_default_everywhere() {
     );
 }
 
-/// Randomized traces *and* configs, property-test style. Needs the external
-/// `proptest` crate (not vendored in offline builds): enable the crate's
-/// `proptest` feature after restoring the dev-dependency.
-#[cfg(feature = "proptest")]
+/// Random traces *and* configs, drawn from a seeded `swiftsim-rng` stream:
+/// reproducible, and run in every build.
 mod randomized {
     use super::*;
-    use proptest::prelude::*;
+    use swiftsim_rng::SmallRng;
     use swiftsim_trace::{ApplicationTrace, InstBuilder, KernelTrace, Opcode};
 
-    fn build_app(blocks: u32, warps: u32, bodies: &[Vec<(u8, u64)>]) -> ApplicationTrace {
+    /// One to three warp bodies of `(opcode selector, address seed)` pairs.
+    fn random_bodies(rng: &mut SmallRng) -> Vec<Vec<(u32, u64)>> {
+        (0..rng.gen_range(1usize..4))
+            .map(|_| {
+                (0..rng.gen_range(1usize..16))
+                    .map(|_| (rng.gen_range(0u32..5), rng.next_u64()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn build_app(blocks: u32, warps: u32, bodies: &[Vec<(u32, u64)>]) -> ApplicationTrace {
         let mut kernel = KernelTrace::new("equiv", (blocks, 1, 1), (warps * 32, 1, 1));
         for b in 0..blocks {
             let block = kernel.push_block();
@@ -378,72 +387,59 @@ mod randomized {
         ApplicationTrace::new("equiv", vec![kernel])
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn random_configs_and_traces_are_skip_policy_invariant(
-            blocks in 1u32..5,
-            warps in 1u32..4,
-            num_sms in 1u32..4,
-            preset_sel in 0u8..3,
-            bodies in prop::collection::vec(
-                prop::collection::vec((0u8..5, any::<u64>()), 1..16),
-                1..4,
-            ),
-        ) {
+    #[test]
+    fn random_configs_and_traces_are_skip_policy_invariant() {
+        let mut rng = SmallRng::seed_from_u64(0x5ee9_0001);
+        for case in 0..16 {
+            let (blocks, warps) = (rng.gen_range(1u32..5), rng.gen_range(1u32..4));
             let mut cfg = super::small_gpu();
-            cfg.num_sms = num_sms;
-            cfg.memory.partitions = num_sms;
-            let preset = match preset_sel {
-                0 => SimulatorPreset::Detailed,
-                1 => SimulatorPreset::SwiftBasic,
-                _ => SimulatorPreset::SwiftMemory,
-            };
-            let app = build_app(blocks, warps, &bodies);
+            cfg.num_sms = rng.gen_range(1u32..4);
+            cfg.memory.partitions = cfg.num_sms;
+            let preset = [
+                SimulatorPreset::Detailed,
+                SimulatorPreset::SwiftBasic,
+                SimulatorPreset::SwiftMemory,
+            ][rng.gen_range(0usize..3)];
+            let app = build_app(blocks, warps, &random_bodies(&mut rng));
             let (dense, event) = super::preset_pair(preset);
-            let a = super::run_with(&cfg, dense, 1, &app);
-            let b = super::run_with(&cfg, event, 1, &app);
-            prop_assert_eq!(a.cycles, b.cycles);
-            prop_assert_eq!(&a.kernels, &b.kernels);
-            prop_assert_eq!(&a.metrics, &b.metrics);
+            assert_stats_equal(
+                &run_with(&cfg, dense, 1, &app),
+                &run_with(&cfg, event, 1, &app),
+                &format!(
+                    "case {case}: {preset:?}, {blocks}x{warps} warps, {} SMs",
+                    cfg.num_sms
+                ),
+            );
         }
+    }
 
-        /// Randomized synchronization quanta: per-cycle commits must stay
-        /// bit-identical to single-threaded for any trace, and relaxed
-        /// quanta must stay deterministic run-to-run.
-        #[test]
-        fn random_quanta_are_deterministic(
-            quantum in 2u32..48,
-            threads in 2usize..5,
-            blocks in 1u32..5,
-            warps in 1u32..4,
-            bodies in prop::collection::vec(
-                prop::collection::vec((0u8..5, any::<u64>()), 1..16),
-                1..4,
-            ),
-        ) {
-            let cfg = super::small_gpu(); // 4 SMs
-            let threads = threads.min(4);
-            let app = build_app(blocks, warps, &bodies);
+    /// Per-cycle commits stay bit-identical to a single thread for any
+    /// trace, and relaxed quanta stay deterministic run to run.
+    #[test]
+    fn random_quanta_are_deterministic() {
+        let cfg = super::small_gpu(); // 4 SMs
+        let mut rng = SmallRng::seed_from_u64(0x5ee9_0002);
+        for case in 0..8 {
+            let quantum = rng.gen_range(2u32..48);
+            let threads = rng.gen_range(2usize..5);
+            let (blocks, warps) = (rng.gen_range(1u32..5), rng.gen_range(1u32..4));
+            let app = build_app(blocks, warps, &random_bodies(&mut rng));
+            let ctx = format!("case {case}: {threads} threads, {blocks}x{warps} warps");
 
-            let mut per_cycle = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
-            per_cycle.sync_quantum = SyncQuantum::PerCycle;
-            let mut reference = super::run_with(&cfg, per_cycle, 1, &app);
-            let mut sharded = super::run_with(&cfg, per_cycle, threads, &app);
-            reference.metrics.set("sim.threads", super::Value::Count(0));
-            sharded.metrics.set("sim.threads", super::Value::Count(0));
-            prop_assert_eq!(reference.cycles, sharded.cycles);
-            prop_assert_eq!(&reference.kernels, &sharded.kernels);
-            prop_assert_eq!(&reference.metrics, &sharded.metrics);
+            let per_cycle = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
+            let mut reference = run_with(&cfg, per_cycle, 1, &app);
+            let mut sharded = run_with(&cfg, per_cycle, threads, &app);
+            reference.metrics.set("sim.threads", Value::Count(0));
+            sharded.metrics.set("sim.threads", Value::Count(0));
+            assert_stats_equal(&reference, &sharded, &ctx);
 
             let mut relaxed = per_cycle;
             relaxed.sync_quantum = SyncQuantum::Cycles(quantum);
-            let a = super::run_with(&cfg, relaxed, threads, &app);
-            let b = super::run_with(&cfg, relaxed, threads, &app);
-            prop_assert_eq!(a.cycles, b.cycles);
-            prop_assert_eq!(&a.kernels, &b.kernels);
-            prop_assert_eq!(&a.metrics, &b.metrics);
+            assert_stats_equal(
+                &run_with(&cfg, relaxed, threads, &app),
+                &run_with(&cfg, relaxed, threads, &app),
+                &format!("{ctx}, quantum {quantum}"),
+            );
         }
     }
 }

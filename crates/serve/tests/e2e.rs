@@ -40,14 +40,21 @@ fn opts(tag: &str) -> ServeOptions {
 /// cache provenance, slow flags) and keep everything that must not.
 fn prediction_fields(row: &Json) -> String {
     let job = row.get("job").expect("row has job");
-    let result = row.get("result").expect("row has result");
+    let Some(Json::Obj(result)) = row.get("result") else {
+        panic!("row has a result object");
+    };
+    // The whole result payload except the host's wall time, whose digit
+    // count alone would make its length differ.
+    let payload: Vec<_> = result
+        .iter()
+        .filter(|(key, _)| key != "wall_time_us")
+        .cloned()
+        .collect();
     format!(
-        "label={} key={} cycles={:?} instructions={:?} ipc_input={}",
+        "label={} key={} result={}",
         job.get("label").and_then(Json::as_str).unwrap(),
         job.get("key").and_then(Json::as_str).unwrap(),
-        result.get("cycles").and_then(Json::as_u64),
-        result.get("instructions").and_then(Json::as_u64),
-        result.dump().len(), // full result payload size as a cheap digest
+        Json::Obj(payload).dump(),
     )
 }
 
