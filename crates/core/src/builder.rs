@@ -515,6 +515,11 @@ impl RunDriver {
         mem: &dyn MemorySystem,
     ) -> Result<bool, SimError> {
         let completed = kernel + 1;
+        if cfg!(debug_assertions) {
+            if let Err(e) = mem.check_quiescent() {
+                panic!("memory still busy after kernel {kernel}: {e}");
+            }
+        }
         if let Some(path) = &self.write_to {
             let id = self.identity.as_ref().expect("write_to implies is_active");
             let memory = mem.save_state().map_err(|e| SimError::Checkpoint {

@@ -11,6 +11,13 @@
 //!   the SM↔L2 interconnect, the banked L2 slices, and the partitioned
 //!   DRAM channels, with MSHR merging, reservation-failure retries, queue
 //!   back-pressure, and dirty writebacks — event-accurately ordered.
+//!   Events pop in `(cycle, scheduling order)` order from a calendar queue
+//!   (`calendar.rs`: per-cycle lists over a 1024-cycle window, an overflow
+//!   heap beyond it, migrated the moment a cycle enters the window), and a
+//!   request's token is its slot in a free-list slab (`slab.rs`). So tokens
+//!   are opaque keys, live from [`MemReply::Pending`] to their one
+//!   [`MemCompletion`] and reused after it, never ordered by issue time.
+//!   DESIGN.md, "Cycle-accurate memory walk", states the contracts.
 //! * [`AnalyticalMemory`] computes the expected latency of each load/store
 //!   PC as `L_inst = L_L1·R_L1 + L_L2·R_L2 + L_DRAM·R_DRAM` (Eq. 1), with
 //!   the per-PC hit rates taken from a reuse-distance tool or functional
@@ -33,6 +40,12 @@ use swiftsim_noc::{Crossbar, Interconnect, Mesh, NocState, NocStats, PortState};
 use swiftsim_trace::{AddressView, MemInstRef, TraceSource};
 
 use crate::checkpoint::{WordReader, WordWriter};
+
+mod calendar;
+mod slab;
+
+use calendar::CalendarQueue;
+use slab::Slab;
 
 /// Sentinel waiter for requests nobody waits on (forwarded stores).
 const NO_WAITER: u64 = u64::MAX;
@@ -121,14 +134,25 @@ pub trait MemorySystem: Send {
         let _ = prof;
     }
 
+    /// Verify that nothing is in flight — no event, request, queued message
+    /// or MSHR entry — as must hold at every kernel end, where the engines
+    /// check it in debug builds. Default: nothing to check.
+    ///
+    /// # Errors
+    ///
+    /// Names the first live piece of state found.
+    fn check_quiescent(&self) -> Result<(), String> {
+        Ok(())
+    }
+
     /// Serialize the model's persistent state at a quiescent kernel
     /// boundary for a checkpoint snapshot (cache tags, DRAM timing,
     /// lifetime counters — everything that carries across kernels).
     ///
     /// Only valid at a kernel boundary, where no request or event is in
-    /// flight; implementations must verify that quiescence and refuse
-    /// otherwise. Models that do not support checkpointing keep the
-    /// default, which refuses.
+    /// flight; implementations must verify that quiescence
+    /// ([`MemorySystem::check_quiescent`]) and refuse otherwise. Models
+    /// that do not support checkpointing keep the default, which refuses.
     ///
     /// # Errors
     ///
@@ -174,38 +198,6 @@ enum Event {
     DramDrain { part: usize },
 }
 
-/// Heap entry: min-ordered by (time, sequence) with the payload inline.
-#[derive(Debug, Clone)]
-struct HeapEvent {
-    at: Cycle,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for HeapEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEvent {}
-impl PartialOrd for HeapEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct L2Waiter {
-    sm: usize,
-    line_addr: u64,
-}
-
 #[derive(Debug)]
 struct PendingReq {
     outstanding: u32,
@@ -224,11 +216,14 @@ pub struct CycleAccurateMemory {
     rsp_noc: Box<dyn Interconnect>,
     line_bytes: u32,
     partitions: u32,
-    events: BinaryHeap<HeapEvent>,
-    event_seq: u64,
-    reqs: FastMap<u64, PendingReq>,
+    /// Pending events, popped in `(cycle, scheduling order)` order; its
+    /// scheduling counter is the snapshot's `event_seq` word.
+    events: CalendarQueue<Event>,
+    /// In-flight warp requests; a request's token is its slot.
+    reqs: Slab<PendingReq>,
+    /// Requests ever issued and L2 waiters ever registered: snapshot words
+    /// only (ids are slots, not these counts).
     next_token: u64,
-    l2_waiters: FastMap<u64, L2Waiter>,
     next_l2_waiter: u64,
     /// Source-side injection queues: messages the NoC or DRAM refused,
     /// drained in order as the destination frees (one armed drain event per
@@ -292,11 +287,9 @@ impl CycleAccurateMemory {
             rsp_noc: make_noc(cfg, parts, sms),
             line_bytes: cfg.memory.l2.line_bytes,
             partitions: cfg.memory.partitions,
-            events: BinaryHeap::new(),
-            event_seq: 0,
-            reqs: FastMap::default(),
+            events: CalendarQueue::new(),
+            reqs: Slab::new(),
             next_token: 0,
-            l2_waiters: FastMap::default(),
             next_l2_waiter: 0,
             fwd_pending: vec![VecDeque::new(); parts],
             fwd_armed: vec![false; parts],
@@ -317,9 +310,7 @@ impl CycleAccurateMemory {
     }
 
     fn schedule(&mut self, at: Cycle, event: Event) {
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        self.events.push(HeapEvent { at, seq, event });
+        self.events.push(at, event);
     }
 
     fn partition_of(&self, line_addr: u64) -> usize {
@@ -468,16 +459,17 @@ impl CycleAccurateMemory {
             return;
         }
         let (_sm, token) = unpack_sm_token(packed);
-        let done = {
-            let Some(req) = self.reqs.get_mut(&token) else {
-                return;
-            };
-            req.outstanding -= 1;
-            req.last_ready = req.last_ready.max(at);
-            req.outstanding == 0
+        let slot = token as usize;
+        // One completion per request: a transaction never outlives its
+        // request, so its slot cannot have been freed (or reused) yet.
+        let Some(req) = self.reqs.get_mut(slot) else {
+            debug_assert!(false, "transaction completed for dead request {token}");
+            return;
         };
-        if done {
-            let req = self.reqs.remove(&token).expect("checked above");
+        req.outstanding -= 1;
+        req.last_ready = req.last_ready.max(at);
+        if req.outstanding == 0 {
+            let req = self.reqs.remove(slot).expect("live");
             completions.push(MemCompletion {
                 token,
                 at: req.last_ready,
@@ -543,34 +535,29 @@ impl CycleAccurateMemory {
         }
     }
 
+    /// Retry up to two transactions blocked at L2 slice `part`.
+    fn admit_l2_blocked(&mut self, part: usize, now: Cycle) {
+        for _ in 0..2 {
+            let Some((txn, waiter)) = self.l2_blocked[part].pop_front() else {
+                break;
+            };
+            self.schedule(now + 1, Event::L2Access { part, txn, waiter });
+        }
+    }
+
     fn handle_event(&mut self, now: Cycle, event: Event, completions: &mut Vec<MemCompletion>) {
         match event {
             Event::FwdDrain { part } => self.drain_fwd(part, now),
             Event::RspDrain { sm } => self.drain_rsp(sm, now),
             Event::DramDrain { part } => self.drain_dram(part, now),
             Event::L2Access { part, txn, waiter } => {
-                // The L2-level waiter wraps the original requester so the
-                // reply can be routed back.
-                let l2_waiter_id = if waiter == NO_WAITER {
-                    NO_WAITER
-                } else {
-                    let id = self.next_l2_waiter;
+                // The L2 MSHR holds the requester's packed (SM, token): the
+                // fill's line and that SM are all a reply needs, and the
+                // token itself completes at L1 fill time.
+                if waiter != NO_WAITER {
                     self.next_l2_waiter += 1;
-                    // `waiter` here is an (sm, token) pair packed by caller.
-                    let (sm, _token) = unpack_sm_token(waiter);
-                    self.l2_waiters.insert(
-                        id,
-                        L2Waiter {
-                            sm,
-                            line_addr: txn.line_addr,
-                        },
-                    );
-                    // Remember the token for final completion at L1 fill
-                    // time; the L1 MSHR already holds it, so nothing more
-                    // to store here.
-                    id
-                };
-                match self.l2[part].access(txn, pack_l2(l2_waiter_id, waiter), now) {
+                }
+                match self.l2[part].access(txn, waiter, now) {
                     AccessOutcome::Hit {
                         ready_at,
                         downstream_write,
@@ -580,7 +567,6 @@ impl CycleAccurateMemory {
                         }
                         if waiter != NO_WAITER {
                             let (sm, _token) = unpack_sm_token(waiter);
-                            self.l2_waiters.remove(&l2_waiter_id);
                             self.reply_to_sm(
                                 part,
                                 sm,
@@ -598,17 +584,17 @@ impl CycleAccurateMemory {
                         // L2 is write-back/write-allocate in all presets, but
                         // a no-allocate configuration forwards to DRAM.
                         self.submit_dram(part, forward.line_addr, true, false, now);
-                        if waiter != NO_WAITER {
-                            self.l2_waiters.remove(&l2_waiter_id);
-                        }
                     }
                     AccessOutcome::ReservationFailure => {
-                        if waiter != NO_WAITER {
-                            self.l2_waiters.remove(&l2_waiter_id);
-                        }
                         self.retry_cycles += 1;
                         self.l2_blocked[part].push_back((txn, waiter));
                     }
+                }
+                // Blocked transactions wait for DRAM returns; once the slice
+                // has no fill in flight, none will come, so the retries
+                // admitted by the last one admit the next.
+                if self.l2[part].mshr_occupancy() == 0 {
+                    self.admit_l2_blocked(part, now);
                 }
             }
             Event::DramReturn { part, line_addr } => {
@@ -616,24 +602,15 @@ impl CycleAccurateMemory {
                 // The fill freed one L2 MSHR entry (and possibly a way):
                 // admit a couple of blocked transactions, keeping the rest
                 // queued for later returns.
-                for _ in 0..2 {
-                    let Some((txn, waiter)) = self.l2_blocked[part].pop_front() else {
-                        break;
-                    };
-                    self.schedule(now + 1, Event::L2Access { part, txn, waiter });
-                }
+                self.admit_l2_blocked(part, now);
                 if let Some(wb) = fill.writeback {
                     self.submit_dram(part, wb.line_addr, true, false, now);
                 }
-                for packed in fill.waiters {
-                    let (l2_waiter_id, _orig) = unpack_l2(packed);
-                    if l2_waiter_id == NO_WAITER {
-                        continue;
+                for waiter in fill.waiters {
+                    if waiter != NO_WAITER {
+                        let (sm, _token) = unpack_sm_token(waiter);
+                        self.reply_to_sm(part, sm, line_addr, 5, now);
                     }
-                    let Some(w) = self.l2_waiters.remove(&l2_waiter_id) else {
-                        continue;
-                    };
-                    self.reply_to_sm(part, w.sm, w.line_addr, 5, now);
                 }
             }
             Event::L1Fill { sm, line_addr } => {
@@ -691,6 +668,10 @@ fn make_noc(cfg: &GpuConfig, num_src: usize, num_dst: usize) -> Box<dyn Intercon
     }
 }
 
+fn total_len<T>(queues: &[VecDeque<T>]) -> usize {
+    queues.iter().map(VecDeque::len).sum()
+}
+
 /// Pack an SM index and token into the single u64 the L1 waiter slot holds.
 fn pack_sm_token(sm: usize, token: u64) -> u64 {
     debug_assert!(token < 1 << 48);
@@ -699,15 +680,6 @@ fn pack_sm_token(sm: usize, token: u64) -> u64 {
 
 fn unpack_sm_token(packed: u64) -> (usize, u64) {
     ((packed >> 48) as usize, packed & ((1 << 48) - 1))
-}
-
-/// Pack the L2-waiter slab id alongside the original requester id.
-fn pack_l2(l2_waiter_id: u64, _orig: u64) -> u64 {
-    l2_waiter_id
-}
-
-fn unpack_l2(packed: u64) -> (u64, u64) {
-    (packed, 0)
 }
 
 impl MemorySystem for CycleAccurateMemory {
@@ -722,22 +694,18 @@ impl MemorySystem for CycleAccurateMemory {
         if txns.iter().all(|t| t.write) {
             self.store_only += 1;
         }
-        let token = self.next_token;
         self.next_token += 1;
-        let packed = pack_sm_token(sm, token);
-
         // Register the request *before* touching the L1: an event-path
         // transaction (retry) may otherwise complete against a missing
         // entry.
-        self.reqs.insert(
-            token,
-            PendingReq {
-                outstanding: txns.len() as u32,
-                last_ready: now + 1,
-                sm,
-                issued_at: now,
-            },
-        );
+        let slot = self.reqs.insert(PendingReq {
+            outstanding: txns.len() as u32,
+            last_ready: now + 1,
+            sm,
+            issued_at: now,
+        });
+        let token = slot as u64;
+        let packed = pack_sm_token(sm, token);
 
         let mut sync_count = 0u32;
         let mut sync_latest: Cycle = 0;
@@ -757,11 +725,11 @@ impl MemorySystem for CycleAccurateMemory {
 
         // Looked up only now: an event-path retry inside the loop may have
         // touched the entry.
-        let req = self.reqs.get_mut(&token).expect("just inserted");
+        let req = self.reqs.get_mut(slot).expect("just inserted");
         req.outstanding -= sync_count;
         req.last_ready = req.last_ready.max(sync_latest);
         if req.outstanding == 0 {
-            let req = self.reqs.remove(&token).expect("present");
+            let req = self.reqs.remove(slot).expect("present");
             return MemReply::Done(req.last_ready);
         }
         MemReply::Pending(token)
@@ -769,22 +737,20 @@ impl MemorySystem for CycleAccurateMemory {
 
     fn advance(&mut self, now: Cycle, completions: &mut Vec<MemCompletion>) {
         if !self.profiling {
-            while self.events.peek().is_some_and(|e| e.at <= now) {
-                let HeapEvent { at, event, .. } = self.events.pop().expect("peeked");
+            while let Some((at, event)) = self.events.pop_due(now) {
                 self.events_processed += 1;
                 self.handle_event(at, event, completions);
             }
             return;
         }
-        if self.events.peek().is_none_or(|e| e.at > now) {
+        let Some((mut at, mut event)) = self.events.pop_due(now) else {
             return;
-        }
+        };
         // One Instant pair per drain burst (not per event) keeps the probe
         // cost negligible; the wall time is split by per-level event counts
         // in report_profile.
         let t0 = std::time::Instant::now();
-        while self.events.peek().is_some_and(|e| e.at <= now) {
-            let HeapEvent { at, event, .. } = self.events.pop().expect("peeked");
+        loop {
             self.events_processed += 1;
             self.prof_level_events[match event {
                 Event::L1Fill { .. } => 0,
@@ -793,19 +759,23 @@ impl MemorySystem for CycleAccurateMemory {
                 Event::DramReturn { .. } | Event::DramDrain { .. } => 3,
             }] += 1;
             self.handle_event(at, event, completions);
+            let Some(next) = self.events.pop_due(now) else {
+                break;
+            };
+            (at, event) = next;
         }
         self.prof_advance_ns += t0.elapsed().as_nanos() as u64;
     }
 
     fn next_event(&self) -> Option<Cycle> {
-        self.events.peek().map(|e| e.at)
+        self.events.next_at()
     }
 
     fn oldest_pending(&self) -> Option<String> {
         let (token, req) = self
             .reqs
             .iter()
-            .min_by_key(|(&token, req)| (req.issued_at, token))?;
+            .min_by_key(|&(slot, req)| (req.issued_at, slot))?;
         let mut msg = format!(
             "oldest memory request: token {token} from SM {} issued at cycle {} \
              ({} transactions outstanding)",
@@ -902,29 +872,24 @@ impl MemorySystem for CycleAccurateMemory {
         self.prof_level_events = [0; 4];
     }
 
-    fn save_state(&self) -> Result<Json, String> {
-        // A kernel boundary is quiescent: every event has drained, every
-        // request has completed, every queue is empty. Anything else in
-        // flight would be lost by the snapshot, so refuse loudly.
-        if !self.events.is_empty() {
+    fn check_quiescent(&self) -> Result<(), String> {
+        if self.events.len() != 0 {
             return Err(format!("{} events still scheduled", self.events.len()));
         }
-        if !self.reqs.is_empty() {
+        if self.reqs.len() != 0 {
             return Err(format!("{} requests still pending", self.reqs.len()));
         }
-        if !self.l2_waiters.is_empty() {
-            return Err(format!(
-                "{} L2 waiters still pending",
-                self.l2_waiters.len()
-            ));
-        }
-        let queued: usize = self.fwd_pending.iter().map(VecDeque::len).sum::<usize>()
-            + self.rsp_pending.iter().map(VecDeque::len).sum::<usize>()
-            + self.dram_pending.iter().map(VecDeque::len).sum::<usize>()
-            + self.l1_blocked.iter().map(VecDeque::len).sum::<usize>()
-            + self.l2_blocked.iter().map(VecDeque::len).sum::<usize>();
-        if queued != 0 {
-            return Err(format!("{queued} messages still queued for injection"));
+        let queues: [(&str, usize); 5] = [
+            ("forward-NoC injection", total_len(&self.fwd_pending)),
+            ("reply-NoC injection", total_len(&self.rsp_pending)),
+            ("DRAM submission", total_len(&self.dram_pending)),
+            ("L1-blocked", total_len(&self.l1_blocked)),
+            ("L2-blocked", total_len(&self.l2_blocked)),
+        ];
+        for (what, queued) in queues {
+            if queued != 0 {
+                return Err(format!("{queued} messages still in the {what} queues"));
+            }
         }
         if self
             .fwd_armed
@@ -935,6 +900,21 @@ impl MemorySystem for CycleAccurateMemory {
         {
             return Err("a drain event is still armed".to_owned());
         }
+        for (what, caches) in [("l1", &self.l1), ("l2", &self.l2)] {
+            for (i, cache) in caches.iter().enumerate() {
+                let live = cache.mshr_occupancy();
+                if live != 0 {
+                    return Err(format!("{what}[{i}] has {live} MSHR entries in flight"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn save_state(&self) -> Result<Json, String> {
+        // Anything in flight would be lost by the snapshot, so refuse
+        // loudly.
+        self.check_quiescent()?;
         let caches = |list: &[SectorCache], what: &str| -> Result<Json, String> {
             let mut out = Vec::with_capacity(list.len());
             for (i, cache) in list.iter().enumerate() {
@@ -947,7 +927,7 @@ impl MemorySystem for CycleAccurateMemory {
         };
         let mut counters = WordWriter::new();
         for &c in &[
-            self.event_seq,
+            self.events.scheduled(),
             self.next_token,
             self.next_l2_waiter,
             self.retry_cycles,
@@ -1038,7 +1018,7 @@ impl MemorySystem for CycleAccurateMemory {
             .and_then(Json::as_str)
             .ok_or_else(|| "memory snapshot missing counters".to_owned())?;
         let mut r = WordReader::new(counters, "memory counters");
-        self.event_seq = r.next()?;
+        self.events.set_scheduled(r.next()?);
         self.next_token = r.next()?;
         self.next_l2_waiter = r.next()?;
         self.retry_cycles = r.next()?;

@@ -207,3 +207,79 @@ fn sharded_fast_deadlock_is_prompt_at_two_and_four_threads() {
         );
     }
 }
+
+/// `stores` warps of block 0 store to the line warp 0 loads, so the L2
+/// slice's MSHR entry for it reaches its merge limit (4) and the later
+/// stores are blocked at the slice; after `delay` instructions SM 1 loads
+/// the same line and queues behind them. A DRAM return admits two blocked
+/// transactions, and here both are stores that hit the line it just
+/// filled, so no further return follows. The slice must keep admitting its
+/// blocked queue once no fill is in flight, or SM 1's load (and the stores
+/// behind the first two) would wait for a return that never comes.
+fn app_blocked_at_l2(stores: u32, delay: u32) -> ApplicationTrace {
+    let line = 0x8000;
+    let mut kernel = KernelTrace::new("l2_blocked", (2, 1, 1), (32 * (stores + 1), 1, 1));
+    let b0 = kernel.push_block();
+    let w = b0.push_warp();
+    w.push(
+        InstBuilder::new(Opcode::Ldg)
+            .pc(0)
+            .dst(8)
+            .src(2)
+            .global_strided(line, 4, 4),
+    );
+    w.push(InstBuilder::new(Opcode::Exit).pc(16));
+    for _ in 0..stores {
+        let w = b0.push_warp();
+        w.push(
+            InstBuilder::new(Opcode::Stg)
+                .pc(32)
+                .src(2)
+                .global_strided(line, 4, 4),
+        );
+        w.push(InstBuilder::new(Opcode::Exit).pc(48));
+    }
+    let b1 = kernel.push_block();
+    let w = b1.push_warp();
+    for i in 0..delay {
+        w.push(InstBuilder::new(Opcode::Iadd).pc(64 + i * 16).dst(4).src(4));
+    }
+    w.push(
+        InstBuilder::new(Opcode::Ldg)
+            .pc(1024)
+            .dst(8)
+            .src(2)
+            .global_strided(line, 4, 4),
+    );
+    w.push(InstBuilder::new(Opcode::Exit).pc(1040));
+    for _ in 0..stores {
+        b1.push_warp().push(InstBuilder::new(Opcode::Exit).pc(2048));
+    }
+    ApplicationTrace::new("l2_blocked", vec![kernel])
+}
+
+#[test]
+fn transactions_blocked_at_l2_are_admitted_without_a_dram_return() {
+    let mut cfg = presets::rtx2080ti();
+    cfg.num_sms = 2;
+    cfg.memory.partitions = 1;
+    cfg.sm.max_blocks = 1; // block 1 (the late load) lands on SM 1
+    for (stores, delay) in [(6, 4), (8, 16), (12, 32)] {
+        for (preset, threads) in [
+            (SimulatorPreset::Detailed, 1),
+            (SimulatorPreset::SwiftBasic, 1),
+            (SimulatorPreset::SwiftBasic, 2),
+        ] {
+            let result = swiftsim_core::run(
+                &app_blocked_at_l2(stores, delay),
+                &cfg,
+                &RunOptions::default()
+                    .with_preset(preset)
+                    .with_threads(threads),
+            );
+            if let Err(e) = result {
+                panic!("{stores} stores, delay {delay}, {preset:?}, {threads} threads: {e}");
+            }
+        }
+    }
+}
