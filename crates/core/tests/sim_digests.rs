@@ -36,8 +36,13 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use swiftsim_config::{fnv1a64, presets, SchedulerPolicy};
-use swiftsim_core::{RunOptions, SimulationResult, SimulatorPreset, StatId};
+use swiftsim_core::{
+    FidelityConfig, MemoryModelKind, RunOptions, SamplingPolicy, SimulationResult, SimulatorPreset,
+    SkipPolicy, StatId, SyncQuantum,
+};
+use swiftsim_trace::ApplicationTrace;
 use swiftsim_workloads::Scale;
 
 fn golden_path() -> PathBuf {
@@ -57,59 +62,208 @@ fn stats_digest(result: &SimulationResult) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// One line of the golden file: a comment, or a run to digest.
+enum Line<'a> {
+    Comment(String),
+    Run {
+        app: &'a str,
+        trace: &'a ApplicationTrace,
+        key: String,
+        scheduler: SchedulerPolicy,
+        options: RunOptions,
+    },
+}
+
 /// The golden rows: every suite app under every preset, first with the
 /// preset's own warp scheduler (GTO, Table II) and then once per other
-/// policy, whose name joins the preset in the key (`swift-basic/lrr`).
-fn current_digests() -> String {
-    let apps: Vec<_> = swiftsim_workloads::suite()
-        .into_iter()
-        .map(|workload| (workload.name, workload.generate(Scale::Tiny)))
-        .collect();
-    let mut out = String::new();
-    writeln!(
-        out,
-        "# swiftsim-core simulated statistics, tiny scale, rtx2080ti"
-    )
-    .unwrap();
-    writeln!(out, "# app preset cycles instructions fnv1a64(stats)").unwrap();
+/// policy, whose name joins the preset in the key (`swift-basic/lrr`);
+/// then one row per app for each single-threaded variant the presets do
+/// not reach, keyed by the variant's fidelity token (`swift-basic/dense`):
+/// the dense clock, the reuse-distance analytical memory, a relaxed sync
+/// quantum (which a one-thread run ignores, so those rows repeat the
+/// swift-basic ones) and kernel-launch sampling. Sampling replays only
+/// repeated launches, which no tiny app has, so its rows run `thrice`:
+/// each app's kernel sequence launched three times over.
+fn golden_lines<'a>(
+    apps: &'a [(&'static str, ApplicationTrace)],
+    thrice: &'a [(&'static str, ApplicationTrace)],
+) -> Vec<Line<'a>> {
+    let presets_and_labels = [
+        (SimulatorPreset::Detailed, "detailed"),
+        (SimulatorPreset::SwiftBasic, "swift-basic"),
+        (SimulatorPreset::SwiftMemory, "swift-memory"),
+    ];
+    let mut lines = vec![
+        Line::Comment("# swiftsim-core simulated statistics, tiny scale, rtx2080ti".to_owned()),
+        Line::Comment("# app preset cycles instructions fnv1a64(stats)".to_owned()),
+    ];
     for policy in [
         SchedulerPolicy::Gto,
         SchedulerPolicy::Lrr,
         SchedulerPolicy::TwoLevel,
     ] {
-        let mut cfg = presets::rtx2080ti();
-        let suffix = if policy == cfg.sm.scheduler {
+        let suffix = if policy == presets::rtx2080ti().sm.scheduler {
             String::new()
         } else {
             format!("/{policy}")
         };
         if !suffix.is_empty() {
-            writeln!(
-                out,
+            lines.push(Line::Comment(format!(
                 "# app preset/{policy} cycles instructions fnv1a64(stats)"
-            )
-            .unwrap();
+            )));
         }
-        cfg.sm.scheduler = policy;
-        for (name, app) in &apps {
-            for (preset, label) in [
-                (SimulatorPreset::Detailed, "detailed"),
-                (SimulatorPreset::SwiftBasic, "swift-basic"),
-                (SimulatorPreset::SwiftMemory, "swift-memory"),
-            ] {
-                let result =
-                    swiftsim_core::run(app, &cfg, &RunOptions::default().with_preset(preset))
-                        .unwrap_or_else(|e| panic!("{name} under {label}{suffix}: {e}"));
-                writeln!(
-                    out,
-                    "{name} {label}{suffix} {} {} {:016x}",
-                    result.cycles,
-                    result.instructions(),
-                    stats_digest(&result)
-                )
-                .unwrap();
+        for (app, trace) in apps {
+            for (preset, label) in presets_and_labels {
+                lines.push(Line::Run {
+                    app,
+                    trace,
+                    key: format!("{label}{suffix}"),
+                    scheduler: policy,
+                    options: RunOptions::default().with_preset(preset),
+                });
             }
         }
+    }
+
+    let basic = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
+    let memory = FidelityConfig::for_preset(SimulatorPreset::SwiftMemory);
+    let variants = [
+        (
+            "swift-basic",
+            FidelityConfig {
+                skip_policy: SkipPolicy::Dense,
+                ..basic
+            },
+            SkipPolicy::Dense.token().to_owned(),
+            apps,
+        ),
+        (
+            "swift-memory",
+            FidelityConfig {
+                memory: MemoryModelKind::AnalyticalReuse,
+                ..memory
+            },
+            MemoryModelKind::AnalyticalReuse.token().to_owned(),
+            apps,
+        ),
+        (
+            "swift-basic",
+            FidelityConfig {
+                sync_quantum: SyncQuantum::Cycles(32),
+                ..basic
+            },
+            "sync_q32".to_owned(),
+            apps,
+        ),
+        (
+            "swift-basic",
+            FidelityConfig {
+                sampling: SamplingPolicy::KernelCluster { reps: 2 },
+                ..basic
+            },
+            "sampled_r2".to_owned(),
+            thrice,
+        ),
+    ];
+    for (label, fidelity, token, traces) in variants {
+        let note = if std::ptr::eq(traces, thrice) {
+            ", kernels launched three times over"
+        } else {
+            ""
+        };
+        lines.push(Line::Comment(format!(
+            "# app {label}/{token} cycles instructions fnv1a64(stats), one thread{note}"
+        )));
+        for (app, trace) in traces {
+            lines.push(Line::Run {
+                app,
+                trace,
+                key: format!("{label}/{token}"),
+                scheduler: presets::rtx2080ti().sm.scheduler,
+                options: RunOptions::default()
+                    .with_fidelity(fidelity)
+                    .with_threads(1),
+            });
+        }
+    }
+    lines
+}
+
+/// Map `items` through `f` on a few scoped threads, keeping their order.
+fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return mine;
+                        };
+                        mine.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (i, r) in done {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every item mapped"))
+        .collect()
+}
+
+fn current_digests() -> String {
+    let apps: Vec<_> = swiftsim_workloads::suite()
+        .into_iter()
+        .map(|workload| (workload.name, workload.generate(Scale::Tiny)))
+        .collect();
+    let thrice: Vec<_> = apps
+        .iter()
+        .map(|(name, app)| {
+            let kernels = app.kernels();
+            let launches = kernels.iter().cycle().take(3 * kernels.len()).cloned();
+            (
+                *name,
+                ApplicationTrace::new(app.name.clone(), launches.collect()),
+            )
+        })
+        .collect();
+    let lines = golden_lines(&apps, &thrice);
+    let rendered = par_map(&lines, |line| match line {
+        Line::Comment(text) => text.clone(),
+        Line::Run {
+            app,
+            trace,
+            key,
+            scheduler,
+            options,
+        } => {
+            let mut cfg = presets::rtx2080ti();
+            cfg.sm.scheduler = *scheduler;
+            let result = swiftsim_core::run(*trace, &cfg, options)
+                .unwrap_or_else(|e| panic!("{app} under {key}: {e}"));
+            format!(
+                "{app} {key} {} {} {:016x}",
+                result.cycles,
+                result.instructions(),
+                stats_digest(&result)
+            )
+        }
+    });
+    let mut out = String::new();
+    for line in rendered {
+        writeln!(out, "{line}").unwrap();
     }
     out
 }
@@ -118,6 +272,20 @@ fn current_digests() -> String {
 fn simulated_stats_match_the_golden_snapshot() {
     let current = current_digests();
     let path = golden_path();
+
+    // One thread has no quantum to relax: its sync_q32 rows are the
+    // swift-basic rows under another key.
+    let numbers = |key: &str| -> Vec<(String, String)> {
+        current
+            .lines()
+            .filter_map(|l| {
+                let (app, rest) = l.split_once(' ')?;
+                let (k, nums) = rest.split_once(' ')?;
+                (k == key).then(|| (app.to_owned(), nums.to_owned()))
+            })
+            .collect()
+    };
+    assert_eq!(numbers("swift-basic/sync_q32"), numbers("swift-basic"));
 
     if std::env::var_os("UPDATE_DIGESTS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
