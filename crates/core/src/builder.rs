@@ -1,11 +1,14 @@
-//! Simulator construction and the single-threaded engine loop.
+//! Simulator construction and the per-run driver around the kernel loop.
 //!
 //! "Based on the modular modeling approach, we can adopt various modeling
 //! methods for a single module" (§III-B3). A simulator instance is a
 //! hardware description ([`GpuConfig`]) plus one [`RunOptions`] value
 //! carrying everything else — fidelity (including sampling), thread count,
 //! profiling, checkpointing. [`SimulatorPreset`] is a pure alias table over
-//! the fidelity plan (see [`FidelityConfig::for_preset`]).
+//! the fidelity plan (see [`FidelityConfig::for_preset`]). Every run, on
+//! any thread count, goes through the one kernel loop in
+//! [`crate::twophase`]; [`RunDriver`] is its per-run sampling and
+//! checkpointing companion.
 //!
 //! The one-call entry point is the free [`run`]:
 //!
@@ -27,22 +30,16 @@
 
 use crate::checkpoint::Snapshot;
 use crate::error::SimError;
-use crate::fidelity::{FidelityConfig, MemoryModelKind, SamplingPolicy, SyncQuantum};
-use crate::gpu::run_kernel_shard;
+use crate::fidelity::FidelityConfig;
 use crate::input::TraceInput;
-use crate::mem_system::{
-    build_analytical_memory_for, build_analytical_memory_reuse_for, CycleAccurateMemory,
-    MemorySystem,
-};
+use crate::mem_system::MemorySystem;
 use crate::options::{CheckpointOptions, RunOptions};
-use crate::parallel::run_parallel;
-use crate::prefetch::Prefetcher;
 use crate::result::{Confidence, KernelResult, SimulationResult};
 use crate::sampling::{RepMeasure, Sampler};
 use crate::sm::SmStats;
 use crate::Cycle;
 use swiftsim_config::GpuConfig;
-use swiftsim_metrics::{MetricsCollector, ProfileReport, Profiler, Value};
+use swiftsim_metrics::{MetricsCollector, Value};
 use swiftsim_trace::TraceSource;
 
 /// The three simulator configurations of the paper's evaluation.
@@ -103,12 +100,9 @@ pub struct GpuSimulator {
 impl GpuSimulator {
     /// Build a simulator from a hardware description and run options,
     /// validating both up front: the hardware must pass
-    /// [`GpuConfig::validate`], an explicit thread count must not exceed
-    /// the SM count (each worker shards at least one SM; `0` resolves to
-    /// `min(`[`crate::max_threads`]`(), num_sms)`), and sampling or
-    /// checkpointing must not be combined with the legacy
-    /// [`SyncQuantum::Unsynchronized`] engine — its privately sharded
-    /// memory has no single state to snapshot or replay against.
+    /// [`GpuConfig::validate`], and an explicit thread count must not
+    /// exceed the SM count (each worker shards at least one SM; `0`
+    /// resolves to `min(`[`crate::max_threads`]`(), num_sms)`).
     ///
     /// # Errors
     ///
@@ -132,24 +126,6 @@ impl GpuSimulator {
             }
             options.threads
         };
-        if threads > 1 && options.fidelity.sync_quantum == SyncQuantum::Unsynchronized {
-            if options.fidelity.sampling != SamplingPolicy::Off {
-                return Err(SimError::InvalidConfig {
-                    message: "kernel-launch sampling requires a synchronized engine; \
-                              the unsynchronized quantum shards memory privately \
-                              (use -sim_sync_quantum per_cycle or a cycle count)"
-                        .to_owned(),
-                });
-            }
-            if options.checkpoint.is_active() {
-                return Err(SimError::InvalidConfig {
-                    message: "checkpointing requires a synchronized engine; the \
-                              unsynchronized quantum has no single memory state to \
-                              snapshot (use -sim_sync_quantum per_cycle or a cycle count)"
-                        .to_owned(),
-                });
-            }
-        }
         Ok(GpuSimulator {
             cfg,
             fidelity: options.fidelity,
@@ -192,147 +168,14 @@ impl GpuSimulator {
     /// geometry, a block exceeds SM resources, a kernel fails to decode, a
     /// checkpoint cannot be written/read/applied, or the model deadlocks.
     pub fn run<'a>(&self, input: impl Into<TraceInput<'a>>) -> Result<SimulationResult, SimError> {
-        let source = input.into().source();
         let started = std::time::Instant::now();
-        let mut result = if self.threads > 1 {
-            match self.fidelity.sync_quantum {
-                // Legacy decoupled shards: private memory slices, no
-                // cross-shard traffic (the paper's original model).
-                SyncQuantum::Unsynchronized => run_parallel(self, source)?,
-                // Two-phase engine: one shared memory system, shards
-                // synchronize every quantum (per-cycle = bit-identical).
-                _ => crate::twophase::run_two_phase(self, source)?,
-            }
-        } else {
-            self.run_single(source)?
-        };
+        let mut result = crate::twophase::run_two_phase(self, input.into().source())?;
         result.wall_time = started.elapsed();
         Ok(result)
     }
-
-    fn run_single(&self, source: &dyn TraceSource) -> Result<SimulationResult, SimError> {
-        let total = source.num_kernels();
-        let mut driver = RunDriver::new(self, source)?;
-        let mut mem: Box<dyn MemorySystem> = match self.fidelity.memory {
-            MemoryModelKind::CycleAccurate => Box::new(CycleAccurateMemory::new(&self.cfg)),
-            MemoryModelKind::Analytical => {
-                build_analytical_memory_for(&self.cfg, source, &driver.prepass_indices(total))?
-            }
-            MemoryModelKind::AnalyticalReuse => build_analytical_memory_reuse_for(
-                &self.cfg,
-                source,
-                &driver.prepass_indices(total),
-            )?,
-        };
-        driver.restore_memory(mem.as_mut())?;
-
-        let num_sms = self.cfg.num_sms as usize;
-        // The simulation profiler renders on track 0, the decode profiler
-        // on track 1; a shared epoch lines their frames up on one
-        // timeline, making decode/simulate overlap visible.
-        let epoch = std::time::Instant::now();
-        let mut prof = if self.profile {
-            Profiler::enabled_on_track(epoch, 0)
-        } else {
-            Profiler::disabled()
-        };
-        let decode_prof = if self.profile {
-            Profiler::enabled_on_track(epoch, 1)
-        } else {
-            Profiler::disabled()
-        };
-        mem.set_profiling(self.profile);
-
-        std::thread::scope(|scope| {
-            let mut pf = Prefetcher::with_schedule(
-                scope,
-                source,
-                decode_prof,
-                source.prefers_prefetch(),
-                driver.decode_schedule(total),
-            );
-            let (mut start, mut total_stats, mut kernels) = driver.initial();
-
-            for idx in driver.start_kernel()..total {
-                if driver.is_detailed(idx) {
-                    let kernel = pf.get(idx)?;
-                    let kernel = &*kernel;
-                    prof.begin_frame(&format!("k{idx}:{}", kernel.name));
-                    let blocks: Vec<usize> = (0..kernel.blocks().len()).collect();
-                    let sm_ids: Vec<usize> = (0..num_sms).collect();
-                    let outcome = run_kernel_shard(
-                        &self.cfg,
-                        kernel,
-                        &blocks,
-                        &sm_ids,
-                        mem.as_mut(),
-                        self.fidelity,
-                        0,
-                        start,
-                        &mut prof,
-                    )?;
-                    // Flush the memory system's per-level attribution into
-                    // the still-open frame before closing it.
-                    mem.report_profile(&mut prof);
-                    prof.end_frame();
-                    let measure = RepMeasure {
-                        cycles: outcome.end_cycle - start,
-                        stats: outcome.stats,
-                        instructions: outcome.stats.issued,
-                        blocks: outcome.blocks,
-                    };
-                    driver.record(idx, measure);
-                    kernels.push(KernelResult {
-                        name: kernel.name.clone(),
-                        cycles: measure.cycles,
-                        instructions: measure.instructions,
-                        blocks: measure.blocks,
-                    });
-                    total_stats.add(&outcome.stats);
-                    start = outcome.end_cycle;
-                } else {
-                    // Replayed launch: synthesized from its cluster's
-                    // representatives, trace body never decoded.
-                    let replayed = driver.replay(idx);
-                    kernels.push(KernelResult {
-                        name: source.kernel_meta(idx).name,
-                        cycles: replayed.cycles,
-                        instructions: replayed.instructions,
-                        blocks: replayed.blocks,
-                    });
-                    total_stats.add(&replayed.stats);
-                    start += replayed.cycles;
-                }
-                if !driver.boundary(idx, start, &total_stats, &kernels, mem.as_ref())? {
-                    break;
-                }
-            }
-
-            let mut metrics = MetricsCollector::new();
-            report_common(&mut metrics, start, &total_stats, self);
-            mem.report(&mut metrics);
-
-            let profile = self
-                .profile
-                .then(|| ProfileReport::merge(vec![prof.into_report(), pf.finish().into_report()]));
-            let confidence = driver.confidence(&kernels);
-
-            Ok(SimulationResult {
-                app: source.name().to_owned(),
-                simulator: self.description(),
-                fidelity: self.fidelity,
-                cycles: start,
-                kernels,
-                metrics,
-                wall_time: std::time::Duration::ZERO, // filled by run()
-                confidence,
-                profile,
-            })
-        })
-    }
 }
 
-/// Report engine-level counters shared by single and parallel runs.
+/// Report engine-level counters.
 pub(crate) fn report_common(
     metrics: &mut MetricsCollector,
     cycles: Cycle,
@@ -367,11 +210,10 @@ struct RunIdentity {
     threads: usize,
 }
 
-/// Per-run coordinator for sampling and checkpointing, shared by the
-/// single-threaded and two-phase engines. Owns the sampling plan and
-/// measurements, the resume snapshot, and the boundary-snapshot writer;
-/// the engine owns the clock, stats, and kernel results and threads them
-/// through.
+/// Per-run coordinator for sampling and checkpointing around the kernel
+/// loop. Owns the sampling plan and measurements, the resume snapshot, and
+/// the boundary-snapshot writer; the loop owns the clock, stats, and kernel
+/// results and threads them through.
 pub(crate) struct RunDriver {
     sampler: Option<Sampler>,
     write_to: Option<std::path::PathBuf>,
@@ -552,7 +394,9 @@ impl RunDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fidelity::{AluModelKind, FrontendModelKind, SkipPolicy};
+    use crate::fidelity::{
+        AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy, SyncQuantum,
+    };
     use swiftsim_config::presets;
 
     #[test]
@@ -654,42 +498,6 @@ mod tests {
         cfg.num_sms = 0;
         let err = GpuSimulator::try_new(cfg, &RunOptions::default()).expect_err("0 SMs is invalid");
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
-    }
-
-    #[test]
-    fn try_new_rejects_sampling_and_checkpointing_on_unsync_engine() {
-        let cfg = presets::rtx2080ti();
-        let unsync = FidelityConfig {
-            sync_quantum: SyncQuantum::Unsynchronized,
-            ..FidelityConfig::default()
-        };
-        let err = GpuSimulator::try_new(
-            cfg.clone(),
-            &RunOptions::default()
-                .with_fidelity(unsync)
-                .with_threads(2)
-                .with_sampling(SamplingPolicy::KernelCluster { reps: 2 }),
-        )
-        .expect_err("sampling on unsync engine");
-        assert!(err.to_string().contains("sampling"), "{err}");
-        let err = GpuSimulator::try_new(
-            cfg.clone(),
-            &RunOptions::default()
-                .with_fidelity(unsync)
-                .with_threads(2)
-                .with_checkpoint_out("/tmp/snap"),
-        )
-        .expect_err("checkpointing on unsync engine");
-        assert!(err.to_string().contains("checkpoint"), "{err}");
-        // Single-threaded runs never dispatch to the unsync engine, so the
-        // combination is fine there.
-        GpuSimulator::try_new(
-            cfg,
-            &RunOptions::default()
-                .with_fidelity(unsync)
-                .with_sampling(SamplingPolicy::KernelCluster { reps: 2 }),
-        )
-        .expect("threads=1 ignores the quantum");
     }
 
     #[test]

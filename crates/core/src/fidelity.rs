@@ -76,29 +76,25 @@ pub enum SkipPolicy {
 /// How often parallel SM shards synchronize with the shared memory system
 /// when a simulation runs with more than one thread.
 ///
-/// The two-phase parallel engine alternates a *compute phase* (shards tick
-/// their SMs independently, buffering memory-visible events) with a *commit
-/// phase* (buffered events are applied to the shared memory system in a
-/// deterministic global order). This knob sets the length of that cycle
-/// quantum. Single-threaded runs ignore it.
+/// The kernel loop alternates a *compute phase* (shards tick their SMs
+/// independently; every shard but the first buffers its memory-visible
+/// events) with a *commit phase* (buffered events are applied to the shared
+/// memory system in a deterministic global order). This knob sets the
+/// length of that cycle quantum. Single-threaded runs ignore it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SyncQuantum {
-    /// Commit after every simulated cycle. The committed-event order is a
-    /// total order identical to the sequential engine's call order, so the
-    /// results are **bit-identical** to a single-threaded run regardless of
-    /// thread count (gated by `event_engine_equiv`).
+    /// Commit after every simulated cycle. The committed-event order is the
+    /// order in which one thread ticks every SM, so the results are
+    /// **bit-identical** to a single-threaded run regardless of thread
+    /// count (gated by `event_engine_equiv`).
     #[default]
     PerCycle,
     /// Relaxed synchronization: shards run `n >= 2` cycles ahead between
     /// commits. Deterministic and reproducible for a fixed thread count,
     /// but memory contention is observed at quantum granularity, so the
-    /// statistics may diverge from the sequential engine. Divergence is
+    /// statistics may diverge from a single-threaded run. Divergence is
     /// exercised by the relaxed-quantum cases in `event_engine_equiv`.
     Cycles(u32),
-    /// Legacy decoupled shards: each shard owns a private slice of the
-    /// memory hierarchy and never exchanges traffic (the paper's original
-    /// parallel model). Fast, but per-shard bandwidth is an approximation.
-    Unsynchronized,
 }
 
 /// Whether (and how aggressively) repeated kernel launches are sampled.
@@ -260,7 +256,6 @@ impl SyncQuantum {
         match self {
             SyncQuantum::PerCycle => "per_cycle".to_owned(),
             SyncQuantum::Cycles(n) => n.to_string(),
-            SyncQuantum::Unsynchronized => "unsync".to_owned(),
         }
     }
 }
@@ -332,13 +327,12 @@ impl FromStr for SyncQuantum {
     fn from_str(s: &str) -> Result<Self, SimError> {
         match s {
             "per_cycle" | "per-cycle" | "1" => Ok(SyncQuantum::PerCycle),
-            "unsync" | "unsynchronized" => Ok(SyncQuantum::Unsynchronized),
             other => match other.parse::<u32>() {
                 Ok(n) if n >= 2 => Ok(SyncQuantum::Cycles(n)),
                 _ => Err(parse_err(
                     "sync quantum",
                     other,
-                    "per_cycle, a cycle count >= 2, unsync",
+                    "per_cycle, a cycle count >= 2",
                 )),
             },
         }
@@ -401,16 +395,12 @@ impl FidelityConfig {
             FrontendModelKind::Simplified => "simplified_frontend",
         };
         let mut out = format!("{alu}+{mem}+{frontend}+{}", self.skip_policy.token());
-        // The default per-cycle quantum is bit-identical to the sequential
-        // engine, so it stays silent; only non-default quanta change what a
-        // run computes and therefore must show up in descriptions (and in
-        // the campaign cache keys built from them).
-        match self.sync_quantum {
-            SyncQuantum::PerCycle => {}
-            SyncQuantum::Cycles(n) => {
-                out.push_str(&format!("+sync_q{n}"));
-            }
-            SyncQuantum::Unsynchronized => out.push_str("+unsync"),
+        // The default per-cycle quantum is bit-identical to a
+        // single-threaded run, so it stays silent; only non-default quanta
+        // change what a run computes and therefore must show up in
+        // descriptions (and in the campaign cache keys built from them).
+        if let SyncQuantum::Cycles(n) = self.sync_quantum {
+            out.push_str(&format!("+sync_q{n}"));
         }
         // Sampling changes what a run computes, so any non-off policy must
         // show up in descriptions (and in the campaign cache keys built from
@@ -584,7 +574,6 @@ mod tests {
             SyncQuantum::PerCycle,
             SyncQuantum::Cycles(2),
             SyncQuantum::Cycles(64),
-            SyncQuantum::Unsynchronized,
         ] {
             assert_eq!(q.token().parse::<SyncQuantum>().unwrap(), q);
         }
@@ -649,9 +638,14 @@ mod tests {
         assert_eq!(f.sync_quantum, SyncQuantum::Cycles(8));
         assert!(f.describe().ends_with("+sync_q8"), "{}", f.describe());
 
-        let f = FidelityConfig::parse_args("-sim_sync_quantum unsync").unwrap();
-        assert_eq!(f.sync_quantum, SyncQuantum::Unsynchronized);
-        assert!(f.describe().ends_with("+unsync"), "{}", f.describe());
+        // `unsync` names no quantum: refused with the list of valid values.
+        let err = FidelityConfig::parse_args("-sim_sync_quantum unsync").unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains("expected one of: per_cycle, a cycle count >= 2"),
+            "{err}"
+        );
 
         // The default quantum stays silent so preset descriptions (and the
         // campaign cache keys derived from them) are unchanged.

@@ -90,8 +90,9 @@ impl<M> Slot<M> {
     }
 }
 
-/// One slot per shard. Slot 0 belongs to the coordinating thread itself
-/// (it runs shard 0 inline), so only its mailbox is ever used.
+/// One slot per shard. Slot 0 belongs to the coordinating thread itself,
+/// which runs shard 0 inline, and is never used; it keeps slot indices
+/// equal to shard indices.
 pub(crate) struct Gate<M> {
     slots: Vec<Slot<M>>,
     coordinator: Thread,

@@ -7,7 +7,7 @@
 //! peak memory stays at ~2 decoded kernels regardless of application size.
 //!
 //! Decode work is attributed to [`ProfModule::TraceDecode`] on the
-//! prefetcher's own profiler (its own track in parallel runs), so the
+//! prefetcher's own profiler, on a track of its own, so the
 //! overlap between decode and simulation is visible in Perfetto traces.
 
 use crate::error::{panic_message, SimError};
@@ -41,9 +41,9 @@ fn decode_one<'env>(
 
 /// Pipelined kernel decode over a [`TraceSource`].
 ///
-/// Call [`Prefetcher::get`] with consecutive indices starting at 0; each
-/// call returns kernel *k* and (when threaded) immediately starts decoding
-/// kernel *k+1* in the background, so the decode overlaps whatever the
+/// Call [`Prefetcher::get`] with the scheduled indices in order; each call
+/// returns kernel *k* and (when threaded) immediately starts decoding the
+/// next scheduled kernel in the background, so the decode overlaps whatever the
 /// caller does with kernel *k*. In-memory sources skip the background
 /// thread: their decode is a borrow, and a thread round-trip per kernel
 /// would only add latency.
@@ -59,24 +59,13 @@ pub(crate) struct Prefetcher<'scope, 'env> {
 }
 
 impl<'scope, 'env> Prefetcher<'scope, 'env> {
-    /// Start the pipeline over every kernel in the source. `prof` is the
+    /// Start the pipeline over `schedule`, a strictly increasing list of
+    /// kernel indices — a sampled run decodes only its detailed launches,
+    /// a resumed run only the ones past its snapshot. `prof` is the
     /// profiler decode frames land on; `threaded` enables the background
     /// thread (callers pass `false` for in-memory sources). When threaded,
     /// the first scheduled decode starts immediately.
     pub(crate) fn new(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        source: &'env dyn TraceSource,
-        prof: Profiler,
-        threaded: bool,
-    ) -> Self {
-        let schedule = (0..source.num_kernels()).collect();
-        Prefetcher::with_schedule(scope, source, prof, threaded, schedule)
-    }
-
-    /// Start the pipeline over an explicit, strictly increasing subset of
-    /// kernel indices — a sampled run decodes only its detailed launches,
-    /// a resumed run only the ones past its snapshot.
-    pub(crate) fn with_schedule(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         source: &'env dyn TraceSource,
         prof: Profiler,
@@ -178,7 +167,13 @@ mod tests {
         let app = app(4);
         for threaded in [false, true] {
             std::thread::scope(|scope| {
-                let mut pf = Prefetcher::new(scope, &app, Profiler::disabled(), threaded);
+                let mut pf = Prefetcher::new(
+                    scope,
+                    &app,
+                    Profiler::disabled(),
+                    threaded,
+                    (0..4).collect(),
+                );
                 for i in 0..4 {
                     let k = pf.get(i).expect("decode");
                     assert_eq!(k.name, format!("k{i}"));
@@ -193,7 +188,13 @@ mod tests {
         let app = app(2);
         let epoch = std::time::Instant::now();
         let prof = std::thread::scope(|scope| {
-            let mut pf = Prefetcher::new(scope, &app, Profiler::enabled_on_track(epoch, 7), true);
+            let mut pf = Prefetcher::new(
+                scope,
+                &app,
+                Profiler::enabled_on_track(epoch, 7),
+                true,
+                vec![0, 1],
+            );
             for i in 0..2 {
                 pf.get(i).expect("decode");
             }
@@ -211,13 +212,8 @@ mod tests {
         let app = app(6);
         for threaded in [false, true] {
             std::thread::scope(|scope| {
-                let mut pf = Prefetcher::with_schedule(
-                    scope,
-                    &app,
-                    Profiler::disabled(),
-                    threaded,
-                    vec![1, 4, 5],
-                );
+                let mut pf =
+                    Prefetcher::new(scope, &app, Profiler::disabled(), threaded, vec![1, 4, 5]);
                 for i in [1usize, 4, 5] {
                     let k = pf.get(i).expect("decode");
                     assert_eq!(k.name, format!("k{i}"));
@@ -231,7 +227,7 @@ mod tests {
     fn empty_source_is_fine() {
         let app = app(0);
         std::thread::scope(|scope| {
-            let pf = Prefetcher::new(scope, &app, Profiler::disabled(), true);
+            let pf = Prefetcher::new(scope, &app, Profiler::disabled(), true, Vec::new());
             pf.finish();
         });
     }

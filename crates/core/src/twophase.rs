@@ -1,55 +1,60 @@
-//! The two-phase deterministic parallel engine.
+//! The kernel loop: every run, on any number of threads, goes through the
+//! two-phase coordinator here.
 //!
-//! The legacy parallel path ([`crate::parallel`]) decouples shards
-//! completely: each worker owns a private slice of the memory hierarchy and
-//! the shards never exchange traffic. That is fast but approximate — and
-//! its results depend on the shard count. This engine removes both
-//! caveats: there is **one** shared memory system, and simulated time
-//! advances in *synchronization quanta* ([`SyncQuantum`]):
+//! A run splits the GPU's SMs into contiguous *shards*, one per thread, and
+//! a single-threaded run is simply the one-shard case. There is **one**
+//! memory system, and simulated time advances in *synchronization quanta*
+//! ([`SyncQuantum`]):
 //!
 //! 1. **Compute phase** — every shard ticks its SMs through the quantum
-//!    independently: shard 0 on the calling thread, every other shard on
-//!    its own worker, so N shards are N OS threads. Memory-visible events
-//!    (global/local accesses) are not applied; a [`DeferredPort`] buffers
-//!    them into the shard's [`Mailbox`] in deterministic buffer order
-//!    (cycle-major, then SM, then issue order within the tick).
+//!    independently. Shard 0 runs on the calling thread against the memory
+//!    system itself: its SMs call [`MemorySystem::access`], read the live
+//!    `can_accept` and take `Done` replies at once, and their tokens go
+//!    straight into the coordinator's token map. Every other shard runs on
+//!    its own worker, so N shards are N OS threads; its memory-visible
+//!    events (global/local accesses) are not applied: a [`DeferredPort`]
+//!    buffers them into the shard's [`Mailbox`] in deterministic buffer
+//!    order (cycle-major, then SM, then issue order within the tick) and
+//!    answers `can_accept` from a snapshot taken at the quantum boundary.
 //! 2. **Commit phase** — the coordinator (the calling thread again) takes
-//!    the mailboxes *in shard order*, each as soon as that shard's epoch
-//!    lands at the [`Gate`], and applies every buffered access to the
-//!    shared memory system. Shard-major order over contiguous SM ranges is
-//!    exactly the sequential engine's SM-tick order, so the memory system
-//!    observes the same calls in the same order with the same arguments as
-//!    a single-threaded run.
+//!    the other shards' mailboxes *in shard order*, each as soon as that
+//!    shard's epoch lands at the [`Gate`], and applies every buffered
+//!    access to the memory system. Shard 0's accesses went in first, during
+//!    its own compute phase, so over contiguous SM ranges the memory system
+//!    observes global SM order: the same calls in the same order with the
+//!    same arguments as if one thread ticked every SM.
 //!
 //! Commands and results cross threads through [`crate::gate`]: one reused
-//! mailbox per shard, published by an epoch counter and waited for on a
+//! mailbox per worker, published by an epoch counter and waited for on a
 //! yield → park ladder — no channel, no per-quantum allocation.
 //!
 //! Under [`SyncQuantum::PerCycle`] the quantum is one cycle and the replay
 //! is *exact*: block dispatch, completion delivery, `can_accept`
 //! back-pressure snapshots, and deferred `Done` writebacks all line up
-//! with the sequential loop's intra-cycle step order (dispatch →
-//! deliver → tick), making the results **bit-identical** to
-//! `run_single` for any thread count — enforced by
-//! `tests/event_engine_equiv.rs`. The event-driven engine is folded in:
-//! every shard ticks only its awake SMs through the same sleep set as the
-//! sequential engine (`gpu.rs`, "Sleeping SMs"), reports whether all of
-//! them sleep and their earliest wake, and when every shard's SMs sleep
-//! after a quiet quantum the coordinator starts the next quantum at the
-//! earliest wake or memory event instead of the next cycle.
+//! with the one-shard step order (dispatch → deliver → tick), making the
+//! results **bit-identical** for any thread count — enforced by
+//! `tests/event_engine_equiv.rs`. One shard always synchronizes per cycle.
+//! Every shard ticks only its awake SMs through the sleep set (`gpu.rs`,
+//! "Sleeping SMs"). When every shard's SMs sleep after a quiet quantum,
+//! nothing can happen before the earliest sleeper wake, `Done` reply or
+//! memory event: the next quantum starts there instead of at the next
+//! cycle, and with none of them the kernel fails with
+//! [`SimError::Deadlock`] at once. Under
+//! [`SkipPolicy::Dense`](crate::fidelity::SkipPolicy::Dense) no SM
+//! sleeps, and a million idle cycles in a row count as a deadlock.
 //!
 //! [`SyncQuantum::Cycles`]`(q)` relaxes the hand-off: workers tick `q`
 //! cycles per phase against snapshots taken at the quantum boundary.
 //! Deterministic and reproducible for a fixed configuration, but memory
 //! contention is observed at quantum granularity, so statistics may
-//! diverge from the sequential engine (measured, not silent — see the
+//! diverge from the per-cycle engine (measured, not silent — see the
 //! `parallel_speedup` bench). Clock jumps are disabled in this mode;
 //! sleeping SMs keep idle ticks cheap instead.
 
 use crate::block_scheduler::BlockScheduler;
 use crate::builder::{GpuSimulator, RunDriver};
 use crate::error::SimError;
-use crate::fidelity::{FidelityConfig, MemoryModelKind, SkipPolicy, SyncQuantum};
+use crate::fidelity::{FidelityConfig, MemoryModelKind, SyncQuantum};
 use crate::gate::{Coordinator, Dead, Gate};
 use crate::gpu::{deadlock_detail, min_opt, occupancy, SmSet};
 use crate::mem_system::{
@@ -71,16 +76,16 @@ use swiftsim_mem::MemTxn;
 use swiftsim_metrics::{MetricsCollector, ProfModule, ProfileReport, Profiler};
 use swiftsim_trace::{KernelTrace, TraceSource};
 
-/// One buffered memory access: everything the sequential engine would have
-/// passed to [`MemorySystem::access`], plus the writeback target filled in
-/// from the issuing SM's [`TickOutcome::new_tokens`].
+/// One buffered memory access: everything shard 0 would have passed to
+/// [`MemorySystem::access`], plus the writeback target filled in from the
+/// issuing SM's [`TickOutcome::new_tokens`](crate::sm::TickOutcome).
 struct AccessRecord {
     local_sm: usize,
     pc: u32,
     /// The access's transactions, as a range of [`Mailbox::txns`].
     txns: Range<usize>,
-    /// The `now` argument the SM passed (AGU/port availability), which the
-    /// sequential engine hands to the memory system verbatim.
+    /// The `now` argument the SM passed (AGU/port availability), handed
+    /// to the memory system verbatim.
     agu_done: Cycle,
     /// The cycle the instruction issued in, for LD/ST latency attribution.
     issue_now: Cycle,
@@ -96,10 +101,23 @@ struct DeferredDone {
     issue_now: Cycle,
 }
 
-/// One shard's mailbox in the [`Gate`]: the coordinator fills the command
-/// side and the shard's [`Shard::step`] the result side, both in place, so
-/// after warm-up a quantum allocates nothing. Each list is drained by the
-/// side that reads it.
+/// What a compute phase reports to the coordinator.
+#[derive(Default)]
+struct PhaseOut {
+    issued: u32,
+    unit_busy: bool,
+    /// Local SM index per completed block, in tick order.
+    completed: Vec<usize>,
+    /// Whether every SM sleeps after the quantum, and if so the earliest
+    /// of their wakes.
+    asleep: bool,
+    wake: Option<Cycle>,
+}
+
+/// A worker shard's mailbox in the [`Gate`]: the coordinator fills the
+/// command side and the shard's [`step`] the result side, both in place,
+/// so after warm-up a quantum allocates nothing. Each list is drained by
+/// the side that reads it.
 #[derive(Default)]
 struct Mailbox {
     // Command: coordinator → shard.
@@ -117,15 +135,7 @@ struct Mailbox {
     can_accept: Vec<bool>,
 
     // Result: shard → coordinator.
-    issued: u32,
-    unit_busy: bool,
-    /// Local SM index per completed block, in tick order.
-    completed: Vec<usize>,
-    /// Whether every SM sleeps after the quantum.
-    asleep: bool,
-    /// The earliest cycle an SM could act at on its own: a sleeper's wake,
-    /// or the next-wakeup hint of an SM ticked in the quantum's last cycle.
-    wakeup: Option<Cycle>,
+    out: PhaseOut,
     /// This quantum's accesses in buffer order (cycle-major, then SM, then
     /// issue order within the tick), their transactions flat in `txns`.
     records: Vec<AccessRecord>,
@@ -156,16 +166,59 @@ fn elapsed_ns(t0: Option<Instant>) -> u64 {
     t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
-/// The shard-side stand-in for the shared memory system: buffers accesses
-/// into the mailbox instead of applying them, and answers `can_accept`
-/// from the coordinator's per-quantum snapshot. Every access "replies"
-/// `Pending(record index)`, which routes the writeback target back here
-/// through the SM's normal token path.
+/// Where a shard's SMs send their memory accesses during a compute phase.
+trait Port {
+    fn mem(&mut self) -> &mut dyn MemorySystem;
+    /// Enter cycle `now`.
+    fn at(&mut self, now: Cycle);
+    /// SM `sm`'s access was answered `Pending(token)`; its data writes back
+    /// to `target`.
+    fn pending(&mut self, token: u64, sm: usize, target: WbTarget);
+}
+
+/// Shard 0's port: the memory system itself, with tokens recorded straight
+/// into the coordinator's map.
+struct Direct<'m> {
+    mem: &'m mut dyn MemorySystem,
+    tokens: &'m mut FastMap<u64, (usize, usize, WbTarget)>,
+}
+
+impl Port for Direct<'_> {
+    fn mem(&mut self) -> &mut dyn MemorySystem {
+        &mut *self.mem
+    }
+
+    fn at(&mut self, _now: Cycle) {}
+
+    fn pending(&mut self, token: u64, sm: usize, target: WbTarget) {
+        self.tokens.insert(token, (0, sm, target));
+    }
+}
+
+/// A worker shard's stand-in for the shared memory system: buffers
+/// accesses into the mailbox instead of applying them, and answers
+/// `can_accept` from the coordinator's per-quantum snapshot. Every access
+/// "replies" `Pending(record index)`, which routes the writeback target
+/// back here through the SM's normal token path.
 struct DeferredPort<'m> {
     can_accept: &'m [bool],
     now: Cycle,
     records: &'m mut Vec<AccessRecord>,
     txns: &'m mut Vec<MemTxn>,
+}
+
+impl Port for DeferredPort<'_> {
+    fn mem(&mut self) -> &mut dyn MemorySystem {
+        self
+    }
+
+    fn at(&mut self, now: Cycle) {
+        self.now = now;
+    }
+
+    fn pending(&mut self, token: u64, _sm: usize, target: WbTarget) {
+        self.records[token as usize].target = target;
+    }
 }
 
 impl MemorySystem for DeferredPort<'_> {
@@ -204,37 +257,29 @@ impl MemorySystem for DeferredPort<'_> {
     }
 }
 
+/// Simulate `source` on `sim`: the run loop over kernels around the
+/// per-kernel coordinator.
 pub(crate) fn run_two_phase(
     sim: &GpuSimulator,
     source: &dyn TraceSource,
 ) -> Result<SimulationResult, SimError> {
-    let total_sms = sim.cfg.num_sms as usize;
-    let group_sizes = split_sms(total_sms, sim.threads);
+    let group_sizes = split_sms(sim.cfg.num_sms as usize, sim.threads);
     let shards = group_sizes.len();
-    let sm_id_groups: Vec<Vec<usize>> = {
-        let mut next = 0usize;
-        group_sizes
-            .iter()
-            .map(|&n| {
-                let ids = (next..next + n).collect();
-                next += n;
-                ids
-            })
-            .collect()
-    };
+    let sm_id_groups: Vec<Range<usize>> = group_sizes
+        .iter()
+        .scan(0, |next, &n| {
+            *next += n;
+            Some(*next - n..*next)
+        })
+        .collect();
     let quantum: Cycle = match sim.fidelity.sync_quantum {
-        SyncQuantum::PerCycle => 1,
-        SyncQuantum::Cycles(n) => Cycle::from(n),
-        SyncQuantum::Unsynchronized => {
-            unreachable!("builder dispatches Unsynchronized to run_parallel")
-        }
+        SyncQuantum::Cycles(n) if shards > 1 => Cycle::from(n),
+        _ => 1,
     };
 
     let total = source.num_kernels();
     let mut driver = RunDriver::new(sim, source)?;
 
-    // One shared memory system, built exactly as the single-threaded path
-    // builds its — the whole point of the engine.
     let mut mem: Box<dyn MemorySystem> = match sim.fidelity.memory {
         MemoryModelKind::CycleAccurate => Box::new(CycleAccurateMemory::new(&sim.cfg)),
         MemoryModelKind::Analytical => {
@@ -246,33 +291,24 @@ pub(crate) fn run_two_phase(
     };
     driver.restore_memory(mem.as_mut())?;
 
-    // Shard workers render on tracks 0..shards, the coordinator (phase
-    // sync, block scheduler, memory) on the next track, decode on the one
-    // after; one epoch lines the frames up.
+    // The calling thread (coordinator, shard 0, memory) renders on track 0,
+    // worker shards on tracks 1..shards, decode on the one after; one epoch
+    // lines the frames up.
     let epoch = std::time::Instant::now();
-    let mut worker_profs: Vec<Profiler> = (0..shards)
-        .map(|i| {
-            if sim.profile {
-                Profiler::enabled_on_track(epoch, i)
-            } else {
-                Profiler::disabled()
-            }
-        })
-        .collect();
-    let mut prof = if sim.profile {
-        Profiler::enabled_on_track(epoch, shards)
-    } else {
-        Profiler::disabled()
+    let track = |i| {
+        if sim.profile {
+            Profiler::enabled_on_track(epoch, i)
+        } else {
+            Profiler::disabled()
+        }
     };
-    let decode_prof = if sim.profile {
-        Profiler::enabled_on_track(epoch, shards + 1)
-    } else {
-        Profiler::disabled()
-    };
+    let mut prof = track(0);
+    let mut worker_profs: Vec<Profiler> = (1..shards).map(track).collect();
+    let decode_prof = track(shards);
     mem.set_profiling(sim.profile);
 
     std::thread::scope(|dscope| {
-        let mut pf = Prefetcher::with_schedule(
+        let mut pf = Prefetcher::new(
             dscope,
             source,
             decode_prof,
@@ -282,10 +318,10 @@ pub(crate) fn run_two_phase(
         let (mut start, mut total_stats, mut kernels) = driver.initial();
 
         for kidx in driver.start_kernel()..total {
-            if driver.is_detailed(kidx) {
+            let (name, measure) = if driver.is_detailed(kidx) {
                 let kernel = pf.get(kidx)?;
                 let kernel = &*kernel;
-                let outcome = run_kernel_two_phase(
+                let (end, stats) = run_kernel(
                     &sim.cfg,
                     kernel,
                     kidx,
@@ -298,33 +334,26 @@ pub(crate) fn run_two_phase(
                     start,
                 )?;
                 let measure = RepMeasure {
-                    cycles: outcome.end_cycle - start,
-                    stats: outcome.stats,
-                    instructions: outcome.stats.issued,
+                    cycles: end - start,
+                    stats,
+                    instructions: stats.issued,
                     blocks: kernel.blocks().len() as u64,
                 };
                 driver.record(kidx, measure);
-                kernels.push(KernelResult {
-                    name: kernel.name.clone(),
-                    cycles: measure.cycles,
-                    instructions: measure.instructions,
-                    blocks: measure.blocks,
-                });
-                total_stats.add(&outcome.stats);
-                start = outcome.end_cycle;
+                (kernel.name.clone(), measure)
             } else {
                 // Replayed launch: synthesized from its cluster's
                 // representatives, trace body never decoded.
-                let replayed = driver.replay(kidx);
-                kernels.push(KernelResult {
-                    name: source.kernel_meta(kidx).name,
-                    cycles: replayed.cycles,
-                    instructions: replayed.instructions,
-                    blocks: replayed.blocks,
-                });
-                total_stats.add(&replayed.stats);
-                start += replayed.cycles;
-            }
+                (source.kernel_meta(kidx).name, driver.replay(kidx))
+            };
+            kernels.push(KernelResult {
+                name,
+                cycles: measure.cycles,
+                instructions: measure.instructions,
+                blocks: measure.blocks,
+            });
+            total_stats.add(&measure.stats);
+            start += measure.cycles;
             if !driver.boundary(kidx, start, &total_stats, &kernels, mem.as_ref())? {
                 break;
             }
@@ -332,15 +361,13 @@ pub(crate) fn run_two_phase(
 
         let mut metrics = MetricsCollector::new();
         crate::builder::report_common(&mut metrics, start, &total_stats, sim);
-        // One memory system, so its metrics land unscoped, exactly like a
-        // single-threaded run — no `shard*` prefixes to reconcile.
         mem.report(&mut metrics);
 
         let profile = sim.profile.then(|| {
             ProfileReport::merge(
-                worker_profs
-                    .into_iter()
-                    .chain([prof, pf.finish()])
+                std::iter::once(prof)
+                    .chain(worker_profs)
+                    .chain([pf.finish()])
                     .map(Profiler::into_report)
                     .collect(),
             )
@@ -349,7 +376,11 @@ pub(crate) fn run_two_phase(
 
         Ok(SimulationResult {
             app: source.name().to_owned(),
-            simulator: format!("{}@{}threads", sim.description(), shards),
+            simulator: if shards > 1 {
+                format!("{}@{}threads", sim.description(), shards)
+            } else {
+                sim.description()
+            },
             fidelity: sim.fidelity,
             cycles: start,
             kernels,
@@ -361,34 +392,27 @@ pub(crate) fn run_two_phase(
     })
 }
 
-struct KernelOutcome {
-    end_cycle: Cycle,
-    stats: SmStats,
-}
-
+/// Simulate one kernel from cycle `start`: its end cycle and summed SM
+/// statistics.
 #[allow(clippy::too_many_arguments)]
-fn run_kernel_two_phase(
+fn run_kernel(
     cfg: &GpuConfig,
     kernel: &KernelTrace,
     kidx: usize,
-    sm_id_groups: &[Vec<usize>],
+    sm_id_groups: &[Range<usize>],
     quantum: Cycle,
     fidelity: FidelityConfig,
     mem: &mut dyn MemorySystem,
-    shard_profs: &mut [Profiler],
+    worker_profs: &mut [Profiler],
     prof: &mut Profiler,
     start: Cycle,
-) -> Result<KernelOutcome, SimError> {
+) -> Result<(Cycle, SmStats), SimError> {
     let per_sm = occupancy(cfg, kernel)?.blocks_per_sm;
     let slots = per_sm as usize;
-    let total_sms: usize = sm_id_groups.iter().map(Vec::len).sum();
     let frame = format!("k{kidx}:{}", kernel.name);
 
-    let mut bs = BlockScheduler::new(total_sms, kernel.blocks().len(), per_sm);
+    let mut bs = BlockScheduler::new(cfg.num_sms as usize, kernel.blocks().len(), per_sm);
     let gate: Gate<Mailbox> = Gate::new(sm_id_groups.len());
-    let (own_prof, worker_profs) = shard_profs
-        .split_first_mut()
-        .expect("split_sms yields at least one shard");
 
     prof.begin_frame(&frame);
     let (end, exits) = std::thread::scope(|scope| {
@@ -407,7 +431,7 @@ fn run_kernel_two_phase(
                     // what tells the coordinator this shard is gone.
                     let mut port = gate.port(i + 1);
                     // Built here: a shard's models need not be `Send`.
-                    let mut sms = SmSet::new(cfg, fidelity, kernel, slots, sm_ids, start);
+                    let mut sms = SmSet::new(cfg, fidelity, kernel, slots, sm_ids.clone(), start);
                     wprof.begin_frame(frame);
                     while let Some(mut mb) = port.recv() {
                         step(&mut sms, &mut mb, wprof);
@@ -426,26 +450,18 @@ fn run_kernel_two_phase(
         // `bs`, its own shard) is abandoned with the failed run, which is
         // what makes asserting unwind safety sound.
         let own = catch_unwind(AssertUnwindSafe(|| {
-            let mut own = SmSet::new(cfg, fidelity, kernel, slots, &sm_id_groups[0], start);
-            own_prof.begin_frame(&frame);
+            let mut own = SmSet::new(cfg, fidelity, kernel, slots, sm_id_groups[0].clone(), start);
             let end = coordinate(
                 mem,
                 &mut bs,
                 sm_id_groups,
                 quantum,
-                fidelity.skip_policy == SkipPolicy::EventDriven && quantum == 1,
                 start,
                 &coord,
                 &mut own,
-                own_prof,
                 prof,
             );
-            // Every shard, whichever way the loop ended, finds the `Done`
-            // replies of the last commit still in its mailbox and applies
-            // them before it reports, so LD/ST attribution is complete.
-            let exit = finish(own, coord.mailbox(0).ok().as_deref_mut(), own_prof);
-            own_prof.end_frame();
-            (end, exit)
+            (end, finish(own, None, prof))
         }));
         drop(coord);
         let (end, own_exit) = match own {
@@ -460,7 +476,7 @@ fn run_kernel_two_phase(
     mem.report_profile(prof);
     prof.end_frame();
 
-    // Surface a worker panic over any other outcome — it is the root cause.
+    // Surface a shard panic over any other outcome — it is the root cause.
     if let Some((shard, payload)) = exits
         .iter()
         .enumerate()
@@ -479,10 +495,7 @@ fn run_kernel_two_phase(
             for e in &exits {
                 stats.add(&e.stats);
             }
-            Ok(KernelOutcome {
-                end_cycle: end,
-                stats,
-            })
+            Ok((end, stats))
         }
         CoordEnd::Deadlock { cycle } => {
             let stalled = exits
@@ -503,34 +516,35 @@ fn run_kernel_two_phase(
 }
 
 /// The coordinator: runs the quantum loop against the shared memory
-/// system. Mirrors the sequential engine's per-cycle step order exactly —
-/// dispatch, advance/deliver, (shards tick), commit, terminate/advance —
-/// including its clock jump once every SM sleeps. Shard 0's compute phase
-/// runs inline between publishing the other shards' commands and waiting
-/// for their results.
+/// system, in the per-cycle step order — dispatch, advance/deliver,
+/// (shards tick), commit, terminate/advance — and jumps the clock once
+/// every SM sleeps. Shard 0's compute phase runs inline between publishing
+/// the other shards' commands and waiting for their results.
 #[allow(clippy::too_many_arguments)]
 fn coordinate(
     mem: &mut dyn MemorySystem,
     bs: &mut BlockScheduler,
-    sm_id_groups: &[Vec<usize>],
+    sm_id_groups: &[Range<usize>],
     quantum: Cycle,
-    event_driven: bool,
     start: Cycle,
     coord: &Coordinator<'_, Mailbox>,
     own: &mut SmSet<'_>,
-    own_prof: &mut Profiler,
     prof: &mut Profiler,
 ) -> CoordEnd {
-    let shards = sm_id_groups.len();
+    let (own_ids, worker_ids) = sm_id_groups
+        .split_first()
+        .expect("split_sms yields at least one shard");
     let mut tokens: FastMap<u64, (usize, usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
-    // Every shard's mailbox, held from the top of a quantum to its publish.
-    let mut boxes = Vec::with_capacity(shards);
+    let mut own_out = PhaseOut::default();
+    // Every worker's mailbox, held from the top of a quantum to its
+    // publish; `boxes[w]` is shard `w + 1`'s.
+    let mut boxes = Vec::with_capacity(worker_ids.len());
     let mut now = start;
     let mut idle_streak: u64 = 0;
 
     loop {
-        for shard in 0..shards {
+        for shard in 1..sm_id_groups.len() {
             match coord.mailbox(shard) {
                 Ok(mb) => boxes.push(mb),
                 Err(Dead) => return CoordEnd::Dead { shard },
@@ -538,13 +552,19 @@ fn coordinate(
         }
 
         // 1. Dispatch pending blocks (global Block Scheduler over global SM
-        //    ids — identical pick order to the sequential engine).
+        //    ids, in SM order).
         let mut installed = false;
         if bs.remaining() > 0 {
             let t0 = prof.start();
-            for (mb, ids) in boxes.iter_mut().zip(sm_id_groups) {
-                for (local, &global_sm) in ids.iter().enumerate() {
-                    while let Some(block) = bs.dispatch(global_sm) {
+            for (local, sm) in own_ids.clone().enumerate() {
+                while let Some(block) = bs.dispatch(sm) {
+                    own.install(local, block, now, prof);
+                    installed = true;
+                }
+            }
+            for (mb, ids) in boxes.iter_mut().zip(worker_ids) {
+                for (local, sm) in ids.clone().enumerate() {
+                    while let Some(block) = bs.dispatch(sm) {
                         mb.installs.push((local, block));
                         installed = true;
                     }
@@ -559,96 +579,108 @@ fn coordinate(
         mem.advance(now, &mut completions);
         let delivered = !completions.is_empty();
         for c in completions.drain(..) {
-            if let Some((shard, local, target)) = tokens.remove(&c.token) {
-                boxes[shard].writebacks.push((local, target));
+            match tokens.remove(&c.token) {
+                Some((0, local, target)) => own.touch(local, now, prof).writeback_now(target),
+                Some((shard, local, target)) => boxes[shard - 1].writebacks.push((local, target)),
+                None => {}
             }
         }
 
-        // 3. Compute phase: hand each shard its quantum. `can_accept` is
-        //    snapshotted post-advance; it only depends on the SM's own
-        //    queue, which cannot change before that SM's tick, so the
-        //    snapshot equals what the sequential engine would read.
-        for (mb, ids) in boxes.iter_mut().zip(sm_id_groups) {
+        // 3. Compute phase: hand each worker its quantum, then run shard
+        //    0's. A worker's `can_accept` is snapshotted post-advance; it
+        //    only depends on the SM's own queue, which cannot change before
+        //    that SM's tick, so the snapshot equals the live value.
+        for (mb, ids) in boxes.iter_mut().zip(worker_ids) {
             mb.base = now;
             mb.len = quantum;
             mb.can_accept.clear();
-            mb.can_accept.extend(ids.iter().map(|&g| mem.can_accept(g)));
+            mb.can_accept
+                .extend(ids.clone().map(|sm| mem.can_accept(sm)));
         }
-        let mut filled = boxes.drain(..);
-        let mut own_box = filled.next().expect("split_sms yields at least one shard");
-        for (worker, mb) in filled.enumerate() {
+        for (w, mb) in boxes.drain(..).enumerate() {
             drop(mb);
-            coord.publish(worker + 1);
+            coord.publish(w + 1);
         }
-        step(own, &mut own_box, own_prof);
+        // Shard 0's new requests go straight into `tokens`.
+        let known_tokens = tokens.len();
+        let mut port = Direct {
+            mem: &mut *mem,
+            tokens: &mut tokens,
+        };
+        compute(own, now, quantum, &mut port, &mut own_out, prof);
+        let mut any_tokens = tokens.len() > known_tokens;
+        let PhaseOut {
+            mut issued,
+            unit_busy: mut any_unit_busy,
+            mut asleep,
+            mut wake,
+            ..
+        } = own_out;
+        let mut any_completed = !own_out.completed.is_empty();
+        for &local in &own_out.completed {
+            bs.complete(own_ids.start + local);
+        }
 
-        // 4. Commit phase: apply buffered accesses in shard-major order —
-        //    for contiguous shards this is global SM order, i.e. the exact
-        //    sequential call order. Each shard commits as soon as its own
-        //    epoch lands; later shards keep computing meanwhile. Exactly
-        //    two phase-sync records per quantum: total wait, total commit.
-        let mut wait_ns = 0u64;
-        let mut commit_ns = 0u64;
-        let mut issued = 0u32;
-        let mut any_unit_busy = false;
-        let mut any_completed = false;
-        let mut any_tokens = false;
-        let mut all_asleep = true;
-        let mut wakeup: Option<Cycle> = None;
-        let mut own_box = Some(own_box);
-        for (shard, ids) in sm_id_groups.iter().enumerate() {
-            let mut mb = match own_box.take() {
-                Some(mb) => mb,
-                None => {
-                    let t0 = prof.start();
-                    let landed = coord.wait(shard).and_then(|()| coord.mailbox(shard));
-                    wait_ns += elapsed_ns(t0);
-                    match landed {
-                        Ok(mb) => mb,
-                        Err(Dead) => return CoordEnd::Dead { shard },
+        // 4. Commit phase: apply the workers' buffered accesses in shard
+        //    order, after shard 0's direct ones — global SM order. Each
+        //    shard commits as soon as its own epoch lands; later shards
+        //    keep computing meanwhile. Two phase-sync records per quantum
+        //    when there are workers: total wait, total commit.
+        if !worker_ids.is_empty() {
+            let mut wait_ns = 0u64;
+            let mut commit_ns = 0u64;
+            for (w, ids) in worker_ids.iter().enumerate() {
+                let shard = w + 1;
+                let t0 = prof.start();
+                let landed = coord.wait(shard).and_then(|()| coord.mailbox(shard));
+                wait_ns += elapsed_ns(t0);
+                let mut mb = match landed {
+                    Ok(mb) => mb,
+                    Err(Dead) => return CoordEnd::Dead { shard },
+                };
+                let t1 = prof.start();
+                let Mailbox {
+                    records,
+                    txns,
+                    dones,
+                    out,
+                    ..
+                } = &mut *mb;
+                for r in records.drain(..) {
+                    let sm = ids.start + r.local_sm;
+                    match mem.access(sm, r.pc, &txns[r.txns], r.agu_done) {
+                        MemReply::Done(at) => {
+                            // The shard cannot see a `Done` reply until
+                            // next quantum, so its time joins the wake
+                            // here.
+                            wake = min_opt(wake, Some(at));
+                            dones.push(DeferredDone {
+                                local_sm: r.local_sm,
+                                target: r.target,
+                                at,
+                                issue_now: r.issue_now,
+                            });
+                        }
+                        MemReply::Pending(token) => {
+                            any_tokens = true;
+                            tokens.insert(token, (shard, r.local_sm, r.target));
+                        }
                     }
                 }
-            };
-            let t1 = prof.start();
-            let Mailbox {
-                records,
-                txns,
-                dones,
-                ..
-            } = &mut *mb;
-            for r in records.drain(..) {
-                match mem.access(ids[r.local_sm], r.pc, &txns[r.txns], r.agu_done) {
-                    MemReply::Done(at) => {
-                        // The shard cannot see a `Done` reply until next
-                        // quantum, so fold its time into the wakeup hint
-                        // here.
-                        wakeup = min_opt(wakeup, Some(at));
-                        dones.push(DeferredDone {
-                            local_sm: r.local_sm,
-                            target: r.target,
-                            at,
-                            issue_now: r.issue_now,
-                        });
-                    }
-                    MemReply::Pending(token) => {
-                        any_tokens = true;
-                        tokens.insert(token, (shard, r.local_sm, r.target));
-                    }
+                txns.clear();
+                issued += out.issued;
+                any_unit_busy |= out.unit_busy;
+                for &local in &out.completed {
+                    any_completed = true;
+                    bs.complete(ids.start + local);
                 }
+                asleep &= out.asleep;
+                wake = min_opt(wake, out.wake);
+                commit_ns += elapsed_ns(t1);
             }
-            txns.clear();
-            issued += mb.issued;
-            any_unit_busy |= mb.unit_busy;
-            for &local in &mb.completed {
-                any_completed = true;
-                bs.complete(ids[local]);
-            }
-            all_asleep &= mb.asleep;
-            wakeup = min_opt(wakeup, mb.wakeup);
-            commit_ns += elapsed_ns(t1);
+            prof.record_wall_ns(ProfModule::PhaseSync, wait_ns, 1);
+            prof.record_wall_ns(ProfModule::PhaseSync, commit_ns, 1);
         }
-        prof.record_wall_ns(ProfModule::PhaseSync, wait_ns, 1);
-        prof.record_wall_ns(ProfModule::PhaseSync, commit_ns, 1);
 
         let quantum_end = now + quantum - 1;
 
@@ -657,38 +689,72 @@ fn coordinate(
             return CoordEnd::Finished { end: quantum_end };
         }
 
-        // 6. Advance time — the sequential engine's quiet and jump rules,
-        //    evaluated on the committed global state.
+        // 6. Advance time. A *quiet* quantum is one in which provably
+        //    nothing observable happened: no instruction issued, no
+        //    port-busy stall about to resolve, no memory completion or new
+        //    request, no block installed or retired.
         let quiet = issued == 0
             && !any_unit_busy
             && !delivered
             && !any_completed
             && !any_tokens
             && !installed;
-        let next = min_opt(wakeup, mem.next_event());
-        if quiet && next.is_none() {
-            // Nothing pending anywhere and nothing happened: the model can
-            // provably never make progress again. Under the dense clock
-            // every idle cycle would be a cross-thread round trip, so this
-            // is reported at once there too.
-            return CoordEnd::Deadlock { cycle: quantum_end };
-        }
         now = quantum_end + 1;
-        match next {
-            // Every SM sleeps: the next quantum starts where one can act.
-            Some(t) if event_driven && quiet && all_asleep => {
-                if t > now {
-                    prof.add_cycles(ProfModule::CycleSkip, t - now);
-                    now = t;
-                }
-                idle_streak = 0;
+        if quiet && asleep {
+            // Nothing can act before the earliest wake or memory event,
+            // and without either, nothing ever will.
+            let Some(t) = min_opt(wake, mem.next_event()) else {
+                return CoordEnd::Deadlock { cycle: quantum_end };
+            };
+            if quantum == 1 && t > now {
+                prof.add_cycles(ProfModule::CycleSkip, t - now);
+                now = t;
             }
-            _ => idle_streak = if issued > 0 { 0 } else { idle_streak + quantum },
+            idle_streak = 0;
+            continue;
         }
+        idle_streak = if issued > 0 { 0 } else { idle_streak + quantum };
+        // A memory event or token always reappears within the DRAM latency;
+        // a much longer silent streak means the model deadlocked.
         if idle_streak > 1_000_000 {
             return CoordEnd::Deadlock { cycle: now };
         }
     }
+}
+
+/// Tick `sms` through the quantum `base..base + len` against `port`,
+/// reporting into `out`. Each cycle rouses the sleepers that can act, then
+/// ticks the awake SMs in SM order.
+fn compute(
+    sms: &mut SmSet<'_>,
+    base: Cycle,
+    len: Cycle,
+    port: &mut impl Port,
+    out: &mut PhaseOut,
+    prof: &mut Profiler,
+) {
+    out.issued = 0;
+    out.unit_busy = false;
+    out.completed.clear();
+    for c in base..base + len {
+        port.at(c);
+        sms.rouse_due(c, port.mem(), prof);
+        let mut next = 0;
+        while let Some(i) = sms.next_awake(next) {
+            next = i + 1;
+            let outcome = sms.tick(i, c, port.mem(), prof);
+            out.issued += outcome.issued;
+            out.unit_busy |= outcome.unit_busy_stall;
+            for _ in &outcome.completed_blocks {
+                out.completed.push(i);
+            }
+            for &(token, target) in &outcome.new_tokens {
+                port.pending(token, i, target);
+            }
+        }
+    }
+    out.asleep = sms.all_asleep();
+    out.wake = if out.asleep { sms.next_wake() } else { None };
 }
 
 /// Apply `Done` replies the last commit left in the mailbox.
@@ -698,58 +764,31 @@ fn apply_dones(sms: &mut SmSet<'_>, dones: &mut Vec<DeferredDone>, prof: &mut Pr
     }
 }
 
-/// One shard's compute phase: consume the mailbox's command, tick the
+/// A worker shard's compute phase: consume the mailbox's command, tick the
 /// shard's SMs through the quantum, leave the result in the same mailbox.
-/// The coordinator runs shard 0's inline; every other shard's worker thread
-/// runs its own through the gate.
 fn step(sms: &mut SmSet<'_>, mb: &mut Mailbox, prof: &mut Profiler) {
     apply_dones(sms, &mut mb.dones, prof);
-    // Installs before writeback deliveries: the sequential loop dispatches
-    // (step 1) before delivering completions (step 2), so a completion
-    // racing a slot refill must see the new block, exactly as it would
-    // there.
+    // Installs before writeback deliveries: the coordinator dispatches
+    // (step 1) before it delivers completions (step 2), so a completion
+    // racing a slot refill must see the new block, exactly as shard 0's do.
     for (local, block) in mb.installs.drain(..) {
         sms.install(local, block, mb.base, prof);
     }
     for (local, target) in mb.writebacks.drain(..) {
         sms.touch(local, mb.base, prof).writeback_now(target);
     }
-
-    mb.issued = 0;
-    mb.unit_busy = false;
-    mb.completed.clear();
     let mut port = DeferredPort {
         can_accept: &mb.can_accept,
         now: 0,
         records: &mut mb.records,
         txns: &mut mb.txns,
     };
-    let mut wakeup: Option<Cycle> = None;
-    for c in mb.base..mb.base + mb.len {
-        port.now = c;
-        wakeup = None;
-        sms.rouse_due(c, &port, prof);
-        let mut next = 0;
-        while let Some(i) = sms.next_awake(next) {
-            next = i + 1;
-            let outcome = sms.tick(i, c, &mut port, prof);
-            mb.issued += outcome.issued;
-            mb.unit_busy |= outcome.unit_busy_stall;
-            for _ in &outcome.completed_blocks {
-                mb.completed.push(i);
-            }
-            for &(token, target) in &outcome.new_tokens {
-                port.records[token as usize].target = target;
-            }
-            wakeup = min_opt(wakeup, outcome.next_wakeup);
-        }
-    }
-    mb.asleep = sms.all_asleep();
-    mb.wakeup = min_opt(wakeup, sms.next_wake());
+    compute(sms, mb.base, mb.len, &mut port, &mut mb.out, prof);
 }
 
-/// Wind a shard down: apply what the final commit left in `mailbox` (absent
-/// only if the other side unwound holding it) and report.
+/// Wind a shard down: apply what the final commit left in `mailbox` (none
+/// for shard 0, and absent if the other side unwound holding it) and
+/// report.
 fn finish(mut sms: SmSet<'_>, mailbox: Option<&mut Mailbox>, prof: &mut Profiler) -> ShardExit {
     if let Some(mb) = mailbox {
         apply_dones(&mut sms, &mut mb.dones, prof);

@@ -88,8 +88,9 @@ fn app_wedged_on_last_sm(sms: u32) -> ApplicationTrace {
 }
 
 /// Regression: sharded runs must report the *global* SM id of the stalled
-/// warp, on both parallel engines. An earlier revision printed the
-/// shard-local index, which on any shard but the first names the wrong SM.
+/// warp, per cycle and under a relaxed quantum. An earlier revision printed
+/// the shard-local index, which on any shard but the first names the wrong
+/// SM.
 #[test]
 fn sharded_deadlock_reports_global_sm_ids() {
     let mut cfg = presets::rtx2080ti();
@@ -97,7 +98,7 @@ fn sharded_deadlock_reports_global_sm_ids() {
     cfg.memory.partitions = 2;
     cfg.sm.max_blocks = 1; // one slot per SM: block 1 must land on SM 1
 
-    for quantum in [SyncQuantum::PerCycle, SyncQuantum::Unsynchronized] {
+    for quantum in [SyncQuantum::PerCycle, SyncQuantum::Cycles(8)] {
         let mut fidelity = swiftsim_core::FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
         fidelity.sync_quantum = quantum;
         let err = swiftsim_core::run(
@@ -125,7 +126,7 @@ fn sharded_deadlock_reports_global_sm_ids() {
     }
 }
 
-/// The sequential engine reports a provably dead model at once too: when
+/// A single-threaded run reports a provably dead model at once too: when
 /// every SM sleeps with no wake and the memory system has no next event,
 /// nothing can ever change, so it does not wait out the idle watchdog's
 /// million iterations (whose report would name a cycle past a million).
@@ -199,7 +200,7 @@ fn sharded_fast_deadlock_is_prompt_at_two_and_four_threads() {
         assert_eq!(*shard, threads - 1, "{threads} threads: {detail}");
         assert!(detail.contains("SM 3"), "{threads} threads: {detail}");
         assert!(detail.contains("barrier"), "{threads} threads: {detail}");
-        // The sequential watchdog needs a million idle ticks; the
+        // The idle watchdog needs a million idle ticks; the
         // short-circuit needs a handful of quanta.
         assert!(
             elapsed < std::time::Duration::from_secs(5),

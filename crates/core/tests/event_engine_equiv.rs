@@ -141,9 +141,9 @@ fn event_engine_matches_dense_when_sharded() {
     }
 }
 
-/// The two-phase engine's headline contract: under the default per-cycle
-/// quantum, a multi-threaded run is **bit-identical** to the
-/// single-threaded engine — same cycles, same per-kernel stats, same
+/// The kernel loop's headline contract: under the default per-cycle
+/// quantum, a multi-threaded run is **bit-identical** to a single-threaded
+/// one, its one-shard case — same cycles, same per-kernel stats, same
 /// Metrics Gatherer counters — for every preset and thread count
 /// (including uneven SM splits). Only `sim.threads` and the simulator
 /// label legitimately differ; they are normalized before comparing.
@@ -234,14 +234,6 @@ fn relaxed_quantum_is_deterministic_and_opt_in() {
         "relaxed quantum must be visible in the simulator label: {}",
         a.simulator
     );
-
-    // The legacy decoupled-shard engine stays reachable behind the same
-    // knob and is equally deterministic.
-    fid.sync_quantum = SyncQuantum::Unsynchronized;
-    let a = run_with(&cfg, fid, 2, &app);
-    let b = run_with(&cfg, fid, 2, &app);
-    assert_stats_equal(&a, &b, "unsynchronized legacy engine, identical runs");
-    assert!(a.simulator.contains("+unsync"), "{}", a.simulator);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! A model bug that panics inside a shard's compute phase must fail the
 //! run with `SimError::WorkerPanic` naming the shard — whether the shard
 //! runs on a worker thread behind the epoch gate or, as shard 0 does, on
-//! the calling thread itself — and must never hang the other shards or
-//! unwind into the caller.
+//! the calling thread itself, single-threaded runs included — and must
+//! never hang the other shards or unwind into the caller.
 
 use swiftsim_config::presets;
 use swiftsim_core::{RunOptions, SimError, SimulatorPreset};
@@ -38,7 +38,7 @@ fn a_panic_on_any_shard_is_a_worker_panic_error() {
     cfg.memory.partitions = 2;
     cfg.sm.max_blocks = 1; // one slot per SM: block b lands on SM b
 
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         for bad_sm in [0u32, 3] {
             let err = swiftsim_core::run(
                 &app_with_payloadless_load(4, bad_sm),
