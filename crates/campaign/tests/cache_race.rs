@@ -13,7 +13,7 @@
 //! would share the same pid and miss the tmp-file naming scheme entirely.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use swiftsim_campaign::{CacheMode, ResultCache};
 use swiftsim_core::{KernelResult, SimulationResult};
@@ -94,6 +94,11 @@ fn concurrent_process_writers_never_tear_the_same_key() {
             ])
             .env("SWIFTSIM_CACHE_RACE_DIR", &dir)
             .env("SWIFTSIM_CACHE_RACE_SEED", seed.to_string())
+            // Captured, not inherited: six children printing their own
+            // libtest lines at once would splice them into the parent's
+            // report. The capture is shown only if a writer fails.
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("spawn writer child");
         children.push(child);
@@ -125,9 +130,15 @@ fn concurrent_process_writers_never_tear_the_same_key() {
         }
     }
 
-    for mut child in children {
-        let status = child.wait().unwrap();
-        assert!(status.success(), "a writer child failed: {status}");
+    for child in children {
+        let out = child.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "a writer child failed: {}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     assert!(established, "no write was ever observed");
     assert!(observed > 0);
