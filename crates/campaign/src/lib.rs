@@ -66,8 +66,8 @@ use std::path::PathBuf;
 /// results (job-key composition, result schema, simulator semantics).
 /// Version 4: multi-threaded jobs moved from decoupled per-shard memory
 /// slices to the two-phase engine over one shared memory system
-/// (bit-identical to single-threaded under the default per-cycle
-/// quantum), so cached multi-threaded rows no longer match what a rerun
+/// (bit-identical to single-threaded, its shards committing every
+/// cycle), so cached multi-threaded rows no longer match what a rerun
 /// produces. (Version 3: the event-driven cycle-skipping core replaced
 /// the swift presets' stat-free idle jump. Version 2: trace content
 /// hashes moved to the chunked-binary header scheme.)

@@ -53,6 +53,20 @@ fn sweep_runs_then_fully_caches_then_resimulates_only_the_delta() {
         );
     }
 
+    // Entries written before shards always committed per cycle carry one
+    // more fidelity key. The spec's keys have not moved, so such an entry
+    // is still a hit.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let skip = "\"skip_policy\":\"event_driven\",";
+        assert!(text.contains(skip), "{}", path.display());
+        let parent = text.replace(skip, &format!("{skip}\"sync_quantum\":\"per_cycle\","));
+        std::fs::write(&path, parent).unwrap();
+    }
+    let old = run_campaign(&spec, &options(&dir)).unwrap();
+    assert_eq!(old.cached(), 24, "{}", old.summary_line());
+
     // Widening one axis re-simulates only the new combinations.
     let wider = CampaignSpec::parse(
         &SWEEP.replace("replacement = lru, fifo", "replacement = lru, fifo, random"),

@@ -41,7 +41,7 @@ USAGE:
 FIDELITY GRAMMAR (one grammar, every surface):
     Per-module fidelity is selected by `-sim_*` key/value pairs. Valid keys:
     -sim_alu_model, -sim_mem_model, -sim_frontend_model, -sim_skip_policy,
-    -sim_sync_quantum, -sim_sampling. The pairs may be given as bare
+    -sim_sampling. The pairs may be given as bare
     arguments (`swiftsim -sim_sampling cluster:2 ...`, also after
     `campaign`), bundled in --fidelity \"<OPTS>\" (same keys, quoted), or as
     spec-file axes for campaign/submit (alu-model / mem-model / frontend /
@@ -87,8 +87,7 @@ OPTIONS:
 CAMPAIGN OPTIONS (after `swiftsim campaign <SPEC>`):
     --fidelity \"<OPTS>\" / bare -sim_* pairs        force one fidelity override across every job
                                                    (replaces the spec's matching axis; same
-                                                   keys as the FIDELITY GRAMMAR above, except
-                                                   -sim_sync_quantum which has no campaign axis)
+                                                   keys as the FIDELITY GRAMMAR above)
     --checkpoint-dir <DIR>                         checkpoint every job at kernel boundaries
                                                    into DIR; a killed campaign resumes each
                                                    interrupted job from its last snapshot
@@ -287,8 +286,7 @@ fn parse_campaign_args(mut argv: Vec<String>) -> Result<CampaignArgs, String> {
 
 /// Force `-sim_*` overrides across every job of a campaign by replacing
 /// the spec's matching sweep axes with the single given value. Uses the
-/// same key grammar as `--fidelity` on a plain run; `-sim_sync_quantum`
-/// is rejected because the engine quantum has no campaign axis.
+/// same key grammar as `--fidelity` on a plain run.
 fn apply_fidelity_axes(spec: &mut CampaignSpec, text: &str) -> Result<(), String> {
     // Each key's value is a comma-separated axis (no spaces: the grammar
     // is whitespace-tokenized); `default` keeps the preset's own policy
@@ -328,18 +326,7 @@ fn apply_fidelity_axes(spec: &mut CampaignSpec, text: &str) -> Result<(), String
             "-sim_frontend_model" => spec.frontends = one(token, value)?,
             "-sim_skip_policy" => spec.skips = one(token, value)?,
             "-sim_sampling" => spec.samplings = one(token, value)?,
-            "-sim_sync_quantum" => {
-                return Err(
-                    "-sim_sync_quantum has no campaign axis (set it per run, not per sweep)"
-                        .to_owned(),
-                )
-            }
-            other => {
-                return Err(format!(
-                    "unknown fidelity option {other:?} (expected -sim_alu_model, -sim_mem_model, \
-                     -sim_frontend_model, -sim_skip_policy, or -sim_sampling)"
-                ))
-            }
+            other => return Err(unknown_fidelity_key(other)),
         }
     }
     Ok(())
@@ -493,13 +480,21 @@ fn apply_fidelity_text(fidelity: &mut FidelityConfig, text: &str) -> Result<(), 
             .apply_option(token, value)
             .map_err(|e| e.to_string())?
         {
-            return Err(format!(
-                "unknown fidelity option {token:?} (expected -sim_alu_model, -sim_mem_model, \
-                 -sim_frontend_model, -sim_skip_policy, -sim_sync_quantum, or -sim_sampling)"
-            ));
+            return Err(unknown_fidelity_key(token));
         }
     }
     Ok(())
+}
+
+/// The error for a token that names no fidelity key: the core parser's
+/// `InvalidConfig` for an unknown `-sim_*` key, worded the same for any
+/// other token.
+fn unknown_fidelity_key(token: &str) -> String {
+    let message = format!(
+        "unknown fidelity option {token:?} (expected -sim_alu_model, -sim_mem_model, \
+         -sim_frontend_model, -sim_skip_policy, or -sim_sampling)"
+    );
+    swiftsim_core::SimError::InvalidConfig { message }.to_string()
 }
 
 fn find_workload(name: &str) -> Result<swiftsim_workloads::Workload, String> {
@@ -1163,22 +1158,53 @@ mod tests {
     #[test]
     fn unknown_sim_key_error_lists_every_valid_key() {
         // Pin the discoverability contract: a typo'd -sim_* key names all
-        // six valid keys, both through the core parser (unknown -sim_*)
-        // and the CLI wrapper (non-fidelity token).
+        // five valid keys, through the core parser (unknown -sim_*), the
+        // CLI wrapper (non-fidelity token) and the campaign axes.
         let mut f = FidelityConfig::default();
+        let mut spec = CampaignSpec::parse("name = t\nworkload = bfs\n").unwrap();
         for bad in ["-sim_bogus x", "--threads 4"] {
-            let err = apply_fidelity_text(&mut f, bad).unwrap_err();
-            for key in [
-                "-sim_alu_model",
-                "-sim_mem_model",
-                "-sim_frontend_model",
-                "-sim_skip_policy",
-                "-sim_sync_quantum",
-                "-sim_sampling",
+            for err in [
+                apply_fidelity_text(&mut f, bad).unwrap_err(),
+                apply_fidelity_axes(&mut spec, bad).unwrap_err(),
             ] {
-                assert!(err.contains(key), "{bad:?} error must list {key}: {err}");
+                for key in [
+                    "-sim_alu_model",
+                    "-sim_mem_model",
+                    "-sim_frontend_model",
+                    "-sim_skip_policy",
+                    "-sim_sampling",
+                ] {
+                    assert!(err.contains(key), "{bad:?} error must list {key}: {err}");
+                }
             }
         }
+
+        // The removed shard-synchronization key is an ordinary unknown key:
+        // refused as an invalid configuration via --fidelity, via bare
+        // pairs and on campaign.
+        let refused = |err: String| {
+            assert!(
+                err.starts_with("invalid simulator configuration: unknown fidelity option"),
+                "{err}"
+            );
+        };
+        for argv in [
+            ["--fidelity", "-sim_sync_quantum 8"],
+            ["-sim_sync_quantum", "8"],
+        ] {
+            let args = parse_args(argv.map(String::from).to_vec())
+                .unwrap()
+                .unwrap();
+            refused(apply_fidelity_text(&mut f, args.fidelity.as_deref().unwrap()).unwrap_err());
+        }
+        let args = parse_campaign_args(vec![
+            "sweep.campaign".into(),
+            "-sim_sync_quantum".into(),
+            "8".into(),
+        ])
+        .unwrap();
+        refused(apply_fidelity_axes(&mut spec, args.fidelity.as_deref().unwrap()).unwrap_err());
+        assert_eq!(f, FidelityConfig::default());
     }
 
     #[test]
@@ -1277,9 +1303,7 @@ mod tests {
         let err = apply_fidelity_axes(&mut spec, "-sim_sampling ,").unwrap_err();
         assert!(err.contains("empty value list"), "{err}");
 
-        // The engine quantum has no campaign axis; unknown keys list the
-        // campaign-valid set.
-        assert!(apply_fidelity_axes(&mut spec, "-sim_sync_quantum 64").is_err());
+        // Unknown keys list the valid set.
         let err = apply_fidelity_axes(&mut spec, "-sim_bogus x").unwrap_err();
         assert!(err.contains("-sim_sampling"), "{err}");
         assert!(apply_fidelity_axes(&mut spec, "-sim_alu_model").is_err());

@@ -395,7 +395,7 @@ impl RunDriver {
 mod tests {
     use super::*;
     use crate::fidelity::{
-        AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy, SyncQuantum,
+        AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy,
     };
     use swiftsim_config::presets;
 
@@ -439,7 +439,6 @@ mod tests {
             memory: MemoryModelKind::AnalyticalReuse,
             frontend: FrontendModelKind::Simplified,
             skip_policy: SkipPolicy::Dense,
-            sync_quantum: SyncQuantum::Cycles(32),
             sampling: SamplingPolicy::Off,
         };
         let sim = GpuSimulator::try_new(

@@ -6,7 +6,9 @@
 //! truth for those choices — the builder consumes it, the presets are a
 //! pure alias table over it ([`FidelityConfig::for_preset`]), and the
 //! resolved configuration travels verbatim into `--json` output, campaign
-//! cache keys, and [`GpuSimulator::description`].
+//! cache keys, and [`GpuSimulator::description`]. How often the kernel
+//! loop's shards synchronize is not among the choices: they commit every
+//! cycle, so no choice here depends on the thread count.
 //!
 //! The config is parseable from GPGPU-Sim-style option text
 //! ([`FidelityConfig::parse_args`]), so existing `gpgpusim.config`-shaped
@@ -71,30 +73,6 @@ pub enum SkipPolicy {
     /// can change it, and once every SM sleeps, fast-forward the clock to
     /// the earliest writeback or memory event.
     EventDriven,
-}
-
-/// How often parallel SM shards synchronize with the shared memory system
-/// when a simulation runs with more than one thread.
-///
-/// The kernel loop alternates a *compute phase* (shards tick their SMs
-/// independently; every shard but the first buffers its memory-visible
-/// events) with a *commit phase* (buffered events are applied to the shared
-/// memory system in a deterministic global order). This knob sets the
-/// length of that cycle quantum. Single-threaded runs ignore it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum SyncQuantum {
-    /// Commit after every simulated cycle. The committed-event order is the
-    /// order in which one thread ticks every SM, so the results are
-    /// **bit-identical** to a single-threaded run regardless of thread
-    /// count (gated by `event_engine_equiv`).
-    #[default]
-    PerCycle,
-    /// Relaxed synchronization: shards run `n >= 2` cycles ahead between
-    /// commits. Deterministic and reproducible for a fixed thread count,
-    /// but memory contention is observed at quantum granularity, so the
-    /// statistics may diverge from a single-threaded run. Divergence is
-    /// exercised by the relaxed-quantum cases in `event_engine_equiv`.
-    Cycles(u32),
 }
 
 /// Whether (and how aggressively) repeated kernel launches are sampled.
@@ -195,8 +173,6 @@ pub struct FidelityConfig {
     pub frontend: FrontendModelKind,
     /// Clock-advance policy.
     pub skip_policy: SkipPolicy,
-    /// Shard-synchronization quantum for multi-threaded runs.
-    pub sync_quantum: SyncQuantum,
     /// Kernel-launch sampling policy (off in every preset).
     pub sampling: SamplingPolicy,
 }
@@ -246,16 +222,6 @@ impl SkipPolicy {
         match self {
             SkipPolicy::Dense => "dense",
             SkipPolicy::EventDriven => "event_driven",
-        }
-    }
-}
-
-impl SyncQuantum {
-    /// Short stable token, used in JSON output and parseable back.
-    pub fn token(self) -> String {
-        match self {
-            SyncQuantum::PerCycle => "per_cycle".to_owned(),
-            SyncQuantum::Cycles(n) => n.to_string(),
         }
     }
 }
@@ -321,24 +287,6 @@ impl FromStr for SkipPolicy {
     }
 }
 
-impl FromStr for SyncQuantum {
-    type Err = SimError;
-
-    fn from_str(s: &str) -> Result<Self, SimError> {
-        match s {
-            "per_cycle" | "per-cycle" | "1" => Ok(SyncQuantum::PerCycle),
-            other => match other.parse::<u32>() {
-                Ok(n) if n >= 2 => Ok(SyncQuantum::Cycles(n)),
-                _ => Err(parse_err(
-                    "sync quantum",
-                    other,
-                    "per_cycle, a cycle count >= 2",
-                )),
-            },
-        }
-    }
-}
-
 impl FidelityConfig {
     /// The module choices behind one of the paper's presets (§IV-A3).
     ///
@@ -351,7 +299,6 @@ impl FidelityConfig {
                 memory: MemoryModelKind::CycleAccurate,
                 frontend: FrontendModelKind::Detailed,
                 skip_policy: SkipPolicy::EventDriven,
-                sync_quantum: SyncQuantum::PerCycle,
                 sampling: SamplingPolicy::Off,
             },
             SimulatorPreset::SwiftBasic => FidelityConfig {
@@ -359,7 +306,6 @@ impl FidelityConfig {
                 memory: MemoryModelKind::CycleAccurate,
                 frontend: FrontendModelKind::Simplified,
                 skip_policy: SkipPolicy::EventDriven,
-                sync_quantum: SyncQuantum::PerCycle,
                 sampling: SamplingPolicy::Off,
             },
             SimulatorPreset::SwiftMemory => FidelityConfig {
@@ -367,7 +313,6 @@ impl FidelityConfig {
                 memory: MemoryModelKind::Analytical,
                 frontend: FrontendModelKind::Simplified,
                 skip_policy: SkipPolicy::EventDriven,
-                sync_quantum: SyncQuantum::PerCycle,
                 sampling: SamplingPolicy::Off,
             },
         }
@@ -395,13 +340,6 @@ impl FidelityConfig {
             FrontendModelKind::Simplified => "simplified_frontend",
         };
         let mut out = format!("{alu}+{mem}+{frontend}+{}", self.skip_policy.token());
-        // The default per-cycle quantum is bit-identical to a
-        // single-threaded run, so it stays silent; only non-default quanta
-        // change what a run computes and therefore must show up in
-        // descriptions (and in the campaign cache keys built from them).
-        if let SyncQuantum::Cycles(n) = self.sync_quantum {
-            out.push_str(&format!("+sync_q{n}"));
-        }
         // Sampling changes what a run computes, so any non-off policy must
         // show up in descriptions (and in the campaign cache keys built from
         // them); `off` stays silent so existing keys are unchanged.
@@ -417,11 +355,11 @@ impl FidelityConfig {
     /// Apply one GPGPU-Sim-style fidelity option.
     ///
     /// Recognized keys: `-sim_alu_model`, `-sim_mem_model`,
-    /// `-sim_frontend_model`, `-sim_skip_policy`, `-sim_sync_quantum`,
-    /// `-sim_sampling`. Unknown `-sim_*` keys are
-    /// an error (a typo'd fidelity knob must not silently fall back to the
-    /// default); returns `Ok(false)` for any other key so callers can embed
-    /// fidelity options inside a full config file.
+    /// `-sim_frontend_model`, `-sim_skip_policy` and `-sim_sampling`.
+    /// Unknown `-sim_*` keys are an error (a typo'd fidelity knob must not
+    /// silently fall back to the default); returns `Ok(false)` for any
+    /// other key so callers can embed fidelity options inside a full
+    /// config file.
     ///
     /// # Errors
     ///
@@ -433,14 +371,13 @@ impl FidelityConfig {
             "-sim_mem_model" => self.memory = value.parse()?,
             "-sim_frontend_model" => self.frontend = value.parse()?,
             "-sim_skip_policy" => self.skip_policy = value.parse()?,
-            "-sim_sync_quantum" => self.sync_quantum = value.parse()?,
             "-sim_sampling" => self.sampling = value.parse()?,
             other if other.starts_with("-sim_") => {
                 return Err(SimError::InvalidConfig {
                     message: format!(
                         "unknown fidelity option {other:?} (expected -sim_alu_model, \
                          -sim_mem_model, -sim_frontend_model, -sim_skip_policy, \
-                         -sim_sync_quantum, or -sim_sampling)"
+                         or -sim_sampling)"
                     ),
                 });
             }
@@ -565,23 +502,6 @@ mod tests {
         let f = FidelityConfig::default();
         assert_eq!(f, FidelityConfig::for_preset(SimulatorPreset::Detailed));
         assert_eq!(f.skip_policy, SkipPolicy::EventDriven);
-        assert_eq!(f.sync_quantum, SyncQuantum::PerCycle);
-    }
-
-    #[test]
-    fn sync_quantum_tokens_round_trip() {
-        for q in [
-            SyncQuantum::PerCycle,
-            SyncQuantum::Cycles(2),
-            SyncQuantum::Cycles(64),
-        ] {
-            assert_eq!(q.token().parse::<SyncQuantum>().unwrap(), q);
-        }
-        // A 1-cycle quantum *is* per-cycle synchronization.
-        assert_eq!("1".parse::<SyncQuantum>().unwrap(), SyncQuantum::PerCycle);
-        assert!("0".parse::<SyncQuantum>().is_err());
-        assert!("-4".parse::<SyncQuantum>().is_err());
-        assert!("sometimes".parse::<SyncQuantum>().is_err());
     }
 
     #[test]
@@ -625,32 +545,9 @@ mod tests {
             "-sim_mem_model",
             "-sim_frontend_model",
             "-sim_skip_policy",
-            "-sim_sync_quantum",
             "-sim_sampling",
         ] {
             assert!(msg.contains(key), "{msg} missing {key}");
         }
-    }
-
-    #[test]
-    fn sync_quantum_parses_and_shows_in_describe() {
-        let f = FidelityConfig::parse_args("-sim_sync_quantum 8").unwrap();
-        assert_eq!(f.sync_quantum, SyncQuantum::Cycles(8));
-        assert!(f.describe().ends_with("+sync_q8"), "{}", f.describe());
-
-        // `unsync` names no quantum: refused with the list of valid values.
-        let err = FidelityConfig::parse_args("-sim_sync_quantum unsync").unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
-        assert!(
-            err.to_string()
-                .contains("expected one of: per_cycle, a cycle count >= 2"),
-            "{err}"
-        );
-
-        // The default quantum stays silent so preset descriptions (and the
-        // campaign cache keys derived from them) are unchanged.
-        let f = FidelityConfig::parse_args("-sim_sync_quantum per_cycle").unwrap();
-        assert_eq!(f.describe(), FidelityConfig::default().describe());
-        assert!(!f.describe().contains("sync"), "{}", f.describe());
     }
 }

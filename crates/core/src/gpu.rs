@@ -24,7 +24,8 @@
 //! comes due, when a memory completion is delivered to it or a block is
 //! installed on it, or, if it has warps parked on a full LD/ST queue, once
 //! the memory system accepts from it again (rechecked every cycle). A
-//! `Done` reply committed for a worker shard only moves a sleeper's wake.
+//! `Done` reply committed for a worker shard never reaches a sleeper: the
+//! SM made the access the cycle before, so it is still awake.
 //! Rousing credits the sleeper `delta × (now − since)` **exactly once**,
 //! before anything else touches it; the kernel's end credits every sleeper
 //! before stats are read. Credited cycles count exactly as dense ticks, so
@@ -183,8 +184,8 @@ impl<'a> SmSet<'a> {
         self.touch(i, now, prof).install_block(block, trace, now);
     }
 
-    /// A two-phase `Done` reply ([`SmCore::apply_deferred_done`]), which
-    /// only moves a sleeper's wake earlier.
+    /// A two-phase `Done` reply ([`SmCore::apply_deferred_done`]) for an
+    /// SM that made its access last cycle, so cannot have settled since.
     pub(crate) fn apply_deferred_done(
         &mut self,
         i: usize,
@@ -193,13 +194,10 @@ impl<'a> SmSet<'a> {
         issue_now: Cycle,
         prof: &mut Profiler,
     ) {
-        let wake = self.sms[i].next_writeback();
+        debug_assert!(!self.is_asleep(i), "Done for sleeping SM {i}");
+        #[cfg(test)]
+        tests::saw(&tests::DEFERRED_DONES);
         self.sms[i].apply_deferred_done(target, at, issue_now, prof);
-        if self.is_asleep(i) && self.sms[i].next_writeback() != wake {
-            #[cfg(test)]
-            tests::saw(tests::DONE_ON_SLEEPER);
-            self.wakes.push(Reverse((at, i)));
-        }
     }
 
     /// Begin cycle `now`: rouse every sleeper that can act, because its
@@ -254,7 +252,7 @@ impl<'a> SmSet<'a> {
             }
             if sm.waits_on_mem_queue() {
                 #[cfg(test)]
-                tests::saw(tests::MEM_WAITER);
+                tests::saw(&tests::MEM_WAITERS);
                 self.mem_waiters.push(i);
             }
         }
@@ -292,28 +290,26 @@ impl<'a> SmSet<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RunOptions, SimulationResult, SimulatorPreset, SyncQuantum};
+    use crate::{RunOptions, SimulationResult, SimulatorPreset};
     use std::sync::atomic::{AtomicU64, Ordering};
     use swiftsim_trace::{ApplicationTrace, InstBuilder, Opcode, TraceSource};
 
-    /// How often any sleep set took each rare path below. Global, because
-    /// the `Done` path runs on worker threads only; no other test in this
-    /// crate's unit tests runs a relaxed quantum or a sleeper parked on the
-    /// LD/ST queue, so the counts are this module's own.
-    static SEEN: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+    // How often any sleep set took each path below. Global, because
+    // deferred `Done`s are applied on worker threads; the tests only ask
+    // whether a count grew across their own runs.
 
-    /// A `Done` reply committed for a worker shard moved a sleeper's wake.
-    pub(super) const DONE_ON_SLEEPER: usize = 0;
+    /// A worker shard applied a two-phase `Done` reply.
+    pub(super) static DEFERRED_DONES: AtomicU64 = AtomicU64::new(0);
     /// An SM fell asleep with warps parked on the LD/ST queue, so it sleeps
     /// on `can_accept`.
-    pub(super) const MEM_WAITER: usize = 1;
+    pub(super) static MEM_WAITERS: AtomicU64 = AtomicU64::new(0);
 
-    pub(super) fn saw(path: usize) {
-        SEEN[path].fetch_add(1, Ordering::Relaxed);
+    pub(super) fn saw(path: &AtomicU64) {
+        path.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn seen(path: usize) -> u64 {
-        SEEN[path].load(Ordering::Relaxed)
+    fn seen(path: &AtomicU64) -> u64 {
+        path.load(Ordering::Relaxed)
     }
 
     fn run_at(
@@ -351,33 +347,28 @@ mod tests {
         cfg
     }
 
-    /// A `Done` reply reaches a sleeper only on a worker shard (shard 0
-    /// takes its replies at once) and only under a relaxed quantum: at the
-    /// per-cycle quantum the SM that issued the access cannot have settled
-    /// by the next cycle. It lowers the sleeper's wake only when it lands
-    /// before every writeback the SM already waits for, which at `tiny` the
-    /// quantum must be long for, and here only happens with one SM per
-    /// shard. The run still matches the dense clock; per cycle, four
-    /// threads still match one.
+    /// Only worker shards take deferred `Done` replies (shard 0 takes its
+    /// replies at once), each the cycle after its access, when the SM that
+    /// made it is still awake: debug builds assert that in
+    /// [`SmSet::apply_deferred_done`]. The analytical memory answers every
+    /// access `Done`, so four one-SM shards apply many. The run still
+    /// matches the dense clock and one thread.
     #[test]
-    fn deferred_done_on_a_sleeper_matches_dense_and_one_thread() {
+    fn deferred_dones_on_worker_shards_match_dense_and_one_thread() {
         let cfg = small_gpu(4);
         let app = swiftsim_workloads::by_name("gemm")
             .expect("workload exists")
             .generate(swiftsim_workloads::Scale::Tiny);
-        let per_cycle = FidelityConfig::for_preset(SimulatorPreset::SwiftMemory);
-        let mut relaxed = per_cycle;
-        relaxed.sync_quantum = SyncQuantum::Cycles(64);
+        let event = FidelityConfig::for_preset(SimulatorPreset::SwiftMemory);
 
-        let before = seen(DONE_ON_SLEEPER);
-        let event = run_at(&cfg, relaxed, 4, &app);
-        assert!(seen(DONE_ON_SLEEPER) > before, "no Done reached a sleeper");
-        assert_same(&run_at(&cfg, dense(relaxed), 4, &app), &event, "vs dense");
-        assert_same(
-            &run_at(&cfg, per_cycle, 1, &app),
-            &run_at(&cfg, per_cycle, 4, &app),
-            "per-cycle, 4 threads vs 1",
+        let before = seen(&DEFERRED_DONES);
+        let four = run_at(&cfg, event, 4, &app);
+        assert!(
+            seen(&DEFERRED_DONES) > before,
+            "no worker shard took a Done"
         );
+        assert_same(&run_at(&cfg, dense(event), 4, &app), &four, "vs dense");
+        assert_same(&run_at(&cfg, event, 1, &app), &four, "4 threads vs 1");
     }
 
     /// Loads spanning 32 lines each fill the four L1 MSHRs and the LD/ST
@@ -410,9 +401,12 @@ mod tests {
         let app = ApplicationTrace::new("flood", vec![kernel]);
         let event = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
 
-        let before = seen(MEM_WAITER);
+        let before = seen(&MEM_WAITERS);
         let one = run_at(&cfg, event, 1, &app);
-        assert!(seen(MEM_WAITER) > before, "no sleeper waited on the queue");
+        assert!(
+            seen(&MEM_WAITERS) > before,
+            "no sleeper waited on the queue"
+        );
         assert_same(&run_at(&cfg, dense(event), 1, &app), &one, "vs dense");
         assert_same(&one, &run_at(&cfg, event, 2, &app), "2 threads vs 1");
     }

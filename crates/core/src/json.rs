@@ -21,7 +21,8 @@ use swiftsim_metrics::{Json, MetricsCollector};
 /// quantum of the two-phase parallel engine). Multi-threaded runs now use
 /// the shared-memory two-phase engine by default instead of decoupled
 /// per-shard memory slices, so v2 multi-threaded counters are not
-/// comparable.
+/// comparable. The key has since gone: shards always commit every cycle,
+/// and loading ignores it.
 ///
 /// v4: the fidelity object gained `sampling` (kernel-launch sampling
 /// policy) and results gained an optional `confidence` block carrying the
@@ -81,7 +82,6 @@ impl FidelityConfig {
             ("memory", Json::str(self.memory.token())),
             ("frontend", Json::str(self.frontend.token())),
             ("skip_policy", Json::str(self.skip_policy.token())),
-            ("sync_quantum", Json::str(self.sync_quantum.token())),
             ("sampling", Json::str(self.sampling.token())),
         ])
     }
@@ -102,14 +102,6 @@ impl FidelityConfig {
             memory: field(json, "memory")?,
             frontend: field(json, "frontend")?,
             skip_policy: field(json, "skip_policy")?,
-            // Absent in pre-v3 documents; the default quantum is the only
-            // value such documents could have run with.
-            sync_quantum: match json.get("sync_quantum").and_then(Json::as_str) {
-                Some(tok) => tok
-                    .parse()
-                    .map_err(|e: crate::error::SimError| e.to_string())?,
-                None => crate::fidelity::SyncQuantum::PerCycle,
-            },
             // Absent in pre-v4 documents; such documents could only have run
             // unsampled.
             sampling: match json.get("sampling").and_then(Json::as_str) {
@@ -283,7 +275,7 @@ impl SimulationResult {
 mod tests {
     use super::*;
     use crate::fidelity::{
-        AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy, SyncQuantum,
+        AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy,
     };
     use crate::result::Confidence;
     use swiftsim_metrics::Value;
@@ -298,7 +290,6 @@ mod tests {
             memory: MemoryModelKind::CycleAccurate,
             frontend: FrontendModelKind::Simplified,
             skip_policy: SkipPolicy::EventDriven,
-            sync_quantum: SyncQuantum::Cycles(16),
             sampling: SamplingPolicy::Off,
         };
         SimulationResult {
@@ -371,7 +362,6 @@ mod tests {
             fid.get("skip_policy").and_then(Json::as_str),
             Some("event_driven")
         );
-        assert_eq!(fid.get("sync_quantum").and_then(Json::as_str), Some("16"));
         // A malformed fidelity is rejected, not defaulted.
         let mut bad = sample().to_json();
         if let Json::Obj(pairs) = &mut bad {
@@ -455,16 +445,33 @@ mod tests {
     }
 
     #[test]
-    fn missing_sync_quantum_defaults_to_per_cycle() {
-        // Documents written before the field existed can only have run with
-        // per-cycle semantics; reading one must not fail.
-        let mut json = sample().to_json();
-        if let Json::Obj(pairs) = &mut json {
+    fn parent_v5_fidelity_with_a_quantum_key_still_loads() {
+        // v5 documents written before shards always committed per cycle
+        // carry one more fidelity key; it is ignored on load, and the
+        // result serializes back in the current shape.
+        let current = sample().to_json().dump();
+        let mut old = sample().to_json();
+        if let Json::Obj(pairs) = &mut old {
             if let Json::Obj(fid) = &mut pairs[3].1 {
-                fid.retain(|(k, _)| *k != "sync_quantum");
+                fid.insert(4, ("sync_quantum".to_owned(), Json::str("per_cycle")));
+                let keys: Vec<&str> = fid.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(
+                    keys,
+                    [
+                        "alu",
+                        "memory",
+                        "frontend",
+                        "skip_policy",
+                        "sync_quantum",
+                        "sampling"
+                    ]
+                );
             }
         }
-        let back = SimulationResult::from_json(&json).unwrap();
-        assert_eq!(back.fidelity.sync_quantum, SyncQuantum::PerCycle);
+        let old = old.dump();
+        assert_ne!(old, current);
+        let back = SimulationResult::from_json(&Json::parse(&old).unwrap()).unwrap();
+        assert_eq!(back, sample());
+        assert_eq!(back.to_json().dump(), current);
     }
 }

@@ -84,7 +84,7 @@ pub use checkpoint::Snapshot;
 pub use error::{panic_message, SimError, DEADLOCK_MARKER};
 pub use fidelity::{
     AluModelKind, FidelityConfig, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy,
-    SyncQuantum, DEFAULT_SAMPLING_REPS,
+    DEFAULT_SAMPLING_REPS,
 };
 pub use input::TraceInput;
 pub use json::RESULT_SCHEMA_VERSION;

@@ -304,8 +304,8 @@ mod tests {
                         pair.push(at);
                     }
                 }
-                // Late commits: accesses of a whole sync quantum land
-                // after the advance at its start, at cycles inside it.
+                // Late commits: accesses applied after the advance at
+                // `now` (a worker shard's), some due within a few cycles.
                 if rng.gen_bool(0.1) {
                     for _ in 0..rng.gen_range(1usize..20) {
                         pair.push(now + rng.gen_range(0..32) + delay(&mut rng));

@@ -145,7 +145,7 @@ impl RunOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fidelity::{AluModelKind, SyncQuantum};
+    use crate::fidelity::AluModelKind;
 
     #[test]
     fn default_matches_legacy_builder_defaults() {
@@ -171,7 +171,6 @@ mod tests {
             o.fidelity.sampling,
             SamplingPolicy::KernelCluster { reps: 3 }
         );
-        assert_eq!(o.fidelity.sync_quantum, SyncQuantum::PerCycle);
         assert_eq!(o.threads, 4);
         assert!(o.profile);
         assert_eq!(o.checkpoint.write_to.as_deref(), Some("/tmp/ck".as_ref()));

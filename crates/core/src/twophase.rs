@@ -3,10 +3,10 @@
 //!
 //! A run splits the GPU's SMs into contiguous *shards*, one per thread, and
 //! a single-threaded run is simply the one-shard case. There is **one**
-//! memory system, and simulated time advances in *synchronization quanta*
-//! ([`SyncQuantum`]):
+//! memory system, and simulated time advances one cycle at a time, each
+//! cycle in two phases:
 //!
-//! 1. **Compute phase** — every shard ticks its SMs through the quantum
+//! 1. **Compute phase** — every shard ticks its SMs through the cycle
 //!    independently. Shard 0 runs on the calling thread against the memory
 //!    system itself: its SMs call [`MemorySystem::access`], read the live
 //!    `can_accept` and take `Done` replies at once, and their tokens go
@@ -14,8 +14,8 @@
 //!    its own worker, so N shards are N OS threads; its memory-visible
 //!    events (global/local accesses) are not applied: a [`DeferredPort`]
 //!    buffers them into the shard's [`Mailbox`] in deterministic buffer
-//!    order (cycle-major, then SM, then issue order within the tick) and
-//!    answers `can_accept` from a snapshot taken at the quantum boundary.
+//!    order (SM, then issue order within the tick) and answers
+//!    `can_accept` from a snapshot taken at the start of the cycle.
 //! 2. **Commit phase** — the coordinator (the calling thread again) takes
 //!    the other shards' mailboxes *in shard order*, each as soon as that
 //!    shard's epoch lands at the [`Gate`], and applies every buffered
@@ -26,35 +26,25 @@
 //!
 //! Commands and results cross threads through [`crate::gate`]: one reused
 //! mailbox per worker, published by an epoch counter and waited for on a
-//! yield → park ladder — no channel, no per-quantum allocation.
+//! yield → park ladder — no channel, no per-cycle allocation.
 //!
-//! Under [`SyncQuantum::PerCycle`] the quantum is one cycle and the replay
-//! is *exact*: block dispatch, completion delivery, `can_accept`
-//! back-pressure snapshots, and deferred `Done` writebacks all line up
-//! with the one-shard step order (dispatch → deliver → tick), making the
-//! results **bit-identical** for any thread count — enforced by
-//! `tests/event_engine_equiv.rs`. One shard always synchronizes per cycle.
+//! Because every shard commits every cycle, the replay is *exact*: block
+//! dispatch, completion delivery, `can_accept` back-pressure snapshots, and
+//! deferred `Done` writebacks all line up with the one-shard step order
+//! (dispatch → deliver → tick), making the results **bit-identical** for
+//! any thread count — enforced by `tests/event_engine_equiv.rs`.
 //! Every shard ticks only its awake SMs through the sleep set (`gpu.rs`,
-//! "Sleeping SMs"). When every shard's SMs sleep after a quiet quantum,
-//! nothing can happen before the earliest sleeper wake, `Done` reply or
-//! memory event: the next quantum starts there instead of at the next
-//! cycle, and with none of them the kernel fails with
-//! [`SimError::Deadlock`] at once. Under
+//! "Sleeping SMs"). When every shard's SMs sleep after a quiet cycle,
+//! nothing can happen before the earliest sleeper wake or memory event:
+//! the next cycle ticked is that one instead of the one after, and with
+//! neither the kernel fails with [`SimError::Deadlock`] at once. Under
 //! [`SkipPolicy::Dense`](crate::fidelity::SkipPolicy::Dense) no SM
 //! sleeps, and a million idle cycles in a row count as a deadlock.
-//!
-//! [`SyncQuantum::Cycles`]`(q)` relaxes the hand-off: workers tick `q`
-//! cycles per phase against snapshots taken at the quantum boundary.
-//! Deterministic and reproducible for a fixed configuration, but memory
-//! contention is observed at quantum granularity, so statistics may
-//! diverge from the per-cycle engine (measured, not silent — see the
-//! `parallel_speedup` bench). Clock jumps are disabled in this mode;
-//! sleeping SMs keep idle ticks cheap instead.
 
 use crate::block_scheduler::BlockScheduler;
 use crate::builder::{GpuSimulator, RunDriver};
 use crate::error::SimError;
-use crate::fidelity::{FidelityConfig, MemoryModelKind, SyncQuantum};
+use crate::fidelity::{FidelityConfig, MemoryModelKind};
 use crate::gate::{Coordinator, Dead, Gate};
 use crate::gpu::{deadlock_detail, min_opt, occupancy, SmSet};
 use crate::mem_system::{
@@ -87,8 +77,6 @@ struct AccessRecord {
     /// The `now` argument the SM passed (AGU/port availability), handed
     /// to the memory system verbatim.
     agu_done: Cycle,
-    /// The cycle the instruction issued in, for LD/ST latency attribution.
-    issue_now: Cycle,
     target: WbTarget,
 }
 
@@ -108,36 +96,34 @@ struct PhaseOut {
     unit_busy: bool,
     /// Local SM index per completed block, in tick order.
     completed: Vec<usize>,
-    /// Whether every SM sleeps after the quantum, and if so the earliest
-    /// of their wakes.
+    /// Whether every SM sleeps after the cycle, and if so the earliest of
+    /// their wakes.
     asleep: bool,
     wake: Option<Cycle>,
 }
 
 /// A worker shard's mailbox in the [`Gate`]: the coordinator fills the
 /// command side and the shard's [`step`] the result side, both in place,
-/// so after warm-up a quantum allocates nothing. Each list is drained by
+/// so after warm-up a cycle allocates nothing. Each list is drained by
 /// the side that reads it.
 #[derive(Default)]
 struct Mailbox {
     // Command: coordinator → shard.
-    /// The quantum's first cycle, which is where a clock jump lands, and
-    /// its length.
+    /// The cycle to tick, which is where a clock jump lands.
     base: Cycle,
-    len: Cycle,
-    /// Blocks dispatched this quantum: `(local SM, global block id)`.
+    /// Blocks dispatched this cycle: `(local SM, global block id)`.
     installs: Vec<(usize, usize)>,
     /// Memory completions due now: writeback targets per local SM.
     writebacks: Vec<(usize, WbTarget)>,
-    /// `Done` replies committed last quantum.
+    /// `Done` replies committed last cycle.
     dones: Vec<DeferredDone>,
     /// Per-local-SM memory back-pressure snapshot.
     can_accept: Vec<bool>,
 
     // Result: shard → coordinator.
     out: PhaseOut,
-    /// This quantum's accesses in buffer order (cycle-major, then SM, then
-    /// issue order within the tick), their transactions flat in `txns`.
+    /// This cycle's accesses in buffer order (SM, then issue order within
+    /// the tick), their transactions flat in `txns`.
     records: Vec<AccessRecord>,
     txns: Vec<MemTxn>,
 }
@@ -169,8 +155,6 @@ fn elapsed_ns(t0: Option<Instant>) -> u64 {
 /// Where a shard's SMs send their memory accesses during a compute phase.
 trait Port {
     fn mem(&mut self) -> &mut dyn MemorySystem;
-    /// Enter cycle `now`.
-    fn at(&mut self, now: Cycle);
     /// SM `sm`'s access was answered `Pending(token)`; its data writes back
     /// to `target`.
     fn pending(&mut self, token: u64, sm: usize, target: WbTarget);
@@ -188,8 +172,6 @@ impl Port for Direct<'_> {
         &mut *self.mem
     }
 
-    fn at(&mut self, _now: Cycle) {}
-
     fn pending(&mut self, token: u64, sm: usize, target: WbTarget) {
         self.tokens.insert(token, (0, sm, target));
     }
@@ -197,12 +179,11 @@ impl Port for Direct<'_> {
 
 /// A worker shard's stand-in for the shared memory system: buffers
 /// accesses into the mailbox instead of applying them, and answers
-/// `can_accept` from the coordinator's per-quantum snapshot. Every access
+/// `can_accept` from the coordinator's per-cycle snapshot. Every access
 /// "replies" `Pending(record index)`, which routes the writeback target
 /// back here through the SM's normal token path.
 struct DeferredPort<'m> {
     can_accept: &'m [bool],
-    now: Cycle,
     records: &'m mut Vec<AccessRecord>,
     txns: &'m mut Vec<MemTxn>,
 }
@@ -210,10 +191,6 @@ struct DeferredPort<'m> {
 impl Port for DeferredPort<'_> {
     fn mem(&mut self) -> &mut dyn MemorySystem {
         self
-    }
-
-    fn at(&mut self, now: Cycle) {
-        self.now = now;
     }
 
     fn pending(&mut self, token: u64, _sm: usize, target: WbTarget) {
@@ -234,7 +211,6 @@ impl MemorySystem for DeferredPort<'_> {
             pc,
             txns: first..self.txns.len(),
             agu_done: now,
-            issue_now: self.now,
             target: WbTarget {
                 slot: 0,
                 warp: 0,
@@ -272,10 +248,6 @@ pub(crate) fn run_two_phase(
             Some(*next - n..*next)
         })
         .collect();
-    let quantum: Cycle = match sim.fidelity.sync_quantum {
-        SyncQuantum::Cycles(n) if shards > 1 => Cycle::from(n),
-        _ => 1,
-    };
 
     let total = source.num_kernels();
     let mut driver = RunDriver::new(sim, source)?;
@@ -326,7 +298,6 @@ pub(crate) fn run_two_phase(
                     kernel,
                     kidx,
                     &sm_id_groups,
-                    quantum,
                     sim.fidelity,
                     mem.as_mut(),
                     &mut worker_profs,
@@ -400,7 +371,6 @@ fn run_kernel(
     kernel: &KernelTrace,
     kidx: usize,
     sm_id_groups: &[Range<usize>],
-    quantum: Cycle,
     fidelity: FidelityConfig,
     mem: &mut dyn MemorySystem,
     worker_profs: &mut [Profiler],
@@ -451,16 +421,7 @@ fn run_kernel(
         // what makes asserting unwind safety sound.
         let own = catch_unwind(AssertUnwindSafe(|| {
             let mut own = SmSet::new(cfg, fidelity, kernel, slots, sm_id_groups[0].clone(), start);
-            let end = coordinate(
-                mem,
-                &mut bs,
-                sm_id_groups,
-                quantum,
-                start,
-                &coord,
-                &mut own,
-                prof,
-            );
+            let end = coordinate(mem, &mut bs, sm_id_groups, start, &coord, &mut own, prof);
             (end, finish(own, None, prof))
         }));
         drop(coord);
@@ -515,17 +476,15 @@ fn run_kernel(
     }
 }
 
-/// The coordinator: runs the quantum loop against the shared memory
-/// system, in the per-cycle step order — dispatch, advance/deliver,
-/// (shards tick), commit, terminate/advance — and jumps the clock once
-/// every SM sleeps. Shard 0's compute phase runs inline between publishing
-/// the other shards' commands and waiting for their results.
-#[allow(clippy::too_many_arguments)]
+/// The coordinator: runs the cycle loop against the shared memory system,
+/// in the per-cycle step order — dispatch, advance/deliver, (shards tick),
+/// commit, terminate/advance — and jumps the clock once every SM sleeps.
+/// Shard 0's compute phase runs inline between publishing the other
+/// shards' commands and waiting for their results.
 fn coordinate(
     mem: &mut dyn MemorySystem,
     bs: &mut BlockScheduler,
     sm_id_groups: &[Range<usize>],
-    quantum: Cycle,
     start: Cycle,
     coord: &Coordinator<'_, Mailbox>,
     own: &mut SmSet<'_>,
@@ -537,7 +496,7 @@ fn coordinate(
     let mut tokens: FastMap<u64, (usize, usize, WbTarget)> = FastMap::default();
     let mut completions: Vec<MemCompletion> = Vec::new();
     let mut own_out = PhaseOut::default();
-    // Every worker's mailbox, held from the top of a quantum to its
+    // Every worker's mailbox, held from the top of a cycle to its
     // publish; `boxes[w]` is shard `w + 1`'s.
     let mut boxes = Vec::with_capacity(worker_ids.len());
     let mut now = start;
@@ -586,13 +545,12 @@ fn coordinate(
             }
         }
 
-        // 3. Compute phase: hand each worker its quantum, then run shard
+        // 3. Compute phase: hand each worker its cycle, then run shard
         //    0's. A worker's `can_accept` is snapshotted post-advance; it
         //    only depends on the SM's own queue, which cannot change before
         //    that SM's tick, so the snapshot equals the live value.
         for (mb, ids) in boxes.iter_mut().zip(worker_ids) {
             mb.base = now;
-            mb.len = quantum;
             mb.can_accept.clear();
             mb.can_accept
                 .extend(ids.clone().map(|sm| mem.can_accept(sm)));
@@ -607,7 +565,7 @@ fn coordinate(
             mem: &mut *mem,
             tokens: &mut tokens,
         };
-        compute(own, now, quantum, &mut port, &mut own_out, prof);
+        compute(own, now, &mut port, &mut own_out, prof);
         let mut any_tokens = tokens.len() > known_tokens;
         let PhaseOut {
             mut issued,
@@ -624,8 +582,8 @@ fn coordinate(
         // 4. Commit phase: apply the workers' buffered accesses in shard
         //    order, after shard 0's direct ones — global SM order. Each
         //    shard commits as soon as its own epoch lands; later shards
-        //    keep computing meanwhile. Two phase-sync records per quantum
-        //    when there are workers: total wait, total commit.
+        //    keep computing meanwhile. Two phase-sync records per cycle when
+        //    there are workers: total wait, total commit.
         if !worker_ids.is_empty() {
             let mut wait_ns = 0u64;
             let mut commit_ns = 0u64;
@@ -646,19 +604,20 @@ fn coordinate(
                     out,
                     ..
                 } = &mut *mb;
+                // An SM that accessed memory made a token this cycle, so it
+                // is awake and its shard is not asleep: the clock jump below
+                // never needs a `Done`'s time, which the shard applies next
+                // cycle.
+                debug_assert!(records.is_empty() || !out.asleep);
                 for r in records.drain(..) {
                     let sm = ids.start + r.local_sm;
                     match mem.access(sm, r.pc, &txns[r.txns], r.agu_done) {
                         MemReply::Done(at) => {
-                            // The shard cannot see a `Done` reply until
-                            // next quantum, so its time joins the wake
-                            // here.
-                            wake = min_opt(wake, Some(at));
                             dones.push(DeferredDone {
                                 local_sm: r.local_sm,
                                 target: r.target,
                                 at,
-                                issue_now: r.issue_now,
+                                issue_now: now,
                             });
                         }
                         MemReply::Pending(token) => {
@@ -682,14 +641,12 @@ fn coordinate(
             prof.record_wall_ns(ProfModule::PhaseSync, commit_ns, 1);
         }
 
-        let quantum_end = now + quantum - 1;
-
         // 5. Termination: every block completed and the memory is quiet.
         if bs.all_done() && tokens.is_empty() && mem.next_event().is_none() {
-            return CoordEnd::Finished { end: quantum_end };
+            return CoordEnd::Finished { end: now };
         }
 
-        // 6. Advance time. A *quiet* quantum is one in which provably
+        // 6. Advance time. A *quiet* cycle is one in which provably
         //    nothing observable happened: no instruction issued, no
         //    port-busy stall about to resolve, no memory completion or new
         //    request, no block installed or retired.
@@ -699,21 +656,21 @@ fn coordinate(
             && !any_completed
             && !any_tokens
             && !installed;
-        now = quantum_end + 1;
+        now += 1;
         if quiet && asleep {
             // Nothing can act before the earliest wake or memory event,
             // and without either, nothing ever will.
             let Some(t) = min_opt(wake, mem.next_event()) else {
-                return CoordEnd::Deadlock { cycle: quantum_end };
+                return CoordEnd::Deadlock { cycle: now - 1 };
             };
-            if quantum == 1 && t > now {
+            if t > now {
                 prof.add_cycles(ProfModule::CycleSkip, t - now);
                 now = t;
             }
             idle_streak = 0;
             continue;
         }
-        idle_streak = if issued > 0 { 0 } else { idle_streak + quantum };
+        idle_streak = if issued > 0 { 0 } else { idle_streak + 1 };
         // A memory event or token always reappears within the DRAM latency;
         // a much longer silent streak means the model deadlocked.
         if idle_streak > 1_000_000 {
@@ -722,13 +679,11 @@ fn coordinate(
     }
 }
 
-/// Tick `sms` through the quantum `base..base + len` against `port`,
-/// reporting into `out`. Each cycle rouses the sleepers that can act, then
-/// ticks the awake SMs in SM order.
+/// Tick `sms` through cycle `now` against `port`, reporting into `out`:
+/// rouse the sleepers that can act, then tick the awake SMs in SM order.
 fn compute(
     sms: &mut SmSet<'_>,
-    base: Cycle,
-    len: Cycle,
+    now: Cycle,
     port: &mut impl Port,
     out: &mut PhaseOut,
     prof: &mut Profiler,
@@ -736,21 +691,18 @@ fn compute(
     out.issued = 0;
     out.unit_busy = false;
     out.completed.clear();
-    for c in base..base + len {
-        port.at(c);
-        sms.rouse_due(c, port.mem(), prof);
-        let mut next = 0;
-        while let Some(i) = sms.next_awake(next) {
-            next = i + 1;
-            let outcome = sms.tick(i, c, port.mem(), prof);
-            out.issued += outcome.issued;
-            out.unit_busy |= outcome.unit_busy_stall;
-            for _ in &outcome.completed_blocks {
-                out.completed.push(i);
-            }
-            for &(token, target) in &outcome.new_tokens {
-                port.pending(token, i, target);
-            }
+    sms.rouse_due(now, port.mem(), prof);
+    let mut next = 0;
+    while let Some(i) = sms.next_awake(next) {
+        next = i + 1;
+        let outcome = sms.tick(i, now, port.mem(), prof);
+        out.issued += outcome.issued;
+        out.unit_busy |= outcome.unit_busy_stall;
+        for _ in &outcome.completed_blocks {
+            out.completed.push(i);
+        }
+        for &(token, target) in &outcome.new_tokens {
+            port.pending(token, i, target);
         }
     }
     out.asleep = sms.all_asleep();
@@ -765,7 +717,7 @@ fn apply_dones(sms: &mut SmSet<'_>, dones: &mut Vec<DeferredDone>, prof: &mut Pr
 }
 
 /// A worker shard's compute phase: consume the mailbox's command, tick the
-/// shard's SMs through the quantum, leave the result in the same mailbox.
+/// shard's SMs through the cycle, leave the result in the same mailbox.
 fn step(sms: &mut SmSet<'_>, mb: &mut Mailbox, prof: &mut Profiler) {
     apply_dones(sms, &mut mb.dones, prof);
     // Installs before writeback deliveries: the coordinator dispatches
@@ -779,11 +731,10 @@ fn step(sms: &mut SmSet<'_>, mb: &mut Mailbox, prof: &mut Profiler) {
     }
     let mut port = DeferredPort {
         can_accept: &mb.can_accept,
-        now: 0,
         records: &mut mb.records,
         txns: &mut mb.txns,
     };
-    compute(sms, mb.base, mb.len, &mut port, &mut mb.out, prof);
+    compute(sms, mb.base, &mut port, &mut mb.out, prof);
 }
 
 /// Wind a shard down: apply what the final commit left in `mailbox` (none

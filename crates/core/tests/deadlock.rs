@@ -3,7 +3,7 @@
 //! waiting warp, not just a cycle number.
 
 use swiftsim_config::presets;
-use swiftsim_core::{RunOptions, SimError, SimulatorPreset, SyncQuantum};
+use swiftsim_core::{RunOptions, SimError, SimulatorPreset};
 use swiftsim_trace::{ApplicationTrace, InstBuilder, KernelTrace, Opcode};
 
 /// Two warps in one block: warp 0 waits at a barrier forever, because warp
@@ -88,9 +88,8 @@ fn app_wedged_on_last_sm(sms: u32) -> ApplicationTrace {
 }
 
 /// Regression: sharded runs must report the *global* SM id of the stalled
-/// warp, per cycle and under a relaxed quantum. An earlier revision printed
-/// the shard-local index, which on any shard but the first names the wrong
-/// SM.
+/// warp. An earlier revision printed the shard-local index, which on any
+/// shard but the first names the wrong SM.
 #[test]
 fn sharded_deadlock_reports_global_sm_ids() {
     let mut cfg = presets::rtx2080ti();
@@ -98,32 +97,27 @@ fn sharded_deadlock_reports_global_sm_ids() {
     cfg.memory.partitions = 2;
     cfg.sm.max_blocks = 1; // one slot per SM: block 1 must land on SM 1
 
-    for quantum in [SyncQuantum::PerCycle, SyncQuantum::Cycles(8)] {
-        let mut fidelity = swiftsim_core::FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
-        fidelity.sync_quantum = quantum;
-        let err = swiftsim_core::run(
-            &app_wedged_on_last_sm(2),
-            &cfg,
-            &RunOptions::default()
-                .with_fidelity(fidelity)
-                .with_threads(2),
-        )
-        .expect_err("the wedged block must be detected");
+    let err = swiftsim_core::run(
+        &app_wedged_on_last_sm(2),
+        &cfg,
+        &RunOptions::default()
+            .with_preset(SimulatorPreset::SwiftBasic)
+            .with_threads(2),
+    )
+    .expect_err("the wedged block must be detected");
 
-        let SimError::Deadlock { shard, detail, .. } = &err else {
-            panic!("expected a deadlock under {quantum:?}, got: {err}");
-        };
-        assert_eq!(
-            *shard, 1,
-            "{quantum:?}: the stalled SM belongs to the second shard: {detail}"
-        );
-        assert!(
-            detail.contains("SM 1"),
-            "{quantum:?}: the report must name the global SM id, \
-             not the shard-local index: {detail}"
-        );
-        assert!(detail.contains("barrier"), "{quantum:?}: {detail}");
-    }
+    let SimError::Deadlock { shard, detail, .. } = &err else {
+        panic!("expected a deadlock, got: {err}");
+    };
+    assert_eq!(
+        *shard, 1,
+        "the stalled SM belongs to the second shard: {detail}"
+    );
+    assert!(
+        detail.contains("SM 1"),
+        "the report must name the global SM id, not the shard-local index: {detail}"
+    );
+    assert!(detail.contains("barrier"), "{detail}");
 }
 
 /// A single-threaded run reports a provably dead model at once too: when
@@ -201,7 +195,7 @@ fn sharded_fast_deadlock_is_prompt_at_two_and_four_threads() {
         assert!(detail.contains("SM 3"), "{threads} threads: {detail}");
         assert!(detail.contains("barrier"), "{threads} threads: {detail}");
         // The idle watchdog needs a million idle ticks; the
-        // short-circuit needs a handful of quanta.
+        // short-circuit needs a handful of cycles.
         assert!(
             elapsed < std::time::Duration::from_secs(5),
             "{threads} threads: took {elapsed:?}"

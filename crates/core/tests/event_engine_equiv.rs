@@ -11,7 +11,7 @@
 use swiftsim_config::presets;
 use swiftsim_core::{
     AluModelKind, FidelityConfig, MemoryModelKind, RunOptions, SimulationResult, SimulatorPreset,
-    SkipPolicy, SyncQuantum,
+    SkipPolicy,
 };
 use swiftsim_metrics::Value;
 use swiftsim_trace::{ChunkedTraceSource, TextTraceSource, TraceSource};
@@ -141,10 +141,10 @@ fn event_engine_matches_dense_when_sharded() {
     }
 }
 
-/// The kernel loop's headline contract: under the default per-cycle
-/// quantum, a multi-threaded run is **bit-identical** to a single-threaded
-/// one, its one-shard case — same cycles, same per-kernel stats, same
-/// Metrics Gatherer counters — for every preset and thread count
+/// The kernel loop's headline contract: its shards commit every cycle, so
+/// a multi-threaded run is **bit-identical** to a single-threaded one, its
+/// one-shard case — same cycles, same per-kernel stats, same Metrics
+/// Gatherer counters — for every preset and thread count
 /// (including uneven SM splits). Only `sim.threads` and the simulator
 /// label legitimately differ; they are normalized before comparing.
 #[test]
@@ -207,33 +207,6 @@ fn two_phase_parallel_matches_single_thread_across_sources_and_policies() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Relaxed quanta trade the bit-identity guarantee for fewer
-/// synchronization barriers. They are explicit opt-in (the default is
-/// per-cycle) and must stay *deterministic*: the same configuration run
-/// twice produces the same statistics.
-#[test]
-fn relaxed_quantum_is_deterministic_and_opt_in() {
-    assert_eq!(
-        FidelityConfig::default().sync_quantum,
-        SyncQuantum::PerCycle,
-        "bit-identical per-cycle commit is the default"
-    );
-    let cfg = small_gpu();
-    let app = swiftsim_workloads::by_name("bfs")
-        .expect("workload exists")
-        .generate(Scale::Tiny);
-    let mut fid = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
-    fid.sync_quantum = SyncQuantum::Cycles(8);
-    let a = run_with(&cfg, fid, 4, &app);
-    let b = run_with(&cfg, fid, 4, &app);
-    assert_stats_equal(&a, &b, "relaxed quantum, identical runs");
-    assert!(
-        a.simulator.contains("+sync_q8"),
-        "relaxed quantum must be visible in the simulator label: {}",
-        a.simulator
-    );
 }
 
 #[test]
@@ -406,13 +379,12 @@ mod randomized {
     }
 
     /// Per-cycle commits stay bit-identical to a single thread for any
-    /// trace, and relaxed quanta stay deterministic run to run.
+    /// trace and thread count.
     #[test]
-    fn random_quanta_are_deterministic() {
+    fn random_traces_match_one_thread_at_any_thread_count() {
         let cfg = super::small_gpu(); // 4 SMs
         let mut rng = SmallRng::seed_from_u64(0x5ee9_0002);
         for case in 0..8 {
-            let quantum = rng.gen_range(2u32..48);
             let threads = rng.gen_range(2usize..5);
             let (blocks, warps) = (rng.gen_range(1u32..5), rng.gen_range(1u32..4));
             let app = build_app(blocks, warps, &random_bodies(&mut rng));
@@ -424,14 +396,6 @@ mod randomized {
             reference.metrics.set("sim.threads", Value::Count(0));
             sharded.metrics.set("sim.threads", Value::Count(0));
             assert_stats_equal(&reference, &sharded, &ctx);
-
-            let mut relaxed = per_cycle;
-            relaxed.sync_quantum = SyncQuantum::Cycles(quantum);
-            assert_stats_equal(
-                &run_with(&cfg, relaxed, threads, &app),
-                &run_with(&cfg, relaxed, threads, &app),
-                &format!("{ctx}, quantum {quantum}"),
-            );
         }
     }
 }

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use swiftsim_config::{fnv1a64, presets, SchedulerPolicy};
 use swiftsim_core::{
     FidelityConfig, MemoryModelKind, RunOptions, SamplingPolicy, SimulationResult, SimulatorPreset,
-    SkipPolicy, StatId, SyncQuantum,
+    SkipPolicy, StatId,
 };
 use swiftsim_trace::ApplicationTrace;
 use swiftsim_workloads::Scale;
@@ -79,9 +79,8 @@ enum Line<'a> {
 /// policy, whose name joins the preset in the key (`swift-basic/lrr`);
 /// then one row per app for each single-threaded variant the presets do
 /// not reach, keyed by the variant's fidelity token (`swift-basic/dense`):
-/// the dense clock, the reuse-distance analytical memory, a relaxed sync
-/// quantum (which a one-thread run ignores, so those rows repeat the
-/// swift-basic ones) and kernel-launch sampling. Sampling replays only
+/// the dense clock, the reuse-distance analytical memory and kernel-launch
+/// sampling. Sampling replays only
 /// repeated launches, which no tiny app has, so its rows run `thrice`:
 /// each app's kernel sequence launched three times over.
 fn golden_lines<'a>(
@@ -144,15 +143,6 @@ fn golden_lines<'a>(
                 ..memory
             },
             MemoryModelKind::AnalyticalReuse.token().to_owned(),
-            apps,
-        ),
-        (
-            "swift-basic",
-            FidelityConfig {
-                sync_quantum: SyncQuantum::Cycles(32),
-                ..basic
-            },
-            "sync_q32".to_owned(),
             apps,
         ),
         (
@@ -272,20 +262,6 @@ fn current_digests() -> String {
 fn simulated_stats_match_the_golden_snapshot() {
     let current = current_digests();
     let path = golden_path();
-
-    // One thread has no quantum to relax: its sync_q32 rows are the
-    // swift-basic rows under another key.
-    let numbers = |key: &str| -> Vec<(String, String)> {
-        current
-            .lines()
-            .filter_map(|l| {
-                let (app, rest) = l.split_once(' ')?;
-                let (k, nums) = rest.split_once(' ')?;
-                (k == key).then(|| (app.to_owned(), nums.to_owned()))
-            })
-            .collect()
-    };
-    assert_eq!(numbers("swift-basic/sync_q32"), numbers("swift-basic"));
 
     if std::env::var_os("UPDATE_DIGESTS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
