@@ -10,7 +10,7 @@
 //! SWIFTSIM_SCALE=paper cargo run --release -p swiftsim-bench --bin fig4_accuracy
 //! ```
 
-use swiftsim_bench::{mean_of, sweep_app_accuracy_cached, Knobs};
+use swiftsim_bench::{mean_of, sweep_app_accuracy, Knobs};
 use swiftsim_metrics::Table;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     ]);
     for w in knobs.workloads() {
         eprintln!("  running {} ...", w.name);
-        let r = sweep_app_accuracy_cached(&gpu, &w, knobs.scale);
+        let r = sweep_app_accuracy(&gpu, &w, knobs.scale);
         t.row(vec![
             r.app.to_owned(),
             r.hardware.to_string(),

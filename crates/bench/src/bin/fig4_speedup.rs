@@ -9,7 +9,7 @@
 //! SWIFTSIM_SCALE=paper cargo run --release -p swiftsim-bench --bin fig4_speedup
 //! ```
 
-use swiftsim_bench::{geomean_of, sweep_app_cached, Knobs};
+use swiftsim_bench::{geomean_of, sweep_app, Knobs};
 use swiftsim_metrics::Table;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     let mut t = Table::new(vec!["App", "Baseline wall s", "Basic x", "Memory x"]);
     for w in knobs.workloads() {
         eprintln!("  running {} ...", w.name);
-        let r = sweep_app_cached(&gpu, &w, &knobs);
+        let r = sweep_app(&gpu, &w, &knobs);
         t.row(vec![
             r.app.to_owned(),
             format!("{:.2}", r.detailed.wall.as_secs_f64()),

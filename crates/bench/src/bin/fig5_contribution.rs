@@ -10,7 +10,7 @@
 //! SWIFTSIM_SCALE=paper cargo run --release -p swiftsim-bench --bin fig5_contribution
 //! ```
 
-use swiftsim_bench::{geomean_of, sweep_app_cached, Knobs};
+use swiftsim_bench::{geomean_of, sweep_app, Knobs};
 use swiftsim_metrics::Table;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     let mut results = Vec::new();
     for w in knobs.workloads() {
         eprintln!("  running {} ...", w.name);
-        results.push(sweep_app_cached(&gpu, &w, &knobs));
+        results.push(sweep_app(&gpu, &w, &knobs));
     }
 
     let basic_1t = geomean_of(&results, |r| r.speedup(r.basic_1t));

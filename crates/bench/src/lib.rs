@@ -14,6 +14,10 @@
 //! * `SWIFTSIM_THREADS` — worker threads for the parallel runs
 //!   (default `0` = auto: all cores, capped at the GPU's SM count by the
 //!   simulator builder).
+//!
+//! A malformed knob ends the run with an error, never a silently different
+//! figure. Nothing is cached: every run simulates afresh, so wall-clock
+//! columns always come from the build being run.
 
 use std::time::Duration;
 use swiftsim_config::GpuConfig;
@@ -33,28 +37,63 @@ pub struct Knobs {
 }
 
 impl Knobs {
-    /// Read the environment knobs.
+    /// Read the environment knobs; a malformed one ends the process with a
+    /// non-zero status and the message from [`Knobs::parse`].
     pub fn from_env() -> Knobs {
-        let scale = match std::env::var("SWIFTSIM_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Small,
+        let var = |key: &str| std::env::var(key).ok();
+        Knobs::parse(
+            var("SWIFTSIM_SCALE").as_deref(),
+            var("SWIFTSIM_THREADS").as_deref(),
+            var("SWIFTSIM_APPS").as_deref(),
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse the three knobs (`None` = unset: `small`, 0 threads, the full
+    /// suite).
+    ///
+    /// # Errors
+    ///
+    /// An unknown scale, a non-numeric thread count, or an app name that is
+    /// not in [`swiftsim_workloads::suite`] (the message lists the valid
+    /// names).
+    pub fn parse(
+        scale: Option<&str>,
+        threads: Option<&str>,
+        apps: Option<&str>,
+    ) -> Result<Knobs, String> {
+        let scale = scale.map_or(Ok(Scale::Small), |s| {
+            s.parse().map_err(|e| format!("{e} in SWIFTSIM_SCALE"))
+        })?;
+        let threads = threads.map_or(Ok(0), |t| {
+            t.parse()
+                .map_err(|_| format!("invalid thread count {t:?} in SWIFTSIM_THREADS"))
+        })?;
+        let suite: Vec<&str> = swiftsim_workloads::suite().iter().map(|w| w.name).collect();
+        let known = |a: &str| {
+            if suite.contains(&a) {
+                Ok(a.to_owned())
+            } else {
+                let valid = suite.join(", ");
+                Err(format!(
+                    "unknown app {a:?} in SWIFTSIM_APPS (valid: {valid})"
+                ))
+            }
         };
-        let threads = std::env::var("SWIFTSIM_THREADS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0);
-        let apps = std::env::var("SWIFTSIM_APPS").ok().map(|s| {
-            s.split(',')
-                .map(|a| a.trim().to_owned())
-                .filter(|a| !a.is_empty())
-                .collect()
-        });
-        Knobs {
+        let apps = apps
+            .map(|list| {
+                let names = list.split(',').map(str::trim).filter(|a| !a.is_empty());
+                names.map(known).collect::<Result<Vec<_>, _>>()
+            })
+            .transpose()?;
+        Ok(Knobs {
             scale,
             threads,
             apps,
-        }
+        })
     }
 
     /// The workloads this run covers.
@@ -183,125 +222,6 @@ pub fn sweep_app_accuracy(gpu: &GpuConfig, workload: &Workload, scale: Scale) ->
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sweep cache
-// ---------------------------------------------------------------------------
-//
-// Detailed-baseline simulations are expensive and four figure binaries need
-// the same numbers, so finished sweeps are cached as tab-separated rows
-// under `target/swiftsim-sweeps/`. Delete that directory after changing
-// simulator code.
-//
-// Rows are tagged with a version; lookups ignore rows from other versions.
-// v2: the event-driven cycle-skipping engine replaced the stat-free idle
-// jump — predictions are unchanged, wall-clock columns are not.
-const CACHE_TAG: &str = "v2";
-
-fn cache_path(gpu: &GpuConfig, scale: Scale) -> std::path::PathBuf {
-    let gpu_slug: String = gpu
-        .name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    std::path::PathBuf::from(format!("target/swiftsim-sweeps/{gpu_slug}-{scale:?}.tsv"))
-}
-
-fn measurement_to_fields(m: Measurement) -> String {
-    format!("{}\t{}", m.cycles, m.wall.as_micros())
-}
-
-fn fields_to_measurement(cycles: &str, wall_us: &str) -> Option<Measurement> {
-    Some(Measurement {
-        cycles: cycles.parse().ok()?,
-        wall: Duration::from_micros(wall_us.parse().ok()?),
-    })
-}
-
-fn cache_lookup(gpu: &GpuConfig, scale: Scale, app: &str, threads: usize) -> Option<AppResult> {
-    let text = std::fs::read_to_string(cache_path(gpu, scale)).ok()?;
-    let app_static = swiftsim_workloads::suite()
-        .into_iter()
-        .find(|w| w.name == app)?
-        .name;
-    for line in text.lines() {
-        let f: Vec<&str> = line.split('\t').collect();
-        if f.len() == 14 && f[13] == CACHE_TAG && f[0] == app && f[1] == threads.to_string() {
-            return Some(AppResult {
-                app: app_static,
-                detailed: fields_to_measurement(f[2], f[3])?,
-                basic_1t: fields_to_measurement(f[4], f[5])?,
-                memory_1t: fields_to_measurement(f[6], f[7])?,
-                basic_mt: fields_to_measurement(f[8], f[9])?,
-                memory_mt: fields_to_measurement(f[10], f[11])?,
-                hardware: f[12].parse().ok()?,
-            });
-        }
-    }
-    None
-}
-
-fn cache_store(gpu: &GpuConfig, scale: Scale, threads: usize, r: &AppResult) {
-    let path = cache_path(gpu, scale);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let row = format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{CACHE_TAG}\n",
-        r.app,
-        threads,
-        measurement_to_fields(r.detailed),
-        measurement_to_fields(r.basic_1t),
-        measurement_to_fields(r.memory_1t),
-        measurement_to_fields(r.basic_mt),
-        measurement_to_fields(r.memory_mt),
-        r.hardware,
-    );
-    use std::io::Write as _;
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let _ = f.write_all(row.as_bytes());
-    }
-}
-
-/// [`sweep_app`] with a disk cache keyed by (GPU, scale, threads, app).
-pub fn sweep_app_cached(gpu: &GpuConfig, workload: &Workload, knobs: &Knobs) -> AppResult {
-    if let Some(hit) = cache_lookup(gpu, knobs.scale, workload.name, knobs.threads) {
-        return hit;
-    }
-    let r = sweep_app(gpu, workload, knobs);
-    cache_store(gpu, knobs.scale, knobs.threads, &r);
-    r
-}
-
-/// [`sweep_app_accuracy`] with the same cache (any thread count's row has
-/// the single-threaded accuracy fields).
-pub fn sweep_app_accuracy_cached(gpu: &GpuConfig, workload: &Workload, scale: Scale) -> AppResult {
-    for threads in [1usize, 0] {
-        if let Some(hit) = cache_lookup(gpu, scale, workload.name, threads) {
-            return hit;
-        }
-    }
-    // Fall back to any cached thread count: the 1-thread fields match.
-    if let Ok(text) = std::fs::read_to_string(cache_path(gpu, scale)) {
-        for line in text.lines() {
-            let f: Vec<&str> = line.split('\t').collect();
-            if f.len() == 14 && f[13] == CACHE_TAG && f[0] == workload.name {
-                if let Ok(threads) = f[1].parse::<usize>() {
-                    if let Some(hit) = cache_lookup(gpu, scale, workload.name, threads) {
-                        return hit;
-                    }
-                }
-            }
-        }
-    }
-    let r = sweep_app_accuracy(gpu, workload, scale);
-    cache_store(gpu, scale, 0, &r);
-    r
-}
-
 /// Mean of a per-app statistic.
 pub fn mean_of(results: &[AppResult], f: impl Fn(&AppResult) -> f64) -> f64 {
     mean(&results.iter().map(f).collect::<Vec<_>>())
@@ -347,6 +267,15 @@ mod tests {
         assert_eq!(ws.len(), 1);
         assert_eq!(ws[0].name, "nw");
         assert!(knobs.describe().contains("nw"));
+
+        let parsed = Knobs::parse(Some("tiny"), Some("2"), Some("nw, bfs")).unwrap();
+        assert_eq!((parsed.scale, parsed.threads), (Scale::Tiny, 2));
+        assert_eq!(parsed.workloads().len(), 2);
+        let err = Knobs::parse(None, None, Some("bsf")).unwrap_err();
+        assert!(err.contains("\"bsf\"") && err.contains("bfs"), "{err}");
+        let err = Knobs::parse(Some("Tiny"), None, None).unwrap_err();
+        assert!(err.contains("tiny|small|paper"), "{err}");
+        assert!(Knobs::parse(None, Some("two"), None).is_err());
     }
 
     #[test]

@@ -243,12 +243,7 @@ impl JobSpec {
                 text.push_str(&format!("trace = {p}\n"));
             }
         }
-        let scale = match self.scale {
-            Scale::Tiny => "tiny",
-            Scale::Small => "small",
-            Scale::Paper => "paper",
-        };
-        text.push_str(&format!("scale = {scale}\n"));
+        text.push_str(&format!("scale = {}\n", self.scale.token()));
         text.push_str(&format!("preset = {}\n", self.preset.label()));
         text.push_str(&format!("threads = {}\n", self.threads));
         if let Some(s) = self.scheduler {
@@ -423,16 +418,7 @@ impl CampaignSpec {
                 "trace" => spec
                     .workloads
                     .extend(parse_list(value).into_iter().map(WorkloadSource::TraceFile)),
-                "scale" => {
-                    spec.scale = match value {
-                        "tiny" => Scale::Tiny,
-                        "small" => Scale::Small,
-                        "paper" => Scale::Paper,
-                        other => {
-                            return Err(CampaignError::Spec(format!("unknown scale {other:?}")))
-                        }
-                    }
-                }
+                "scale" => spec.scale = value.parse().map_err(CampaignError::Spec)?,
                 "threads" => {
                     for v in parse_list(value) {
                         threads.push(v.parse().map_err(|_| {

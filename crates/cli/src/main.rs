@@ -410,14 +410,7 @@ fn parse_args(mut argv: Vec<String>) -> Result<Option<Args>, String> {
             }
             "--workload" => workload = Some(value("--workload")?),
             "--trace" => trace_file = Some(value("--trace")?),
-            "--scale" => {
-                scale = match value("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                };
-            }
+            "--scale" => scale = value("--scale")?.parse()?,
             "--threads" => {
                 threads = value("--threads")?
                     .parse()
@@ -806,7 +799,7 @@ struct ValidateArgs {
 }
 
 fn parse_validate_args(mut argv: Vec<String>) -> Result<ValidateArgs, String> {
-    use swiftsim_validate::{parse_scale, preset_by_label, OracleSource};
+    use swiftsim_validate::{preset_by_label, OracleSource};
 
     let mut options = swiftsim_validate::ValidateOptions::default();
     let mut json_out = None;
@@ -822,7 +815,7 @@ fn parse_validate_args(mut argv: Vec<String>) -> Result<ValidateArgs, String> {
                 emit(USAGE);
                 std::process::exit(0);
             }
-            "--scale" => options.scale = parse_scale(&value("--scale")?)?,
+            "--scale" => options.scale = value("--scale")?.parse()?,
             "--apps" => {
                 options.apps = Some(value("--apps")?.split(',').map(str::to_owned).collect());
             }

@@ -5,8 +5,8 @@
 //! representation, and thread count, the event-driven run must produce the
 //! same `SimulationResult` statistics — cycles, per-kernel breakdowns, and
 //! every Metrics Gatherer counter — as dense per-cycle ticking. This suite
-//! is the gate on that claim; `core_speed` (swiftsim-bench) measures the
-//! speedup the equivalence buys.
+//! is the gate on that claim; `crates/bench/tests/speed_gates.rs` checks
+//! the speedup the equivalence buys.
 
 use swiftsim_config::presets;
 use swiftsim_core::{

@@ -2,10 +2,11 @@
 //!
 //! Swift-Sim's headline claim is accuracy-per-speed: hybrid presets that
 //! stay near the detailed model's fidelity while running orders of
-//! magnitude faster (§IV of the paper). The speed half has standing
-//! benches (`BENCH_core_speed`, `BENCH_parallel_speedup`); this crate is
-//! the fidelity half. It runs every fidelity preset across the workload
-//! suite, correlates each preset's predictions against the silicon oracle
+//! magnitude faster (§IV of the paper). The speed half is timed by the
+//! repository benchmark (`benchmark/`) and tripwired by
+//! `crates/bench/tests/speed_gates.rs`; this crate is the fidelity half.
+//! It runs every fidelity preset across the workload suite, correlates
+//! each preset's predictions against the silicon oracle
 //! ([`swiftsim_workloads::silicon`], which emits per-stat expectations —
 //! cycles, IPC, cache miss rates, DRAM traffic), and reports, per
 //! (preset × GPU × stat):
@@ -197,29 +198,6 @@ pub struct ValidationReport {
     pub presets: Vec<PresetAccuracy>,
 }
 
-/// Stable token for a workload scale.
-pub fn scale_token(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
-}
-
-/// Parse a workload scale token (the inverse of [`scale_token`]).
-///
-/// # Errors
-///
-/// Returns a message naming the valid tokens.
-pub fn parse_scale(token: &str) -> Result<Scale, String> {
-    match token {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "paper" => Ok(Scale::Paper),
-        other => Err(format!("unknown scale {other:?} (tiny|small|paper)")),
-    }
-}
-
 /// Resolve a preset label or CLI token back to a [`SimulatorPreset`].
 ///
 /// # Errors
@@ -318,7 +296,7 @@ pub fn run_validation(options: &ValidateOptions) -> Result<ValidationReport, Str
         return Err("no applications selected".to_owned());
     }
     let mut report = ValidationReport {
-        scale: scale_token(options.scale).to_owned(),
+        scale: options.scale.token().to_owned(),
         oracle: options.oracle.token().to_owned(),
         apps: workloads.iter().map(|w| w.name.to_owned()).collect(),
         presets: Vec::new(),
@@ -691,7 +669,7 @@ impl Thresholds {
             .map(|label| preset_by_label(label))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ValidateOptions {
-            scale: parse_scale(&self.scale)?,
+            scale: self.scale.parse()?,
             apps: if self.apps.is_empty() {
                 None
             } else {
@@ -1027,9 +1005,7 @@ total_dram_reads = 91000
     }
 
     #[test]
-    fn preset_and_scale_tokens_resolve() {
-        assert_eq!(parse_scale("tiny").unwrap(), Scale::Tiny);
-        assert!(parse_scale("huge").is_err());
+    fn preset_labels_resolve() {
         assert_eq!(
             preset_by_label("swift-memory").unwrap(),
             SimulatorPreset::SwiftMemory

@@ -37,6 +37,31 @@ impl Scale {
     pub fn apply(self, paper_value: u32, min: u32) -> u32 {
         (paper_value / self.div()).max(min)
     }
+
+    /// Stable lowercase token (`tiny`/`small`/`paper`), the inverse of the
+    /// `FromStr` impl. Campaign labels and cache keys are built from it, so
+    /// it must never change.
+    pub fn token(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parse a [`Scale::token`]; the error names the valid tokens.
+    fn from_str(token: &str) -> Result<Scale, String> {
+        match token {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!("unknown scale {other:?} (tiny|small|paper)")),
+        }
+    }
 }
 
 /// Per-loop-iteration instruction mix of a generated kernel.
@@ -570,5 +595,15 @@ mod tests {
     fn hash_is_stable_and_distinct() {
         assert_eq!(hash64("bfs"), hash64("bfs"));
         assert_ne!(hash64("bfs"), hash64("gemm"));
+    }
+
+    #[test]
+    fn scale_tokens_round_trip() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Paper] {
+            assert_eq!(scale.token().parse::<Scale>(), Ok(scale));
+        }
+        let err = "Tiny".parse::<Scale>().unwrap_err();
+        assert!(err.contains("tiny|small|paper"), "{err}");
+        assert!("huge".parse::<Scale>().is_err());
     }
 }
