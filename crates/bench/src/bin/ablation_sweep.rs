@@ -3,8 +3,6 @@
 //! what does it cost in fidelity?
 //!
 //! Dimensions:
-//! * clock advance: dense per-cycle ticking vs the event-driven
-//!   cycle-skipping engine (bit-identical results, wall-clock only),
 //! * frontend-cache modeling on/off,
 //! * analytical ALU vs cycle-accurate ALU (holding memory constant),
 //! * hit-rate source: functional cache sim vs reuse-distance tool,
@@ -18,7 +16,6 @@ use std::time::Instant;
 use swiftsim_bench::Knobs;
 use swiftsim_core::{
     AluModelKind, FidelityConfig, FrontendModelKind, GpuSimulator, MemoryModelKind, RunOptions,
-    SkipPolicy,
 };
 use swiftsim_metrics::Table;
 
@@ -40,19 +37,7 @@ fn main() {
         mesh_gpu
     };
     let cases: Vec<(&str, swiftsim_config::GpuConfig, FidelityConfig)> = vec![
-        (
-            "detailed baseline, dense clock",
-            gpu.clone(),
-            FidelityConfig {
-                skip_policy: SkipPolicy::Dense,
-                ..FidelityConfig::default()
-            },
-        ),
-        (
-            "detailed baseline (event-driven clock)",
-            gpu.clone(),
-            FidelityConfig::default(),
-        ),
+        ("detailed baseline", gpu.clone(), FidelityConfig::default()),
         (
             "- per-cycle frontend caches",
             gpu.clone(),

@@ -17,8 +17,7 @@ use std::process::{Command, Stdio};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use swiftsim_core::{
-    run, FidelityConfig, GpuSimulator, RunOptions, SamplingPolicy, SimulationResult,
-    SimulatorPreset, SkipPolicy,
+    run, GpuSimulator, RunOptions, SamplingPolicy, SimulationResult, SimulatorPreset,
 };
 use swiftsim_metrics::geomean;
 use swiftsim_trace::{ApplicationTrace, ChunkedTraceSource};
@@ -42,11 +41,14 @@ fn gpu() -> swiftsim_config::GpuConfig {
     cfg
 }
 
-fn sim(preset: SimulatorPreset, skip: SkipPolicy, threads: usize) -> GpuSimulator {
-    let mut fidelity = FidelityConfig::for_preset(preset);
-    fidelity.skip_policy = skip;
-    let options = RunOptions::default().with_fidelity(fidelity);
-    GpuSimulator::try_new(gpu(), &options.with_threads(threads)).expect("valid config")
+fn options(preset: SimulatorPreset, threads: usize) -> RunOptions {
+    RunOptions::default()
+        .with_preset(preset)
+        .with_threads(threads)
+}
+
+fn sim(options: RunOptions) -> GpuSimulator {
+    GpuSimulator::try_new(gpu(), &options).expect("valid config")
 }
 
 /// The two `tiny` apps the clock and thread gates run.
@@ -92,7 +94,7 @@ const INGEST_CHILD_ENV: &str = "SWIFTSIM_SPEED_GATE_INGEST";
 /// `key=value` words on stdout, peak RSS as `VmHWM` (0 off Linux).
 fn ingest_child(spec: &str) {
     let (mode, path) = spec.split_once(':').expect("<mode>:<trace path>");
-    let sim = sim(SimulatorPreset::SwiftBasic, SkipPolicy::EventDriven, 1);
+    let sim = sim(options(SimulatorPreset::SwiftBasic, 1));
     let t0 = Instant::now();
     let result = match mode {
         "eager" => sim.run(&ApplicationTrace::read_binary_file(path).expect("read trace")),
@@ -178,8 +180,9 @@ fn event_driven_clock_beats_dense_on_detailed() {
     let _host = lock_host();
     let mut speedups = Vec::new();
     for app in tiny_apps() {
-        let dense = sim(SimulatorPreset::Detailed, SkipPolicy::Dense, 1);
-        let event = sim(SimulatorPreset::Detailed, SkipPolicy::EventDriven, 1);
+        let event = options(SimulatorPreset::Detailed, 1);
+        let dense = sim(event.clone().with_dense_clock());
+        let event = sim(event);
         let (d, e) = (dense.run(&app).unwrap(), event.run(&app).unwrap());
         assert_same_prediction(&d, &e, &format!("{}: dense vs event-driven", app.name));
         speedups.push(median_ratio(
@@ -200,7 +203,7 @@ fn phase_sync_keeps_two_threads_near_one() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut speedups = Vec::new();
     for app in tiny_apps() {
-        let sims = [1, 2, 4].map(|t| sim(SimulatorPreset::Detailed, SkipPolicy::EventDriven, t));
+        let sims = [1, 2, 4].map(|t| sim(options(SimulatorPreset::Detailed, t)));
         let runs = sims.each_ref().map(|s| s.run(&app).unwrap());
         for (threads, r) in [2, 4].iter().zip(&runs[1..]) {
             assert_same_prediction(

@@ -16,8 +16,8 @@ use swiftsim_core::{panic_message, SimulationResult};
 /// A shared cancellation flag: cancel once, observed by every holder.
 ///
 /// Cancellation is cooperative and job-granular: a job that has not started
-/// when the token trips is never started (its [`JobRun`] comes back with
-/// [`JobRun::cancelled`] set); a job already simulating runs to completion
+/// when the token trips is never started (its `JobRun` comes back with
+/// `JobRun::cancelled` set); a job already simulating runs to completion
 /// — the simulator has no mid-run interruption point — and its result is
 /// still returned.
 #[derive(Debug, Clone, Default)]
@@ -152,7 +152,7 @@ where
 }
 
 /// [`run_jobs`] with a [`CancelToken`]: jobs not yet started when the token
-/// trips are skipped and come back with [`JobRun::cancelled`] set.
+/// trips are skipped and come back with `JobRun::cancelled` set.
 pub fn run_jobs_cancellable<J, R>(
     jobs: &[J],
     opts: &ExecutorOptions,

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use swiftsim_config::{fnv1a64, GpuConfig, ReplacementPolicy, SchedulerPolicy};
 use swiftsim_core::{
     AluModelKind, FidelityConfig, FrontendModelKind, MemoryModelKind, SamplingPolicy,
-    SimulatorPreset, SkipPolicy, RESULT_SCHEMA_VERSION,
+    SimulatorPreset, RESULT_SCHEMA_VERSION,
 };
 use swiftsim_trace::{open_trace, TraceSource};
 use swiftsim_workloads::Scale;
@@ -107,9 +107,6 @@ pub struct CampaignSpec {
     /// Frontend-model overrides on top of the preset; `None` keeps the
     /// preset's.
     pub frontends: Vec<Option<FrontendModelKind>>,
-    /// Clock-advance (skip-policy) overrides; `None` keeps the preset's
-    /// (event-driven everywhere).
-    pub skips: Vec<Option<SkipPolicy>>,
     /// Kernel-launch sampling overrides; `None` keeps the preset's
     /// (sampling off everywhere). Sampling changes predicted cycles, so it
     /// is a real axis: it lands in the fidelity, the label, and the key.
@@ -134,7 +131,6 @@ impl Default for CampaignSpec {
             alu_models: vec![None],
             mem_models: vec![None],
             frontends: vec![None],
-            skips: vec![None],
             samplings: vec![None],
             profile: false,
         }
@@ -166,8 +162,6 @@ pub struct JobSpec {
     pub memory: Option<MemoryModelKind>,
     /// Frontend-model override on top of the preset.
     pub frontend: Option<FrontendModelKind>,
-    /// Skip-policy override on top of the preset.
-    pub skip: Option<SkipPolicy>,
     /// Sampling-policy override on top of the preset.
     pub sampling: Option<SamplingPolicy>,
 }
@@ -197,9 +191,6 @@ impl JobSpec {
         }
         if let Some(f) = self.frontend {
             label.push_str(&format!("/fe={}", f.token()));
-        }
-        if let Some(s) = self.skip {
-            label.push_str(&format!("/skip={}", s.token()));
         }
         if let Some(s) = self.sampling {
             label.push_str(&format!("/samp={}", s.token()));
@@ -261,9 +252,6 @@ impl JobSpec {
         if let Some(f) = self.frontend {
             text.push_str(&format!("frontend = {}\n", f.token()));
         }
-        if let Some(s) = self.skip {
-            text.push_str(&format!("skip = {}\n", s.token()));
-        }
         if let Some(s) = self.sampling {
             text.push_str(&format!("sampling = {}\n", s.token()));
         }
@@ -282,9 +270,6 @@ impl JobSpec {
         }
         if let Some(f) = self.frontend {
             fidelity.frontend = f;
-        }
-        if let Some(s) = self.skip {
-            fidelity.skip_policy = s;
         }
         if let Some(s) = self.sampling {
             fidelity.sampling = s;
@@ -344,15 +329,6 @@ fn parse_list(value: &str) -> Vec<String> {
         .collect()
 }
 
-fn parse_preset(s: &str) -> Result<SimulatorPreset, CampaignError> {
-    match s {
-        "detailed" | "accelsim" | "detailed-baseline" => Ok(SimulatorPreset::Detailed),
-        "swift-basic" | "basic" | "swift-sim-basic" => Ok(SimulatorPreset::SwiftBasic),
-        "swift-memory" | "memory" | "swift-sim-memory" => Ok(SimulatorPreset::SwiftMemory),
-        other => Err(CampaignError::Spec(format!("unknown preset {other:?}"))),
-    }
-}
-
 fn parse_override<T: std::str::FromStr>(s: &str, what: &str) -> Result<Option<T>, CampaignError> {
     if s == "default" {
         return Ok(None);
@@ -367,15 +343,14 @@ impl CampaignSpec {
     ///
     /// Recognized keys: `name`, `preset`, `gpu`, `gpu-config` (file paths),
     /// `workload`, `trace` (file paths), `scale`, `threads`, `scheduler`,
-    /// `replacement`, `alu-model`, `mem-model`, `frontend`, `skip`,
-    /// `sampling`, `profile` (`true`/`false`). `#` starts a comment;
-    /// list-valued keys accumulate across repeated lines. Override lists
-    /// (`scheduler`/`replacement`/`alu-model`/`mem-model`/`frontend`/`skip`/
+    /// `replacement`, `alu-model`, `mem-model`, `frontend`, `sampling`,
+    /// `profile` (`true`/`false`). `#` starts a comment; list-valued keys
+    /// accumulate across repeated lines. Override lists
+    /// (`scheduler`/`replacement`/`alu-model`/`mem-model`/`frontend`/
     /// `sampling`) may include `default` to also cover the un-overridden
     /// configuration; the fidelity keys take the same tokens as the core
     /// parser (`analytical`, `cycle_accurate`, `analytical_reuse`,
-    /// `detailed`, `simplified`, `dense`, `event_driven`, `off`,
-    /// `cluster`, `cluster:N`).
+    /// `detailed`, `simplified`, `off`, `cluster`, `cluster:N`).
     ///
     /// # Errors
     ///
@@ -391,7 +366,6 @@ impl CampaignSpec {
         let mut alu_models = Vec::new();
         let mut mem_models = Vec::new();
         let mut frontends = Vec::new();
-        let mut skips = Vec::new();
         let mut samplings = Vec::new();
 
         for (lineno, raw) in text.lines().enumerate() {
@@ -407,7 +381,8 @@ impl CampaignSpec {
                 "name" => spec.name = value.to_owned(),
                 "preset" => {
                     for v in parse_list(value) {
-                        presets.push(parse_preset(&v)?);
+                        let preset = v.parse::<SimulatorPreset>();
+                        presets.push(preset.map_err(|e| CampaignError::Spec(e.to_string()))?);
                     }
                 }
                 "gpu" => gpus.extend(parse_list(value).into_iter().map(GpuSource::Preset)),
@@ -452,11 +427,6 @@ impl CampaignSpec {
                 "frontend" => {
                     for v in parse_list(value) {
                         frontends.push(parse_override::<FrontendModelKind>(&v, "frontend model")?);
-                    }
-                }
-                "skip" => {
-                    for v in parse_list(value) {
-                        skips.push(parse_override::<SkipPolicy>(&v, "skip policy")?);
                     }
                 }
                 "sampling" => {
@@ -508,9 +478,6 @@ impl CampaignSpec {
         if !frontends.is_empty() {
             spec.frontends = frontends;
         }
-        if !skips.is_empty() {
-            spec.skips = skips;
-        }
         if !samplings.is_empty() {
             spec.samplings = samplings;
         }
@@ -520,8 +487,8 @@ impl CampaignSpec {
     /// Expand the cartesian product into the deterministic job list.
     ///
     /// Axis order (outermost to innermost): GPU, workload, preset, threads,
-    /// scheduler, replacement, ALU model, memory model, frontend, skip
-    /// policy, sampling policy. The order — and therefore each job's
+    /// scheduler, replacement, ALU model, memory model, frontend, sampling
+    /// policy. The order — and therefore each job's
     /// `index` — depends only on the spec.
     pub fn expand(&self) -> Vec<JobSpec> {
         let mut jobs = Vec::new();
@@ -534,24 +501,21 @@ impl CampaignSpec {
                                 for &alu in &self.alu_models {
                                     for &memory in &self.mem_models {
                                         for &frontend in &self.frontends {
-                                            for &skip in &self.skips {
-                                                for &sampling in &self.samplings {
-                                                    jobs.push(JobSpec {
-                                                        index: jobs.len(),
-                                                        preset,
-                                                        gpu: gpu.clone(),
-                                                        workload: workload.clone(),
-                                                        scale: self.scale,
-                                                        threads,
-                                                        scheduler,
-                                                        replacement,
-                                                        alu,
-                                                        memory,
-                                                        frontend,
-                                                        skip,
-                                                        sampling,
-                                                    });
-                                                }
+                                            for &sampling in &self.samplings {
+                                                jobs.push(JobSpec {
+                                                    index: jobs.len(),
+                                                    preset,
+                                                    gpu: gpu.clone(),
+                                                    workload: workload.clone(),
+                                                    scale: self.scale,
+                                                    threads,
+                                                    scheduler,
+                                                    replacement,
+                                                    alu,
+                                                    memory,
+                                                    frontend,
+                                                    sampling,
+                                                });
                                             }
                                         }
                                     }
@@ -815,16 +779,17 @@ mod tests {
              scale = tiny\n\
              preset = swift-basic\n\
              alu-model = default, cycle_accurate\n\
-             skip = dense, event_driven\n",
+             sampling = off, cluster:2\n",
         )
         .unwrap();
         let jobs = spec.resolve().unwrap();
         assert_eq!(jobs.len(), 4);
 
-        // Innermost axis is the skip policy; ALU model varies outside it.
+        // Innermost axis is the sampling policy; ALU model varies outside it.
+        let cluster = SamplingPolicy::KernelCluster { reps: 2 };
         assert_eq!(jobs[0].spec.alu, None);
-        assert_eq!(jobs[0].spec.skip, Some(SkipPolicy::Dense));
-        assert_eq!(jobs[1].spec.skip, Some(SkipPolicy::EventDriven));
+        assert_eq!(jobs[0].spec.sampling, Some(SamplingPolicy::Off));
+        assert_eq!(jobs[1].spec.sampling, Some(cluster));
         assert_eq!(jobs[2].spec.alu, Some(AluModelKind::CycleAccurate));
 
         // `default` keeps the preset's module choice; an override replaces
@@ -834,7 +799,7 @@ mod tests {
             AluModelKind::Analytical,
             "swift-basic preset choice survives a `default` override"
         );
-        assert_eq!(jobs[0].fidelity.skip_policy, SkipPolicy::Dense);
+        assert_eq!(jobs[1].fidelity.sampling, cluster);
         assert_eq!(jobs[2].fidelity.alu, AluModelKind::CycleAccurate);
         assert_eq!(
             jobs[2].fidelity.memory,
@@ -844,7 +809,7 @@ mod tests {
 
         // Overrides land in labels and distinguish cache keys.
         assert!(jobs[2].spec.label().contains("/alu=cycle_accurate"));
-        assert!(jobs[0].spec.label().contains("/skip=dense"));
+        assert!(jobs[1].spec.label().contains("/samp=cluster:2"));
         let keys: std::collections::HashSet<u64> = jobs.iter().map(|j| j.key).collect();
         assert_eq!(keys.len(), 4, "every fidelity mix gets its own key");
 
@@ -852,7 +817,13 @@ mod tests {
         assert!(CampaignSpec::parse("alu-model = quantum").is_err());
         assert!(CampaignSpec::parse("mem-model = psychic").is_err());
         assert!(CampaignSpec::parse("frontend = vibes").is_err());
-        assert!(CampaignSpec::parse("skip = sometimes").is_err());
+        assert!(CampaignSpec::parse("sampling = sometimes").is_err());
+
+        // The clock is no axis: its old key is an ordinary unknown key.
+        assert_eq!(
+            CampaignSpec::parse("workload = nw\nskip = dense").unwrap_err(),
+            CampaignError::Spec("line 2: unknown key \"skip\"".to_owned())
+        );
     }
 
     #[test]
@@ -904,7 +875,7 @@ mod tests {
             "workload = nw\nscale = tiny\nalu-model = cycle_accurate",
             "workload = nw\nscale = tiny\nmem-model = analytical_reuse",
             "workload = nw\nscale = tiny\nfrontend = detailed",
-            "workload = nw\nscale = tiny\nskip = dense",
+            "workload = nw\nscale = tiny\nsampling = cluster:2",
         ];
         for text in variants {
             let other = CampaignSpec::parse(text).unwrap().resolve().unwrap();
@@ -928,7 +899,7 @@ mod tests {
              alu-model = cycle_accurate\n\
              mem-model = analytical_reuse\n\
              frontend = simplified\n\
-             skip = dense\n",
+             sampling = cluster:3\n",
         )
         .unwrap();
         let jobs = spec.resolve().unwrap();

@@ -53,15 +53,18 @@ fn sweep_runs_then_fully_caches_then_resimulates_only_the_delta() {
         );
     }
 
-    // Entries written before shards always committed per cycle carry one
-    // more fidelity key. The spec's keys have not moved, so such an entry
-    // is still a hit.
+    // Entries written before shards always committed per cycle, and before
+    // the clock left the fidelity plan, carry two more fidelity keys. The
+    // spec's keys have not moved, so such an entry is still a hit.
     for entry in std::fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();
         let text = std::fs::read_to_string(&path).unwrap();
-        let skip = "\"skip_policy\":\"event_driven\",";
-        assert!(text.contains(skip), "{}", path.display());
-        let parent = text.replace(skip, &format!("{skip}\"sync_quantum\":\"per_cycle\","));
+        let sampling = "\"sampling\":\"off\"";
+        assert_eq!(text.matches(sampling).count(), 1, "{}", path.display());
+        let parent = text.replace(
+            sampling,
+            &format!("\"skip_policy\":\"event_driven\",\"sync_quantum\":\"per_cycle\",{sampling}"),
+        );
         std::fs::write(&path, parent).unwrap();
     }
     let old = run_campaign(&spec, &options(&dir)).unwrap();
@@ -89,6 +92,30 @@ fn sweep_runs_then_fully_caches_then_resimulates_only_the_delta() {
     assert!(!no_cache_dir.exists());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Keys pinned at the commit before the clock left the fidelity plan:
+/// descriptions kept their `+event_driven` suffix, so cached results stay
+/// hits. The package version is part of every key; a version bump moves
+/// these on purpose.
+#[test]
+fn job_keys_did_not_move_when_the_clock_left_the_fidelity_plan() {
+    let pinned = [
+        (
+            "workload = nw\npreset = swift-basic\nscale = tiny\n",
+            "035b7b2bf1cf8c53",
+        ),
+        (
+            "workload = bfs\npreset = detailed\nalu-model = analytical\n\
+             sampling = cluster:2\nscale = tiny\n",
+            "8f7798ed58a186d9",
+        ),
+    ];
+    for (text, key) in pinned {
+        let jobs = CampaignSpec::parse(text).unwrap().resolve().unwrap();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].key_hex(), key, "{}", jobs[0].spec.label());
+    }
 }
 
 #[test]

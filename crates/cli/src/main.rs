@@ -40,12 +40,12 @@ USAGE:
 
 FIDELITY GRAMMAR (one grammar, every surface):
     Per-module fidelity is selected by `-sim_*` key/value pairs. Valid keys:
-    -sim_alu_model, -sim_mem_model, -sim_frontend_model, -sim_skip_policy,
-    -sim_sampling. The pairs may be given as bare
+    -sim_alu_model, -sim_mem_model, -sim_frontend_model, -sim_sampling.
+    The pairs may be given as bare
     arguments (`swiftsim -sim_sampling cluster:2 ...`, also after
     `campaign`), bundled in --fidelity \"<OPTS>\" (same keys, quoted), or as
     spec-file axes for campaign/submit (alu-model / mem-model / frontend /
-    skip / sampling lines take the same value tokens). For campaign, each
+    sampling lines take the same value tokens). For campaign, each
     key's value may be a comma-separated axis (no spaces, `default` keeps
     the preset's policy): `-sim_sampling off,cluster:2`. An unknown
     `-sim_*` key is an error that lists the valid keys.
@@ -54,7 +54,7 @@ OPTIONS:
     --preset <detailed|swift-basic|swift-memory>   simulator preset [default: swift-basic]
     --fidelity \"<OPTS>\"                            per-module fidelity overrides on top of the
                                                    preset, GPGPU-Sim option style, e.g.
-                                                   \"-sim_alu_model analytical -sim_skip_policy dense\"
+                                                   \"-sim_alu_model analytical -sim_sampling cluster:2\"
                                                    (see FIDELITY GRAMMAR; bare -sim_* pairs
                                                    are accepted too)
     --gpu <rtx2080ti|rtx3060|rtx3090>              built-in hardware preset [default: rtx2080ti]
@@ -324,7 +324,6 @@ fn apply_fidelity_axes(spec: &mut CampaignSpec, text: &str) -> Result<(), String
             "-sim_alu_model" => spec.alu_models = one(token, value)?,
             "-sim_mem_model" => spec.mem_models = one(token, value)?,
             "-sim_frontend_model" => spec.frontends = one(token, value)?,
-            "-sim_skip_policy" => spec.skips = one(token, value)?,
             "-sim_sampling" => spec.samplings = one(token, value)?,
             other => return Err(unknown_fidelity_key(other)),
         }
@@ -386,12 +385,9 @@ fn parse_args(mut argv: Vec<String>) -> Result<Option<Args>, String> {
                 return Ok(None);
             }
             "--preset" => {
-                preset = match value("--preset")?.as_str() {
-                    "detailed" | "accelsim" => SimulatorPreset::Detailed,
-                    "swift-basic" | "basic" => SimulatorPreset::SwiftBasic,
-                    "swift-memory" | "memory" => SimulatorPreset::SwiftMemory,
-                    other => return Err(format!("unknown preset {other:?}")),
-                };
+                preset = value("--preset")?
+                    .parse::<SimulatorPreset>()
+                    .map_err(|e| e.to_string())?;
             }
             "--fidelity" => {
                 let text = value("--fidelity")?;
@@ -485,7 +481,7 @@ fn apply_fidelity_text(fidelity: &mut FidelityConfig, text: &str) -> Result<(), 
 fn unknown_fidelity_key(token: &str) -> String {
     let message = format!(
         "unknown fidelity option {token:?} (expected -sim_alu_model, -sim_mem_model, \
-         -sim_frontend_model, -sim_skip_policy, or -sim_sampling)"
+         -sim_frontend_model, or -sim_sampling)"
     );
     swiftsim_core::SimError::InvalidConfig { message }.to_string()
 }
@@ -799,7 +795,7 @@ struct ValidateArgs {
 }
 
 fn parse_validate_args(mut argv: Vec<String>) -> Result<ValidateArgs, String> {
-    use swiftsim_validate::{preset_by_label, OracleSource};
+    use swiftsim_validate::OracleSource;
 
     let mut options = swiftsim_validate::ValidateOptions::default();
     let mut json_out = None;
@@ -830,7 +826,7 @@ fn parse_validate_args(mut argv: Vec<String>) -> Result<ValidateArgs, String> {
             "--preset" => {
                 options.presets = value("--preset")?
                     .split(',')
-                    .map(preset_by_label)
+                    .map(|p| p.parse::<SimulatorPreset>().map_err(|e| e.to_string()))
                     .collect::<Result<_, _>>()?;
             }
             "--threads" => {
@@ -1129,7 +1125,7 @@ mod tests {
             "--preset".into(),
             "detailed".into(),
             "--fidelity".into(),
-            "-sim_alu_model analytical -sim_skip_policy dense".into(),
+            "-sim_alu_model analytical -sim_frontend_model simplified".into(),
         ])
         .unwrap()
         .unwrap();
@@ -1137,7 +1133,7 @@ mod tests {
         apply_fidelity_text(&mut fidelity, args.fidelity.as_deref().unwrap()).unwrap();
         assert_eq!(
             fidelity.describe(),
-            "analytical_alu+cycle_accurate_memory+detailed_frontend+dense"
+            "analytical_alu+cycle_accurate_memory+simplified_frontend+event_driven"
         );
 
         // Bad keys, bad values, and missing values are all surfaced.
@@ -1151,7 +1147,7 @@ mod tests {
     #[test]
     fn unknown_sim_key_error_lists_every_valid_key() {
         // Pin the discoverability contract: a typo'd -sim_* key names all
-        // five valid keys, through the core parser (unknown -sim_*), the
+        // four valid keys, through the core parser (unknown -sim_*), the
         // CLI wrapper (non-fidelity token) and the campaign axes.
         let mut f = FidelityConfig::default();
         let mut spec = CampaignSpec::parse("name = t\nworkload = bfs\n").unwrap();
@@ -1164,7 +1160,6 @@ mod tests {
                     "-sim_alu_model",
                     "-sim_mem_model",
                     "-sim_frontend_model",
-                    "-sim_skip_policy",
                     "-sim_sampling",
                 ] {
                     assert!(err.contains(key), "{bad:?} error must list {key}: {err}");
@@ -1172,31 +1167,28 @@ mod tests {
             }
         }
 
-        // The removed shard-synchronization key is an ordinary unknown key:
-        // refused as an invalid configuration via --fidelity, via bare
-        // pairs and on campaign.
+        // The removed shard-synchronization and clock keys are ordinary
+        // unknown keys: refused as an invalid configuration via
+        // --fidelity, via bare pairs and on campaign.
         let refused = |err: String| {
             assert!(
                 err.starts_with("invalid simulator configuration: unknown fidelity option"),
                 "{err}"
             );
         };
-        for argv in [
-            ["--fidelity", "-sim_sync_quantum 8"],
-            ["-sim_sync_quantum", "8"],
-        ] {
-            let args = parse_args(argv.map(String::from).to_vec())
-                .unwrap()
+        for (key, value) in [("-sim_sync_quantum", "8"), ("-sim_skip_policy", "dense")] {
+            let pair = format!("{key} {value}");
+            for argv in [["--fidelity", pair.as_str()], [key, value]] {
+                let args = parse_args(argv.map(String::from).to_vec())
+                    .unwrap()
+                    .unwrap();
+                let text = args.fidelity.as_deref().unwrap();
+                refused(apply_fidelity_text(&mut f, text).unwrap_err());
+            }
+            let args = parse_campaign_args(vec!["sweep.campaign".into(), key.into(), value.into()])
                 .unwrap();
-            refused(apply_fidelity_text(&mut f, args.fidelity.as_deref().unwrap()).unwrap_err());
+            refused(apply_fidelity_axes(&mut spec, args.fidelity.as_deref().unwrap()).unwrap_err());
         }
-        let args = parse_campaign_args(vec![
-            "sweep.campaign".into(),
-            "-sim_sync_quantum".into(),
-            "8".into(),
-        ])
-        .unwrap();
-        refused(apply_fidelity_axes(&mut spec, args.fidelity.as_deref().unwrap()).unwrap_err());
         assert_eq!(f, FidelityConfig::default());
     }
 
@@ -1207,14 +1199,14 @@ mod tests {
             "cluster:2".into(),
             "--fidelity".into(),
             "-sim_alu_model analytical".into(),
-            "-sim_skip_policy".into(),
-            "dense".into(),
+            "-sim_mem_model".into(),
+            "analytical".into(),
         ])
         .unwrap()
         .unwrap();
         assert_eq!(
             args.fidelity.as_deref(),
-            Some("-sim_sampling cluster:2 -sim_alu_model analytical -sim_skip_policy dense")
+            Some("-sim_sampling cluster:2 -sim_alu_model analytical -sim_mem_model analytical")
         );
         let mut f = FidelityConfig::for_preset(SimulatorPreset::Detailed);
         apply_fidelity_text(&mut f, args.fidelity.as_deref().unwrap()).unwrap();

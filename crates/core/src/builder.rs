@@ -71,6 +71,25 @@ impl SimulatorPreset {
     }
 }
 
+impl std::str::FromStr for SimulatorPreset {
+    type Err = SimError;
+
+    /// Accepts every [`label`](SimulatorPreset::label) and the short
+    /// tokens of the CLI and campaign specs.
+    fn from_str(s: &str) -> Result<Self, SimError> {
+        match s {
+            "detailed" | "accelsim" | "detailed-baseline" => Ok(SimulatorPreset::Detailed),
+            "swift-basic" | "basic" | "swift-sim-basic" => Ok(SimulatorPreset::SwiftBasic),
+            "swift-memory" | "memory" | "swift-sim-memory" => Ok(SimulatorPreset::SwiftMemory),
+            other => Err(SimError::InvalidConfig {
+                message: format!(
+                    "unknown preset {other:?} (expected one of: detailed|swift-basic|swift-memory)"
+                ),
+            }),
+        }
+    }
+}
+
 /// Run one application through a simulator built from `cfg` + `options` —
 /// the one-call entry point wrapping [`GpuSimulator::try_new`] and
 /// [`GpuSimulator::run`].
@@ -95,6 +114,7 @@ pub struct GpuSimulator {
     pub(crate) threads: usize,
     pub(crate) profile: bool,
     pub(crate) checkpoint: CheckpointOptions,
+    pub(crate) dense_clock: bool,
 }
 
 impl GpuSimulator {
@@ -132,6 +152,7 @@ impl GpuSimulator {
             threads,
             profile: options.profile,
             checkpoint: options.checkpoint.clone(),
+            dense_clock: options.dense_clock,
         })
     }
 
@@ -394,10 +415,36 @@ impl RunDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fidelity::{
-        AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy,
-    };
+    use crate::fidelity::{AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy};
     use swiftsim_config::presets;
+
+    #[test]
+    fn preset_labels_and_aliases_parse_back() {
+        let all = [
+            SimulatorPreset::Detailed,
+            SimulatorPreset::SwiftBasic,
+            SimulatorPreset::SwiftMemory,
+        ];
+        for preset in all {
+            assert_eq!(preset.label().parse::<SimulatorPreset>().unwrap(), preset);
+        }
+        let aliases = [
+            ("detailed", SimulatorPreset::Detailed),
+            ("accelsim", SimulatorPreset::Detailed),
+            ("swift-basic", SimulatorPreset::SwiftBasic),
+            ("basic", SimulatorPreset::SwiftBasic),
+            ("swift-memory", SimulatorPreset::SwiftMemory),
+            ("memory", SimulatorPreset::SwiftMemory),
+        ];
+        for (token, preset) in aliases {
+            assert_eq!(token.parse::<SimulatorPreset>().unwrap(), preset, "{token}");
+        }
+        let err = "quantum"
+            .parse::<SimulatorPreset>()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("detailed|swift-basic|swift-memory"), "{err}");
+    }
 
     #[test]
     fn presets_select_models() {
@@ -438,7 +485,6 @@ mod tests {
             alu: AluModelKind::CycleAccurate,
             memory: MemoryModelKind::AnalyticalReuse,
             frontend: FrontendModelKind::Simplified,
-            skip_policy: SkipPolicy::Dense,
             sampling: SamplingPolicy::Off,
         };
         let sim = GpuSimulator::try_new(

@@ -31,7 +31,7 @@
 //! All 64-bit state (cache tags, RNG words, cycle counts, `f64` bit
 //! patterns) is encoded as **hex word streams** — space-separated lowercase
 //! hex words inside JSON strings — because the JSON number representation
-//! is an `f64` and only exact below 2^53. [`WordWriter`]/[`WordReader`] are
+//! is an `f64` and only exact below 2^53. `WordWriter`/`WordReader` are
 //! the crate-internal helpers every component serializer uses.
 //!
 //! Snapshots are written atomically (write to a `.tmp` sibling, then

@@ -18,7 +18,6 @@
 //! -sim_alu_model analytical
 //! -sim_mem_model analytical_reuse
 //! -sim_frontend_model simplified
-//! -sim_skip_policy event_driven
 //! ```
 //!
 //! [`GpuSimulator::description`]: crate::GpuSimulator::description
@@ -56,23 +55,6 @@ pub enum FrontendModelKind {
     Detailed,
     /// Simplify the frontend away: fetches are free, no frontend misses.
     Simplified,
-}
-
-/// How the engine advances simulated time.
-///
-/// Both policies produce **bit-identical** results — the same
-/// `SimulationResult` statistics and profiler counter totals — because the
-/// event-driven engine accounts skipped quiescent cycles exactly as the
-/// dense loop would have ticked them. The differential suite
-/// (`crates/core/tests/event_engine_equiv.rs`) gates this equivalence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SkipPolicy {
-    /// Tick every component on every cycle, even quiescent ones.
-    Dense,
-    /// Stop ticking an SM whose per-cycle effect is known until something
-    /// can change it, and once every SM sleeps, fast-forward the clock to
-    /// the earliest writeback or memory event.
-    EventDriven,
 }
 
 /// Whether (and how aggressively) repeated kernel launches are sampled.
@@ -171,15 +153,12 @@ pub struct FidelityConfig {
     pub memory: MemoryModelKind,
     /// Frontend (instruction/constant cache) model.
     pub frontend: FrontendModelKind,
-    /// Clock-advance policy.
-    pub skip_policy: SkipPolicy,
     /// Kernel-launch sampling policy (off in every preset).
     pub sampling: SamplingPolicy,
 }
 
 impl Default for FidelityConfig {
-    /// The detailed-baseline module choices (everything cycle-accurate)
-    /// under the event-driven engine.
+    /// The detailed-baseline module choices (everything cycle-accurate).
     fn default() -> Self {
         FidelityConfig::for_preset(SimulatorPreset::Detailed)
     }
@@ -212,16 +191,6 @@ impl FrontendModelKind {
         match self {
             FrontendModelKind::Detailed => "detailed",
             FrontendModelKind::Simplified => "simplified",
-        }
-    }
-}
-
-impl SkipPolicy {
-    /// Short stable token, used in JSON output and parseable back.
-    pub fn token(self) -> &'static str {
-        match self {
-            SkipPolicy::Dense => "dense",
-            SkipPolicy::EventDriven => "event_driven",
         }
     }
 }
@@ -275,44 +244,26 @@ impl FromStr for FrontendModelKind {
     }
 }
 
-impl FromStr for SkipPolicy {
-    type Err = SimError;
-
-    fn from_str(s: &str) -> Result<Self, SimError> {
-        match s {
-            "dense" => Ok(SkipPolicy::Dense),
-            "event_driven" | "event-driven" => Ok(SkipPolicy::EventDriven),
-            other => Err(parse_err("skip policy", other, "dense, event_driven")),
-        }
-    }
-}
-
 impl FidelityConfig {
     /// The module choices behind one of the paper's presets (§IV-A3).
-    ///
-    /// All presets run event-driven: the policy is a pure engine
-    /// optimization, bit-identical to dense ticking.
     pub fn for_preset(preset: SimulatorPreset) -> Self {
         match preset {
             SimulatorPreset::Detailed => FidelityConfig {
                 alu: AluModelKind::CycleAccurate,
                 memory: MemoryModelKind::CycleAccurate,
                 frontend: FrontendModelKind::Detailed,
-                skip_policy: SkipPolicy::EventDriven,
                 sampling: SamplingPolicy::Off,
             },
             SimulatorPreset::SwiftBasic => FidelityConfig {
                 alu: AluModelKind::Analytical,
                 memory: MemoryModelKind::CycleAccurate,
                 frontend: FrontendModelKind::Simplified,
-                skip_policy: SkipPolicy::EventDriven,
                 sampling: SamplingPolicy::Off,
             },
             SimulatorPreset::SwiftMemory => FidelityConfig {
                 alu: AluModelKind::Analytical,
                 memory: MemoryModelKind::Analytical,
                 frontend: FrontendModelKind::Simplified,
-                skip_policy: SkipPolicy::EventDriven,
                 sampling: SamplingPolicy::Off,
             },
         }
@@ -339,7 +290,10 @@ impl FidelityConfig {
             FrontendModelKind::Detailed => "detailed_frontend",
             FrontendModelKind::Simplified => "simplified_frontend",
         };
-        let mut out = format!("{alu}+{mem}+{frontend}+{}", self.skip_policy.token());
+        // The clock is an engine property, not a choice, but descriptions
+        // (and the campaign keys and checkpoint identities built from them)
+        // predate its removal and must not move.
+        let mut out = format!("{alu}+{mem}+{frontend}+event_driven");
         // Sampling changes what a run computes, so any non-off policy must
         // show up in descriptions (and in the campaign cache keys built from
         // them); `off` stays silent so existing keys are unchanged.
@@ -355,7 +309,7 @@ impl FidelityConfig {
     /// Apply one GPGPU-Sim-style fidelity option.
     ///
     /// Recognized keys: `-sim_alu_model`, `-sim_mem_model`,
-    /// `-sim_frontend_model`, `-sim_skip_policy` and `-sim_sampling`.
+    /// `-sim_frontend_model` and `-sim_sampling`.
     /// Unknown `-sim_*` keys are an error (a typo'd fidelity knob must not
     /// silently fall back to the default); returns `Ok(false)` for any
     /// other key so callers can embed fidelity options inside a full
@@ -370,14 +324,12 @@ impl FidelityConfig {
             "-sim_alu_model" => self.alu = value.parse()?,
             "-sim_mem_model" => self.memory = value.parse()?,
             "-sim_frontend_model" => self.frontend = value.parse()?,
-            "-sim_skip_policy" => self.skip_policy = value.parse()?,
             "-sim_sampling" => self.sampling = value.parse()?,
             other if other.starts_with("-sim_") => {
                 return Err(SimError::InvalidConfig {
                     message: format!(
                         "unknown fidelity option {other:?} (expected -sim_alu_model, \
-                         -sim_mem_model, -sim_frontend_model, -sim_skip_policy, \
-                         or -sim_sampling)"
+                         -sim_mem_model, -sim_frontend_model, or -sim_sampling)"
                     ),
                 });
             }
@@ -457,25 +409,20 @@ mod tests {
         for fe in [FrontendModelKind::Detailed, FrontendModelKind::Simplified] {
             assert_eq!(fe.token().parse::<FrontendModelKind>().unwrap(), fe);
         }
-        for skip in [SkipPolicy::Dense, SkipPolicy::EventDriven] {
-            assert_eq!(skip.token().parse::<SkipPolicy>().unwrap(), skip);
-        }
     }
 
     #[test]
     fn parse_args_reads_gpgpusim_style_keys() {
         let f = FidelityConfig::parse_args(
-            "# swift-sim-memory with a dense clock\n\
+            "# swift-sim-memory with reuse-distance hit rates\n\
              -sim_alu_model analytical\n\
              -sim_mem_model analytical_reuse\n\
-             -sim_frontend_model simplified\n\
-             -sim_skip_policy dense\n",
+             -sim_frontend_model simplified\n",
         )
         .unwrap();
         assert_eq!(f.alu, AluModelKind::Analytical);
         assert_eq!(f.memory, MemoryModelKind::AnalyticalReuse);
         assert_eq!(f.frontend, FrontendModelKind::Simplified);
-        assert_eq!(f.skip_policy, SkipPolicy::Dense);
     }
 
     #[test]
@@ -501,7 +448,6 @@ mod tests {
     fn default_is_detailed_event_driven() {
         let f = FidelityConfig::default();
         assert_eq!(f, FidelityConfig::for_preset(SimulatorPreset::Detailed));
-        assert_eq!(f.skip_policy, SkipPolicy::EventDriven);
     }
 
     #[test]
@@ -544,7 +490,6 @@ mod tests {
             "-sim_alu_model",
             "-sim_mem_model",
             "-sim_frontend_model",
-            "-sim_skip_policy",
             "-sim_sampling",
         ] {
             assert!(msg.contains(key), "{msg} missing {key}");

@@ -15,10 +15,9 @@
 //!
 //! # Sleeping SMs: the event-driven engine
 //!
-//! Under [`SkipPolicy::EventDriven`] an SM whose per-cycle effect is known
-//! ([`SmCore::is_settled`]) stops being ticked: the shard's [`SmSet`] puts
-//! it to sleep from `since`, its first unticked cycle, until its *wake*,
-//! the head of its writeback heap. Each cycle the shard ticks only the
+//! An SM whose per-cycle effect is known ([`SmCore::is_settled`]) stops
+//! being ticked: the shard's [`SmSet`] puts it to sleep from `since`, its
+//! first unticked cycle, until its *wake*, the head of its writeback heap. Each cycle the shard ticks only the
 //! awake SMs, in SM index order, so the memory system sees accesses in the
 //! order it would if every SM ticked. A sleeper is roused when its wake
 //! comes due, when a memory completion is delivered to it or a block is
@@ -29,8 +28,11 @@
 //! Rousing credits the sleeper `delta × (now − since)` **exactly once**,
 //! before anything else touches it; the kernel's end credits every sleeper
 //! before stats are read. Credited cycles count exactly as dense ticks, so
-//! stats are **bit-identical** to [`SkipPolicy::Dense`], which never puts
-//! an SM to sleep (`tests/event_engine_equiv.rs` enforces it).
+//! stats are **bit-identical** to the dense test oracle
+//! ([`RunOptions::with_dense_clock`]), which never puts an SM to sleep
+//! (`tests/event_engine_equiv.rs` enforces it).
+//!
+//! [`RunOptions::with_dense_clock`]: crate::RunOptions::with_dense_clock
 //!
 //! When every SM sleeps after a quiet cycle, nothing can happen before the
 //! earliest wake or [`MemorySystem::next_event`]: the kernel loop jumps
@@ -41,8 +43,9 @@
 
 use crate::alu::{AluModel, AnalyticalAlu, CycleAccurateAlu};
 use crate::block_scheduler::Occupancy;
+use crate::builder::GpuSimulator;
 use crate::error::SimError;
-use crate::fidelity::{AluModelKind, FidelityConfig, FrontendModelKind, SkipPolicy};
+use crate::fidelity::{AluModelKind, FrontendModelKind};
 use crate::mem_system::MemorySystem;
 use crate::scheduler::make_policy;
 use crate::sm::{SmCore, SmStats, TickOutcome, WbTarget};
@@ -118,15 +121,16 @@ pub(crate) struct SmSet<'a> {
 
 impl<'a> SmSet<'a> {
     /// SMs `sm_ids` (global ids, in local index order) with `slots` block
-    /// slots each for `kernel`, all awake at `start`.
+    /// slots each for `kernel`, all awake at `start`. Under the dense test
+    /// oracle no SM ever sleeps.
     pub(crate) fn new(
-        cfg: &GpuConfig,
-        fidelity: FidelityConfig,
+        sim: &GpuSimulator,
         kernel: &'a KernelTrace,
         slots: usize,
         sm_ids: Range<usize>,
         start: Cycle,
     ) -> Self {
+        let (cfg, fidelity) = (&sim.cfg, sim.fidelity);
         let blocks = kernel.blocks();
         // Uniform per kernel: `is_consistent` checked every block.
         let warps_per_block = blocks.first().map_or(0, |b| b.warps().len());
@@ -140,7 +144,7 @@ impl<'a> SmSet<'a> {
                 warps_per_block,
                 make_alu(fidelity.alu, cfg),
                 fidelity.frontend == FrontendModelKind::Detailed,
-                fidelity.skip_policy == SkipPolicy::EventDriven,
+                !sim.dense_clock,
                 &|| make_policy(cfg.sm.scheduler),
             )
         });
@@ -312,15 +316,7 @@ mod tests {
         path.load(Ordering::Relaxed)
     }
 
-    fn run_at(
-        cfg: &GpuConfig,
-        fidelity: FidelityConfig,
-        threads: usize,
-        app: &dyn TraceSource,
-    ) -> SimulationResult {
-        let options = RunOptions::default()
-            .with_fidelity(fidelity)
-            .with_threads(threads);
+    fn run_at(cfg: &GpuConfig, options: RunOptions, app: &dyn TraceSource) -> SimulationResult {
         let mut result = crate::run(app, cfg, &options).expect("run completes");
         // The only statistic that names the thread count.
         result
@@ -333,11 +329,6 @@ mod tests {
         assert_eq!(a.cycles, b.cycles, "{ctx}: cycles");
         assert_eq!(a.kernels, b.kernels, "{ctx}: kernels");
         assert_eq!(a.metrics, b.metrics, "{ctx}: metrics");
-    }
-
-    fn dense(mut fidelity: FidelityConfig) -> FidelityConfig {
-        fidelity.skip_policy = SkipPolicy::Dense;
-        fidelity
     }
 
     fn small_gpu(sms: u32) -> GpuConfig {
@@ -359,16 +350,17 @@ mod tests {
         let app = swiftsim_workloads::by_name("gemm")
             .expect("workload exists")
             .generate(swiftsim_workloads::Scale::Tiny);
-        let event = FidelityConfig::for_preset(SimulatorPreset::SwiftMemory);
+        let event = RunOptions::default().with_preset(SimulatorPreset::SwiftMemory);
 
         let before = seen(&DEFERRED_DONES);
-        let four = run_at(&cfg, event, 4, &app);
+        let four = run_at(&cfg, event.clone().with_threads(4), &app);
         assert!(
             seen(&DEFERRED_DONES) > before,
             "no worker shard took a Done"
         );
-        assert_same(&run_at(&cfg, dense(event), 4, &app), &four, "vs dense");
-        assert_same(&run_at(&cfg, event, 1, &app), &four, "4 threads vs 1");
+        let dense = event.clone().with_threads(4).with_dense_clock();
+        assert_same(&run_at(&cfg, dense, &app), &four, "vs dense");
+        assert_same(&run_at(&cfg, event, &app), &four, "4 threads vs 1");
     }
 
     /// Loads spanning 32 lines each fill the four L1 MSHRs and the LD/ST
@@ -399,15 +391,20 @@ mod tests {
             }
         }
         let app = ApplicationTrace::new("flood", vec![kernel]);
-        let event = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
+        let event = RunOptions::default().with_preset(SimulatorPreset::SwiftBasic);
 
         let before = seen(&MEM_WAITERS);
-        let one = run_at(&cfg, event, 1, &app);
+        let one = run_at(&cfg, event.clone(), &app);
         assert!(
             seen(&MEM_WAITERS) > before,
             "no sleeper waited on the queue"
         );
-        assert_same(&run_at(&cfg, dense(event), 1, &app), &one, "vs dense");
-        assert_same(&one, &run_at(&cfg, event, 2, &app), "2 threads vs 1");
+        let dense = event.clone().with_dense_clock();
+        assert_same(&run_at(&cfg, dense, &app), &one, "vs dense");
+        assert_same(
+            &one,
+            &run_at(&cfg, event.with_threads(2), &app),
+            "2 threads vs 1",
+        );
     }
 }

@@ -81,7 +81,6 @@ impl FidelityConfig {
             ("alu", Json::str(self.alu.token())),
             ("memory", Json::str(self.memory.token())),
             ("frontend", Json::str(self.frontend.token())),
-            ("skip_policy", Json::str(self.skip_policy.token())),
             ("sampling", Json::str(self.sampling.token())),
         ])
     }
@@ -101,7 +100,8 @@ impl FidelityConfig {
             alu: field(json, "alu")?,
             memory: field(json, "memory")?,
             frontend: field(json, "frontend")?,
-            skip_policy: field(json, "skip_policy")?,
+            // v5 documents written before the clock left the fidelity plan
+            // carry a `skip_policy` key; like `sync_quantum`, it is ignored.
             // Absent in pre-v4 documents; such documents could only have run
             // unsampled.
             sampling: match json.get("sampling").and_then(Json::as_str) {
@@ -274,9 +274,7 @@ impl SimulationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fidelity::{
-        AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy,
-    };
+    use crate::fidelity::{AluModelKind, FrontendModelKind, MemoryModelKind, SamplingPolicy};
     use crate::result::Confidence;
     use swiftsim_metrics::Value;
 
@@ -289,7 +287,6 @@ mod tests {
             alu: AluModelKind::Analytical,
             memory: MemoryModelKind::CycleAccurate,
             frontend: FrontendModelKind::Simplified,
-            skip_policy: SkipPolicy::EventDriven,
             sampling: SamplingPolicy::Off,
         };
         SimulationResult {
@@ -358,10 +355,7 @@ mod tests {
             fid.get("frontend").and_then(Json::as_str),
             Some("simplified")
         );
-        assert_eq!(
-            fid.get("skip_policy").and_then(Json::as_str),
-            Some("event_driven")
-        );
+        assert_eq!(fid.get("sampling").and_then(Json::as_str), Some("off"));
         // A malformed fidelity is rejected, not defaulted.
         let mut bad = sample().to_json();
         if let Json::Obj(pairs) = &mut bad {
@@ -446,13 +440,15 @@ mod tests {
 
     #[test]
     fn parent_v5_fidelity_with_a_quantum_key_still_loads() {
-        // v5 documents written before shards always committed per cycle
-        // carry one more fidelity key; it is ignored on load, and the
-        // result serializes back in the current shape.
+        // v5 documents written before shards always committed per cycle,
+        // and before the clock left the fidelity plan, carry two more
+        // fidelity keys; they are ignored on load, and the result
+        // serializes back in the current shape.
         let current = sample().to_json().dump();
         let mut old = sample().to_json();
         if let Json::Obj(pairs) = &mut old {
             if let Json::Obj(fid) = &mut pairs[3].1 {
+                fid.insert(3, ("skip_policy".to_owned(), Json::str("dense")));
                 fid.insert(4, ("sync_quantum".to_owned(), Json::str("per_cycle")));
                 let keys: Vec<&str> = fid.iter().map(|(k, _)| k.as_str()).collect();
                 assert_eq!(

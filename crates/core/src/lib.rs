@@ -83,7 +83,7 @@ pub use builder::{run, GpuSimulator, SimulatorPreset};
 pub use checkpoint::Snapshot;
 pub use error::{panic_message, SimError, DEADLOCK_MARKER};
 pub use fidelity::{
-    AluModelKind, FidelityConfig, FrontendModelKind, MemoryModelKind, SamplingPolicy, SkipPolicy,
+    AluModelKind, FidelityConfig, FrontendModelKind, MemoryModelKind, SamplingPolicy,
     DEFAULT_SAMPLING_REPS,
 };
 pub use input::TraceInput;

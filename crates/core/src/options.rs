@@ -66,6 +66,8 @@ pub struct RunOptions {
     pub profile: bool,
     /// Checkpoint/resume behavior.
     pub checkpoint: CheckpointOptions,
+    /// Tick every SM every cycle ([`RunOptions::with_dense_clock`]).
+    pub(crate) dense_clock: bool,
 }
 
 impl Default for RunOptions {
@@ -77,6 +79,7 @@ impl Default for RunOptions {
             threads: 1,
             profile: false,
             checkpoint: CheckpointOptions::default(),
+            dense_clock: false,
         }
     }
 }
@@ -138,6 +141,18 @@ impl RunOptions {
     #[must_use]
     pub fn with_halt_after(mut self, kernels: usize) -> Self {
         self.checkpoint.halt_after = Some(kernels);
+        self
+    }
+
+    /// Tick every SM on every cycle: no SM sleeps and the clock never
+    /// jumps. This is the oracle the sleep-set tests compare the engine
+    /// against, bit-identical to a normal run by contract
+    /// (`tests/event_engine_equiv.rs`); it is not a fidelity choice and
+    /// shows in no description, result or cache key.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_dense_clock(mut self) -> Self {
+        self.dense_clock = true;
         self
     }
 }

@@ -32,16 +32,14 @@
 //!
 //! # Settling (event-driven engine)
 //!
-//! Under [`SkipPolicy::EventDriven`] the SM measures its own per-cycle stat
+//! The SM measures its own per-cycle stat
 //! delta: after two consecutive *quiescent* ticks (nothing issued, retired
 //! or unparked, no warp held up by a busy port, no writeback drained in the
 //! second) every further tick would repeat the second one's delta exactly
 //! until a writeback comes due, a completion or block arrives, or the LD/ST
 //! queue accepts again. The engine then stops ticking the SM and credits it
-//! the delta per skipped cycle (`gpu.rs`, "Sleeping SMs"); the dense engine
-//! never does, so `event_engine_equiv.rs` genuinely exercises this.
-//!
-//! [`SkipPolicy::EventDriven`]: crate::fidelity::SkipPolicy::EventDriven
+//! the delta per skipped cycle (`gpu.rs`, "Sleeping SMs"); the dense test
+//! oracle never does, so `event_engine_equiv.rs` genuinely exercises this.
 
 use crate::alu::AluModel;
 use crate::scheduler::{IssueMasks, WarpSchedulerPolicy};
@@ -327,7 +325,8 @@ pub(crate) struct SmCore<'a> {
     /// Reused LD/ST coalescer buffers (no allocation per memory
     /// instruction).
     coalescer: CoalesceScratch,
-    /// Whether the SM may settle (event-driven engine only; module docs).
+    /// Whether the SM may settle (off only under the dense test oracle;
+    /// module docs).
     event_driven: bool,
     /// Consecutive quiescent ticks observed, capped at 2 (the point at
     /// which the per-tick delta is provably constant: operand collectors

@@ -37,14 +37,16 @@
 //! "Sleeping SMs"). When every shard's SMs sleep after a quiet cycle,
 //! nothing can happen before the earliest sleeper wake or memory event:
 //! the next cycle ticked is that one instead of the one after, and with
-//! neither the kernel fails with [`SimError::Deadlock`] at once. Under
-//! [`SkipPolicy::Dense`](crate::fidelity::SkipPolicy::Dense) no SM
-//! sleeps, and a million idle cycles in a row count as a deadlock.
+//! neither the kernel fails with [`SimError::Deadlock`] at once. Under the
+//! dense test oracle ([`RunOptions::with_dense_clock`]) no SM sleeps, and
+//! a million idle cycles in a row count as a deadlock.
+//!
+//! [`RunOptions::with_dense_clock`]: crate::RunOptions::with_dense_clock
 
 use crate::block_scheduler::BlockScheduler;
 use crate::builder::{GpuSimulator, RunDriver};
 use crate::error::SimError;
-use crate::fidelity::{FidelityConfig, MemoryModelKind};
+use crate::fidelity::MemoryModelKind;
 use crate::gate::{Coordinator, Dead, Gate};
 use crate::gpu::{deadlock_detail, min_opt, occupancy, SmSet};
 use crate::mem_system::{
@@ -60,7 +62,6 @@ use crate::Cycle;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-use swiftsim_config::GpuConfig;
 use swiftsim_mem::FastMap;
 use swiftsim_mem::MemTxn;
 use swiftsim_metrics::{MetricsCollector, ProfModule, ProfileReport, Profiler};
@@ -294,11 +295,10 @@ pub(crate) fn run_two_phase(
                 let kernel = pf.get(kidx)?;
                 let kernel = &*kernel;
                 let (end, stats) = run_kernel(
-                    &sim.cfg,
+                    sim,
                     kernel,
                     kidx,
                     &sm_id_groups,
-                    sim.fidelity,
                     mem.as_mut(),
                     &mut worker_profs,
                     &mut prof,
@@ -367,16 +367,16 @@ pub(crate) fn run_two_phase(
 /// statistics.
 #[allow(clippy::too_many_arguments)]
 fn run_kernel(
-    cfg: &GpuConfig,
+    sim: &GpuSimulator,
     kernel: &KernelTrace,
     kidx: usize,
     sm_id_groups: &[Range<usize>],
-    fidelity: FidelityConfig,
     mem: &mut dyn MemorySystem,
     worker_profs: &mut [Profiler],
     prof: &mut Profiler,
     start: Cycle,
 ) -> Result<(Cycle, SmStats), SimError> {
+    let cfg = &sim.cfg;
     let per_sm = occupancy(cfg, kernel)?.blocks_per_sm;
     let slots = per_sm as usize;
     let frame = format!("k{kidx}:{}", kernel.name);
@@ -401,7 +401,7 @@ fn run_kernel(
                     // what tells the coordinator this shard is gone.
                     let mut port = gate.port(i + 1);
                     // Built here: a shard's models need not be `Send`.
-                    let mut sms = SmSet::new(cfg, fidelity, kernel, slots, sm_ids.clone(), start);
+                    let mut sms = SmSet::new(sim, kernel, slots, sm_ids.clone(), start);
                     wprof.begin_frame(frame);
                     while let Some(mut mb) = port.recv() {
                         step(&mut sms, &mut mb, wprof);
@@ -420,7 +420,7 @@ fn run_kernel(
         // `bs`, its own shard) is abandoned with the failed run, which is
         // what makes asserting unwind safety sound.
         let own = catch_unwind(AssertUnwindSafe(|| {
-            let mut own = SmSet::new(cfg, fidelity, kernel, slots, sm_id_groups[0].clone(), start);
+            let mut own = SmSet::new(sim, kernel, slots, sm_id_groups[0].clone(), start);
             let end = coordinate(mem, &mut bs, sm_id_groups, start, &coord, &mut own, prof);
             (end, finish(own, None, prof))
         }));

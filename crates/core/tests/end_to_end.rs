@@ -326,12 +326,11 @@ fn reuse_distance_model_tracks_funcsim_model() {
 fn custom_hybrid_cycle_accurate_alu_over_analytical_memory() {
     // The builder supports mixes beyond the paper's presets (§III-B3: "the
     // architect can choose the modeling method per module").
-    use swiftsim_core::{AluModelKind, MemoryModelKind, SkipPolicy};
+    use swiftsim_core::{AluModelKind, MemoryModelKind};
     let app = tiny_app("srad");
     let mut options = RunOptions::default();
     options.fidelity.alu = AluModelKind::CycleAccurate;
     options.fidelity.memory = MemoryModelKind::Analytical;
-    options.fidelity.skip_policy = SkipPolicy::EventDriven;
     let r = swiftsim_core::run(&app, &small_gpu(), &options).expect("custom hybrid run");
     assert_eq!(
         r.simulator,

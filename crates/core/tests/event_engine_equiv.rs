@@ -1,17 +1,17 @@
 //! Differential gate for the event-driven cycle-skipping engine.
 //!
-//! The engine's contract (see `SkipPolicy`) is that cycle skipping is a
-//! pure wall-clock optimization: for any workload, preset, trace
-//! representation, and thread count, the event-driven run must produce the
-//! same `SimulationResult` statistics — cycles, per-kernel breakdowns, and
-//! every Metrics Gatherer counter — as dense per-cycle ticking. This suite
+//! The engine's contract is that sleeping SMs and clock jumps are a pure
+//! wall-clock optimization: for any workload, preset, trace
+//! representation, and thread count, a run must produce the same
+//! `SimulationResult` statistics — cycles, per-kernel breakdowns, and
+//! every Metrics Gatherer counter — as dense per-cycle ticking, the oracle
+//! behind `RunOptions::with_dense_clock`. This suite
 //! is the gate on that claim; `crates/bench/tests/speed_gates.rs` checks
 //! the speedup the equivalence buys.
 
 use swiftsim_config::presets;
 use swiftsim_core::{
     AluModelKind, FidelityConfig, MemoryModelKind, RunOptions, SimulationResult, SimulatorPreset,
-    SkipPolicy,
 };
 use swiftsim_metrics::Value;
 use swiftsim_trace::{ChunkedTraceSource, TextTraceSource, TraceSource};
@@ -27,23 +27,16 @@ fn small_gpu() -> swiftsim_config::GpuConfig {
 
 fn run_with(
     cfg: &swiftsim_config::GpuConfig,
-    fidelity: FidelityConfig,
+    options: &RunOptions,
     threads: usize,
     source: &dyn TraceSource,
 ) -> SimulationResult {
-    swiftsim_core::run(
-        source,
-        cfg,
-        &RunOptions::default()
-            .with_fidelity(fidelity)
-            .with_threads(threads),
-    )
-    .expect("differential run completes")
+    swiftsim_core::run(source, cfg, &options.clone().with_threads(threads))
+        .expect("differential run completes")
 }
 
-/// Assert the two results are statistically indistinguishable. The
-/// `simulator`/`fidelity` fields legitimately differ (they name the skip
-/// policy); wall time and profiling are measurement artifacts.
+/// Assert the two results are statistically indistinguishable. Wall time
+/// and profiling are measurement artifacts.
 fn assert_stats_equal(dense: &SimulationResult, event: &SimulationResult, ctx: &str) {
     assert_eq!(dense.cycles, event.cycles, "{ctx}: total cycles");
     assert_eq!(dense.kernels, event.kernels, "{ctx}: per-kernel stats");
@@ -55,12 +48,14 @@ fn assert_stats_equal(dense: &SimulationResult, event: &SimulationResult, ctx: &
     );
 }
 
-fn preset_pair(preset: SimulatorPreset) -> (FidelityConfig, FidelityConfig) {
-    let mut dense = FidelityConfig::for_preset(preset);
-    dense.skip_policy = SkipPolicy::Dense;
-    let mut event = dense;
-    event.skip_policy = SkipPolicy::EventDriven;
-    (dense, event)
+/// The same run under the dense oracle and under the event-driven engine.
+fn oracle_pair(fidelity: FidelityConfig) -> (RunOptions, RunOptions) {
+    let event = RunOptions::default().with_fidelity(fidelity);
+    (event.clone().with_dense_clock(), event)
+}
+
+fn preset_pair(preset: SimulatorPreset) -> (RunOptions, RunOptions) {
+    oracle_pair(FidelityConfig::for_preset(preset))
 }
 
 #[test]
@@ -75,8 +70,8 @@ fn event_engine_matches_dense_on_all_presets_and_workloads() {
         ] {
             let (dense, event) = preset_pair(preset);
             assert_stats_equal(
-                &run_with(&cfg, dense, 1, &app),
-                &run_with(&cfg, event, 1, &app),
+                &run_with(&cfg, &dense, 1, &app),
+                &run_with(&cfg, &event, 1, &app),
                 &format!("{} under {preset:?}", w.name),
             );
         }
@@ -107,11 +102,11 @@ fn event_engine_matches_dense_across_trace_representations() {
         SimulatorPreset::SwiftMemory,
     ] {
         let (dense, event) = preset_pair(preset);
-        let reference = run_with(&cfg, dense, 1, &app);
+        let reference = run_with(&cfg, &dense, 1, &app);
         for (label, source) in sources {
             assert_stats_equal(
                 &reference,
-                &run_with(&cfg, event, 1, source),
+                &run_with(&cfg, &event, 1, source),
                 &format!("{label} source under {preset:?}"),
             );
         }
@@ -133,8 +128,8 @@ fn event_engine_matches_dense_when_sharded() {
         let (dense, event) = preset_pair(preset);
         for threads in [2usize, 4] {
             assert_stats_equal(
-                &run_with(&cfg, dense, threads, &app),
-                &run_with(&cfg, event, threads, &app),
+                &run_with(&cfg, &dense, threads, &app),
+                &run_with(&cfg, &event, threads, &app),
                 &format!("{preset:?} at {threads} threads"),
             );
         }
@@ -159,10 +154,10 @@ fn two_phase_parallel_matches_single_thread_bit_identically() {
         SimulatorPreset::SwiftMemory,
     ] {
         let (_, event) = preset_pair(preset);
-        let mut reference = run_with(&cfg, event, 1, &app);
+        let mut reference = run_with(&cfg, &event, 1, &app);
         reference.metrics.set("sim.threads", Value::Count(0));
         for threads in [2usize, 3, 4] {
-            let mut sharded = run_with(&cfg, event, threads, &app);
+            let mut sharded = run_with(&cfg, &event, threads, &app);
             sharded.metrics.set("sim.threads", Value::Count(0));
             assert_stats_equal(
                 &reference,
@@ -189,20 +184,17 @@ fn two_phase_parallel_matches_single_thread_across_sources_and_policies() {
 
     let cfg = small_gpu();
     let (dense, event) = preset_pair(SimulatorPreset::SwiftBasic);
-    for fidelity in [dense, event] {
-        let mut reference = run_with(&cfg, fidelity, 1, &app);
+    for (clock, options) in [("dense", dense), ("event-driven", event)] {
+        let mut reference = run_with(&cfg, &options, 1, &app);
         reference.metrics.set("sim.threads", Value::Count(0));
         let sources: [(&str, &dyn TraceSource); 2] = [("memory", &app), ("chunked", &chunked)];
         for (label, source) in sources {
-            let mut sharded = run_with(&cfg, fidelity, 4, source);
+            let mut sharded = run_with(&cfg, &options, 4, source);
             sharded.metrics.set("sim.threads", Value::Count(0));
             assert_stats_equal(
                 &reference,
                 &sharded,
-                &format!(
-                    "{label} source, {:?} policy, 4 threads",
-                    fidelity.skip_policy
-                ),
+                &format!("{label} source, {clock} clock, 4 threads"),
             );
         }
     }
@@ -226,15 +218,13 @@ fn event_engine_matches_dense_on_custom_hybrids() {
         (AluModelKind::Analytical, MemoryModelKind::AnalyticalReuse),
     ];
     for (alu, memory) in mixes {
-        let mut dense = FidelityConfig::for_preset(SimulatorPreset::Detailed);
-        dense.alu = alu;
-        dense.memory = memory;
-        dense.skip_policy = SkipPolicy::Dense;
-        let mut event = dense;
-        event.skip_policy = SkipPolicy::EventDriven;
+        let mut fidelity = FidelityConfig::for_preset(SimulatorPreset::Detailed);
+        fidelity.alu = alu;
+        fidelity.memory = memory;
+        let (dense, event) = oracle_pair(fidelity);
         assert_stats_equal(
-            &run_with(&cfg, dense, 1, &app),
-            &run_with(&cfg, event, 1, &app),
+            &run_with(&cfg, &dense, 1, &app),
+            &run_with(&cfg, &event, 1, &app),
             &format!("hybrid {alu:?}+{memory:?}"),
         );
     }
@@ -271,35 +261,14 @@ fn event_engine_matches_dense_under_config_perturbations() {
         };
         let (dense, event) = preset_pair(preset);
         assert_stats_equal(
-            &run_with(&cfg, dense, 1, &app),
-            &run_with(&cfg, event, 1, &app),
+            &run_with(&cfg, &dense, 1, &app),
+            &run_with(&cfg, &event, 1, &app),
             &format!(
                 "round {round}: {preset:?} sms={} blocks={} sched={:?}",
                 cfg.num_sms, cfg.sm.max_blocks, cfg.sm.scheduler
             ),
         );
     }
-}
-
-#[test]
-fn event_engine_is_the_default_everywhere() {
-    // The speedup is on by default; Dense survives only as the
-    // differential reference.
-    for preset in [
-        SimulatorPreset::Detailed,
-        SimulatorPreset::SwiftBasic,
-        SimulatorPreset::SwiftMemory,
-    ] {
-        assert_eq!(
-            FidelityConfig::for_preset(preset).skip_policy,
-            SkipPolicy::EventDriven,
-            "{preset:?}"
-        );
-    }
-    assert_eq!(
-        FidelityConfig::default().skip_policy,
-        SkipPolicy::EventDriven
-    );
 }
 
 /// Random traces *and* configs, drawn from a seeded `swiftsim-rng` stream:
@@ -353,7 +322,7 @@ mod randomized {
     }
 
     #[test]
-    fn random_configs_and_traces_are_skip_policy_invariant() {
+    fn random_configs_and_traces_are_clock_invariant() {
         let mut rng = SmallRng::seed_from_u64(0x5ee9_0001);
         for case in 0..16 {
             let (blocks, warps) = (rng.gen_range(1u32..5), rng.gen_range(1u32..4));
@@ -368,8 +337,8 @@ mod randomized {
             let app = build_app(blocks, warps, &random_bodies(&mut rng));
             let (dense, event) = super::preset_pair(preset);
             assert_stats_equal(
-                &run_with(&cfg, dense, 1, &app),
-                &run_with(&cfg, event, 1, &app),
+                &run_with(&cfg, &dense, 1, &app),
+                &run_with(&cfg, &event, 1, &app),
                 &format!(
                     "case {case}: {preset:?}, {blocks}x{warps} warps, {} SMs",
                     cfg.num_sms
@@ -390,9 +359,9 @@ mod randomized {
             let app = build_app(blocks, warps, &random_bodies(&mut rng));
             let ctx = format!("case {case}: {threads} threads, {blocks}x{warps} warps");
 
-            let per_cycle = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
-            let mut reference = run_with(&cfg, per_cycle, 1, &app);
-            let mut sharded = run_with(&cfg, per_cycle, threads, &app);
+            let basic = RunOptions::default().with_preset(SimulatorPreset::SwiftBasic);
+            let mut reference = run_with(&cfg, &basic, 1, &app);
+            let mut sharded = run_with(&cfg, &basic, threads, &app);
             reference.metrics.set("sim.threads", Value::Count(0));
             sharded.metrics.set("sim.threads", Value::Count(0));
             assert_stats_equal(&reference, &sharded, &ctx);

@@ -146,9 +146,9 @@ fn load_bearing_exports_exist() {
         alu::AluModel, panic_message, AluModelKind, BlockScheduler, CheckpointOptions, Confidence,
         Cycle, FidelityConfig, FrontendModelKind, GpuSimulator, GtoScheduler, IssueMasks,
         KernelResult, LrrScheduler, MemReply, MemoryModelKind, MemorySystem, Occupancy, RunOptions,
-        SamplingPolicy, Scoreboard, SimError, SimulationResult, SimulatorPreset, SkipPolicy,
-        Snapshot, StatId, StatUnit, TraceInput, TwoLevelScheduler, UnknownStat,
-        WarpSchedulerPolicy, RESULT_SCHEMA_VERSION,
+        SamplingPolicy, Scoreboard, SimError, SimulationResult, SimulatorPreset, Snapshot, StatId,
+        StatUnit, TraceInput, TwoLevelScheduler, UnknownStat, WarpSchedulerPolicy,
+        RESULT_SCHEMA_VERSION,
     };
     let _ = swiftsim_core::max_threads();
 }

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use swiftsim_config::{fnv1a64, presets, SchedulerPolicy};
 use swiftsim_core::{
     FidelityConfig, MemoryModelKind, RunOptions, SamplingPolicy, SimulationResult, SimulatorPreset,
-    SkipPolicy, StatId,
+    StatId,
 };
 use swiftsim_trace::ApplicationTrace;
 use swiftsim_workloads::Scale;
@@ -78,9 +78,9 @@ enum Line<'a> {
 /// preset's own warp scheduler (GTO, Table II) and then once per other
 /// policy, whose name joins the preset in the key (`swift-basic/lrr`);
 /// then one row per app for each single-threaded variant the presets do
-/// not reach, keyed by the variant's fidelity token (`swift-basic/dense`):
-/// the dense clock, the reuse-distance analytical memory and kernel-launch
-/// sampling. Sampling replays only
+/// not reach, keyed by the variant's token (`swift-basic/dense`): the
+/// dense test-oracle clock, the reuse-distance analytical memory and
+/// kernel-launch sampling. Sampling replays only
 /// repeated launches, which no tiny app has, so its rows run `thrice`:
 /// each app's kernel sequence launched three times over.
 fn golden_lines<'a>(
@@ -124,38 +124,32 @@ fn golden_lines<'a>(
         }
     }
 
-    let basic = FidelityConfig::for_preset(SimulatorPreset::SwiftBasic);
+    let basic = RunOptions::default().with_preset(SimulatorPreset::SwiftBasic);
     let memory = FidelityConfig::for_preset(SimulatorPreset::SwiftMemory);
     let variants = [
         (
             "swift-basic",
-            FidelityConfig {
-                skip_policy: SkipPolicy::Dense,
-                ..basic
-            },
-            SkipPolicy::Dense.token().to_owned(),
+            basic.clone().with_dense_clock(),
+            "dense",
             apps,
         ),
         (
             "swift-memory",
-            FidelityConfig {
+            RunOptions::default().with_fidelity(FidelityConfig {
                 memory: MemoryModelKind::AnalyticalReuse,
                 ..memory
-            },
-            MemoryModelKind::AnalyticalReuse.token().to_owned(),
+            }),
+            MemoryModelKind::AnalyticalReuse.token(),
             apps,
         ),
         (
             "swift-basic",
-            FidelityConfig {
-                sampling: SamplingPolicy::KernelCluster { reps: 2 },
-                ..basic
-            },
-            "sampled_r2".to_owned(),
+            basic.with_sampling(SamplingPolicy::KernelCluster { reps: 2 }),
+            "sampled_r2",
             thrice,
         ),
     ];
-    for (label, fidelity, token, traces) in variants {
+    for (label, options, token, traces) in variants {
         let note = if std::ptr::eq(traces, thrice) {
             ", kernels launched three times over"
         } else {
@@ -170,9 +164,7 @@ fn golden_lines<'a>(
                 trace,
                 key: format!("{label}/{token}"),
                 scheduler: presets::rtx2080ti().sm.scheduler,
-                options: RunOptions::default()
-                    .with_fidelity(fidelity)
-                    .with_threads(1),
+                options: options.clone().with_threads(1),
             });
         }
     }

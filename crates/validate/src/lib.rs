@@ -198,22 +198,6 @@ pub struct ValidationReport {
     pub presets: Vec<PresetAccuracy>,
 }
 
-/// Resolve a preset label or CLI token back to a [`SimulatorPreset`].
-///
-/// # Errors
-///
-/// Returns a message naming the valid labels.
-pub fn preset_by_label(label: &str) -> Result<SimulatorPreset, String> {
-    match label {
-        "detailed-baseline" | "detailed" => Ok(SimulatorPreset::Detailed),
-        "swift-sim-basic" | "swift-basic" => Ok(SimulatorPreset::SwiftBasic),
-        "swift-sim-memory" | "swift-memory" => Ok(SimulatorPreset::SwiftMemory),
-        other => Err(format!(
-            "unknown preset {other:?} (detailed|swift-basic|swift-memory)"
-        )),
-    }
-}
-
 fn resolve_apps(apps: &Option<Vec<String>>) -> Result<Vec<Workload>, String> {
     let suite = swiftsim_workloads::suite();
     match apps {
@@ -666,7 +650,7 @@ impl Thresholds {
         let preset_kinds = self
             .presets
             .iter()
-            .map(|label| preset_by_label(label))
+            .map(|label| label.parse::<SimulatorPreset>().map_err(|e| e.to_string()))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ValidateOptions {
             scale: self.scale.parse()?,
@@ -1002,18 +986,5 @@ total_dram_reads = 91000
         assert!(err.contains("before any app section"), "{err}");
         let err = parse_accelsim_stats("--- bfs ---\nnot_a_stat = 5\n").unwrap_err();
         assert!(err.contains("not_a_stat"), "{err}");
-    }
-
-    #[test]
-    fn preset_labels_resolve() {
-        assert_eq!(
-            preset_by_label("swift-memory").unwrap(),
-            SimulatorPreset::SwiftMemory
-        );
-        assert_eq!(
-            preset_by_label("detailed-baseline").unwrap(),
-            SimulatorPreset::Detailed
-        );
-        assert!(preset_by_label("quantum").is_err());
     }
 }
