@@ -2,18 +2,19 @@
 //! model (§III-D1, Fig. 3).
 //!
 //! Arithmetic execution goes through Fetch, Decode, Issue, Read Operands,
-//! Execute, and Writeback. The **cycle-accurate** model
-//! ([`CycleAccurateAlu`]) keeps explicit stage registers per execution unit
-//! and shifts them every cycle, arbitrating the sub-core's writeback ports —
-//! the "thorough code" whose per-cycle execution makes detailed simulators
-//! slow.
+//! Execute, and Writeback. Both models keep the issue ports of every
+//! execution unit cycle-accurately (the orange boxes of Fig. 3) and add the
+//! fixed instruction latency analytically (the blue boxes): "the execution
+//! time of arithmetic instructions remains constant without resource
+//! contention".
 //!
-//! The **improved analytical** model ([`AnalyticalAlu`]) exploits the
-//! observation that "the execution time of arithmetic instructions remains
-//! constant without resource contention": it keeps only the
-//! cycle-accurately-observed *contention* state (issue-port busy times, the
-//! orange boxes of Fig. 3) and adds the fixed instruction latency
-//! analytically (the blue boxes), eliminating the per-cycle stage work.
+//! The **cycle-accurate** model ([`CycleAccurateAlu`]) differs from the
+//! **improved analytical** model ([`AnalyticalAlu`]) in what it arbitrates,
+//! not in host work: it also models operand reads from a banked register
+//! file (a read that collides with the previous cycle's second-operand read
+//! waits a cycle) and a writeback result bus with bounded ports, the
+//! contention the analytical model ignores. Neither has per-cycle state:
+//! everything is decided at issue.
 //!
 //! Both implement [`AluModel`], the fixed interface the Warp Scheduler &
 //! Dispatch module programs against, so swapping them "does not affect
@@ -25,6 +26,10 @@ use swiftsim_config::{ExecUnitKind, SmConfig};
 
 /// Writeback ports per sub-core cycle (result-bus width).
 const WB_PORTS_PER_CYCLE: u8 = 2;
+/// Register-file banks per sub-core.
+const REG_BANKS: u64 = 8;
+/// Cycles between sweeps of past writeback bookings.
+const WB_SWEEP_CYCLES: Cycle = 64;
 
 /// The execution-unit timing interface.
 ///
@@ -33,7 +38,8 @@ const WB_PORTS_PER_CYCLE: u8 = 2;
 /// [`AluModel::port_free`] before selecting a warp, then calls
 /// [`AluModel::issue`]; the returned cycle is when the instruction's
 /// destination register becomes available (the completion acknowledgment of
-/// §III-B2).
+/// §III-B2). A model decides all timing at issue and has no per-cycle
+/// state, so a cycle without an issue costs it nothing.
 pub trait AluModel: Send {
     /// Whether the issue port of `(sub_core, kind)` can accept an
     /// instruction at `now`.
@@ -50,12 +56,9 @@ pub trait AluModel: Send {
             .fold(0, |free, kind| free | 1 << kind.index())
     }
 
-    /// Issue one warp instruction; returns its writeback cycle.
+    /// Issue one warp instruction; returns its writeback cycle. A sub-core
+    /// issues at most once per cycle, and `now` never decreases.
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle;
-
-    /// Advance per-cycle internal state (stage registers). Cheap models
-    /// no-op here.
-    fn tick(&mut self, now: Cycle);
 
     /// Model name for metrics.
     fn name(&self) -> &'static str;
@@ -65,15 +68,6 @@ pub trait AluModel: Send {
 struct UnitShape {
     initiation_interval: Cycle,
     latency: Cycle,
-}
-
-/// Bit `k` set when `busy_until[k] <= now`: the ports of one sub-core that
-/// have finished their initiation interval.
-fn idle_ports(busy_until: &[Cycle; 6], now: Cycle) -> u8 {
-    busy_until
-        .iter()
-        .enumerate()
-        .fold(0, |free, (k, &until)| free | u8::from(until <= now) << k)
 }
 
 fn shapes(sm: &SmConfig) -> [UnitShape; 6] {
@@ -91,44 +85,30 @@ fn shapes(sm: &SmConfig) -> [UnitShape; 6] {
     out
 }
 
-/// Operand-collector units per sub-core (Turing-like).
-const COLLECTORS_PER_SUB_CORE: usize = 8;
-/// Register-file banks per sub-core.
-const REG_BANKS: u16 = 8;
-
-/// One operand-collector unit: gathers source operands from the banked
-/// register file before execution, one operand per bank per cycle.
-#[derive(Debug, Clone, Copy, Default)]
-struct CollectorUnit {
-    /// Operands still to read; 0 = free.
-    pending: u8,
-    /// Register bank of the operand currently being read.
-    bank: u16,
-}
-
-/// Fully detailed per-cycle pipeline model.
+/// Detailed pipeline model: the analytical model's issue ports plus
+/// operand-bank and writeback-port arbitration.
 ///
-/// Beyond issue-port occupancy it simulates, every cycle, the structures a
-/// detailed simulator like Accel-Sim walks: operand-collector units reading
-/// source operands from a banked register file (with bank-conflict
-/// serialization), explicit pipeline stage registers per execution unit,
-/// and a writeback result bus with bounded ports.
+/// Each issue's operand collector reads two source operands on consecutive
+/// cycles from consecutive banks of an 8-bank register file, starting at
+/// bank `issued % 8` (`issued` counts the SM's earlier issues). The second
+/// read of an instruction issued at `now - 1` from bank `b` therefore holds
+/// bank `(b + 1) % 8` at `now`; a new issue of the same sub-core whose
+/// first read wants that bank waits one cycle. With one issue per sub-core
+/// per cycle no other read can still be pending, so the sub-core's last
+/// issue cycle and bank decide the conflict. At most two results retire
+/// per sub-core per cycle; a later one is bumped to the next cycle with a
+/// free port.
 #[derive(Debug, Clone)]
 pub struct CycleAccurateAlu {
-    shapes: [UnitShape; 6],
-    /// Issue-port busy-until per (sub-core, kind).
-    port_busy: Vec<[Cycle; 6]>,
-    /// Explicit stage registers per (sub-core, kind): occupancy per stage,
-    /// shifted every cycle. This is the detailed per-cycle work the hybrid
-    /// model eliminates.
-    stages: Vec<[Vec<u8>; 6]>,
-    /// Operand-collector pool per sub-core.
-    collectors: Vec<[CollectorUnit; COLLECTORS_PER_SUB_CORE]>,
-    /// Register-bank busy flags per sub-core, rebuilt every cycle.
-    bank_busy: Vec<[bool; REG_BANKS as usize]>,
+    /// Issue ports and fixed latencies, kept as the analytical model keeps
+    /// them.
+    ports: AnalyticalAlu,
+    /// Per sub-core: the cycle and first register bank of its last issue.
+    last_issue: Vec<Option<(Cycle, u64)>>,
     /// Writeback-port bookings per sub-core: cycle -> committed writebacks.
     wb_slots: Vec<HashMap<Cycle, u8>>,
-    issued: u64,
+    /// First issue cycle at which the past bookings are swept.
+    wb_sweep_at: Cycle,
     wb_conflict_delays: u64,
     operand_conflicts: u64,
 }
@@ -136,19 +116,12 @@ pub struct CycleAccurateAlu {
 impl CycleAccurateAlu {
     /// Build the detailed model for one SM.
     pub fn new(sm: &SmConfig) -> Self {
-        let shapes = shapes(sm);
         let sub_cores = sm.sub_cores as usize;
-        let stage_regs = |kind: usize| vec![0u8; shapes[kind].latency as usize];
         CycleAccurateAlu {
-            shapes,
-            port_busy: vec![[0; 6]; sub_cores],
-            stages: (0..sub_cores)
-                .map(|_| std::array::from_fn(stage_regs))
-                .collect(),
-            collectors: vec![[CollectorUnit::default(); COLLECTORS_PER_SUB_CORE]; sub_cores],
-            bank_busy: vec![[false; REG_BANKS as usize]; sub_cores],
+            ports: AnalyticalAlu::new(sm),
+            last_issue: vec![None; sub_cores],
             wb_slots: vec![HashMap::new(); sub_cores],
-            issued: 0,
+            wb_sweep_at: 0,
             wb_conflict_delays: 0,
             operand_conflicts: 0,
         }
@@ -156,7 +129,7 @@ impl CycleAccurateAlu {
 
     /// Instructions issued so far.
     pub fn issued(&self) -> u64 {
-        self.issued
+        self.ports.issued
     }
 
     /// Cumulative cycles lost to writeback-port conflicts.
@@ -173,45 +146,36 @@ impl CycleAccurateAlu {
 
 impl AluModel for CycleAccurateAlu {
     fn port_free(&self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> bool {
-        self.port_busy[sub_core][kind.index()] <= now
-            && self.collectors[sub_core].iter().any(|c| c.pending == 0)
+        self.ports.port_free(sub_core, kind, now)
     }
 
     fn ports_free(&self, sub_core: usize, now: Cycle) -> u8 {
-        if self.collectors[sub_core].iter().any(|c| c.pending == 0) {
-            idle_ports(&self.port_busy[sub_core], now)
-        } else {
-            0
-        }
+        self.ports.ports_free(sub_core, now)
     }
 
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
-        let shape = self.shapes[kind.index()];
-        self.port_busy[sub_core][kind.index()] = now + shape.initiation_interval;
-
-        // Claim a free operand-collector unit; the instruction reads (on
-        // average) two source operands, serialized on a bank conflict.
-        let mut operand_delay = 0;
-        if let Some(c) = self.collectors[sub_core]
-            .iter_mut()
-            .find(|c| c.pending == 0)
-        {
-            c.pending = 2;
-            c.bank = (self.issued % u64::from(REG_BANKS)) as u16;
-            if self.bank_busy[sub_core][c.bank as usize] {
-                operand_delay = 1;
-                self.operand_conflicts += 1;
-            }
-            self.bank_busy[sub_core][c.bank as usize] = true;
+        let last = self.last_issue[sub_core];
+        debug_assert!(
+            last.is_none_or(|(at, _)| at < now),
+            "sub-core {sub_core} issued twice by cycle {now}"
+        );
+        let bank = self.ports.issued % REG_BANKS;
+        self.last_issue[sub_core] = Some((now, bank));
+        let mut wb = self.ports.issue(sub_core, kind, now);
+        if last.is_some_and(|(at, b)| at + 1 == now && (b + 1) % REG_BANKS == bank) {
+            wb += 1;
+            self.operand_conflicts += 1;
         }
 
-        // Enter the first pipeline stage.
-        let pipe = &mut self.stages[sub_core][kind.index()];
-        pipe[0] = pipe[0].saturating_add(1);
-
-        // Arbitrate a writeback port: at most WB_PORTS_PER_CYCLE results
-        // retire per sub-core per cycle.
-        let mut wb = now + shape.latency + operand_delay;
+        // Arbitrate a writeback port. Bookings before `now` are never read
+        // again (every writeback lands at or after its issue cycle), so
+        // sweeping them on any schedule changes no result.
+        if now >= self.wb_sweep_at {
+            for slots in &mut self.wb_slots {
+                slots.retain(|&cycle, _| cycle >= now);
+            }
+            self.wb_sweep_at = now + WB_SWEEP_CYCLES;
+        }
         let slots = &mut self.wb_slots[sub_core];
         loop {
             let booked = slots.entry(wb).or_insert(0);
@@ -222,41 +186,7 @@ impl AluModel for CycleAccurateAlu {
             wb += 1;
             self.wb_conflict_delays += 1;
         }
-        self.issued += 1;
         wb
-    }
-
-    fn tick(&mut self, now: Cycle) {
-        // Walk every structure — the detailed model's per-cycle cost.
-        for sc in 0..self.stages.len() {
-            // Shift pipeline stage registers.
-            for pipe in self.stages[sc].iter_mut() {
-                for i in (1..pipe.len()).rev() {
-                    pipe[i] = pipe[i - 1];
-                }
-                if let Some(first) = pipe.first_mut() {
-                    *first = 0;
-                }
-            }
-            // Operand collectors each read one operand per cycle; rebuild
-            // bank reservations from the still-pending reads.
-            self.bank_busy[sc] = [false; REG_BANKS as usize];
-            for c in self.collectors[sc].iter_mut() {
-                if c.pending > 0 {
-                    c.pending -= 1;
-                    c.bank = (c.bank + 1) % REG_BANKS;
-                    if c.pending > 0 {
-                        self.bank_busy[sc][c.bank as usize] = true;
-                    }
-                }
-            }
-        }
-        // Retire stale writeback bookings.
-        if now.is_multiple_of(64) {
-            for slots in &mut self.wb_slots {
-                slots.retain(|&cycle, _| cycle >= now);
-            }
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -296,7 +226,11 @@ impl AluModel for AnalyticalAlu {
     }
 
     fn ports_free(&self, sub_core: usize, now: Cycle) -> u8 {
-        idle_ports(&self.port_busy[sub_core], now)
+        // Bit `k` set when unit `k` has finished its initiation interval.
+        self.port_busy[sub_core]
+            .iter()
+            .enumerate()
+            .fold(0, |free, (k, &until)| free | u8::from(until <= now) << k)
     }
 
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
@@ -308,8 +242,6 @@ impl AluModel for AnalyticalAlu {
         now + shape.latency
     }
 
-    fn tick(&mut self, _now: Cycle) {}
-
     fn name(&self) -> &'static str {
         "analytical_alu"
     }
@@ -318,7 +250,8 @@ impl AluModel for AnalyticalAlu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swiftsim_config::presets;
+    use swiftsim_config::{presets, ExecUnitConfig};
+    use swiftsim_rng::SmallRng;
 
     fn sm() -> SmConfig {
         presets::rtx2080ti().sm
@@ -329,10 +262,13 @@ mod tests {
         let cfg = sm();
         let mut ca = CycleAccurateAlu::new(&cfg);
         let mut an = AnalyticalAlu::new(&cfg);
-        for kind in [ExecUnitKind::Int, ExecUnitKind::Sp, ExecUnitKind::Sfu] {
+        for (sc, kind) in [ExecUnitKind::Int, ExecUnitKind::Sp, ExecUnitKind::Sfu]
+            .into_iter()
+            .enumerate()
+        {
             let lat = Cycle::from(cfg.exec_unit(kind).latency);
-            assert_eq!(ca.issue(0, kind, 1000), 1000 + lat, "{kind}");
-            assert_eq!(an.issue(0, kind, 1000), 1000 + lat, "{kind}");
+            assert_eq!(ca.issue(sc, kind, 1000), 1000 + lat, "{kind}");
+            assert_eq!(an.issue(sc, kind, 1000), 1000 + lat, "{kind}");
         }
     }
 
@@ -357,14 +293,11 @@ mod tests {
             Box::new(AnalyticalAlu::new(&cfg)),
         ];
         for mut alu in models {
-            // Fill every collector of sub-core 0, so the detailed model
-            // closes all of its ports at once.
             for (n, kind) in ExecUnitKind::ALL.into_iter().cycle().take(10).enumerate() {
                 alu.issue(0, kind, n as Cycle);
             }
             alu.issue(1, ExecUnitKind::Dp, 3);
             for now in 0..40 {
-                alu.tick(now);
                 for sc in 0..2 {
                     let free = alu.ports_free(sc, now);
                     for kind in ExecUnitKind::ALL {
@@ -391,58 +324,82 @@ mod tests {
 
     #[test]
     fn writeback_bus_conflicts_delay_detailed_model() {
-        let cfg = sm();
+        // Three sub-core 0 results due at cycle 4 from three issue cycles:
+        // INT (latency 4) at 0, SP (latency 3) at 1, SFU (latency 2) at 2.
+        // Sub-core 1 issues in between, so no operand read collides.
+        let mut cfg = sm();
+        cfg.exec_units[ExecUnitKind::Sp.index()] = ExecUnitConfig::new(32, 3);
+        cfg.exec_units[ExecUnitKind::Sfu.index()] = ExecUnitConfig::new(32, 2);
         let mut ca = CycleAccurateAlu::new(&cfg);
-        // INT and SP share latency 4; issue 3 same-cycle-retiring
-        // instructions on one sub-core: only 2 writeback ports.
-        let a = ca.issue(0, ExecUnitKind::Int, 0);
-        let b = ca.issue(0, ExecUnitKind::Sp, 0);
-        // Different unit kind with same latency to force a 3rd writer: use
-        // another INT after its II on an artificial same-completion path.
-        let c = ca.issue(1, ExecUnitKind::Int, 0); // different sub-core: own ports
-        assert_eq!(a, 4);
-        assert_eq!(b, 4);
-        assert_eq!(c, 4);
-        // Third writer on sub-core 0 completing at cycle 4:
-        let ca2 = CycleAccurateAlu::new(&cfg);
-        let mut cfg2 = sm();
-        cfg2.exec_units[ExecUnitKind::Sfu.index()] = swiftsim_config::ExecUnitConfig::new(4, 4);
-        let mut ca3 = CycleAccurateAlu::new(&cfg2);
-        let x = ca3.issue(0, ExecUnitKind::Int, 0);
-        let y = ca3.issue(0, ExecUnitKind::Sp, 0);
-        let z = ca3.issue(0, ExecUnitKind::Sfu, 0);
-        assert_eq!((x, y), (4, 4));
-        assert_eq!(z, 5, "third same-cycle writeback is bumped");
-        assert_eq!(ca3.wb_conflict_delays(), 1);
-        // The analytical model ignores the writeback bus — its simplification.
-        let mut an = AnalyticalAlu::new(&cfg2);
-        assert_eq!(an.issue(0, ExecUnitKind::Int, 0), 4);
-        assert_eq!(an.issue(0, ExecUnitKind::Sp, 0), 4);
-        assert_eq!(an.issue(0, ExecUnitKind::Sfu, 0), 4);
-        let _ = (ca.issued(), ca2.issued(), an.issued());
-    }
-
-    #[test]
-    fn tick_is_cheap_for_analytical_model() {
-        let cfg = sm();
         let mut an = AnalyticalAlu::new(&cfg);
-        // Must be callable arbitrarily often without changing behavior.
-        for now in 0..1000 {
-            an.tick(now);
+        let mut wbs = Vec::new();
+        for (now, kind) in [ExecUnitKind::Int, ExecUnitKind::Sp, ExecUnitKind::Sfu]
+            .into_iter()
+            .enumerate()
+        {
+            let now = now as Cycle;
+            wbs.push((ca.issue(0, kind, now), an.issue(0, kind, now)));
+            // Sub-core 1 has its own ports: its result at 4 is not bumped.
+            assert_eq!(ca.issue(1, ExecUnitKind::LdSt, now), now + 2);
         }
-        assert_eq!(an.issue(0, ExecUnitKind::Int, 5000), 5004);
+        assert_eq!(ca.operand_conflicts(), 0);
+        assert_eq!(wbs[..2], [(4, 4), (4, 4)]);
+        assert_eq!(wbs[2].0, 5, "third same-cycle writeback is bumped");
+        assert_eq!(ca.wb_conflict_delays(), 1);
+        // The analytical model ignores the writeback bus — its
+        // simplification.
+        assert_eq!(wbs[2].1, 4);
     }
 
     #[test]
-    fn detailed_tick_shifts_stages() {
+    fn operand_conflict_needs_the_previous_cycles_bank() {
         let cfg = sm();
+        let int = ExecUnitKind::Int;
+        let sp = ExecUnitKind::Sp;
         let mut ca = CycleAccurateAlu::new(&cfg);
-        ca.issue(0, ExecUnitKind::Sp, 0);
-        // One occupant entered stage 0; after a tick it is in stage 1.
-        assert_eq!(ca.stages[0][ExecUnitKind::Sp.index()][0], 1);
-        ca.tick(1);
-        assert_eq!(ca.stages[0][ExecUnitKind::Sp.index()][0], 0);
-        assert_eq!(ca.stages[0][ExecUnitKind::Sp.index()][1], 1);
+        // Bank 0 at cycle 10 holds bank 1 at 11: the next issue wants it.
+        assert_eq!(ca.issue(0, int, 10), 14);
+        assert_eq!(ca.issue(0, sp, 11), 16, "one cycle waiting for bank 1");
+        assert_eq!(ca.operand_conflicts(), 1);
+        // A gap frees the bank; another sub-core's issue shifts the bank.
+        assert_eq!(ca.issue(0, int, 13), 17);
+        assert_eq!(ca.issue(1, int, 13), 17);
+        assert_eq!(ca.issue(0, sp, 14), 18, "bank 4 after bank 2: no clash");
+        // Bank 7 wraps to bank 0.
+        let mut ca = CycleAccurateAlu::new(&cfg);
+        for now in [0, 2] {
+            for sc in 1..4 {
+                ca.issue(sc, int, now);
+            }
+        }
+        ca.issue(1, int, 4);
+        assert_eq!(ca.issue(0, int, 5), 9, "bank 7");
+        assert_eq!(ca.issue(0, sp, 6), 11, "bank 0 is bank 7's successor");
+        assert_eq!(ca.operand_conflicts(), 1);
+    }
+
+    #[test]
+    fn past_writeback_bookings_are_dropped() {
+        // DP and SFU results due at 600 are booked long before the INT
+        // stream reaches them, across many sweeps of its own bookings.
+        let mut cfg = sm();
+        cfg.exec_units[ExecUnitKind::Dp.index()] = ExecUnitConfig::new(32, 600);
+        cfg.exec_units[ExecUnitKind::Sfu.index()] = ExecUnitConfig::new(32, 300);
+        let mut ca = CycleAccurateAlu::new(&cfg);
+        assert_eq!(ca.issue(0, ExecUnitKind::Dp, 0), 600);
+        for now in (2..2000).step_by(2) {
+            let (kind, expect) = match now {
+                300 => (ExecUnitKind::Sfu, 600),
+                596 => (ExecUnitKind::Int, 601),
+                _ => (ExecUnitKind::Int, now + 4),
+            };
+            assert_eq!(ca.issue(0, kind, now), expect, "at {now}");
+            // At most one sweep interval of past bookings, plus the
+            // pending INT and the two at 600.
+            assert!(ca.wb_slots[0].len() as Cycle <= WB_SWEEP_CYCLES / 2 + 3);
+        }
+        assert_eq!(ca.wb_conflict_delays(), 1);
+        assert_eq!(ca.operand_conflicts(), 0);
     }
 
     #[test]
@@ -456,5 +413,134 @@ mod tests {
         }
         assert_eq!(ca.issued(), 10);
         assert_eq!(an.issued(), 10);
+    }
+
+    /// The per-cycle operand-collector model [`CycleAccurateAlu`] replaced,
+    /// kept as its oracle: eight collector units per sub-core, each reading
+    /// two operands from consecutive register banks one per tick, with the
+    /// bank reservations rebuilt every tick.
+    struct PerCycleAlu {
+        ports: AnalyticalAlu,
+        /// `(operands still to read, bank being read)` per collector.
+        collectors: Vec<[(u8, u64); 8]>,
+        bank_busy: Vec<[bool; REG_BANKS as usize]>,
+        wb_slots: Vec<HashMap<Cycle, u8>>,
+        wb_conflict_delays: u64,
+        operand_conflicts: u64,
+    }
+
+    impl PerCycleAlu {
+        fn new(sm: &SmConfig) -> Self {
+            let sub_cores = sm.sub_cores as usize;
+            PerCycleAlu {
+                ports: AnalyticalAlu::new(sm),
+                collectors: vec![[(0, 0); 8]; sub_cores],
+                bank_busy: vec![[false; REG_BANKS as usize]; sub_cores],
+                wb_slots: vec![HashMap::new(); sub_cores],
+                wb_conflict_delays: 0,
+                operand_conflicts: 0,
+            }
+        }
+
+        fn ports_free(&self, sc: usize, now: Cycle) -> u8 {
+            if self.collectors[sc].iter().any(|c| c.0 == 0) {
+                self.ports.ports_free(sc, now)
+            } else {
+                0
+            }
+        }
+
+        fn issue(&mut self, sc: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
+            let bank = self.ports.issued % REG_BANKS;
+            let mut wb = self.ports.issue(sc, kind, now);
+            if let Some(c) = self.collectors[sc].iter_mut().find(|c| c.0 == 0) {
+                *c = (2, bank);
+                if self.bank_busy[sc][bank as usize] {
+                    wb += 1;
+                    self.operand_conflicts += 1;
+                }
+                self.bank_busy[sc][bank as usize] = true;
+            }
+            let slots = &mut self.wb_slots[sc];
+            loop {
+                let booked = slots.entry(wb).or_insert(0);
+                if *booked < WB_PORTS_PER_CYCLE {
+                    *booked += 1;
+                    break;
+                }
+                wb += 1;
+                self.wb_conflict_delays += 1;
+            }
+            wb
+        }
+
+        fn tick(&mut self, now: Cycle) {
+            for (busy, collectors) in self.bank_busy.iter_mut().zip(&mut self.collectors) {
+                *busy = [false; REG_BANKS as usize];
+                for (pending, bank) in collectors.iter_mut() {
+                    if *pending > 0 {
+                        *pending -= 1;
+                        *bank = (*bank + 1) % REG_BANKS;
+                        if *pending > 0 {
+                            busy[*bank as usize] = true;
+                        }
+                    }
+                }
+            }
+            if now.is_multiple_of(64) {
+                for slots in &mut self.wb_slots {
+                    slots.retain(|&cycle, _| cycle >= now);
+                }
+            }
+        }
+    }
+
+    /// Seeded issue streams over all six unit kinds and four sub-cores, at
+    /// most one issue per sub-core per cycle, a tick every cycle and
+    /// stretches of every issue density: the closed form must reproduce
+    /// the per-cycle model's writeback cycles and both conflict counters.
+    #[test]
+    fn closed_form_matches_per_cycle_collector_model() {
+        let (mut operand_conflicts, mut wb_conflicts) = (0, 0);
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut cfg = sm();
+            if seed % 2 == 1 {
+                // Short, mixed latencies crowd the writeback bus.
+                for unit in &mut cfg.exec_units {
+                    *unit = ExecUnitConfig::new(rng.gen_range(1..33), rng.gen_range(1..9));
+                }
+            }
+            let mut reference = PerCycleAlu::new(&cfg);
+            let mut alu = CycleAccurateAlu::new(&cfg);
+            let mut density = 0.0;
+            for now in 0..5_000 {
+                if now % 50 == 0 {
+                    density = [0.0, 0.2, 0.5, 0.9, 1.0][rng.gen_range(0..5usize)];
+                }
+                reference.tick(now);
+                for sc in 0..4 {
+                    let free = reference.ports_free(sc, now);
+                    assert_eq!(alu.ports_free(sc, now), free, "seed {seed} at {now}");
+                    let kind = ExecUnitKind::ALL[rng.gen_range(0..6usize)];
+                    if rng.gen_bool(density) && free & 1 << kind.index() != 0 {
+                        assert_eq!(
+                            alu.issue(sc, kind, now),
+                            reference.issue(sc, kind, now),
+                            "seed {seed}: sub-core {sc} {kind} at {now}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(alu.operand_conflicts(), reference.operand_conflicts);
+            assert_eq!(alu.wb_conflict_delays(), reference.wb_conflict_delays);
+            assert_eq!(alu.issued(), reference.ports.issued());
+            operand_conflicts += alu.operand_conflicts();
+            wb_conflicts += alu.wb_conflict_delays();
+        }
+        assert!(
+            operand_conflicts > 0 && wb_conflicts > 0,
+            "both arbiters exercised"
+        );
     }
 }

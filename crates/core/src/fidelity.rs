@@ -29,7 +29,8 @@ use std::str::FromStr;
 /// Which model simulates the ALU pipeline (§III-D1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluModelKind {
-    /// Explicit pipeline-stage registers, ticked every cycle.
+    /// The analytical model plus operand-bank and writeback-port
+    /// arbitration, decided at issue.
     CycleAccurate,
     /// Fixed latency + cycle-accurately observed contention (Fig. 3).
     Analytical,

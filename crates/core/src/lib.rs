@@ -11,8 +11,9 @@
 //! The two hybrid working examples of §III-D are provided:
 //!
 //! * an **improved analytical ALU model** ([`alu::AnalyticalAlu`]): fixed
-//!   per-opcode latencies plus contention observed at issue, instead of
-//!   per-cycle pipeline-stage simulation;
+//!   per-opcode latencies plus issue-port contention observed at issue,
+//!   without the operand-bank and writeback-port arbitration of
+//!   [`alu::CycleAccurateAlu`];
 //! * an **analytical memory model** ([`mem_system::AnalyticalMemory`]):
 //!   per-PC expected latency `L_inst = L_L1·R_L1 + L_L2·R_L2 +
 //!   L_DRAM·R_DRAM` (Eq. 1) plus a contention adder, instead of simulating

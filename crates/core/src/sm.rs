@@ -202,6 +202,12 @@ struct FrontendCaches {
     ctags: Vec<u64>,
     imiss_latency: Cycle,
     cmiss_latency: Cycle,
+    /// Re-probe passes ([`SmCore::detailed_core_tick`]) since a warp head,
+    /// live bit or instruction tag last changed, capped at 2.
+    quiet_passes: u8,
+    /// Instruction-cache misses of the last pass that walked; once two
+    /// walked with nothing changed, every further pass repeats it.
+    quiet_pass_misses: u64,
 }
 
 impl FrontendCaches {
@@ -212,6 +218,8 @@ impl FrontendCaches {
             ctags: vec![u64::MAX; 128],
             imiss_latency: 20,
             cmiss_latency: 40,
+            quiet_passes: 0,
+            quiet_pass_misses: 0,
         }
     }
 
@@ -329,9 +337,8 @@ pub(crate) struct SmCore<'a> {
     /// module docs).
     event_driven: bool,
     /// Consecutive quiescent ticks observed, capped at 2 (the point at
-    /// which the per-tick delta is provably constant: operand collectors
-    /// have settled and scheduler no-pick state has reached its fixed
-    /// point).
+    /// which the per-tick delta is provably constant: the icache re-probe
+    /// count and scheduler no-pick state have reached their fixed points).
     q_streak: u8,
     /// The measured per-tick stat delta, valid while `q_streak >= 2`.
     q_delta: SmStats,
@@ -459,6 +466,7 @@ impl<'a> SmCore<'a> {
         self.s_age[slot] = now;
         self.resident += 1;
         self.q_streak = 0;
+        self.frontend.quiet_passes = 0;
         self.insts_left += block.num_insts();
     }
 
@@ -644,7 +652,6 @@ impl<'a> SmCore<'a> {
         self.cycles += 1;
         let stats_before = self.stats;
         let t0 = prof.start();
-        self.alu.tick(now);
         let drained = self.drain_writebacks(now);
         prof.record(ProfModule::Alu, t0);
 
@@ -714,24 +721,34 @@ impl<'a> SmCore<'a> {
         }
     }
 
-    /// The per-cycle fetch/decode work of the detailed baseline: every
-    /// resident warp's fetch group is looked up in the instruction cache
-    /// and its instruction-buffer dependences re-examined each cycle —
-    /// exactly the frontend activity a detailed simulator like Accel-Sim
-    /// performs (and the work the hybrid presets eliminate).
+    /// The per-cycle fetch work of the detailed baseline: every resident
+    /// warp's fetch group is looked up in the instruction cache each cycle
+    /// it occupies an ibuffer slot, as a detailed simulator like Accel-Sim
+    /// does (and the hybrid presets do not).
+    ///
+    /// A pass over an unchanged sequence of lines is idempotent on the
+    /// direct-mapped tags: after one pass every set holds the last line
+    /// that maps to it, so every later pass meets the same tags and misses
+    /// as often as the second. Once two passes ran with no head, live bit
+    /// or tag changed (an install or an issue resets the count), further
+    /// passes add the second one's misses instead of walking.
     fn detailed_core_tick(&mut self) {
-        // Slot-major, then warp: the direct-mapped tags make the miss count
-        // depend on the probe order. Bit `b` of every sub-core holds warps
-        // of one slot numbered `row * sub_cores + sc`, so visiting the bits
-        // in order and the sub-cores within each bit keeps that order.
         let SmCore {
             frontend,
             stats,
             subs,
             w_head,
-            w_scoreboard,
             ..
         } = self;
+        if frontend.quiet_passes == 2 {
+            stats.icache_misses += frontend.quiet_pass_misses;
+            return;
+        }
+        // Slot-major, then warp: the direct-mapped tags make the miss count
+        // depend on the probe order. Bit `b` of every sub-core holds warps
+        // of one slot numbered `row * sub_cores + sc`, so visiting the bits
+        // in order and the sub-cores within each bit keeps that order.
+        let mut misses = 0;
         let mut rows = subs.iter().fold(0, |rows, sub| rows | sub.live);
         while rows != 0 {
             let bit = rows.trailing_zeros() as usize;
@@ -740,22 +757,20 @@ impl<'a> SmCore<'a> {
                 if sub.live >> bit & 1 == 0 {
                     continue;
                 }
-                let i = usize::from(sub.warp_index[bit]);
-                let head = &w_head[i];
+                let head = &w_head[usize::from(sub.warp_index[bit])];
                 if head.kind != HeadKind::Empty {
-                    // Fetch: the fetch group is re-probed each cycle the
-                    // warp occupies an ibuffer slot.
                     let line = u64::from(head.pc) >> 7;
                     let set = (line as usize) % frontend.itags.len();
                     if frontend.itags[set] != line {
                         frontend.itags[set] = line;
-                        stats.icache_misses += 1;
+                        misses += 1;
                     }
-                    // Decode: dependence pre-check against the scoreboard.
-                    std::hint::black_box(w_scoreboard[i].is_clear_of(&head.hazards));
                 }
             }
         }
+        stats.icache_misses += misses;
+        frontend.quiet_passes += 1;
+        frontend.quiet_pass_misses = misses;
     }
 
     fn tick_sub_core(
@@ -879,6 +894,7 @@ impl<'a> SmCore<'a> {
         let i = slot * self.stride + warp_idx;
         let Head { pc, dst, kind, .. } = self.w_head[i];
         let fetch_penalty = self.frontend.fetch_penalty(pc, &mut self.stats);
+        self.frontend.quiet_passes = 0;
 
         self.stats.issued += 1;
         self.insts_left -= 1;
@@ -1273,6 +1289,73 @@ mod tests {
             "rank 1 is now bit 2, and the greedy target follows it there \
              although bit 0 is ready again and as old"
         );
+    }
+
+    /// Two warps stalled behind a DFMA whose head lines share an
+    /// instruction-tag set thrash it: every re-probe pass misses twice,
+    /// whether it walks or repeats the last quiet pass's count, until an
+    /// install or an issue makes the next pass walk again.
+    #[test]
+    fn quiet_reprobe_passes_repeat_the_walked_miss_count() {
+        use swiftsim_trace::{InstBuilder, Opcode};
+        let cfg = swiftsim_config::presets::rtx2080ti();
+        // `base` plus 256 lines maps to the same set as `base`.
+        let far = 256 << 7;
+        let stalled_block = |bases: [u32; 2]| {
+            let mut block = BlockTrace::new();
+            for base in bases {
+                let warp = block.push_warp();
+                warp.push(InstBuilder::new(Opcode::Dfma).pc(base).dst(1));
+                warp.push(InstBuilder::new(Opcode::Iadd).pc(base + 0x80).src(1));
+                warp.push(InstBuilder::new(Opcode::Exit).pc(base + 0x90));
+            }
+            block
+        };
+        let first = stalled_block([0, far]);
+        let second = stalled_block([0x100, 0x100]);
+        let mut sm = SmCore::new(
+            0,
+            0,
+            &cfg.sm,
+            2,
+            2,
+            Box::new(crate::alu::AnalyticalAlu::new(&cfg.sm)),
+            true,
+            false,
+            &|| crate::scheduler::make_policy(cfg.sm.scheduler),
+        );
+        sm.install_block(0, &first, 0);
+        let mut mem = crate::mem_system::AnalyticalMemory::new(&cfg, &Default::default());
+        let mut prof = Profiler::disabled();
+        let mut outcome = TickOutcome::default();
+        let mut tick = |sm: &mut SmCore<'_>, now| {
+            let before = sm.stats.icache_misses;
+            sm.tick(now, &mut mem, &mut prof, &mut outcome);
+            (sm.stats.icache_misses - before, outcome.issued)
+        };
+
+        // Cycle 0: both heads miss in set 0, then both DFMAs issue and
+        // each fetch misses again.
+        assert_eq!(tick(&mut sm, 0), (4, 2));
+        // The IADD heads wait 68 cycles for R1 and thrash set 1. Passes 1
+        // and 2 walk; from cycle 3 on they repeat pass 2's count.
+        for now in 1..40 {
+            assert_eq!(tick(&mut sm, now), (2, 0), "cycle {now}");
+            assert_eq!(sm.frontend.quiet_passes, now.min(2) as u8, "cycle {now}");
+        }
+
+        // An install walks again: the new heads miss once in set 2 (the
+        // second warp hits the first's line), then their DFMAs issue and
+        // the pass after that walks too, missing once more in set 3.
+        sm.install_block(1, &second, 40);
+        assert_eq!(sm.frontend.quiet_passes, 0);
+        assert_eq!(tick(&mut sm, 40), (3, 2));
+        assert_eq!(sm.frontend.quiet_passes, 0, "the issue reset the count");
+        assert_eq!(tick(&mut sm, 41), (3, 0));
+        for now in 42..60 {
+            assert_eq!(tick(&mut sm, now), (2, 0), "cycle {now}");
+        }
+        assert_eq!(sm.frontend.quiet_passes, 2);
     }
 
     #[test]
