@@ -56,6 +56,19 @@ pub trait AluModel: Send {
             .fold(0, |free, kind| free | 1 << kind.index())
     }
 
+    /// The first cycle at or after `now` at which the issue port of
+    /// `(sub_core, kind)` accepts an instruction, if nothing issues on it
+    /// first. A sleeping SM wakes then (`sm.rs`, "Sleeping"). The default
+    /// says only that the port may free in the next cycle, which keeps an
+    /// SM waiting on it awake: correct for any model, and slower.
+    fn port_free_at(&self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
+        if self.port_free(sub_core, kind, now) {
+            now
+        } else {
+            now + 1
+        }
+    }
+
     /// Issue one warp instruction; returns its writeback cycle. A sub-core
     /// issues at most once per cycle, and `now` never decreases.
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle;
@@ -153,6 +166,10 @@ impl AluModel for CycleAccurateAlu {
         self.ports.ports_free(sub_core, now)
     }
 
+    fn port_free_at(&self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
+        self.ports.port_free_at(sub_core, kind, now)
+    }
+
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
         let last = self.last_issue[sub_core];
         debug_assert!(
@@ -231,6 +248,10 @@ impl AluModel for AnalyticalAlu {
             .iter()
             .enumerate()
             .fold(0, |free, (k, &until)| free | u8::from(until <= now) << k)
+    }
+
+    fn port_free_at(&self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {
+        self.port_busy[sub_core][kind.index()].max(now)
     }
 
     fn issue(&mut self, sub_core: usize, kind: ExecUnitKind, now: Cycle) -> Cycle {

@@ -15,16 +15,20 @@
 //!
 //! # Sleeping SMs: the event-driven engine
 //!
-//! An SM whose per-cycle effect is known ([`SmCore::is_settled`]) stops
-//! being ticked: the shard's [`SmSet`] puts it to sleep from `since`, its
-//! first unticked cycle, until its *wake*, the head of its writeback heap. Each cycle the shard ticks only the
-//! awake SMs, in SM index order, so the memory system sees accesses in the
-//! order it would if every SM ticked. A sleeper is roused when its wake
-//! comes due, when a memory completion is delivered to it or a block is
-//! installed on it, or, if it has warps parked on a full LD/ST queue, once
-//! the memory system accepts from it again (rechecked every cycle). A
-//! `Done` reply committed for a worker shard never reaches a sleeper: the
-//! SM made the access the cycle before, so it is still awake.
+//! An SM whose tick issued nothing sleeps: the shard's [`SmSet`] stops
+//! ticking it from `since`, its first unticked cycle, until its *wake*
+//! ([`SmCore::idle_wake`]), the earlier of its next writeback and the
+//! earliest cycle an issue port that one of its hazard-free warps waits
+//! for frees. Until then every tick would charge the same stalls, which
+//! [`SmCore::fall_asleep`] computes from the SM's masks. Each cycle the
+//! shard ticks only the awake SMs, in SM index order, so the memory system
+//! sees accesses in the order it would if every SM ticked. A sleeper is
+//! roused when its wake comes due, when a memory completion is delivered
+//! to it or a block is installed on it, or, if it has warps parked on a
+//! full LD/ST queue, once the memory system accepts from it again
+//! (rechecked every cycle). A `Done` reply committed for a worker shard
+//! never reaches a sleeper: the SM made the access the cycle before, in a
+//! tick that issued, so it is still awake.
 //! Rousing credits the sleeper `delta × (now − since)` **exactly once**,
 //! before anything else touches it; the kernel's end credits every sleeper
 //! before stats are read. Credited cycles count exactly as dense ticks, so
@@ -104,10 +108,13 @@ pub(crate) fn deadlock_detail(warp: Option<String>, mem: &dyn MemorySystem) -> S
 pub(crate) struct SmSet<'a> {
     sms: Vec<SmCore<'a>>,
     blocks: &'a [BlockTrace],
+    /// The dense test oracle: no SM ever sleeps.
+    dense: bool,
     /// Bit `i % 64` of word `i / 64` is set while SM `i` is awake.
     awake: Vec<u64>,
-    /// Per sleeper: its first unticked, uncredited cycle.
+    /// Per sleeper: its first unticked, uncredited cycle, and its wake.
     since: Vec<Cycle>,
+    wake_at: Vec<Option<Cycle>>,
     /// `(wake, sm)` per sleeper, earliest first; entries whose SM woke or
     /// moved its wake since stay until they surface.
     wakes: BinaryHeap<Reverse<(Cycle, usize)>>,
@@ -155,8 +162,10 @@ impl<'a> SmSet<'a> {
         SmSet {
             sms: sms.collect(),
             blocks,
+            dense: sim.dense_clock,
             awake,
             since: vec![0; n],
+            wake_at: vec![None; n],
             wakes: BinaryHeap::new(),
             mem_waiters: Vec::new(),
             start,
@@ -167,6 +176,11 @@ impl<'a> SmSet<'a> {
 
     fn is_asleep(&self, i: usize) -> bool {
         self.awake[i / 64] >> (i % 64) & 1 == 0
+    }
+
+    /// Whether `(at, i)` from the wake heap is SM `i`'s current wake.
+    fn is_wake(&self, at: Cycle, i: usize) -> bool {
+        self.is_asleep(i) && self.wake_at[i] == Some(at)
     }
 
     pub(crate) fn all_asleep(&self) -> bool {
@@ -189,7 +203,8 @@ impl<'a> SmSet<'a> {
     }
 
     /// A two-phase `Done` reply ([`SmCore::apply_deferred_done`]) for an
-    /// SM that made its access last cycle, so cannot have settled since.
+    /// SM that made its access last cycle in a tick that issued, so cannot
+    /// have fallen asleep since.
     pub(crate) fn apply_deferred_done(
         &mut self,
         i: usize,
@@ -214,7 +229,7 @@ impl<'a> SmSet<'a> {
                 break;
             }
             self.wakes.pop();
-            if self.sms[i].next_writeback().is_some_and(|w| w <= now) {
+            if self.is_wake(at, i) {
                 self.touch(i, now, prof);
             }
         }
@@ -238,7 +253,8 @@ impl<'a> SmSet<'a> {
         Some(w * 64 + bits.trailing_zeros() as usize)
     }
 
-    /// Tick awake SM `i`, and put it to sleep if that settled it.
+    /// Tick awake SM `i`, and put it to sleep if it issued nothing and
+    /// cannot act in the next cycle.
     pub(crate) fn tick(
         &mut self,
         i: usize,
@@ -248,17 +264,26 @@ impl<'a> SmSet<'a> {
     ) -> &TickOutcome {
         let sm = &mut self.sms[i];
         sm.tick(now, mem, prof, &mut self.outcome);
-        if sm.is_settled() {
-            self.awake[i / 64] &= !(1 << (i % 64));
-            self.since[i] = now + 1;
-            if let Some(at) = sm.next_writeback() {
-                self.wakes.push(Reverse((at, i)));
-            }
-            if sm.waits_on_mem_queue() {
-                #[cfg(test)]
-                tests::saw(&tests::MEM_WAITERS);
-                self.mem_waiters.push(i);
-            }
+        if self.dense || self.outcome.issued > 0 {
+            return &self.outcome;
+        }
+        let wake = sm.idle_wake(now);
+        if wake.is_some_and(|at| at <= now + 1) {
+            return &self.outcome;
+        }
+        sm.fall_asleep();
+        #[cfg(test)]
+        tests::saw_sleep(sm, now);
+        self.awake[i / 64] &= !(1 << (i % 64));
+        self.since[i] = now + 1;
+        self.wake_at[i] = wake;
+        if let Some(at) = wake {
+            self.wakes.push(Reverse((at, i)));
+        }
+        if sm.waits_on_mem_queue() {
+            #[cfg(test)]
+            tests::saw(&tests::MEM_WAITERS);
+            self.mem_waiters.push(i);
         }
         &self.outcome
     }
@@ -266,7 +291,7 @@ impl<'a> SmSet<'a> {
     /// The earliest wake of any sleeper.
     pub(crate) fn next_wake(&mut self) -> Option<Cycle> {
         while let Some(&Reverse((at, i))) = self.wakes.peek() {
-            if self.is_asleep(i) && self.sms[i].next_writeback() == Some(at) {
+            if self.is_wake(at, i) {
                 return Some(at);
             }
             self.wakes.pop();
@@ -307,9 +332,29 @@ mod tests {
     /// An SM fell asleep with warps parked on the LD/ST queue, so it sleeps
     /// on `can_accept`.
     pub(super) static MEM_WAITERS: AtomicU64 = AtomicU64::new(0);
+    /// An SM fell asleep until an issue port frees, before any writeback.
+    static PORT_WAKES: AtomicU64 = AtomicU64::new(0);
+    /// An SM fell asleep with warps waiting at a barrier.
+    static BARRIER_SLEEPS: AtomicU64 = AtomicU64::new(0);
+    /// A detailed-front-end SM fell asleep credited re-probe misses.
+    static REPROBE_SLEEPS: AtomicU64 = AtomicU64::new(0);
 
     pub(super) fn saw(path: &AtomicU64) {
         path.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count the paths an SM falling asleep after its tick at `now` takes.
+    pub(super) fn saw_sleep(sm: &SmCore<'_>, now: Cycle) {
+        let port = sm.port_wake(now);
+        if port.is_some_and(|p| sm.next_writeback().is_none_or(|w| p < w)) {
+            saw(&PORT_WAKES);
+        }
+        if sm.waits_at_barrier() {
+            saw(&BARRIER_SLEEPS);
+        }
+        if sm.sleep_delta().icache_misses > 0 {
+            saw(&REPROBE_SLEEPS);
+        }
     }
 
     fn seen(path: &AtomicU64) -> u64 {
@@ -361,6 +406,140 @@ mod tests {
         let dense = event.clone().with_threads(4).with_dense_clock();
         assert_same(&run_at(&cfg, dense, &app), &four, "vs dense");
         assert_same(&run_at(&cfg, event, &app), &four, "4 threads vs 1");
+    }
+
+    /// `app` on `preset` with the event-driven clock, at one thread and
+    /// two, against the dense oracle at both: the sleep path `path` must be
+    /// taken, and every statistic agree.
+    fn sleeps_match_dense(
+        cfg: &GpuConfig,
+        preset: SimulatorPreset,
+        app: &ApplicationTrace,
+        path: &AtomicU64,
+    ) {
+        let event = RunOptions::default().with_preset(preset);
+        let before = seen(path);
+        let one = run_at(cfg, event.clone(), app);
+        assert!(seen(path) > before, "the sleep path was not taken");
+        for threads in [1, 2] {
+            let event = event.clone().with_threads(threads);
+            let dense = run_at(cfg, event.clone().with_dense_clock(), app);
+            assert_same(&dense, &one, &format!("dense at {threads} threads"));
+            assert_same(
+                &run_at(cfg, event, app),
+                &one,
+                &format!("{threads} threads"),
+            );
+        }
+    }
+
+    /// A block per SM of `warps` warps, each running `body(w)` then EXIT.
+    fn one_block_per_sm(
+        sms: u64,
+        warps: u64,
+        body: impl Fn(u64, &mut swiftsim_trace::WarpTrace),
+    ) -> ApplicationTrace {
+        let mut kernel = KernelTrace::new("k", (sms as u32, 1, 1), (32 * warps as u32, 1, 1));
+        for _ in 0..sms {
+            let block = kernel.push_block();
+            for w in 0..warps {
+                let warp = block.push_warp();
+                body(w, warp);
+                warp.push(InstBuilder::new(Opcode::Exit).pc(0x200));
+            }
+        }
+        ApplicationTrace::new("sleeps", vec![kernel])
+    }
+
+    /// Two warps per sub-core each issue two independent DFMAs: the DP
+    /// port takes a DFMA every 32 cycles, so the SM sleeps until the port
+    /// frees, before the first writeback lands at 48.
+    #[test]
+    fn sleeps_through_a_dp_port_wait() {
+        let app = one_block_per_sm(2, 8, |_, warp| {
+            warp.push(InstBuilder::new(Opcode::Dfma).dst(1));
+            warp.push(InstBuilder::new(Opcode::Dfma).pc(16).dst(2));
+        });
+        sleeps_match_dense(
+            &small_gpu(2),
+            SimulatorPreset::SwiftMemory,
+            &app,
+            &PORT_WAKES,
+        );
+    }
+
+    /// Half the warps reach the barrier at once; the rest wait on a DFMA
+    /// chain first, so the SM sleeps with warps at the barrier.
+    #[test]
+    fn sleeps_with_warps_at_a_barrier() {
+        let app = one_block_per_sm(2, 8, |w, warp| {
+            if w % 2 == 1 {
+                warp.push(InstBuilder::new(Opcode::Dfma).dst(1));
+                warp.push(InstBuilder::new(Opcode::Dfma).pc(16).dst(2).src(1));
+            }
+            warp.push(InstBuilder::new(Opcode::Bar).pc(32));
+        });
+        sleeps_match_dense(
+            &small_gpu(2),
+            SimulatorPreset::SwiftBasic,
+            &app,
+            &BARRIER_SLEEPS,
+        );
+    }
+
+    /// On the detailed front end, two stalled warps whose heads share an
+    /// instruction-tag set thrash it on every re-probe pass, and a third
+    /// misses on its new head line only in the first pass: a sleeping SM is
+    /// credited the second pass's misses every cycle, not the first's.
+    #[test]
+    fn detailed_sleeps_are_credited_the_second_pass_misses() {
+        let bases = [0, 256 << 7, 0x1000];
+        let app = one_block_per_sm(2, 3, |w, warp| {
+            let base = bases[w as usize];
+            warp.push(InstBuilder::new(Opcode::Dfma).pc(base).dst(1));
+            warp.push(InstBuilder::new(Opcode::Iadd).pc(base + 0x80).src(1));
+        });
+        sleeps_match_dense(
+            &small_gpu(2),
+            SimulatorPreset::Detailed,
+            &app,
+            &REPROBE_SLEEPS,
+        );
+    }
+
+    /// One block fits an SM at a time (its shared memory), and in each,
+    /// warps 1 to 3 exit at once while warp 0 waits out the DP port: their
+    /// sub-cores go idle with no live warp, and each next block's install
+    /// must rouse them. A missed one never issues its warps' exits.
+    #[test]
+    fn installs_rouse_idle_sub_cores() {
+        let cfg = small_gpu(2);
+        let mut kernel = KernelTrace::new("refill", (6, 1, 1), (128, 1, 1));
+        kernel.shared_mem_bytes = cfg.sm.shared_mem_bytes;
+        for _ in 0..6 {
+            let block = kernel.push_block();
+            for w in 0..4 {
+                let warp = block.push_warp();
+                if w == 0 {
+                    warp.push(InstBuilder::new(Opcode::Dfma).dst(1));
+                    warp.push(InstBuilder::new(Opcode::Dfma).pc(16).dst(2));
+                    warp.push(InstBuilder::new(Opcode::Iadd).pc(32).src(1).src(2));
+                }
+                warp.push(InstBuilder::new(Opcode::Exit).pc(0x200));
+            }
+        }
+        let app = ApplicationTrace::new("refill", vec![kernel]);
+        for threads in [1, 2] {
+            let event = RunOptions::default()
+                .with_preset(SimulatorPreset::SwiftMemory)
+                .with_threads(threads);
+            let dense = run_at(&cfg, event.clone().with_dense_clock(), &app);
+            assert_same(
+                &run_at(&cfg, event, &app),
+                &dense,
+                &format!("{threads} threads"),
+            );
+        }
     }
 
     /// Loads spanning 32 lines each fill the four L1 MSHRs and the LD/ST

@@ -26,8 +26,7 @@
 //!   count.
 
 use crate::Cycle;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use swiftsim_config::GpuConfig;
 use swiftsim_mem::FastMap;
 use swiftsim_mem::{
@@ -41,7 +40,7 @@ use swiftsim_trace::{AddressView, MemInstRef, TraceSource};
 
 use crate::checkpoint::{WordReader, WordWriter};
 
-mod calendar;
+pub(crate) mod calendar;
 mod slab;
 
 use calendar::CalendarQueue;
@@ -1228,7 +1227,7 @@ pub struct AnalyticalMemory {
     default_latency: f64,
     /// Outstanding transaction completion times per SM, used for the
     /// contention adder.
-    outstanding: Vec<BinaryHeap<Reverse<Cycle>>>,
+    outstanding: Vec<Outstanding>,
     /// Extra cycles per outstanding transaction (queueing pressure).
     contention_per_txn: f64,
     /// Virtual clock of the aggregate DRAM service: advances by
@@ -1288,9 +1287,7 @@ impl AnalyticalMemory {
             terms,
             per_pc,
             default_latency: terms.expected_latency(PcHitRates::all_dram()),
-            outstanding: (0..cfg.num_sms as usize)
-                .map(|_| BinaryHeap::new())
-                .collect(),
+            outstanding: (0..cfg.num_sms).map(|_| Outstanding::default()).collect(),
             contention_per_txn: (1.0 / service.max(1e-6)).min(16.0),
             bw_next_free: 0.0,
             bw_cycles_per_txn,
@@ -1356,14 +1353,12 @@ impl MemorySystem for AnalyticalMemory {
         // below uses.
         self.est_dram_reads += rates.dram * n;
         self.est_dram_writes += 0.75 * rates.dram * writes;
-        let heap = &mut self.outstanding[sm];
-        while heap.peek().is_some_and(|Reverse(t)| *t <= now) {
-            heap.pop();
-        }
+        let outstanding = &mut self.outstanding[sm];
+        outstanding.expire(now);
         // Contention adder, part 1: queueing pressure from this SM's
         // outstanding transactions plus serialization of this access's own
         // transactions.
-        let pressure = heap.len() as f64 * self.contention_per_txn;
+        let pressure = outstanding.times.len() as f64 * self.contention_per_txn;
         let serialization = (txns.len().saturating_sub(1)) as f64;
 
         // Part 2: the global bandwidth ceiling. Each expected DRAM
@@ -1386,9 +1381,7 @@ impl MemorySystem for AnalyticalMemory {
         let done = latency_done.max(self.bw_next_free as Cycle);
         self.contention_cycles += done - (now + l_inst.round() as Cycle).min(done);
 
-        for _ in txns {
-            heap.push(Reverse(done));
-        }
+        outstanding.push(done, txns.len());
         MemReply::Done(done)
     }
 
@@ -1463,8 +1456,8 @@ impl MemorySystem for AnalyticalMemory {
         // of the configuration and the pre-pass, which a resumed run
         // rebuilds identically — only the evolving timing state travels.
         // Outstanding completion times may legitimately lie in the future
-        // at a kernel boundary; heap iteration order is unspecified, so
-        // they are sorted for a canonical encoding.
+        // at a kernel boundary, and times already past stay until the SM's
+        // next access expires them; one word per transaction, ascending.
         let mut w = WordWriter::new();
         w.push_f64(self.bw_next_free);
         w.push(self.accesses);
@@ -1478,10 +1471,9 @@ impl MemorySystem for AnalyticalMemory {
         w.push_f64(self.est_dram_reads);
         w.push_f64(self.est_dram_writes);
         w.push(self.outstanding.len() as u64);
-        for heap in &self.outstanding {
-            let mut times: Vec<Cycle> = heap.iter().map(|&Reverse(t)| t).collect();
-            times.sort_unstable();
-            w.push_slice(&times);
+        for outstanding in &self.outstanding {
+            let (front, back) = outstanding.times.as_slices();
+            w.push_slice(&[front, back].concat());
         }
         Ok(Json::obj(vec![
             ("kind", Json::str("analytical")),
@@ -1521,7 +1513,11 @@ impl MemorySystem for AnalyticalMemory {
         }
         let mut outstanding = Vec::with_capacity(nsm);
         for _ in 0..nsm {
-            outstanding.push(r.next_slice()?.into_iter().map(Reverse).collect());
+            let mut sm = Outstanding::default();
+            for t in r.next_slice()? {
+                sm.push(t, 1);
+            }
+            outstanding.push(sm);
         }
         r.finish()?;
         self.bw_next_free = bw_next_free;
@@ -1537,6 +1533,38 @@ impl MemorySystem for AnalyticalMemory {
         self.est_dram_writes = est_dram_writes;
         self.outstanding = outstanding;
         Ok(())
+    }
+}
+
+/// One SM's outstanding transactions in [`AnalyticalMemory`]: their
+/// completion cycles in ascending order, expired lazily at the SM's next
+/// access exactly as a min-heap of them pops. Completion times come mostly
+/// in order (the bandwidth clock only moves forward), so a new one is
+/// appended or inserted a few places from the back; an SM keeps hundreds
+/// in flight under a saturated bandwidth clock, at one word each.
+#[derive(Debug, Default)]
+struct Outstanding {
+    times: VecDeque<Cycle>,
+}
+
+impl Outstanding {
+    /// Drop every transaction done by `now`.
+    fn expire(&mut self, now: Cycle) {
+        while self.times.front().is_some_and(|&t| t <= now) {
+            self.times.pop_front();
+        }
+    }
+
+    /// Record `n` transactions done at `done`.
+    fn push(&mut self, done: Cycle, n: usize) {
+        if self.times.back().is_none_or(|&t| t <= done) {
+            self.times.extend(std::iter::repeat_n(done, n));
+        } else {
+            let at = self.times.partition_point(|&t| t <= done);
+            for _ in 0..n {
+                self.times.insert(at, done);
+            }
+        }
     }
 }
 
@@ -1975,6 +2003,48 @@ mod tests {
             panic!()
         };
         assert!(at <= fresh + 1, "drained SM behaves like a fresh one");
+    }
+
+    /// The outstanding transactions against the min-heap of per-transaction
+    /// times they replace: seeded schedules of accesses whose clock is not
+    /// monotone (a fetch miss delays an address generation past a later
+    /// one's) and whose completions land near, far, and in bursts. After
+    /// each access the count and the saved times must match.
+    #[test]
+    fn outstanding_expires_what_a_heap_pops() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        use swiftsim_rng::SmallRng;
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(0x0075_7a00 + seed);
+            let mut times = Outstanding::default();
+            let mut heap: BinaryHeap<Reverse<Cycle>> = BinaryHeap::new();
+            let mut clock: Cycle = rng.gen_range(0..1_000);
+            let mut expired = 0;
+            for _ in 0..4_000 {
+                clock += rng.gen_range(0..6);
+                let now = clock.saturating_sub(rng.gen_range(0..24));
+                times.expire(now);
+                while heap.peek().is_some_and(|&Reverse(t)| t <= now) {
+                    heap.pop();
+                    expired += 1;
+                }
+                assert_eq!(times.times.len(), heap.len(), "seed {seed}");
+                let done = now
+                    + match rng.gen_range(0u32..4) {
+                        0 => rng.gen_range(0..8),
+                        1 => rng.gen_range(200..600),
+                        _ => rng.gen_range(0..4_000),
+                    };
+                let n = rng.gen_range(1usize..5);
+                times.push(done, n);
+                heap.extend(std::iter::repeat_n(Reverse(done), n));
+            }
+            let mut want: Vec<Cycle> = heap.into_iter().map(|Reverse(t)| t).collect();
+            want.sort_unstable();
+            assert_eq!(times.times, want, "seed {seed}");
+            assert!(expired > 1_000, "seed {seed}: only {expired} expired");
+        }
     }
 
     #[test]

@@ -1,28 +1,33 @@
-//! The cycle-accurate walk's event queue: a calendar queue whose pop order
-//! is exactly `(at, seq)` — cycle first, then scheduling order — the order
-//! a binary heap keyed on that pair would give, at a cost per event that
-//! does not grow with the number of events in flight.
+//! A calendar queue whose pop order is exactly `(at, seq)` — cycle first,
+//! then scheduling order — the order a binary heap keyed on that pair
+//! would give, at a cost per event that does not grow with the number of
+//! events in flight. The cycle-accurate walk keeps its events in one, and
+//! each SM its pending writebacks.
 //!
-//! The queue keeps one FIFO list per cycle for the [`WINDOW`] cycles
+//! The queue keeps one FIFO list per cycle for the `WINDOW` cycles
 //! `[base, base + WINDOW)`; the list nodes live in one arena with a free
 //! list, so a warmed queue never allocates. An event scheduled beyond the
-//! window waits in a small `(at, seq)`-ordered overflow heap and moves to
-//! the tail of its cycle's list the moment that cycle enters the window —
+//! window waits in an `(at, seq)`-sorted overflow list and moves to the
+//! tail of its cycle's list the moment that cycle enters the window —
 //! which is before anything can be scheduled into that list directly, so
-//! every list stays in `seq` order. The base only moves forward, and only
-//! over cycles whose lists are empty.
+//! every list stays in `seq` order. Far events mostly arrive in cycle
+//! order (a memory model's bandwidth clock only moves forward), so the
+//! overflow list is appended to, and drained from its front. The base only
+//! moves forward, and only over cycles whose lists are empty.
+//!
+//! `WINDOW` trades memory for reach: each cycle of it costs one 8-byte
+//! list head. The walk uses the default 1024 cycles; the per-SM queues,
+//! of which a GPU has dozens, use [`SM_WINDOW`].
 
 use crate::Cycle;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-/// Cycles covered by per-cycle lists. A power of two, so a cycle's list is
-/// its low bits; larger than the walk's usual scheduling distances (NoC,
-/// L2 and DRAM latencies plus queueing), so the overflow heap stays small.
-const WINDOW: usize = 1024;
+/// The window of the per-SM queues: longer than an ALU latency plus a
+/// fetch miss and than an L1 or L2 hit's analytical latency, short enough
+/// that a 68-SM GPU's queues take about 140 KB of list heads.
+pub(crate) const SM_WINDOW: usize = 256;
 
 const NIL: u32 = u32::MAX;
-const WINDOW_CYCLES: Cycle = WINDOW as Cycle;
 
 struct Node<T> {
     /// `None` while the node is on the free list.
@@ -32,55 +37,62 @@ struct Node<T> {
 }
 
 /// A min-queue of `(at, item)` popped in `(at, scheduling order)` order.
-pub(super) struct CalendarQueue<T> {
-    /// First cycle of the window; no event is scheduled before it.
+/// `WINDOW` is a power of two of at least 64 cycles.
+pub(crate) struct CalendarQueue<T, const WINDOW: usize = 1024> {
+    /// First cycle of the window; every listed event is at or after it.
     base: Cycle,
     /// `(head, tail)` node of each cycle's list, indexed by `at % WINDOW`.
-    lists: Vec<(u32, u32)>,
+    lists: Box<[(u32, u32)]>,
     /// Bit `at % WINDOW` is set while that cycle's list is non-empty.
-    busy: [u64; WINDOW / 64],
+    busy: Box<[u64]>,
     nodes: Vec<Node<T>>,
     free: u32,
-    /// Events at or beyond `base + WINDOW`: `(at, seq, node)`.
-    overflow: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
+    /// Events at or beyond `base + WINDOW`, `(at, seq, node)` in ascending
+    /// order.
+    overflow: VecDeque<(Cycle, u64, u32)>,
     /// Events scheduled so far (the next event's `seq`).
     scheduled: u64,
     len: usize,
 }
 
-impl<T> CalendarQueue<T> {
-    pub(super) fn new() -> Self {
+impl<T, const WINDOW: usize> CalendarQueue<T, WINDOW> {
+    const WINDOW_CYCLES: Cycle = {
+        assert!(WINDOW.is_power_of_two() && WINDOW >= 64);
+        WINDOW as Cycle
+    };
+
+    pub(crate) fn new() -> Self {
         CalendarQueue {
             base: 0,
-            lists: vec![(NIL, NIL); WINDOW],
-            busy: [0; WINDOW / 64],
+            lists: vec![(NIL, NIL); WINDOW].into_boxed_slice(),
+            busy: vec![0; WINDOW / 64].into_boxed_slice(),
             nodes: Vec::new(),
             free: NIL,
-            overflow: BinaryHeap::new(),
+            overflow: VecDeque::new(),
             scheduled: 0,
             len: 0,
         }
     }
 
     /// Events waiting.
-    pub(super) fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Events ever scheduled, the `seq` the next one gets.
-    pub(super) fn scheduled(&self) -> u64 {
+    pub(crate) fn scheduled(&self) -> u64 {
         self.scheduled
     }
 
     /// Resume the scheduling counter (snapshot restore; queue empty).
-    pub(super) fn set_scheduled(&mut self, scheduled: u64) {
+    pub(crate) fn set_scheduled(&mut self, scheduled: u64) {
         debug_assert_eq!(self.len, 0, "the counter moves only on an empty queue");
         self.scheduled = scheduled;
     }
 
     /// Schedule `item` at cycle `at`, which must not precede the window:
     /// callers schedule at or after the cycle of their last `pop_due`.
-    pub(super) fn push(&mut self, at: Cycle, item: T) {
+    pub(crate) fn push(&mut self, at: Cycle, item: T) {
         debug_assert!(
             at >= self.base,
             "event at cycle {at} scheduled before the queue's base {}",
@@ -90,23 +102,29 @@ impl<T> CalendarQueue<T> {
         self.scheduled += 1;
         self.len += 1;
         let node = self.alloc(item);
-        if at < self.base + WINDOW_CYCLES {
+        if at < self.base + Self::WINDOW_CYCLES {
             self.link(at, node);
         } else {
-            self.overflow.push(Reverse((at, seq, node)));
+            // `seq` only grows, so an event goes after every one of its cycle.
+            if self.overflow.back().is_none_or(|&(last, ..)| last <= at) {
+                self.overflow.push_back((at, seq, node));
+            } else {
+                let i = self.overflow.partition_point(|&(t, ..)| t <= at);
+                self.overflow.insert(i, (at, seq, node));
+            }
         }
     }
 
     /// Remove and return the earliest event due by `now`, if any. Once none
     /// is left, the window moves up to `now`.
-    pub(super) fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
+    pub(crate) fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
         loop {
             if let Some(at) = self.first_busy(now) {
                 self.move_base(at);
                 return Some((at, self.unlink_head(at)));
             }
-            match self.overflow.peek() {
-                Some(&Reverse((at, _, _))) if at <= now => self.move_base(at),
+            match self.overflow.front() {
+                Some(&(at, ..)) if at <= now => self.move_base(at),
                 _ => break,
             }
         }
@@ -117,15 +135,15 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Earliest scheduled cycle, if any event waits.
-    pub(super) fn next_at(&self) -> Option<Cycle> {
+    pub(crate) fn next_at(&self) -> Option<Cycle> {
         self.first_busy(Cycle::MAX)
-            .or_else(|| self.overflow.peek().map(|&Reverse((at, _, _))| at))
+            .or_else(|| self.overflow.front().map(|&(at, ..)| at))
     }
 
     /// First cycle in `[base, min(last, base + WINDOW - 1)]` whose list is
     /// non-empty.
     fn first_busy(&self, last: Cycle) -> Option<Cycle> {
-        let last = last.min(self.base + WINDOW_CYCLES - 1);
+        let last = last.min(self.base + Self::WINDOW_CYCLES - 1);
         let mut c = self.base;
         while c <= last {
             let slot = c as usize % WINDOW;
@@ -144,12 +162,12 @@ impl<T> CalendarQueue<T> {
     fn move_base(&mut self, base: Cycle) {
         debug_assert!(base >= self.base);
         self.base = base;
-        let horizon = base + WINDOW_CYCLES;
-        while let Some(&Reverse((at, _, node))) = self.overflow.peek() {
+        let horizon = base + Self::WINDOW_CYCLES;
+        while let Some(&(at, _, node)) = self.overflow.front() {
             if at >= horizon {
                 break;
             }
-            self.overflow.pop();
+            self.overflow.pop_front();
             self.link(at, node);
         }
     }
@@ -206,7 +224,12 @@ impl<T> CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     use swiftsim_rng::SmallRng;
+
+    /// The default window, which these tests' queues use.
+    const WINDOW_CYCLES: Cycle = 1024;
 
     /// The order contract, spelled out: a binary heap over `(at, seq)`.
     #[derive(Default)]
@@ -332,7 +355,57 @@ mod tests {
         }
     }
 
-    /// Events that wait in the overflow heap for their cycle meet events
+    /// An SM's writeback queue against a binary heap: every cycle drains
+    /// the same events (as a multiset: writebacks commute, so the SM lands
+    /// a cycle's in any order) and agrees on the next event's cycle, over
+    /// seeded schedules inside the window, at its edge and beyond it.
+    #[test]
+    fn sm_window_drains_what_a_heap_drains() {
+        let w = SM_WINDOW as Cycle;
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(0x5e_0000 + seed);
+            let mut queue: CalendarQueue<u32, SM_WINDOW> = CalendarQueue::new();
+            let mut heap: BinaryHeap<Reverse<(Cycle, u32)>> = BinaryHeap::new();
+            let mut now: Cycle = rng.gen_range(0..3 * w);
+            let (mut drained, mut id) = (0, 0u32);
+            for _ in 0..3_000 {
+                for _ in 0..rng.gen_range(0usize..4) {
+                    let at = match rng.gen_range(0u32..8) {
+                        0 => now,
+                        1 => now + rng.gen_range(w - 2..w + 2),
+                        2 => now + rng.gen_range(w..8 * w),
+                        _ => now + rng.gen_range(1..64),
+                    };
+                    queue.push(at, id);
+                    heap.push(Reverse((at, id)));
+                    id += 1;
+                }
+                now += match rng.gen_range(0u32..16) {
+                    0 => rng.gen_range(w..4 * w),
+                    _ => rng.gen_range(0..4),
+                };
+                let mut got = Vec::new();
+                while let Some((at, item)) = queue.pop_due(now) {
+                    assert!(at <= now);
+                    got.push((at, item));
+                }
+                let mut want = Vec::new();
+                while heap.peek().is_some_and(|&Reverse((at, _))| at <= now) {
+                    want.push(heap.pop().expect("peeked").0);
+                }
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "seed {seed}, cycle {now}");
+                drained += got.len();
+                let next = heap.peek().map(|&Reverse((at, _))| at);
+                assert_eq!(queue.next_at(), next, "seed {seed}, cycle {now}");
+                assert_eq!(queue.len(), heap.len());
+            }
+            assert!(drained > 2_000, "seed {seed}: only {drained} drained");
+        }
+    }
+
+    /// Events that wait in the overflow list for their cycle meet events
     /// scheduled into the same cycle directly once it entered the window;
     /// the overflowed ones were scheduled first, so they pop first.
     #[test]

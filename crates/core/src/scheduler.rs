@@ -108,7 +108,7 @@ pub trait WarpSchedulerPolicy: Send {
     /// When no warp is ready, repeated `pick` calls with the same input
     /// must reach a fixed point by the second call: after one all-unready
     /// pick, further identical picks must return `None` without observable
-    /// state change. The event-driven engine relies on this to put settled
+    /// state change. The event-driven engine relies on this to put idle
     /// SMs to sleep — it *omits* `pick` calls for the cycles it credits a
     /// sleeper, so any internal bookkeeping (round-robin cursors, greedy
     /// last-issued state, fetch groups) must not advance on an all-unready

@@ -34,7 +34,8 @@
 //! (dispatch → deliver → tick), making the results **bit-identical** for
 //! any thread count — enforced by `tests/event_engine_equiv.rs`.
 //! Every shard ticks only its awake SMs through the sleep set (`gpu.rs`,
-//! "Sleeping SMs"). When every shard's SMs sleep after a quiet cycle,
+//! "Sleeping SMs"): an SM sleeps through every cycle it cannot issue in,
+//! until its wake. When every shard's SMs sleep after a quiet cycle,
 //! nothing can happen before the earliest sleeper wake or memory event:
 //! the next cycle ticked is that one instead of the one after, and with
 //! neither the kernel fails with [`SimError::Deadlock`] at once. Under the
@@ -42,6 +43,10 @@
 //! a million idle cycles in a row count as a deadlock.
 //!
 //! [`RunOptions::with_dense_clock`]: crate::RunOptions::with_dense_clock
+//!
+//! Before the first kernel, the analytical memory models replay the trace
+//! (the pre-pass) on the calling thread while the prefetcher already
+//! decodes the first kernel on its own thread.
 
 use crate::block_scheduler::BlockScheduler;
 use crate::builder::{GpuSimulator, RunDriver};
@@ -253,17 +258,6 @@ pub(crate) fn run_two_phase(
     let total = source.num_kernels();
     let mut driver = RunDriver::new(sim, source)?;
 
-    let mut mem: Box<dyn MemorySystem> = match sim.fidelity.memory {
-        MemoryModelKind::CycleAccurate => Box::new(CycleAccurateMemory::new(&sim.cfg)),
-        MemoryModelKind::Analytical => {
-            build_analytical_memory_for(&sim.cfg, source, &driver.prepass_indices(total))?
-        }
-        MemoryModelKind::AnalyticalReuse => {
-            build_analytical_memory_reuse_for(&sim.cfg, source, &driver.prepass_indices(total))?
-        }
-    };
-    driver.restore_memory(mem.as_mut())?;
-
     // The calling thread (coordinator, shard 0, memory) renders on track 0,
     // worker shards on tracks 1..shards, decode on the one after; one epoch
     // lines the frames up.
@@ -278,9 +272,9 @@ pub(crate) fn run_two_phase(
     let mut prof = track(0);
     let mut worker_profs: Vec<Profiler> = (1..shards).map(track).collect();
     let decode_prof = track(shards);
-    mem.set_profiling(sim.profile);
 
     std::thread::scope(|dscope| {
+        // The first kernel decodes while the analytical pre-pass runs.
         let mut pf = Prefetcher::new(
             dscope,
             source,
@@ -288,6 +282,17 @@ pub(crate) fn run_two_phase(
             source.prefers_prefetch(),
             driver.decode_schedule(total),
         );
+        let mut mem: Box<dyn MemorySystem> = match sim.fidelity.memory {
+            MemoryModelKind::CycleAccurate => Box::new(CycleAccurateMemory::new(&sim.cfg)),
+            MemoryModelKind::Analytical => {
+                build_analytical_memory_for(&sim.cfg, source, &driver.prepass_indices(total))?
+            }
+            MemoryModelKind::AnalyticalReuse => {
+                build_analytical_memory_reuse_for(&sim.cfg, source, &driver.prepass_indices(total))?
+            }
+        };
+        driver.restore_memory(mem.as_mut())?;
+        mem.set_profiling(sim.profile);
         let (mut start, mut total_stats, mut kernels) = driver.initial();
 
         for kidx in driver.start_kernel()..total {

@@ -135,6 +135,20 @@ struct Submission {
     seq: u64,
     cancel: CancelToken,
     tasks: Vec<Task>,
+    /// Tasks in `Queued`, kept in step by [`Submission::set_state`], so the
+    /// scheduler skips a submission with none without walking its tasks.
+    queued: usize,
+}
+
+impl Submission {
+    /// Move task `index` to `state`.
+    fn set_state(&mut self, index: usize, state: TaskState) {
+        let task = &mut self.tasks[index];
+        let was = matches!(task.state, TaskState::Queued);
+        task.state = state;
+        let is = matches!(task.state, TaskState::Queued);
+        self.queued = self.queued + usize::from(is) - usize::from(was);
+    }
 }
 
 /// A submission's externally visible state.
@@ -273,7 +287,7 @@ impl JobQueue {
         state.next_id += 1;
         let seq = state.next_seq;
         state.next_seq += 1;
-        let tasks = jobs
+        let tasks: Vec<Task> = jobs
             .into_iter()
             .map(|(job, prejudged)| Task {
                 job,
@@ -286,6 +300,10 @@ impl JobQueue {
                 exec_failures: 0,
             })
             .collect();
+        let queued = tasks
+            .iter()
+            .filter(|t| matches!(t.state, TaskState::Queued))
+            .count();
         state.submissions.insert(
             id,
             Submission {
@@ -296,6 +314,7 @@ impl JobQueue {
                 seq,
                 cancel: CancelToken::new(),
                 tasks,
+                queued,
             },
         );
         drop(state);
@@ -318,16 +337,18 @@ impl JobQueue {
                 let sub = state.submissions.get_mut(&sub_id).expect("picked exists");
                 let client = sub.client.clone();
                 let cancel = sub.cancel.clone();
-                let task = &mut sub.tasks[index];
-                let queue_wait = task.enqueued.elapsed();
-                task.state = TaskState::Running {
-                    executor: executor.to_owned(),
-                    since: Instant::now(),
-                };
+                let queue_wait = sub.tasks[index].enqueued.elapsed();
+                sub.set_state(
+                    index,
+                    TaskState::Running {
+                        executor: executor.to_owned(),
+                        since: Instant::now(),
+                    },
+                );
                 let leased = LeasedTask {
                     submission: sub_id,
                     index,
-                    job: task.job.clone(),
+                    job: sub.tasks[index].job.clone(),
                     cancel,
                     queue_wait,
                 };
@@ -354,7 +375,7 @@ impl JobQueue {
         let mut state = self.lock();
         if let Some(sub) = state.submissions.get_mut(&submission) {
             debug_assert_eq!(outcome.index, index);
-            sub.tasks[index].state = TaskState::Terminal(Box::new(outcome));
+            sub.set_state(index, TaskState::Terminal(Box::new(outcome)));
         }
         drop(state);
         self.changed.notify_all();
@@ -379,20 +400,22 @@ impl JobQueue {
             return false;
         }
         task.losses += 1;
-        let requeued = task.losses <= self.max_losses;
+        let losses = task.losses;
+        let requeued = losses <= self.max_losses;
         if requeued {
-            task.state = TaskState::Queued;
             task.enqueued = Instant::now();
+            sub.set_state(index, TaskState::Queued);
         } else {
-            task.state = TaskState::Terminal(Box::new(JobOutcome {
+            let outcome = JobOutcome {
                 index,
                 label,
                 status: JobStatus::Failed {
-                    error: format!("lost executor {} times (last: {reason})", task.losses),
+                    error: format!("lost executor {losses} times (last: {reason})"),
                 },
-                attempts: task.losses,
+                attempts: losses,
                 wall: Duration::ZERO,
-            }));
+            };
+            sub.set_state(index, TaskState::Terminal(Box::new(outcome)));
         }
         drop(state);
         self.changed.notify_all();
@@ -423,8 +446,8 @@ impl JobQueue {
         task.exec_failures += 1;
         let retried = task.exec_failures <= self.max_exec_retries;
         if retried {
-            task.state = TaskState::Queued;
             task.enqueued = Instant::now();
+            sub.set_state(index, TaskState::Queued);
         }
         drop(state);
         self.changed.notify_all();
@@ -516,15 +539,16 @@ impl JobQueue {
             return false;
         };
         sub.cancel.cancel();
-        for (index, task) in sub.tasks.iter_mut().enumerate() {
-            if matches!(task.state, TaskState::Queued) {
-                task.state = TaskState::Terminal(Box::new(JobOutcome {
+        for index in 0..sub.tasks.len() {
+            if matches!(sub.tasks[index].state, TaskState::Queued) {
+                let outcome = JobOutcome {
                     index,
-                    label: task.job.spec.label(),
+                    label: sub.tasks[index].job.spec.label(),
                     status: JobStatus::Cancelled,
                     attempts: 0,
                     wall: Duration::ZERO,
-                }));
+                };
+                sub.set_state(index, TaskState::Terminal(Box::new(outcome)));
             }
         }
         drop(state);
@@ -703,6 +727,18 @@ fn pick_task(state: &QueueState) -> Option<(u64, usize)> {
     // Best runnable task per client: (priority desc, seq asc, index asc).
     let mut per_client: HashMap<&str, (u64, u64, usize, u64)> = HashMap::new();
     for sub in state.submissions.values() {
+        debug_assert_eq!(
+            sub.queued,
+            sub.tasks
+                .iter()
+                .filter(|t| matches!(t.state, TaskState::Queued))
+                .count(),
+            "submission {}: queued count",
+            sub.id
+        );
+        if sub.queued == 0 {
+            continue;
+        }
         for (i, task) in sub.tasks.iter().enumerate() {
             if !matches!(task.state, TaskState::Queued) {
                 continue;
@@ -1073,5 +1109,39 @@ mod tests {
         q.submit("c", "s", 0, jobs(1)).unwrap();
         let label = waiter.join().unwrap();
         assert!(label.contains("nw/"), "{label}");
+    }
+
+    /// Finished submissions stay in the queue; the scheduler passes over
+    /// them on their queued count alone. Every lifecycle move keeps that
+    /// count equal to a recount (debug-asserted on each pick).
+    #[test]
+    fn next_task_finds_one_queued_task_among_finished_submissions() {
+        let q = JobQueue::new(1, 1);
+        let job = jobs(1).remove(0);
+        let cancelled = JobOutcome {
+            index: 0,
+            label: job.spec.label(),
+            status: JobStatus::Cancelled,
+            attempts: 0,
+            wall: Duration::ZERO,
+        };
+        for _ in 0..10_000 {
+            q.submit_prejudged("old", "done", 0, [(job.clone(), Some(cancelled.clone()))])
+                .unwrap();
+        }
+        let live = q.submit("new", "live", 0, vec![job.clone(); 2]).unwrap();
+
+        let first = claim(&q, "w1");
+        assert_eq!((first.submission, first.index), (live, 0));
+        assert!(q.requeue(live, 0, "lost"), "back to queued");
+        let again = claim(&q, "w1");
+        assert_eq!((again.submission, again.index), (live, 0));
+        let second = claim(&q, "w2");
+        assert_eq!((second.submission, second.index), (live, 1));
+        assert!(q.grant_retry(live, 1), "a retry queues it again");
+        assert!(q.cancel(live));
+        q.complete(live, 0, done(&again));
+        assert!(matches!(q.next_task("w1", Duration::ZERO), Dispatch::Idle));
+        assert_eq!(q.state_counts().queued, 0);
     }
 }
