@@ -19,6 +19,8 @@
 //! figure. Nothing is cached: every run simulates afresh, so wall-clock
 //! columns always come from the build being run.
 
+#![warn(unreachable_pub)]
+
 use std::time::Duration;
 use swiftsim_config::GpuConfig;
 use swiftsim_core::{run, RunOptions, SimulatorPreset};

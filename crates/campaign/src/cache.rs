@@ -17,7 +17,7 @@ use swiftsim_metrics::Json;
 /// [`crate::spec::job_key`]), so cached results are invalidated both on
 /// release bumps and — by bumping this constant — on model changes that
 /// alter simulated outcomes without touching the key's other inputs.
-pub const CACHE_KEY_SCHEMA: u64 = 1;
+pub(crate) const CACHE_KEY_SCHEMA: u64 = 1;
 
 /// Cache policy for one campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

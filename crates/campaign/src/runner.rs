@@ -255,7 +255,7 @@ impl JobRunner {
 /// Fold a resume snapshot's digest (itself a hash over the snapshot's
 /// per-section hashes) into a job's cache key, giving the resumed
 /// computation its own identity.
-pub fn fold_resume_key(base: u64, snapshot_digest: u64) -> u64 {
+pub(crate) fn fold_resume_key(base: u64, snapshot_digest: u64) -> u64 {
     fnv1a64(format!("swiftsim-resume;base={base:016x};snapshot={snapshot_digest:016x}").as_bytes())
 }
 

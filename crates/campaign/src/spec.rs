@@ -623,7 +623,7 @@ impl CampaignSpec {
 /// (`CARGO_PKG_VERSION`) and [`CACHE_KEY_SCHEMA`] are folded in too:
 /// without them, results cached before a model change would be silently
 /// served after it.
-pub fn job_key(
+pub(crate) fn job_key(
     cfg: &GpuConfig,
     trace_hash: u64,
     preset: SimulatorPreset,

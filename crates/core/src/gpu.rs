@@ -321,6 +321,7 @@ mod tests {
     use super::*;
     use crate::{RunOptions, SimulationResult, SimulatorPreset};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use swiftsim_metrics::ProfModule;
     use swiftsim_trace::{ApplicationTrace, InstBuilder, Opcode, TraceSource};
 
     // How often any sleep set took each path below. Global, because
@@ -466,6 +467,42 @@ mod tests {
             &app,
             &PORT_WAKES,
         );
+    }
+
+    /// One warp issues a DFMA at cycle 0 and waits for the DP port with a
+    /// second: cycle 1 is quiet, the SM sleeps until the port frees at 32,
+    /// and the clock jumps from 2 straight there (30 cycles). Its EXIT then
+    /// waits out the two writebacks, at 48 and 80: jumps of 14 and 31. A
+    /// jump held back one cycle for the port wait would skip 74.
+    #[test]
+    fn a_port_wait_jumps_from_its_first_quiet_cycle() {
+        let cfg = small_gpu(2);
+        let app = one_block_per_sm(1, 1, |_, warp| {
+            warp.push(InstBuilder::new(Opcode::Dfma).dst(1));
+            warp.push(InstBuilder::new(Opcode::Dfma).pc(16).dst(2));
+        });
+        let event = RunOptions::default().with_preset(SimulatorPreset::SwiftMemory);
+        let one = run_at(&cfg, event.clone(), &app);
+        assert_eq!(one.cycles, 80);
+        for threads in [1, 2] {
+            let event = event.clone().with_threads(threads);
+            let profile = crate::run(&app, &cfg, &event.clone().with_profile(true))
+                .expect("run completes")
+                .profile
+                .expect("profile requested");
+            assert_eq!(
+                profile.total_cycles(ProfModule::CycleSkip),
+                30 + 14 + 31,
+                "skipped cycles at {threads} threads"
+            );
+            let dense = run_at(&cfg, event.clone().with_dense_clock(), &app);
+            assert_same(&dense, &one, &format!("dense at {threads} threads"));
+            assert_same(
+                &run_at(&cfg, event, &app),
+                &one,
+                &format!("{threads} threads"),
+            );
+        }
     }
 
     /// Half the warps reach the barrier at once; the rest wait on a DFMA

@@ -1322,11 +1322,6 @@ impl AnalyticalMemory {
             .get(&pc)
             .map_or(self.default_latency, |&(latency, _)| latency)
     }
-
-    /// The DRAM-served fraction for `pc` (defaults to 1.0 for unknown PCs).
-    pub fn dram_rate_of(&self, pc: u32) -> f64 {
-        self.per_pc.get(&pc).map_or(1.0, |&(_, r)| r.dram)
-    }
 }
 
 impl MemorySystem for AnalyticalMemory {
@@ -1617,7 +1612,7 @@ impl CoalesceScratch {
     }
 }
 
-/// Streaming accumulator behind [`build_analytical_memory`]: the
+/// Streaming accumulator behind [`build_analytical_memory_for`]: the
 /// functional cache-simulation pre-pass (§III-D2's "cache simulator")
 /// consumed one memory instruction at a time, so no kernel has to be
 /// decoded for it. Feed every kernel's instructions in launch order, as
@@ -1659,30 +1654,18 @@ impl AnalyticalMemoryBuilder {
     }
 }
 
-/// Build an [`AnalyticalMemory`] for `source`: the functional
-/// cache-simulation pre-pass replays every global/local memory instruction
-/// of the trace to obtain per-PC hit rates, then instantiates the Eq. 1
-/// model from them. Each kernel is skimmed once
-/// ([`TraceSource::for_each_mem_inst`]) and never decoded, so peak memory
-/// is one kernel's bytes. The pre-pass cost is part of Swift-Sim-Memory's
-/// runtime; DESIGN.md, "Analytical pre-pass", gives its cost model and its
-/// share of a run on the repository benchmark.
+/// Build an [`AnalyticalMemory`] for the given kernel launches of
+/// `source`: the functional cache-simulation pre-pass replays every
+/// global/local memory instruction of those launches to obtain per-PC hit
+/// rates, then instantiates the Eq. 1 model from them. Each kernel is
+/// skimmed once ([`TraceSource::for_each_mem_inst`]) and never decoded, so
+/// peak memory is one kernel's bytes. The pre-pass cost is part of
+/// Swift-Sim-Memory's runtime; DESIGN.md, "Analytical pre-pass", gives its
+/// cost model and its share of a run on the repository benchmark.
 ///
-/// # Errors
-///
-/// Returns [`crate::SimError::Trace`] when a kernel fails its skim.
-pub fn build_analytical_memory(
-    cfg: &GpuConfig,
-    source: &dyn TraceSource,
-) -> Result<Box<dyn MemorySystem>, crate::SimError> {
-    let all: Vec<usize> = (0..source.num_kernels()).collect();
-    build_analytical_memory_for(cfg, source, &all)
-}
-
-/// [`build_analytical_memory`] restricted to the given kernel launches —
-/// the pre-pass a sampled run uses, feeding only the launches it will
-/// simulate in detail. Replayed launches are never decoded, which is where
-/// most of kernel-level sampling's speedup comes from.
+/// A full run passes every launch; a sampled run passes only the launches
+/// it will simulate in detail. Replayed launches are never decoded, which
+/// is where most of kernel-level sampling's speedup comes from.
 ///
 /// # Errors
 ///
@@ -1699,24 +1682,16 @@ pub fn build_analytical_memory_for(
     Ok(builder.finish())
 }
 
-/// Build an [`AnalyticalMemory`] using the *reuse-distance tool* instead of
-/// the functional cache simulator — the other hit-rate source §III-D2
-/// names. Stack distances are computed per SM for the L1 (stores bypass
-/// the write-through, no-allocate L1) and globally for the shared L2; an
+/// Build an [`AnalyticalMemory`] for the given kernel launches of
+/// `source` using the *reuse-distance tool* instead of the functional
+/// cache simulator — the other hit-rate source §III-D2 names. Stack
+/// distances are computed per SM for the L1 (stores bypass the
+/// write-through, no-allocate L1) and globally for the shared L2; an
 /// access is predicted to hit a level when its distance is below that
 /// level's line capacity (fully-associative LRU approximation — exactly
 /// the assumption §II-B criticizes, which is why non-LRU exploration needs
-/// the cycle-accurate cache module instead).
-pub fn build_analytical_memory_reuse(
-    cfg: &GpuConfig,
-    source: &dyn TraceSource,
-) -> Result<Box<dyn MemorySystem>, crate::SimError> {
-    let all: Vec<usize> = (0..source.num_kernels()).collect();
-    build_analytical_memory_reuse_for(cfg, source, &all)
-}
-
-/// [`build_analytical_memory_reuse`] restricted to the given kernel
-/// launches (see [`build_analytical_memory_for`]).
+/// the cycle-accurate cache module instead). Launches are chosen as for
+/// [`build_analytical_memory_for`].
 ///
 /// # Errors
 ///
@@ -1740,7 +1715,7 @@ struct ReuseCounts {
     dram: u64,
 }
 
-/// Streaming accumulator behind [`build_analytical_memory_reuse`]: the
+/// Streaming accumulator behind [`build_analytical_memory_reuse_for`]: the
 /// reuse-distance pre-pass consumed one memory instruction at a time. Feed
 /// every kernel's instructions in launch order, as
 /// [`TraceSource::for_each_mem_inst`] hands them out, then

@@ -123,7 +123,7 @@ pub trait WarpSchedulerPolicy: Send {
 }
 
 /// Instantiate the policy configured in [`SchedulerPolicy`].
-pub fn make_policy(policy: SchedulerPolicy) -> Box<dyn WarpSchedulerPolicy> {
+pub(crate) fn make_policy(policy: SchedulerPolicy) -> Box<dyn WarpSchedulerPolicy> {
     match policy {
         SchedulerPolicy::Gto => Box::new(GtoScheduler::new()),
         SchedulerPolicy::Lrr => Box::new(LrrScheduler::new()),

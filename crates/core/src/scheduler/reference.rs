@@ -3,7 +3,7 @@
 //! Everything below the imports is the earlier implementation as it was,
 //! so a disagreement is a behaviour change of the new code, not of this one.
 
-#![allow(dead_code)]
+#![allow(dead_code, unreachable_pub)]
 
 /// What a scheduling policy is allowed to know about one warp when picking
 /// the next issue.

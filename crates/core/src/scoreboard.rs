@@ -35,7 +35,6 @@ impl RegSet {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Scoreboard {
     pending: [u64; 4],
-    outstanding: u32,
 }
 
 impl Scoreboard {
@@ -50,19 +49,9 @@ impl Scoreboard {
         (r / 64, 1u64 << (r % 64))
     }
 
-    /// Whether `reg` has a pending write.
-    pub fn is_pending(&self, reg: Reg) -> bool {
-        let (word, mask) = Self::bit(reg);
-        self.pending[word] & mask != 0
-    }
-
-    /// Whether `inst` can issue: no RAW hazard on its sources and no WAW
-    /// hazard on its destination.
-    pub fn can_issue(&self, inst: &TraceInstruction) -> bool {
-        self.is_clear_of(&RegSet::hazards_of(inst))
-    }
-
-    /// Whether none of `regs` has a pending write.
+    /// Whether none of `regs` has a pending write: no RAW hazard on an
+    /// instruction's sources and no WAW hazard on its destination when
+    /// `regs` is its [`RegSet::hazards_of`].
     #[inline]
     pub(crate) fn is_clear_of(&self, regs: &RegSet) -> bool {
         self.pending
@@ -71,40 +60,24 @@ impl Scoreboard {
             .all(|(pending, regs)| pending & regs == 0)
     }
 
-    /// Record the issue of `inst` (reserves its destination register).
-    pub fn issue(&mut self, inst: &TraceInstruction) {
-        self.issue_dst(inst.dst);
-    }
-
-    /// Record an issue by destination register alone (hot-path variant:
-    /// sources only matter at the [`Scoreboard::can_issue`] check).
+    /// Record an issue by destination register alone (sources only matter
+    /// at the hazard check).
     pub fn issue_dst(&mut self, dst: Option<Reg>) {
         if let Some(dst) = dst {
             let (word, mask) = Self::bit(dst);
-            if self.pending[word] & mask == 0 {
-                self.pending[word] |= mask;
-                self.outstanding += 1;
-            }
+            self.pending[word] |= mask;
         }
     }
 
     /// Record the writeback of `dst` (releases the register).
     pub fn writeback(&mut self, dst: Reg) {
         let (word, mask) = Self::bit(dst);
-        if self.pending[word] & mask != 0 {
-            self.pending[word] &= !mask;
-            self.outstanding -= 1;
-        }
-    }
-
-    /// Number of registers with writes in flight.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
+        self.pending[word] &= !mask;
     }
 
     /// Whether no writes are in flight.
     pub fn is_clear(&self) -> bool {
-        self.outstanding == 0
+        self.pending == [0; 4]
     }
 }
 
@@ -113,16 +86,21 @@ mod tests {
     use super::*;
     use swiftsim_trace::{InstBuilder, Opcode};
 
+    /// Whether `inst` can issue against `sb`: the SM's hazard test.
+    fn can_issue(sb: &Scoreboard, inst: &TraceInstruction) -> bool {
+        sb.is_clear_of(&RegSet::hazards_of(inst))
+    }
+
     #[test]
     fn raw_hazard_blocks() {
         let mut sb = Scoreboard::new();
         let producer = InstBuilder::new(Opcode::Iadd).dst(5).src(1).build();
         let consumer = InstBuilder::new(Opcode::Fadd).dst(6).src(5).build();
-        assert!(sb.can_issue(&producer));
-        sb.issue(&producer);
-        assert!(!sb.can_issue(&consumer), "RAW on R5");
+        assert!(can_issue(&sb, &producer));
+        sb.issue_dst(producer.dst);
+        assert!(!can_issue(&sb, &consumer), "RAW on R5");
         sb.writeback(Reg(5));
-        assert!(sb.can_issue(&consumer));
+        assert!(can_issue(&sb, &consumer));
     }
 
     #[test]
@@ -130,18 +108,18 @@ mod tests {
         let mut sb = Scoreboard::new();
         let first = InstBuilder::new(Opcode::Iadd).dst(5).build();
         let second = InstBuilder::new(Opcode::Imul).dst(5).build();
-        sb.issue(&first);
-        assert!(!sb.can_issue(&second), "WAW on R5");
+        sb.issue_dst(first.dst);
+        assert!(!can_issue(&sb, &second), "WAW on R5");
         sb.writeback(Reg(5));
-        assert!(sb.can_issue(&second));
+        assert!(can_issue(&sb, &second));
     }
 
     #[test]
     fn independent_instructions_flow() {
         let mut sb = Scoreboard::new();
-        sb.issue(&InstBuilder::new(Opcode::Iadd).dst(1).build());
+        sb.issue_dst(Some(Reg(1)));
         let other = InstBuilder::new(Opcode::Fadd).dst(2).src(3).build();
-        assert!(sb.can_issue(&other));
+        assert!(can_issue(&sb, &other));
     }
 
     #[test]
@@ -151,22 +129,21 @@ mod tests {
             .src(1)
             .global_strided(0, 4, 4)
             .build();
-        sb.issue(&store);
+        sb.issue_dst(store.dst);
         assert!(sb.is_clear());
-        assert!(sb.can_issue(&store));
+        assert!(can_issue(&sb, &store));
     }
 
     #[test]
     fn outstanding_counts_unique_registers() {
         let mut sb = Scoreboard::new();
-        sb.issue(&InstBuilder::new(Opcode::Iadd).dst(1).build());
-        sb.issue(&InstBuilder::new(Opcode::Iadd).dst(2).build());
-        assert_eq!(sb.outstanding(), 2);
+        sb.issue_dst(Some(Reg(1)));
+        sb.issue_dst(Some(Reg(2)));
         sb.writeback(Reg(1));
-        assert_eq!(sb.outstanding(), 1);
+        assert!(!sb.is_clear());
         // Double writeback is harmless.
         sb.writeback(Reg(1));
-        assert_eq!(sb.outstanding(), 1);
+        assert!(!sb.is_clear());
         sb.writeback(Reg(2));
         assert!(sb.is_clear());
     }
@@ -174,8 +151,9 @@ mod tests {
     #[test]
     fn high_register_numbers_wrap_into_range() {
         let mut sb = Scoreboard::new();
-        sb.issue(&InstBuilder::new(Opcode::Iadd).dst(255).build());
-        assert!(sb.is_pending(Reg(255)));
+        sb.issue_dst(Some(Reg(255)));
+        let reader = InstBuilder::new(Opcode::Iadd).dst(1).src(255).build();
+        assert!(!can_issue(&sb, &reader));
         sb.writeback(Reg(255));
         assert!(sb.is_clear());
     }

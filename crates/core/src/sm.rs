@@ -63,7 +63,7 @@ use crate::mem_system::{CoalesceScratch, MemReply, MemorySystem};
 /// Issue-stall breakdown per SM (Metrics Gatherer counters, §III-C).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[allow(missing_docs)] // self-describing counters
-pub struct SmStats {
+pub(crate) struct SmStats {
     pub issued: u64,
     pub mem_insts: u64,
     pub stall_scoreboard: u64,
@@ -385,8 +385,6 @@ pub(crate) struct TickOutcome {
     pub issued: u32,
     /// Global block ids that completed this cycle.
     pub completed_blocks: Vec<usize>,
-    /// Whether some warp was blocked only by a busy issue port this cycle.
-    pub unit_busy_stall: bool,
     /// Pending memory tokens issued this cycle: (token, writeback target).
     pub new_tokens: Vec<(u64, WbTarget)>,
 }
@@ -395,7 +393,6 @@ impl TickOutcome {
     fn reset(&mut self) {
         self.issued = 0;
         self.completed_blocks.clear();
-        self.unit_busy_stall = false;
         self.new_tokens.clear();
     }
 }
@@ -934,7 +931,6 @@ impl<'a> SmCore<'a> {
         let sub = &mut subs[sc];
         if now < sub.idle_until && (mem_ok || !sub.idle_ldst) {
             sub.charge_stall(stats, sub.parked != 0, sub.idle_ports);
-            outcome.unit_busy_stall |= sub.idle_ports;
             return;
         }
         let t_sched = prof.start();
@@ -986,7 +982,6 @@ impl<'a> SmCore<'a> {
         #[cfg(not(debug_assertions))]
         let _ = ports_free;
 
-        outcome.unit_busy_stall |= any_unit_busy;
         let warps = IssueMasks {
             live: sub.live,
             ready,

@@ -38,9 +38,12 @@
 //! until its wake. When every shard's SMs sleep after a quiet cycle,
 //! nothing can happen before the earliest sleeper wake or memory event:
 //! the next cycle ticked is that one instead of the one after, and with
-//! neither the kernel fails with [`SimError::Deadlock`] at once. Under the
-//! dense test oracle ([`RunOptions::with_dense_clock`]) no SM sleeps, and
-//! a million idle cycles in a row count as a deadlock.
+//! neither the kernel fails with [`SimError::Deadlock`] at once. A warp
+//! that waits for a busy issue port does not hold the jump back: its SM's
+//! wake is at or before the cycle that port frees, and a full LD/ST queue
+//! frees only at a memory event. Under the dense test oracle
+//! ([`RunOptions::with_dense_clock`]) no SM sleeps, and a million idle
+//! cycles in a row count as a deadlock.
 //!
 //! [`RunOptions::with_dense_clock`]: crate::RunOptions::with_dense_clock
 //!
@@ -99,7 +102,6 @@ struct DeferredDone {
 #[derive(Default)]
 struct PhaseOut {
     issued: u32,
-    unit_busy: bool,
     /// Local SM index per completed block, in tick order.
     completed: Vec<usize>,
     /// Whether every SM sleeps after the cycle, and if so the earliest of
@@ -574,7 +576,6 @@ fn coordinate(
         let mut any_tokens = tokens.len() > known_tokens;
         let PhaseOut {
             mut issued,
-            unit_busy: mut any_unit_busy,
             mut asleep,
             mut wake,
             ..
@@ -633,7 +634,6 @@ fn coordinate(
                 }
                 txns.clear();
                 issued += out.issued;
-                any_unit_busy |= out.unit_busy;
                 for &local in &out.completed {
                     any_completed = true;
                     bs.complete(ids.start + local);
@@ -652,15 +652,11 @@ fn coordinate(
         }
 
         // 6. Advance time. A *quiet* cycle is one in which provably
-        //    nothing observable happened: no instruction issued, no
-        //    port-busy stall about to resolve, no memory completion or new
-        //    request, no block installed or retired.
-        let quiet = issued == 0
-            && !any_unit_busy
-            && !delivered
-            && !any_completed
-            && !any_tokens
-            && !installed;
+        //    nothing observable happened: no instruction issued, no memory
+        //    completion or new request, no block installed or retired. A
+        //    port wait needs no term here: the waiting SM sleeps until the
+        //    port frees, so its wake bounds the jump.
+        let quiet = issued == 0 && !delivered && !any_completed && !any_tokens && !installed;
         now += 1;
         if quiet && asleep {
             // Nothing can act before the earliest wake or memory event,
@@ -694,7 +690,6 @@ fn compute(
     prof: &mut Profiler,
 ) {
     out.issued = 0;
-    out.unit_busy = false;
     out.completed.clear();
     sms.rouse_due(now, port.mem(), prof);
     let mut next = 0;
@@ -702,7 +697,6 @@ fn compute(
         next = i + 1;
         let outcome = sms.tick(i, now, port.mem(), prof);
         out.issued += outcome.issued;
-        out.unit_busy |= outcome.unit_busy_stall;
         for _ in &outcome.completed_blocks {
             out.completed.push(i);
         }

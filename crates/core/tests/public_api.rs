@@ -1,11 +1,17 @@
 //! Public-API snapshot: the crate's exported surface, diffed against a
 //! golden file so accidental API breaks fail CI instead of shipping.
 //!
-//! The snapshot is a textual inventory of every `pub` declaration in
-//! `swiftsim-core`'s sources (module items and inherent/trait methods),
-//! excluding `pub(crate)`/`pub(super)` internals and `#[cfg(test)]`
-//! modules. It is deliberately source-derived — no nightly rustdoc JSON —
-//! so it runs in the offline CI sandbox.
+//! The compiler decides what is exported: `lib.rs` sets
+//! `#![warn(unreachable_pub)]` and CI denies warnings, so every item or
+//! method still written `pub ` is reachable from outside the crate. The
+//! lint does not look at fields, so the scanner adds one rule for them: a
+//! `pub` line inside the body of a `struct`/`enum` whose own declaration
+//! is not `pub ` is crate-internal and is skipped. What remains is a
+//! textual inventory of every reachable `pub` declaration (module items,
+//! inherent/trait methods, fields of exported types), excluding
+//! `pub(crate)`/`pub(super)` internals and `#[cfg(test)]` modules. It is
+//! deliberately source-derived — no nightly rustdoc JSON — so it runs in
+//! the offline CI sandbox.
 //!
 //! When an API change is intentional, regenerate with:
 //!
@@ -21,11 +27,21 @@ fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/public_api.txt")
 }
 
+/// Whether `trimmed` declares a `struct`/`enum` that is not itself `pub `.
+fn declares_private_type(trimmed: &str) -> bool {
+    let rest = match trimmed.strip_prefix("pub(") {
+        Some(rest) => rest.split_once(") ").map_or("", |(_, rest)| rest),
+        None => trimmed,
+    };
+    rest.starts_with("struct ") || rest.starts_with("enum ")
+}
+
 /// Collect the `pub` declaration lines of one source file, in order.
-fn file_inventory(path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path).expect("read source file");
+fn file_inventory(text: &str) -> Vec<String> {
     let mut items = Vec::new();
     let mut depth_at_test_mod: Option<usize> = None;
+    // Depth outside the body of the crate-private type being read, if any.
+    let mut depth_at_private_type: Option<usize> = None;
     let mut depth = 0usize;
     let mut saw_cfg_test = false;
 
@@ -42,11 +58,12 @@ fn file_inventory(path: &Path) -> Vec<String> {
             saw_cfg_test = false;
         }
 
-        let in_test_mod = depth_at_test_mod.is_some();
-        if !in_test_mod && trimmed.starts_with("pub ") && !trimmed.starts_with("pub(")
-        // `pub use` inside private modules is plumbing, but at file
-        // depth 0 in lib.rs it is the crate's re-export list: keep all.
-        {
+        if depth_at_private_type.is_none() && declares_private_type(trimmed) {
+            depth_at_private_type = Some(depth);
+        }
+
+        let hidden = depth_at_test_mod.is_some() || depth_at_private_type.is_some();
+        if !hidden && trimmed.starts_with("pub ") {
             // Normalize the declaration to its head: strip trailing body
             // opener and any `= ...;` initializer so the snapshot tracks
             // names and signatures, not implementations.
@@ -67,6 +84,12 @@ fn file_inventory(path: &Path) -> Vec<String> {
                 depth_at_test_mod = None;
             }
         }
+        // The body closed, or there was none (`struct Unit;`, a tuple struct).
+        if let Some(d) = depth_at_private_type {
+            if depth <= d && (line.contains('}') || trimmed.ends_with(';')) {
+                depth_at_private_type = None;
+            }
+        }
     }
     items
 }
@@ -82,7 +105,8 @@ fn current_inventory() -> String {
 
     let mut out = String::new();
     for file in files {
-        let items = file_inventory(&file);
+        let text = std::fs::read_to_string(&file).expect("read source file");
+        let items = file_inventory(&text);
         if items.is_empty() {
             continue;
         }
@@ -134,6 +158,24 @@ fn public_api_matches_the_golden_snapshot() {
          `UPDATE_PUBLIC_API=1 cargo test -p swiftsim-core --test public_api`\n\
          and commit the diff. Changes:\n{diff}"
     );
+}
+
+#[test]
+fn fields_of_a_crate_private_type_are_not_exported() {
+    let src = "\
+pub(crate) struct Hidden {
+    pub a: u32,
+    pub b: Vec<u8>,
+}
+struct Plain { pub c: u8 }
+pub(super) enum Internal {
+    A { x: u8 },
+}
+pub struct Shown {
+    pub d: u64,
+}
+";
+    assert_eq!(file_inventory(src), ["pub struct Shown", "pub d: u64,"]);
 }
 
 /// The exported names the rest of the workspace builds on; if one of these

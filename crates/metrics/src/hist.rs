@@ -18,8 +18,6 @@
 //! different workers, different processes — always share the same geometry
 //! and [`Histogram::merge`] is exact elementwise addition.
 
-use std::time::Duration;
-
 /// Number of significant bits: each octave splits into `2^SUB_BITS` buckets.
 const SUB_BITS: u32 = 3;
 /// Sub-buckets per octave (and the count of exact single-value buckets).
@@ -128,11 +126,6 @@ impl Histogram {
         }
         self.count = self.count.saturating_add(n);
         self.sum = self.sum.saturating_add(v.saturating_mul(n));
-    }
-
-    /// Record a duration in microseconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
     /// Merge another histogram into this one.

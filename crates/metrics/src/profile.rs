@@ -184,11 +184,6 @@ impl ProfFrame {
         self.totals[module.index()].events
     }
 
-    /// Total frame duration.
-    pub fn duration(&self) -> Duration {
-        Duration::from_nanos(self.end_ns.saturating_sub(self.start_ns))
-    }
-
     /// Build a frame from explicit per-module `(module, wall_ns, cycles,
     /// events)` entries — the constructor used when deserializing frames
     /// recorded in another process.

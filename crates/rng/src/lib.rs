@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 /// One round of splitmix64, used to expand a 64-bit seed into the full
 /// 256-bit xoshiro state (the seeding scheme recommended by the xoshiro

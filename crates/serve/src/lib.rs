@@ -63,6 +63,7 @@
 
 #![deny(unsafe_code)] // `signal.rs` carries the one vetted exception
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod client;
 pub mod obs;

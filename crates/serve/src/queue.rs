@@ -563,11 +563,6 @@ impl JobQueue {
         self.changed.notify_all();
     }
 
-    /// Whether [`JobQueue::drain`] was called.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
-
     /// Whether nothing is queued or running (during drain: safe to exit).
     pub fn is_idle(&self) -> bool {
         let state = self.lock();

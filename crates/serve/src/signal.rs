@@ -41,7 +41,7 @@ mod imp {
         SHUTDOWN.store(true, Ordering::SeqCst);
     }
 
-    pub fn install() {
+    pub(crate) fn install() {
         let handler = on_terminate as extern "C" fn(i32) as *const () as usize;
         unsafe {
             signal(SIGTERM, handler);
@@ -52,7 +52,7 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    pub fn install() {}
+    pub(crate) fn install() {}
 }
 
 /// Install the SIGTERM/SIGINT → drain handlers (no-op off unix; the

@@ -31,8 +31,9 @@
 //! address list, the long-source-list flag, and in bits 4-7 the source
 //! count. Up to 15 sources are counted in those four bits and `src-count`
 //! is absent; a longer list sets the long-source-list flag, leaves the four
-//! bits 0, and writes its count as the `src-count` varint. The memory
-//! space is the opcode's, so it is not stored.
+//! bits 0, and writes its count as the `src-count` varint. Registers are
+//! varints below 256 (R0 to R255); a higher one is an invalid value. The
+//! memory space is the opcode's, so it is not stored.
 //!
 //! Because every section entry commits to its payload (length + content
 //! hash), the [`ApplicationTrace::content_hash`] of a trace is defined as
@@ -43,7 +44,7 @@
 use crate::error::TraceError;
 use crate::inst::{
     mem_payload_fits, AddressList, AddressView, MemInfo, MemInstRef, Reg, SrcList,
-    TraceInstruction, WARP_LANES,
+    TraceInstruction, NUM_REGS, WARP_LANES,
 };
 use crate::isa::{MemSpace, Opcode};
 use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, WarpTrace};
@@ -167,10 +168,13 @@ impl<'a> Reader<'a> {
         u32::try_from(self.varint()?).map_err(|_| self.err(what))
     }
 
+    /// A register, R0 to R255.
     fn reg(&mut self, what: &str) -> Result<Reg, TraceError> {
         u16::try_from(self.varint()?)
+            .ok()
+            .filter(|&r| r < NUM_REGS)
             .map(Reg)
-            .map_err(|_| self.err(what))
+            .ok_or_else(|| self.err(what))
     }
 
     /// A count read from the data, refused above `limit`.
@@ -577,10 +581,9 @@ fn section_of(kernel: &KernelTrace) -> (Section, Vec<u8>) {
 }
 
 /// Streaming writer for the chunked binary format: feed kernels one at a
-/// time, then [`finish`](ChunkedTraceWriter::finish) or
-/// [`finish_to_file`](ChunkedTraceWriter::finish_to_file). Only the
-/// *encoded* payload bytes are buffered (compact varints, typically far
-/// smaller than the decoded `KernelTrace`), so a generator can emit a
+/// time, then [`finish`](ChunkedTraceWriter::finish). Only the *encoded*
+/// payload bytes are buffered (compact varints, typically far smaller than
+/// the decoded `KernelTrace`), so a generator can emit a
 /// multi-gigabyte-when-decoded application without ever materializing it.
 #[derive(Debug, Default)]
 pub struct ChunkedTraceWriter {
@@ -619,16 +622,6 @@ impl ChunkedTraceWriter {
             out.extend_from_slice(payload);
         }
         out
-    }
-
-    /// Finish and write to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Io`] carrying `path` on any I/O failure.
-    pub fn finish_to_file(self, path: impl AsRef<std::path::Path>) -> Result<(), TraceError> {
-        let path = path.as_ref();
-        std::fs::write(path, self.finish()).map_err(|e| TraceError::io(path, &e))
     }
 }
 

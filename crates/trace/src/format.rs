@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Instruction lines are `<pc-hex> <opcode>` followed by register tokens
-//! (`D:`/`S:` prefixed), the active mask (`M:` hex), and — for memory
+//! (`D:`/`S:` prefixed, `R0` to `R255`), the active mask (`M:` hex), and — for memory
 //! opcodes — the space, the per-thread width (`W:`), and either a strided
 //! address descriptor (`ST:base:stride`, both hex) or an explicit list
 //! (`AD:` comma-separated hex).
@@ -29,7 +29,7 @@
 use crate::error::TraceError;
 use crate::inst::{
     mem_payload_fits, AddressList, AddressView, MemInfo, MemInstRef, Reg, SrcList,
-    TraceInstruction, WARP_LANES,
+    TraceInstruction, NUM_REGS, WARP_LANES,
 };
 use crate::isa::{MemSpace, Opcode};
 use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, WarpTrace};
@@ -355,13 +355,15 @@ pub(crate) fn parse_u32(no: usize, s: &str, what: &str) -> Result<u32, TraceErro
         .map_err(|_| TraceError::parse(no, format!("invalid {what}: {s:?}")))
 }
 
-/// A register token's value. The error names the line: registers are the
-/// one operand the pre-pass skim never reads, so this error often surfaces
-/// only when the simulation decodes the kernel, long after the skim.
+/// A register token's value, R0 to R255. The error names the line:
+/// registers are the one operand the pre-pass skim never reads, so this
+/// error often surfaces only when the simulation decodes the kernel, long
+/// after the skim.
 fn parse_reg(no: usize, token: &str) -> Result<Reg, TraceError> {
     token
         .strip_prefix('R')
         .and_then(|body| body.parse::<u16>().ok())
+        .filter(|&r| r < NUM_REGS)
         .map(Reg)
         .ok_or_else(|| TraceError::parse(no, format!("invalid register {token:?}")))
 }

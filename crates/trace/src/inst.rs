@@ -10,6 +10,11 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u16);
 
+/// Architectural registers per thread: SASS numbers them R0 to R255, and
+/// the scoreboard tracks exactly that many. A trace file naming a higher
+/// one is refused at decode.
+pub(crate) const NUM_REGS: u16 = 256;
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "R{}", self.0)

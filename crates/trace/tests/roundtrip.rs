@@ -269,6 +269,63 @@ fn long_source_lists_round_trip_and_skim() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// R255 is the last register: a higher one is refused, never aliased onto
+/// a low one, as a load's destination or as a source. A text trace fails
+/// with `Parse` on the instruction's line, an SSTB trace and its skim with
+/// `InvalidValue`.
+#[test]
+fn registers_above_r255_are_refused() {
+    let dir = scratch("regs");
+    for reg in [255u16, 256, u16::MAX] {
+        let loads = [
+            InstBuilder::new(Opcode::Ldg).dst(reg).src(1),
+            InstBuilder::new(Opcode::Ldg).dst(1).src(reg),
+        ];
+        for (i, load) in loads.into_iter().enumerate() {
+            let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
+            let warp = kernel.push_block().push_warp();
+            warp.push(load.pc(0x10).global_strided(0x4000, 4, 4));
+            let app = ApplicationTrace::new("regs", vec![kernel]);
+            let ctx = format!("R{reg}, load {i}");
+
+            let text = app.to_trace_text();
+            let line = 1 + text
+                .lines()
+                .position(|l| l.contains(&format!("R{reg}")))
+                .expect("the register is written");
+            let bytes = app.to_binary();
+            let path = dir.join(format!("{reg}-{i}.sstraceb"));
+            std::fs::write(&path, &bytes).expect("write binary trace");
+            let chunked = ChunkedTraceSource::open(&path).expect("the header is intact");
+
+            if reg < 256 {
+                assert_eq!(ApplicationTrace::parse(&text).as_ref(), Ok(&app), "{ctx}");
+                assert_eq!(
+                    ApplicationTrace::from_binary(&bytes).as_ref(),
+                    Ok(&app),
+                    "{ctx}"
+                );
+                assert_eq!(records(&chunked, 0), Ok(oracle(&app.kernels()[0])), "{ctx}");
+                continue;
+            }
+            match ApplicationTrace::parse(&text) {
+                Err(TraceError::Parse { line: at, .. }) => assert_eq!(at, line, "{ctx}"),
+                other => panic!("{ctx}: text gave {other:?}"),
+            }
+            for (what, got) in [
+                ("SSTB", ApplicationTrace::from_binary(&bytes).map(|_| ())),
+                ("SSTB skim", records(&chunked, 0).map(|_| ())),
+            ] {
+                assert!(
+                    matches!(got, Err(TraceError::InvalidValue { .. })),
+                    "{ctx}: {what} gave {got:?}"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A small app with every kind of line the skims treat differently:
 /// strided and explicit global accesses, a local store, a shared load
 /// they skip, arithmetic, a barrier and two blocks, in two kernels.
