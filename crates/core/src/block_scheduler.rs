@@ -3,9 +3,13 @@
 //! "When an application consisting of many thread blocks is executed on the
 //! GPU, the Block Scheduler assigns the blocks to the SMs." The scheduler
 //! enforces SM occupancy limits (threads, warps, blocks, registers, shared
-//! memory) and hands out blocks round-robin as SMs free slots. It is also
-//! where the Metrics Gatherer reads total simulation cycles "after all
-//! blocks have completed execution" (§III-C).
+//! memory) and hands out blocks in grid order to whichever SM asks. The
+//! kernel loop (`twophase.rs`, step 1) asks SM by SM in id order and lets
+//! each SM take blocks until it is full, so at launch SM 0 fills to its
+//! occupancy limit before SM 1 gets a block; it is not round-robin. Later,
+//! a freed slot takes the next block in grid order. It is also where the
+//! Metrics Gatherer reads total simulation cycles "after all blocks have
+//! completed execution" (§III-C).
 
 use crate::error::SimError;
 use swiftsim_config::SmConfig;

@@ -1577,7 +1577,7 @@ impl CoalesceScratch {
     pub(crate) fn coalesce(
         &mut self,
         mapping: &AddressMapping,
-        inst: &swiftsim_trace::TraceInstruction,
+        inst: &swiftsim_trace::InstView<'_>,
     ) -> Option<&[MemTxn]> {
         let inst = MemInstRef::of(0, inst)?;
         Some(self.coalesce_ref(mapping, &inst))
@@ -1641,7 +1641,11 @@ impl AnalyticalMemoryBuilder {
     /// Replay one global or local memory instruction through the
     /// functional cache simulator.
     pub fn feed(&mut self, inst: &MemInstRef<'_>) {
-        // Approximate the block scheduler's round-robin placement.
+        // Place block `b` on SM `b % num_sms`: round-robin, which is not
+        // what the block scheduler does (it fills SM 0 to its occupancy
+        // limit first, `block_scheduler.rs`). Each SM's L1 stream depends
+        // only on this placement; making the two agree moves every
+        // simulated result, so it waits for a model change of its own.
         let sm = inst.block % self.num_sms;
         for &txn in self.scratch.coalesce_ref(&self.mapping, inst) {
             self.funcsim.access(sm, inst.pc, txn);

@@ -7,7 +7,7 @@
 //! 256-bit set per warp (SASS register files have at most 256 architectural
 //! registers).
 
-use swiftsim_trace::{Reg, TraceInstruction};
+use swiftsim_trace::Reg;
 
 /// The registers one instruction reads or writes, as a 256-bit set: what a
 /// [`Scoreboard`] tests against its pending writes. The SM computes it once
@@ -20,10 +20,11 @@ impl RegSet {
     /// No register at all.
     pub(crate) const EMPTY: RegSet = RegSet([0; 4]);
 
-    /// Destination (WAW) and sources (RAW) of `inst`.
-    pub(crate) fn hazards_of(inst: &TraceInstruction) -> Self {
+    /// The set of `regs`: an instruction's destination (WAW) and sources
+    /// (RAW).
+    pub(crate) fn of(regs: impl IntoIterator<Item = Reg>) -> Self {
         let mut set = RegSet::EMPTY;
-        for &reg in inst.dst.iter().chain(inst.srcs.iter()) {
+        for reg in regs {
             let (word, mask) = Scoreboard::bit(reg);
             set.0[word] |= mask;
         }
@@ -84,11 +85,13 @@ impl Scoreboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swiftsim_trace::{InstBuilder, Opcode};
+    use swiftsim_trace::{InstBuilder, Opcode, TraceInstruction};
 
     /// Whether `inst` can issue against `sb`: the SM's hazard test.
     fn can_issue(sb: &Scoreboard, inst: &TraceInstruction) -> bool {
-        sb.is_clear_of(&RegSet::hazards_of(inst))
+        sb.is_clear_of(&RegSet::of(
+            inst.dst.into_iter().chain(inst.srcs.iter().copied()),
+        ))
     }
 
     #[test]

@@ -56,7 +56,9 @@ use crate::Cycle;
 use swiftsim_config::{ExecUnitKind, SmConfig};
 use swiftsim_mem::AddressMapping;
 use swiftsim_metrics::{ProfModule, Profiler};
-use swiftsim_trace::{AddressList, BlockTrace, MemSpace, OpcodeClass, Reg, TraceInstruction};
+use swiftsim_trace::{
+    AddressView, BlockTrace, InstCursor, InstView, MemSpace, OpcodeClass, Reg, WarpTrace,
+};
 
 use crate::mem_system::{CoalesceScratch, MemReply, MemorySystem};
 
@@ -111,6 +113,9 @@ impl SmStats {
 const BARRIER: usize = ExecUnitKind::ALL.len();
 /// [`SubCore::by_kind`] index of an exit head.
 const EXIT: usize = BARRIER + 1;
+
+/// What an empty warp slot points at.
+static EMPTY_WARP: WarpTrace = WarpTrace::new();
 
 /// One sub-core's issue stage: its scheduling policy and the state of its
 /// warps, one bit each. Warp `w` of block slot `s` is bit
@@ -218,7 +223,7 @@ enum HeadKind {
 }
 
 /// The issue-relevant fields of a warp's next instruction, copied out of
-/// the trace by [`Head::of`] whenever `w_next` moves.
+/// the trace by [`Head::of`] whenever `w_cursor` moves.
 #[derive(Debug, Clone, Copy)]
 struct Head {
     /// Registers the scoreboard must have no pending write on.
@@ -236,12 +241,12 @@ impl Head {
         kind: HeadKind::Empty,
     };
 
-    fn of(inst: Option<&TraceInstruction>) -> Head {
+    fn of(inst: Option<InstView<'_>>) -> Head {
         let Some(inst) = inst else {
             return Head::EMPTY;
         };
         Head {
-            hazards: RegSet::hazards_of(inst),
+            hazards: RegSet::of(inst.dst.into_iter().chain(inst.srcs.iter())),
             pc: inst.pc,
             dst: inst.dst,
             kind: match inst.opcode.class() {
@@ -430,10 +435,10 @@ pub(crate) struct SmCore<'a> {
     /// Block slot, warp within it, sub-core and mask bit of each warp: the
     /// layout above, computed once per kernel so no hot path divides.
     w_loc: Vec<WarpLoc>,
-    w_insts: Vec<&'a [TraceInstruction]>,
-    w_next: Vec<u32>,
-    /// `Head::of(w_insts[i].get(w_next[i]))`, refreshed only where
-    /// `w_next` changes ([`SmCore::install_block`], [`SmCore::advance`]).
+    w_warps: Vec<&'a WarpTrace>,
+    w_cursor: Vec<InstCursor>,
+    /// `Head::of(w_warps[i].at(w_cursor[i]))`, refreshed only where
+    /// `w_cursor` moves ([`SmCore::install_block`], [`SmCore::advance`]).
     w_head: Vec<Head>,
     w_scoreboard: Vec<Scoreboard>,
     /// Per-slot SoA arrays, length `slots`.
@@ -534,8 +539,8 @@ impl<'a> SmCore<'a> {
             stride: warps_per_block,
             slot_bits: slot_bits as u32,
             w_loc,
-            w_insts: vec![&[]; n],
-            w_next: vec![0; n],
+            w_warps: vec![&EMPTY_WARP; n],
+            w_cursor: vec![InstCursor::default(); n],
             w_head: vec![Head::EMPTY; n],
             w_scoreboard: (0..n).map(|_| Scoreboard::new()).collect(),
             s_occupied: vec![false; slots],
@@ -586,8 +591,8 @@ impl<'a> SmCore<'a> {
         let mut live = 0u32;
         for (w, warp) in warps.iter().enumerate() {
             let i = slot * self.stride + w;
-            self.w_insts[i] = warp.instructions();
-            self.w_next[i] = 0;
+            self.w_warps[i] = warp;
+            self.w_cursor[i] = InstCursor::default();
             self.w_scoreboard[i] = Scoreboard::new();
             if !warp.is_empty() {
                 live += 1;
@@ -794,7 +799,11 @@ impl<'a> SmCore<'a> {
         let why = if sub.at_barrier & bit != 0 {
             "at barrier".to_owned()
         } else {
-            let pos = format!("at inst {}/{}", self.w_next[i], self.w_insts[i].len());
+            let pos = format!(
+                "at inst {}/{}",
+                self.w_cursor[i].index(),
+                self.w_warps[i].len()
+            );
             if sub.parked & bit != 0 {
                 format!("{pos}, parked on a pending writeback or full LD/ST queue")
             } else {
@@ -1018,7 +1027,7 @@ impl<'a> SmCore<'a> {
     fn set_head(&mut self, slot: usize, w: usize) {
         let i = slot * self.stride + w;
         let old = self.w_head[i].class();
-        let head = Head::of(self.w_insts[i].get(self.w_next[i] as usize));
+        let head = Head::of(self.w_warps[i].at(self.w_cursor[i]));
         self.w_head[i] = head;
         let (sc, bit) = self.warp_bit(slot, w);
         let sub = &mut self.subs[sc];
@@ -1036,7 +1045,8 @@ impl<'a> SmCore<'a> {
 
     /// Move warp `w` of `slot` past the instruction it just issued.
     fn advance(&mut self, slot: usize, w: usize) {
-        self.w_next[slot * self.stride + w] += 1;
+        let i = slot * self.stride + w;
+        self.w_warps[i].advance(&mut self.w_cursor[i]);
         self.set_head(slot, w);
     }
 
@@ -1087,7 +1097,7 @@ impl<'a> SmCore<'a> {
                 let (sc, bit) = self.warp_bit(slot, warp_idx);
                 self.subs[sc].live &= !bit;
                 self.advance(slot, warp_idx);
-                self.insts_left -= (self.w_insts[i].len() - self.w_next[i] as usize) as u64;
+                self.insts_left -= (self.w_warps[i].len() - self.w_cursor[i].index()) as u64;
                 self.s_live_warps[slot] -= 1;
                 // A warp at the barrier may now satisfy it.
                 if self.s_live_warps[slot] > 0
@@ -1139,16 +1149,18 @@ impl<'a> SmCore<'a> {
         // The one read of the trace at issue: the memory payload is too
         // large and too rarely needed to copy into the head.
         let i = slot * self.stride + warp_idx;
-        let inst = &self.w_insts[i][self.w_next[i] as usize];
+        let inst = self.w_warps[i]
+            .at(self.w_cursor[i])
+            .expect("a ready warp has an instruction");
         let dst = inst.dst;
-        let mem_info = inst.mem.as_ref().expect("memory opcode carries payload");
+        let mem_info = inst.mem.expect("memory opcode carries payload");
         let lanes = inst.active_lanes();
 
         let completion = match mem_info.space {
             MemSpace::Shared => {
                 // Banked scratchpad: conflict degree serializes the access.
                 let degree = shared_conflict_degree_list(
-                    &mem_info.addresses,
+                    mem_info.addresses,
                     lanes,
                     self.cfg.shared_mem_banks,
                 );
@@ -1158,9 +1170,9 @@ impl<'a> SmCore<'a> {
                 Some(agu_done + Cycle::from(self.cfg.shared_mem_latency) + Cycle::from(degree - 1))
             }
             MemSpace::Const => {
-                let first = match &mem_info.addresses {
-                    AddressList::Strided { base, .. } => *base,
-                    AddressList::Explicit(a) => a.first().copied().unwrap_or(0),
+                let first = match mem_info.addresses {
+                    AddressView::Strided { base, .. } => base,
+                    AddressView::Explicit(a) => a.first().copied().unwrap_or(0),
                 };
                 let penalty = self.frontend.const_penalty(first, &mut self.stats);
                 Some(agu_done + Cycle::from(self.cfg.shared_mem_latency) + penalty)
@@ -1168,7 +1180,7 @@ impl<'a> SmCore<'a> {
             MemSpace::Global | MemSpace::Local => {
                 let txns = self
                     .coalescer
-                    .coalesce(&self.mapping, inst)
+                    .coalesce(&self.mapping, &inst)
                     .expect("global/local access coalesces");
                 if txns.is_empty() {
                     Some(agu_done)
@@ -1279,11 +1291,40 @@ fn issue_check(head: &Head, sb: &Scoreboard, ports_free: u8, mem_ok: bool) -> Re
     }
 }
 
+/// An SM's shared-memory banks (at most 64), and the bank of an address.
+#[derive(Debug, Clone, Copy)]
+struct Banks {
+    count: u64,
+    /// `count - 1` when `count` is a power of two, as on every preset, so
+    /// the bank is an AND rather than a division per lane.
+    mask: Option<u64>,
+}
+
+impl Banks {
+    fn new(banks: u32) -> Self {
+        let count = u64::from(banks.max(1)).min(64);
+        Banks {
+            count,
+            mask: count.is_power_of_two().then(|| count - 1),
+        }
+    }
+
+    /// The bank of byte address `a`: its 4-byte word modulo the banks.
+    #[inline]
+    fn of(self, a: u64) -> usize {
+        let word = a / 4;
+        (match self.mask {
+            Some(mask) => word & mask,
+            None => word % self.count,
+        }) as usize
+    }
+}
+
 /// Maximum number of lanes mapping to the same shared-memory bank
 /// (identical addresses broadcast and do not conflict). Allocation-free:
 /// a warp has at most 32 lanes and the modeled GPUs at most 64 banks.
 fn shared_conflict_degree(addrs: &[u64], banks: u32) -> u32 {
-    let banks = u64::from(banks.max(1)).min(64);
+    let banks = Banks::new(banks);
     let mut sorted = [0u64; 32];
     let n = addrs.len().min(32);
     sorted[..n].copy_from_slice(&addrs[..n]);
@@ -1297,39 +1338,105 @@ fn shared_conflict_degree(addrs: &[u64], banks: u32) -> u32 {
             continue; // identical addresses broadcast
         }
         prev = Some(a);
-        let bank = ((a / 4) % banks) as usize;
+        let bank = banks.of(a);
         counts[bank] += 1;
         degree = degree.max(u32::from(counts[bank]));
     }
     degree
 }
 
-/// [`shared_conflict_degree`] straight from a compressed [`AddressList`],
+/// [`shared_conflict_degree`] straight from a compressed address list,
 /// avoiding the per-instruction address expansion on the hot path.
-fn shared_conflict_degree_list(list: &AddressList, lanes: u32, banks: u32) -> u32 {
+fn shared_conflict_degree_list(list: AddressView<'_>, lanes: u32, banks: u32) -> u32 {
     match list {
-        AddressList::Strided { base, stride } => {
-            if *stride == 0 || lanes <= 1 {
+        AddressView::Strided { base, stride } => {
+            if stride == 0 || lanes <= 1 {
                 return 1; // broadcast
             }
-            let banks = u64::from(banks.max(1)).min(64);
+            let banks = Banks::new(banks);
             let mut counts = [0u8; 64];
             let mut degree = 1u32;
             for i in 0..u64::from(lanes.min(32)) {
-                let a = base.wrapping_add(i * stride);
-                let bank = ((a / 4) % banks) as usize;
+                let bank = banks.of(base.wrapping_add(i.wrapping_mul(stride)));
                 counts[bank] += 1;
                 degree = degree.max(u32::from(counts[bank]));
             }
             degree
         }
-        AddressList::Explicit(addrs) => shared_conflict_degree(addrs, banks),
+        AddressView::Explicit(addrs) => shared_conflict_degree(addrs, banks),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The conflict degree by the formula the bank mask replaces: a
+    /// division per lane, for any bank count.
+    fn reference_degree(list: AddressView<'_>, lanes: u32, banks: u32) -> u32 {
+        let banks = u64::from(banks.max(1)).min(64);
+        let mut counts = [0u8; 64];
+        let mut count = |a: u64| {
+            let bank = ((a / 4) % banks) as usize;
+            counts[bank] += 1;
+            u32::from(counts[bank])
+        };
+        match list {
+            AddressView::Strided { base, stride } => {
+                if stride == 0 || lanes <= 1 {
+                    return 1;
+                }
+                (0..u64::from(lanes.min(32)))
+                    .map(|i| count(base.wrapping_add(i.wrapping_mul(stride))))
+                    .fold(1, u32::max)
+            }
+            AddressView::Explicit(addrs) => {
+                let mut uniq = addrs[..addrs.len().min(32)].to_vec();
+                uniq.sort_unstable();
+                uniq.dedup();
+                uniq.into_iter().map(count).fold(1, u32::max)
+            }
+        }
+    }
+
+    #[test]
+    fn bank_mask_agrees_with_the_division() {
+        let mut rng = swiftsim_rng::SmallRng::seed_from_u64(0x5ba4);
+        for case in 0..4000 {
+            let banks = [16, 24, 32, 64][case % 4];
+            let lanes = rng.gen_range(0u32..33);
+            let base = match rng.gen_range(0u32..3) {
+                0 => rng.gen_range(0u64..1 << 16),
+                _ => rng.next_u64(),
+            };
+            let stride = match rng.gen_range(0u32..4) {
+                0 => 4 * rng.gen_range(0u64..70),
+                1 => rng.gen_range(0u64..512),
+                2 => rng.next_u64(),
+                _ => 0,
+            };
+            let strided = AddressView::Strided { base, stride };
+            assert_eq!(
+                shared_conflict_degree_list(strided, lanes, banks),
+                reference_degree(strided, lanes, banks),
+                "case {case}: {strided:?} over {lanes} lanes, {banks} banks"
+            );
+            // Explicit lists with repeats, which broadcast.
+            let mut addrs = strided.expand(lanes);
+            for _ in 0..rng.gen_range(0usize..4) {
+                if !addrs.is_empty() {
+                    let (i, j) = (rng.gen_range(0..addrs.len()), rng.gen_range(0..addrs.len()));
+                    addrs[i] = addrs[j];
+                }
+            }
+            let explicit = AddressView::Explicit(&addrs);
+            assert_eq!(
+                shared_conflict_degree_list(explicit, lanes, banks),
+                reference_degree(explicit, lanes, banks),
+                "case {case}: {addrs:x?}, {banks} banks"
+            );
+        }
+    }
 
     #[test]
     fn shared_conflicts_counted() {
@@ -1346,6 +1453,12 @@ mod tests {
         assert_eq!(shared_conflict_degree(&[], 32), 1);
     }
 
+    /// The head of a warp whose next instruction is `inst`.
+    fn head_of(inst: impl Into<swiftsim_trace::TraceInstruction>) -> Head {
+        let warp: WarpTrace = std::iter::once(inst.into()).collect();
+        Head::of(warp.at(InstCursor::default()))
+    }
+
     #[test]
     fn head_kind_covers_all_classes() {
         use swiftsim_trace::{InstBuilder, Opcode};
@@ -1360,8 +1473,7 @@ mod tests {
             (Opcode::Exit, HeadKind::Exit),
         ];
         for (op, expect) in cases {
-            let inst = InstBuilder::new(op).build();
-            assert_eq!(Head::of(Some(&inst)).kind, expect, "{op}");
+            assert_eq!(head_of(InstBuilder::new(op)).kind, expect, "{op}");
         }
         let ldg = InstBuilder::new(Opcode::Ldg)
             .pc(0x40)
@@ -1369,10 +1481,10 @@ mod tests {
             .src(2)
             .global_strided(0, 4, 4)
             .build();
-        let head = Head::of(Some(&ldg));
+        let head = head_of(ldg);
         assert_eq!(head.kind, HeadKind::Unit(ExecUnitKind::LdSt));
         assert_eq!((head.pc, head.dst), (0x40, Some(Reg(1))));
-        assert_eq!(head.hazards, RegSet::hazards_of(&ldg));
+        assert_eq!(head.hazards, RegSet::of([Reg(1), Reg(2)]));
         assert_eq!(Head::of(None).kind, HeadKind::Empty);
     }
 
@@ -1385,7 +1497,7 @@ mod tests {
             .src(2)
             .global_strided(0, 4, 4)
             .build();
-        let head = Head::of(Some(&ldg));
+        let head = head_of(ldg);
         let mut sb = Scoreboard::new();
         assert_eq!(issue_check(&head, &sb, all_free, true), Ok(()));
         assert_eq!(
@@ -1406,11 +1518,11 @@ mod tests {
 
         // An exit waits for every write of the warp, not just its own
         // registers; a barrier needs no port.
-        let exit = Head::of(Some(&InstBuilder::new(Opcode::Exit).build()));
+        let exit = head_of(InstBuilder::new(Opcode::Exit));
         assert_eq!(issue_check(&exit, &sb, 0, false), Err(Stall::Scoreboard));
         sb.writeback(Reg(2));
         assert_eq!(issue_check(&exit, &sb, 0, false), Ok(()));
-        let bar = Head::of(Some(&InstBuilder::new(Opcode::Bar).build()));
+        let bar = head_of(InstBuilder::new(Opcode::Bar));
         assert_eq!(issue_check(&bar, &sb, 0, false), Ok(()));
         assert_eq!(
             issue_check(&Head::EMPTY, &sb, all_free, true),

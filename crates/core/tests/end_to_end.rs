@@ -266,6 +266,52 @@ fn oversized_block_is_rejected() {
     assert!(matches!(err, swiftsim_core::SimError::BlockTooLarge { .. }));
 }
 
+/// An in-memory trace cannot hold a register above R255 (a packed record
+/// keeps one byte), so naming one must fail the run with a typed error on
+/// every preset, never alias a low register (R300 read as R44) or reach
+/// the writeback sentinel (R65535, which used to deadlock the detailed
+/// preset at cycle 250).
+#[test]
+fn registers_above_r255_end_in_a_typed_error() {
+    for reg in [256u16, 300, u16::MAX] {
+        for as_dst in [true, false] {
+            let load = InstBuilder::new(Opcode::Ldg).pc(0);
+            let load = if as_dst {
+                load.dst(reg).src(1)
+            } else {
+                load.dst(1).src(reg)
+            };
+            let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
+            let warp = kernel.push_block().push_warp();
+            warp.push(load.global_strided(0x1000, 4, 4));
+            warp.push(InstBuilder::new(Opcode::Iadd).pc(16).dst(2).src(reg % 256));
+            warp.push(InstBuilder::new(Opcode::Exit).pc(32));
+            let app = ApplicationTrace::new("regs", vec![kernel]);
+            for preset in [
+                SimulatorPreset::Detailed,
+                SimulatorPreset::SwiftBasic,
+                SimulatorPreset::SwiftMemory,
+            ] {
+                for threads in [1, 2] {
+                    let options = RunOptions::default()
+                        .with_preset(preset)
+                        .with_threads(threads);
+                    let err = swiftsim_core::run(&app, &small_gpu(), &options)
+                        .expect_err("a register above R255 fails the run");
+                    let ctx = format!("R{reg}, dst {as_dst}, {preset:?}, {threads} threads");
+                    match &err {
+                        swiftsim_core::SimError::Trace { message, io_kind } => {
+                            assert!(message.contains(&format!("R{reg}")), "{ctx}: {message}");
+                            assert_eq!(*io_kind, None, "{ctx}");
+                        }
+                        other => panic!("{ctx}: {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
 fn run_err(app: &ApplicationTrace) -> swiftsim_core::SimError {
     swiftsim_core::run(
         app,

@@ -43,12 +43,12 @@
 
 use crate::error::TraceError;
 use crate::inst::{
-    mem_payload_fits, AddressList, AddressView, MemInfo, MemInstRef, Reg, SrcList,
-    TraceInstruction, NUM_REGS, WARP_LANES,
+    is_well_formed, AddressView, InstParts, MemInstRef, MemView, Reg, NUM_REGS, WARP_LANES,
 };
-use crate::isa::{MemSpace, Opcode};
-use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, WarpTrace};
+use crate::isa::Opcode;
+use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace};
 use crate::source::KernelMeta;
+use crate::warp::{InstView, WarpTrace};
 use swiftsim_config::fnv1a64;
 
 pub(crate) const MAGIC: &[u8; 4] = b"SSTB";
@@ -68,9 +68,6 @@ const MAX_BLOCKS: usize = 1 << 24;
 const MAX_WARPS: usize = 1 << 16;
 const MAX_INSTS: usize = 1 << 28;
 
-/// The shortest encoded instruction: one byte each of pc, opcode, flags and
-/// active mask.
-const MIN_ENCODED_INST_BYTES: usize = 4;
 /// The shortest encoded block or warp: its one-byte item count.
 const MIN_ENCODED_LIST_BYTES: usize = 1;
 
@@ -196,21 +193,17 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn encode_inst(out: &mut Vec<u8>, inst: &TraceInstruction) {
+fn encode_inst(out: &mut Vec<u8>, inst: InstView<'_>) {
     push_varint(out, u64::from(inst.pc));
-    let op_index = Opcode::ALL
-        .iter()
-        .position(|&o| o == inst.opcode)
-        .expect("opcode is in ALL") as u8;
-    out.push(op_index);
+    out.push(inst.opcode.index());
 
     let mut flags = 0u8;
     if inst.dst.is_some() {
         flags |= FLAG_HAS_DST;
     }
     let explicit = matches!(
-        inst.mem.as_ref().map(|m| &m.addresses),
-        Some(AddressList::Explicit(_))
+        inst.mem.map(|m| m.addresses),
+        Some(AddressView::Explicit(_))
     );
     if inst.mem.is_some() {
         flags |= FLAG_HAS_MEM;
@@ -232,19 +225,21 @@ fn encode_inst(out: &mut Vec<u8>, inst: &TraceInstruction) {
     if many_srcs {
         push_varint(out, inst.srcs.len() as u64);
     }
-    for src in &inst.srcs {
-        push_varint(out, u64::from(src.0));
+    for regs in inst.srcs.as_bytes() {
+        for &reg in regs {
+            push_varint(out, u64::from(reg));
+        }
     }
     push_varint(out, u64::from(inst.active_mask));
 
-    if let Some(mem) = &inst.mem {
+    if let Some(mem) = inst.mem {
         out.push(mem.width);
-        match &mem.addresses {
-            AddressList::Strided { base, stride } => {
-                push_varint(out, *base);
-                push_varint(out, *stride);
+        match mem.addresses {
+            AddressView::Strided { base, stride } => {
+                push_varint(out, base);
+                push_varint(out, stride);
             }
-            AddressList::Explicit(addrs) => {
+            AddressView::Explicit(addrs) => {
                 push_varint(out, addrs.len() as u64);
                 // Delta-encode: consecutive-lane addresses are near each
                 // other in practice, keeping varints short.
@@ -258,23 +253,14 @@ fn encode_inst(out: &mut Vec<u8>, inst: &TraceInstruction) {
     }
 }
 
-/// The fields of one encoded instruction, read and checked exactly as the
-/// decoder checks them. The addresses of an explicit access borrow the
-/// caller's lane buffer.
-struct RawInst<'l> {
-    pc: u32,
-    opcode: Opcode,
-    dst: Option<Reg>,
-    active_mask: u32,
-    mem: Option<(MemSpace, u8, AddressView<'l>)>,
-}
-
-/// Read one instruction, handing each source register to `src`.
+/// Read one instruction, checked exactly as the decoder checks it, handing
+/// each source register to `src`. The addresses of an explicit access
+/// borrow the caller's lane buffer.
 fn read_inst<'l>(
     r: &mut Reader<'_>,
     lanes: &'l mut [u64; WARP_LANES],
     mut src: impl FnMut(Reg),
-) -> Result<RawInst<'l>, TraceError> {
+) -> Result<InstParts<'l>, TraceError> {
     let pc = r.varint_u32("pc out of range")?;
     let op_index = r.byte()? as usize;
     let opcode = *Opcode::ALL
@@ -324,46 +310,23 @@ fn read_inst<'l>(
             let stride = r.varint()?;
             AddressView::Strided { base, stride }
         };
-        Some((space, width, addresses))
+        Some(MemView {
+            space,
+            width,
+            addresses,
+        })
     } else {
         None
     };
 
-    let well_formed = match mem {
-        None => opcode.mem_space().is_none(),
-        Some((_, width, addresses)) => mem_payload_fits(width, addresses, active_mask),
-    };
-    if !well_formed {
+    if !is_well_formed(opcode, active_mask, mem) {
         return Err(r.err("inconsistent instruction"));
     }
-    Ok(RawInst {
+    Ok(InstParts {
         pc,
         opcode,
         dst,
         active_mask,
-        mem,
-    })
-}
-
-fn decode_inst(
-    r: &mut Reader<'_>,
-    lanes: &mut [u64; WARP_LANES],
-) -> Result<TraceInstruction, TraceError> {
-    let mut srcs = SrcList::new();
-    let raw = read_inst(r, lanes, |reg| srcs.push(reg))?;
-    let mem = raw.mem.map(|(space, width, addresses)| {
-        Box::new(MemInfo {
-            space,
-            width,
-            addresses: addresses.into(),
-        })
-    });
-    Ok(TraceInstruction {
-        pc: raw.pc,
-        opcode: raw.opcode,
-        dst: raw.dst,
-        srcs,
-        active_mask: raw.active_mask,
         mem,
     })
 }
@@ -403,11 +366,15 @@ pub(crate) fn decode_kernel_payload(
     let mut kernel = KernelTrace::new(meta.name.clone(), meta.grid_dim, meta.block_dim);
     kernel.shared_mem_bytes = meta.shared_mem_bytes;
     kernel.regs_per_thread = meta.regs_per_thread;
-    // Every container is reserved once, at the count the payload states cut
-    // down to what its unread bytes can hold: no regrowth copies or
+    // Blocks and warps are reserved once, at the count the payload states
+    // cut down to what its unread bytes can hold: no regrowth copies or
     // capacity slack on a sound payload, and a hostile count cannot force
     // an allocation larger than a small multiple of the payload itself.
+    // Instructions are packed into one scratch warp and each warp taken
+    // out right-sized, so an instruction count reserves nothing.
     let mut lanes = [0u64; WARP_LANES];
+    let mut srcs = Vec::new();
+    let mut scratch = WarpTrace::new();
     let num_blocks = r.count(MAX_BLOCKS, "block count")?;
     kernel.reserve_blocks(r.bounded_count(num_blocks, MIN_ENCODED_LIST_BYTES));
     for _ in 0..num_blocks {
@@ -416,12 +383,12 @@ pub(crate) fn decode_kernel_payload(
             BlockTrace::with_capacity(r.bounded_count(num_warps, MIN_ENCODED_LIST_BYTES));
         for _ in 0..num_warps {
             let num_insts = r.count(MAX_INSTS, "instruction count")?;
-            let warp = block.push_warp_trace(WarpTrace::with_capacity(
-                r.bounded_count(num_insts, MIN_ENCODED_INST_BYTES),
-            ));
             for _ in 0..num_insts {
-                warp.push(decode_inst(&mut r, &mut lanes)?);
+                srcs.clear();
+                let inst = read_inst(&mut r, &mut lanes, |reg| srcs.push(reg))?;
+                scratch.push_parts(&inst, &srcs);
             }
+            block.push_warp_trace(scratch.take());
         }
         kernel.push_block_trace(block);
     }
@@ -431,8 +398,8 @@ pub(crate) fn decode_kernel_payload(
 
 /// Walk one kernel payload with every check [`decode_kernel_payload`]
 /// makes, in the same order and with the same errors, handing `f` each
-/// global or local memory instruction. Builds no instruction record,
-/// source list or container: the only buffer is a lane array on the stack.
+/// global or local memory instruction. Packs no instruction and builds no
+/// container: the only buffer is a lane array on the stack.
 pub(crate) fn skim_kernel_payload(
     bytes: &[u8],
     meta: &KernelMeta,
@@ -446,17 +413,17 @@ pub(crate) fn skim_kernel_payload(
             let num_insts = r.count(MAX_INSTS, "instruction count")?;
             for _ in 0..num_insts {
                 let inst = read_inst(&mut r, &mut lanes, |_| ())?;
-                let Some((space, width, addresses)) = inst.mem else {
+                let Some(mem) = inst.mem else {
                     continue;
                 };
                 if let Some(mem) = MemInstRef::in_hierarchy(
                     block,
                     inst.pc,
                     inst.opcode,
-                    space,
+                    mem.space,
                     inst.active_mask,
-                    width,
-                    addresses,
+                    mem.width,
+                    mem.addresses,
                 ) {
                     f(&mem);
                 }
@@ -728,7 +695,7 @@ impl ApplicationTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::InstBuilder;
+    use crate::inst::{AddressList, InstBuilder, SrcList, TraceInstruction};
 
     fn sample_app() -> ApplicationTrace {
         let mut kernel = KernelTrace::new("k0", (2, 1, 1), (64, 1, 1));
@@ -776,22 +743,26 @@ mod tests {
     /// The encoding of an instruction with `n` sources and a destination.
     fn wide_inst_bytes(n: u16) -> Vec<u8> {
         let wide = (0..n).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
+        let warp: WarpTrace = std::iter::once(wide.build()).collect();
         let mut out = Vec::new();
-        encode_inst(&mut out, &wide.build());
+        encode_inst(&mut out, warp.iter().next().unwrap());
         out
     }
 
     #[test]
     fn fifteen_sources_round_trip() {
         // The most the 4-bit source count of the flags byte can state, and
-        // more than a `SrcList` holds inline.
+        // more than a record holds inline.
         let wide = (0..15).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
         let app = app_of(wide.build());
         let back = ApplicationTrace::from_binary(&app.to_binary()).expect("round trip");
         assert_eq!(back, app);
-        let inst = &back.kernels()[0].blocks()[0].warps()[0].instructions()[0];
+        let inst = back.kernels()[0].blocks()[0].warps()[0]
+            .iter()
+            .next()
+            .unwrap();
         assert_eq!(inst.srcs.len(), 15);
-        assert_eq!(inst.srcs[14], Reg(14));
+        assert_eq!(inst.srcs.iter().nth(14), Some(Reg(14)));
         // pc, opcode, then flags: the count in the high nibble, no varint.
         assert_eq!(wide_inst_bytes(15)[2], 15 << SRC_COUNT_SHIFT | FLAG_HAS_DST);
     }
@@ -816,7 +787,9 @@ mod tests {
 
     #[test]
     fn non_canonical_or_oversized_source_counts_are_rejected() {
-        let decode = |bytes: &[u8]| decode_inst(&mut Reader::new(bytes), &mut [0; WARP_LANES]);
+        let decode = |bytes: &[u8]| {
+            read_inst(&mut Reader::new(bytes), &mut [0; WARP_LANES], |_| ()).map(drop)
+        };
         let good = wide_inst_bytes(16);
         assert!(decode(&good).is_ok());
         // A count the nibble could have stated.

@@ -26,11 +26,11 @@ use std::sync::{Arc, Mutex};
 /// Heap footprint of a decoded kernel, for the cache's byte budget.
 ///
 /// Counts what the kernel actually holds: every `Vec` at its *capacity*
-/// (block array, warp arrays, 40-byte instruction records), every boxed
-/// memory payload, explicit address list and spilled source list, plus the
-/// allocator's overhead on each of those heap blocks. `tests/footprint.rs`
-/// holds it to within 10% of the allocator's own count for decoded
-/// kernels.
+/// (block array, warp arrays, and per warp its 16-byte instruction
+/// records, memory payloads, explicit-address arena and spilled source
+/// table), plus the allocator's overhead on each of those heap blocks.
+/// `tests/footprint.rs` holds it to within 10% of the allocator's own
+/// count for decoded kernels.
 pub fn kernel_approx_bytes(kernel: &KernelTrace) -> usize {
     std::mem::size_of::<KernelTrace>() + kernel.heap_bytes()
 }
@@ -343,7 +343,9 @@ mod tests {
     #[test]
     fn lru_eviction_respects_byte_budget() {
         let a: Arc<dyn TraceSource> = Arc::new(app("a", 4, 64));
-        let one_kernel = kernel_approx_bytes(&a.decode_kernel(0).unwrap());
+        // What the cache holds: an owned copy, with no growth slack.
+        let owned: KernelTrace = a.decode_kernel(0).unwrap().into_owned();
+        let one_kernel = kernel_approx_bytes(&owned);
         // Room for about two kernels.
         let cache = DecodedKernelCache::new(one_kernel * 2 + one_kernel / 2);
         let src = CachedTraceSource::new(Arc::clone(&a), Arc::clone(&cache)).unwrap();

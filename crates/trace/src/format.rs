@@ -28,11 +28,12 @@
 
 use crate::error::TraceError;
 use crate::inst::{
-    mem_payload_fits, AddressList, AddressView, MemInfo, MemInstRef, Reg, SrcList,
-    TraceInstruction, NUM_REGS, WARP_LANES,
+    is_well_formed, mem_payload_fits, AddressView, InstParts, MemInstRef, MemView, Reg, NUM_REGS,
+    WARP_LANES,
 };
 use crate::isa::{MemSpace, Opcode};
-use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, WarpTrace};
+use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace};
+use crate::warp::{InstView, WarpTrace};
 use std::fmt::Write as _;
 
 impl ApplicationTrace {
@@ -115,22 +116,22 @@ pub(crate) fn parse_kernel_text(text: &str, line_offset: usize) -> Result<Kernel
     Ok(kernel)
 }
 
-fn write_inst(out: &mut String, inst: &TraceInstruction) {
+fn write_inst(out: &mut String, inst: InstView<'_>) {
     let _ = write!(out, "{:04x} {}", inst.pc, inst.opcode);
     if let Some(dst) = inst.dst {
         let _ = write!(out, " D:{dst}");
     }
-    for src in &inst.srcs {
+    for src in inst.srcs.iter() {
         let _ = write!(out, " S:{src}");
     }
     let _ = write!(out, " M:{:08x}", inst.active_mask);
-    if let Some(mem) = &inst.mem {
+    if let Some(mem) = inst.mem {
         let _ = write!(out, " {} W:{}", mem.space, mem.width);
-        match &mem.addresses {
-            AddressList::Strided { base, stride } => {
+        match mem.addresses {
+            AddressView::Strided { base, stride } => {
                 let _ = write!(out, " ST:{base:x}:{stride:x}");
             }
-            AddressList::Explicit(addrs) => {
+            AddressView::Explicit(addrs) => {
                 let _ = write!(out, " AD:");
                 for (i, a) in addrs.iter().enumerate() {
                     if i > 0 {
@@ -143,10 +144,6 @@ fn write_inst(out: &mut String, inst: &TraceInstruction) {
     }
     out.push('\n');
 }
-
-/// The shortest instruction line: a one-digit pc, a three-letter opcode
-/// and a one-digit mask, `0 BAR M:0`.
-const MIN_INST_LINE_BYTES: usize = 9;
 
 /// A raw line without its `#` comment and surrounding whitespace.
 pub(crate) fn strip_comment(raw: &str) -> &str {
@@ -173,8 +170,13 @@ struct Parser<'a> {
     line_offset: usize,
     peeked: Option<(usize, &'a str)>,
     /// Where an explicit address list is read before it is copied into
-    /// its own right-sized allocation.
+    /// its warp's address arena.
     lanes: [u64; WARP_LANES],
+    /// Where an instruction's sources are read before they are packed.
+    srcs: Vec<Reg>,
+    /// Where a warp is packed before it is taken out right-sized; empty
+    /// between warps (a warp that fails to parse fails the whole parse).
+    warp: WarpTrace,
 }
 
 impl<'a> Parser<'a> {
@@ -188,6 +190,8 @@ impl<'a> Parser<'a> {
             line_offset,
             peeked: None,
             lanes: [0; WARP_LANES],
+            srcs: Vec::new(),
+            warp: WarpTrace::new(),
         }
     }
 
@@ -304,32 +308,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// How many instruction lines the warp starting at the cursor can
-    /// hold: the lines up to its `warp_end` that are long enough to be an
-    /// instruction. Counting them first lets the warp be one right-sized
-    /// allocation instead of a `Vec` doubling its way up; a line too short
-    /// to parse reserves nothing, so garbage input cannot inflate it.
-    fn warp_len_ahead(&self) -> usize {
-        let peeked = self.peeked.map(|(_, line)| line);
-        let ahead = self.lines.clone().map(|(_, raw)| strip_comment(raw));
-        peeked
-            .into_iter()
-            .chain(ahead)
-            .take_while(|&line| line != "warp_end")
-            .filter(|line| line.len() >= MIN_INST_LINE_BYTES)
-            .count()
-    }
-
+    /// Parse one warp into the scratch warp and take it out right-sized.
     fn parse_warp(&mut self) -> Result<WarpTrace, TraceError> {
-        let mut warp = WarpTrace::with_capacity(self.warp_len_ahead());
         loop {
             let (no, line) = self
                 .next_line()
                 .ok_or_else(|| TraceError::eof("warp".to_owned()))?;
             if line == "warp_end" {
-                return Ok(warp);
+                return Ok(self.warp.take());
             }
-            warp.push(parse_inst(no, line, &mut self.lanes)?);
+            parse_inst(no, line, &mut self.lanes, &mut self.srcs, &mut self.warp)?;
         }
     }
 }
@@ -479,11 +467,15 @@ fn inconsistent(no: usize, opcode: Opcode) -> TraceError {
     )
 }
 
+/// Parse one instruction line and pack it into `warp`. `srcs` is scratch
+/// space, reused from line to line.
 fn parse_inst(
     no: usize,
     line: &str,
     lanes: &mut [u64; WARP_LANES],
-) -> Result<TraceInstruction, TraceError> {
+    srcs: &mut Vec<Reg>,
+    warp: &mut WarpTrace,
+) -> Result<(), TraceError> {
     let mut tokens = line.split_whitespace();
     let pc_tok = tokens
         .next()
@@ -495,7 +487,7 @@ fn parse_inst(
     let opcode: Opcode = op_tok.parse()?;
 
     let mut dst = None;
-    let mut srcs = SrcList::new();
+    srcs.clear();
     let mut operands = Operands::default();
     for tok in tokens {
         if let Some(r) = tok.strip_prefix("D:") {
@@ -510,24 +502,22 @@ fn parse_inst(
     }
     let (active_mask, mem) = operands.finish(no)?;
 
-    let inst = TraceInstruction {
+    let inst = InstParts {
         pc,
         opcode,
         dst,
-        srcs,
         active_mask,
-        mem: mem.map(|(space, width, addrs)| {
-            Box::new(MemInfo {
-                space,
-                width,
-                addresses: view(addrs, lanes).into(),
-            })
+        mem: mem.map(|(space, width, addrs)| MemView {
+            space,
+            width,
+            addresses: view(addrs, lanes),
         }),
     };
-    if !inst.is_well_formed() {
-        return Err(inconsistent(no, inst.opcode));
+    if !is_well_formed(opcode, active_mask, inst.mem) {
+        return Err(inconsistent(no, opcode));
     }
-    Ok(inst)
+    warp.push_parts(&inst, srcs);
+    Ok(())
 }
 
 /// The opcodes whose lines the skim reads past the opcode: the global and
@@ -730,14 +720,17 @@ mod tests {
 
     #[test]
     fn any_number_of_sources_round_trips() {
-        // Twenty sources: past what a `SrcList` holds inline.
+        // Twenty sources: past what a record holds inline.
         let wide = (0..20).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
         let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
         kernel.push_block().push_warp().push(wide);
         let app = ApplicationTrace::new("wide", vec![kernel]);
         let parsed = ApplicationTrace::parse(&app.to_trace_text()).expect("parse");
         assert_eq!(parsed, app);
-        let inst = &parsed.kernels()[0].blocks()[0].warps()[0].instructions()[0];
+        let inst = parsed.kernels()[0].blocks()[0].warps()[0]
+            .iter()
+            .next()
+            .unwrap();
         assert_eq!(inst.srcs.len(), 20);
     }
 
@@ -752,7 +745,8 @@ mod tests {
         let app = ApplicationTrace::parse(text).expect("parse");
         let warps = app.kernels()[0].blocks()[0].warps();
         assert_eq!((warps[0].len(), warps[1].len()), (3, 0));
-        assert_eq!(warps[0].heap_bytes(), heap_block::<TraceInstruction>(3));
+        // Three 16-byte records and no side table.
+        assert_eq!(warps[0].heap_bytes(), heap_block::<[u8; 16]>(3));
         assert_eq!(warps[1].heap_bytes(), 0);
     }
 

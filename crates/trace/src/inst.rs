@@ -1,6 +1,7 @@
 //! Dynamic trace instructions and compressed per-thread address lists.
 
 use crate::isa::{MemSpace, Opcode};
+use crate::warp::InstView;
 use std::fmt;
 
 /// An architectural register number.
@@ -45,14 +46,13 @@ pub(crate) fn heap_block<T>(capacity: usize) -> usize {
 /// anyway.
 const INLINE_SRCS: usize = 7;
 
-/// The source registers of one instruction.
+/// The source registers of one owned [`TraceInstruction`].
 ///
 /// Traced SASS instructions read at most a handful of registers, so the
-/// list lives inline in the instruction record and a non-memory
-/// instruction owns no heap block at all; only lists longer than seven
-/// registers (both trace formats allow any number) spill to the heap.
-/// Equality, ordering of iteration and hashing go by content, never by
-/// which representation holds it.
+/// list lives inline and building an instruction allocates nothing for
+/// it; only lists longer than seven registers (both trace formats allow
+/// any number) spill to the heap. Equality, ordering of iteration and
+/// hashing go by content, never by which representation holds it.
 ///
 /// # Examples
 ///
@@ -74,7 +74,7 @@ enum SrcRepr {
         regs: [Reg; INLINE_SRCS],
     },
     // A thin pointer: `Box<[Reg]>` is two words and would grow every
-    // instruction record by eight bytes for a case that almost never occurs.
+    // owned instruction by eight bytes for a case that almost never occurs.
     #[allow(clippy::box_collection)]
     Spilled(Box<Vec<Reg>>),
 }
@@ -122,16 +122,6 @@ impl SrcList {
     #[cfg(test)]
     pub(crate) fn spilled_for_tests(regs: &[Reg]) -> Self {
         SrcList(SrcRepr::Spilled(Box::new(regs.to_vec())))
-    }
-
-    /// Bytes this list holds on the heap (0 unless spilled).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        match &self.0 {
-            SrcRepr::Inline { .. } => 0,
-            SrcRepr::Spilled(regs) => {
-                heap_block::<Vec<Reg>>(1) + heap_block::<Reg>(regs.capacity())
-            }
-        }
     }
 }
 
@@ -216,20 +206,12 @@ impl AddressList {
     /// [`AddressList::Explicit`] the stored list is returned as-is (callers
     /// validate length at construction).
     pub fn expand(&self, active_lanes: u32) -> Vec<u64> {
-        match self {
-            AddressList::Strided { base, stride } => (0..u64::from(active_lanes))
-                .map(|i| base.wrapping_add(i.wrapping_mul(*stride)))
-                .collect(),
-            AddressList::Explicit(addrs) => addrs.clone(),
-        }
+        self.view().expand(active_lanes)
     }
 
     /// Number of addresses this list yields for `active_lanes` active lanes.
     pub fn len(&self, active_lanes: u32) -> usize {
-        match self {
-            AddressList::Strided { .. } => active_lanes as usize,
-            AddressList::Explicit(addrs) => addrs.len(),
-        }
+        self.view().len(active_lanes)
     }
 
     /// Whether the list yields no addresses.
@@ -247,7 +229,7 @@ impl AddressList {
 }
 
 /// An [`AddressList`] borrowed from wherever the instruction lives: a
-/// decoded record, or a lane buffer a trace skim reuses.
+/// warp's packed image, or a lane buffer a trace skim reuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddressView<'a> {
     /// As [`AddressList::Strided`].
@@ -259,6 +241,26 @@ pub enum AddressView<'a> {
     },
     /// As [`AddressList::Explicit`].
     Explicit(&'a [u64]),
+}
+
+impl AddressView<'_> {
+    /// Expand to one address per active lane, as [`AddressList::expand`].
+    pub fn expand(&self, active_lanes: u32) -> Vec<u64> {
+        match *self {
+            AddressView::Strided { base, stride } => (0..u64::from(active_lanes))
+                .map(|i| base.wrapping_add(i.wrapping_mul(stride)))
+                .collect(),
+            AddressView::Explicit(addrs) => addrs.to_vec(),
+        }
+    }
+
+    /// Number of addresses this list yields for `active_lanes` active lanes.
+    pub fn len(&self, active_lanes: u32) -> usize {
+        match self {
+            AddressView::Strided { .. } => active_lanes as usize,
+            AddressView::Explicit(addrs) => addrs.len(),
+        }
+    }
 }
 
 impl From<AddressView<'_>> for AddressList {
@@ -282,6 +284,32 @@ pub(crate) fn mem_payload_fits(width: u8, addresses: AddressView<'_>, active_mas
             AddressView::Strided { .. } => true,
             AddressView::Explicit(addrs) => addrs.len() == active_mask.count_ones() as usize,
         }
+}
+
+/// Whether an `opcode` instruction with `active_mask` may carry `mem`: a
+/// payload exactly when the opcode accesses memory, in the opcode's space,
+/// and fitting the mask ([`mem_payload_fits`]).
+pub(crate) fn is_well_formed(opcode: Opcode, active_mask: u32, mem: Option<MemView<'_>>) -> bool {
+    match (mem, opcode.mem_space()) {
+        (None, None) => true,
+        (Some(mem), Some(space)) => {
+            mem.space == space && mem_payload_fits(mem.width, mem.addresses, active_mask)
+        }
+        _ => false,
+    }
+}
+
+/// Everything of one instruction but its sources, as a decoder reads it
+/// before packing it into a [`WarpTrace`](crate::WarpTrace): no owned
+/// record and no heap block on the way. The addresses of an explicit
+/// access borrow the decoder's lane buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InstParts<'a> {
+    pub(crate) pc: u32,
+    pub(crate) opcode: Opcode,
+    pub(crate) dst: Option<Reg>,
+    pub(crate) active_mask: u32,
+    pub(crate) mem: Option<MemView<'a>>,
 }
 
 /// One global or local memory instruction, borrowed: what
@@ -329,8 +357,8 @@ impl<'a> MemInstRef<'a> {
 
     /// `inst` as an instruction of block `block`, or `None` unless it
     /// accesses global or local memory.
-    pub fn of(block: usize, inst: &'a TraceInstruction) -> Option<Self> {
-        let mem = inst.mem.as_deref()?;
+    pub fn of(block: usize, inst: &InstView<'a>) -> Option<Self> {
+        let mem = inst.mem?;
         Self::in_hierarchy(
             block,
             inst.pc,
@@ -338,7 +366,7 @@ impl<'a> MemInstRef<'a> {
             mem.space,
             inst.active_mask,
             mem.width,
-            mem.addresses.view(),
+            mem.addresses,
         )
     }
 
@@ -359,13 +387,13 @@ pub struct MemInfo {
     pub addresses: AddressList,
 }
 
-/// One dynamic instruction of one warp.
+/// One dynamic instruction of one warp, owned: what the synthetic
+/// generators and tests build (with [`InstBuilder`]) and
+/// [`WarpTrace::push`](crate::WarpTrace::push) packs.
 ///
-/// A 40-byte record: the decoded trace is the simulator's largest data
-/// structure and the issue loop's first touch of each record is a
-/// compulsory cache miss, so everything the issue decision reads (opcode,
-/// destination, sources, PC) sits inline and the cold memory payload sits
-/// behind one pointer. An arithmetic instruction owns no heap block.
+/// A decoded trace holds no `TraceInstruction`s: a warp keeps a packed
+/// image (DESIGN.md, "Decoded-trace layout") and hands out borrowed
+/// [`InstView`]s, which convert back with `TraceInstruction::from`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TraceInstruction {
     /// Program counter (byte offset of the instruction in the kernel).
@@ -374,15 +402,13 @@ pub struct TraceInstruction {
     pub opcode: Opcode,
     /// Destination register, if the instruction writes one.
     pub dst: Option<Reg>,
-    /// Source registers (data dependences), inline.
+    /// Source registers (data dependences).
     pub srcs: SrcList,
     /// 32-bit lane mask of threads executing this instruction.
     pub active_mask: u32,
-    /// Memory payload for load/store opcodes, out of line.
-    pub mem: Option<Box<MemInfo>>,
+    /// Memory payload for load/store opcodes.
+    pub mem: Option<MemInfo>,
 }
-
-const _: () = assert!(std::mem::size_of::<TraceInstruction>() <= 40);
 
 impl TraceInstruction {
     /// Number of active lanes.
@@ -395,31 +421,54 @@ impl TraceInstruction {
         self.mem.is_some()
     }
 
-    /// Bytes this instruction holds on the heap beyond its own record: the
-    /// boxed memory payload, an explicit address list at its capacity, and
-    /// a spilled source list.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        let mem = self.mem.as_ref().map_or(0, |mem| {
-            heap_block::<MemInfo>(1)
-                + match &mem.addresses {
-                    AddressList::Strided { .. } => 0,
-                    AddressList::Explicit(addrs) => heap_block::<u64>(addrs.capacity()),
-                }
-        });
-        mem + self.srcs.heap_bytes()
-    }
-
     /// Internal consistency check used by the parser and by property tests:
     /// memory payload present iff the opcode is a memory opcode, spaces
     /// agree, and explicit address lists match the active-lane count.
     pub fn is_well_formed(&self) -> bool {
-        match (&self.mem, self.opcode.mem_space()) {
-            (None, None) => true,
-            (Some(mem), Some(space)) => {
-                mem.space == space
-                    && mem_payload_fits(mem.width, mem.addresses.view(), self.active_mask)
-            }
-            _ => false,
+        is_well_formed(
+            self.opcode,
+            self.active_mask,
+            self.mem.as_ref().map(MemInfo::view),
+        )
+    }
+}
+
+impl MemInfo {
+    /// The payload, borrowed.
+    pub(crate) fn view(&self) -> MemView<'_> {
+        MemView {
+            space: self.space,
+            width: self.width,
+            addresses: self.addresses.view(),
+        }
+    }
+}
+
+/// A [`MemInfo`] borrowed from wherever the instruction lives: a warp's
+/// packed image ([`InstView::mem`]), or a decoder's lane buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemView<'a> {
+    /// Memory space accessed.
+    pub space: MemSpace,
+    /// Access width per thread in bytes (1, 2, 4, 8, or 16).
+    pub width: u8,
+    /// Per-thread addresses.
+    pub addresses: AddressView<'a>,
+}
+
+impl From<InstView<'_>> for TraceInstruction {
+    fn from(inst: InstView<'_>) -> Self {
+        TraceInstruction {
+            pc: inst.pc,
+            opcode: inst.opcode,
+            dst: inst.dst,
+            srcs: inst.srcs.iter().collect(),
+            active_mask: inst.active_mask,
+            mem: inst.mem.map(|mem| MemInfo {
+                space: mem.space,
+                width: mem.width,
+                addresses: mem.addresses.into(),
+            }),
         }
     }
 }
@@ -498,11 +547,11 @@ impl InstBuilder {
             .opcode
             .mem_space()
             .expect("strided access attached to non-memory opcode");
-        self.inst.mem = Some(Box::new(MemInfo {
+        self.inst.mem = Some(MemInfo {
             space,
             width,
             addresses: AddressList::Strided { base, stride },
-        }));
+        });
         self
     }
 
@@ -525,11 +574,11 @@ impl InstBuilder {
         } else {
             (1u32 << addrs.len()) - 1
         };
-        self.inst.mem = Some(Box::new(MemInfo {
+        self.inst.mem = Some(MemInfo {
             space,
             width,
             addresses: AddressList::Explicit(addrs),
-        }));
+        });
         self
     }
 
@@ -592,7 +641,6 @@ mod tests {
             assert_eq!(list.len(), usize::from(n));
             let inline = matches!(list.0, SrcRepr::Inline { .. });
             assert_eq!(inline, usize::from(n) <= INLINE_SRCS, "{n} sources");
-            assert_eq!(list.heap_bytes() == 0, inline);
         }
     }
 

@@ -146,6 +146,12 @@ impl Opcode {
         Opcode::Nop,
     ];
 
+    /// The opcode's position in [`Opcode::ALL`], which is its byte in an
+    /// SSTB trace.
+    pub(crate) const fn index(self) -> u8 {
+        self as u8
+    }
+
     /// The timing class of this opcode.
     pub fn class(self) -> OpcodeClass {
         match self {
@@ -236,6 +242,16 @@ impl fmt::Display for Opcode {
         f.write_str(self.mnemonic())
     }
 }
+
+// `Opcode::index` reads the discriminant: `ALL` must list the variants in
+// declaration order.
+const _: () = {
+    let mut i = 0;
+    while i < Opcode::ALL.len() {
+        assert!(Opcode::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 impl std::str::FromStr for Opcode {
     type Err = TraceError;

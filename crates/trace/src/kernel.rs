@@ -1,7 +1,8 @@
 //! Kernel, block, warp, and application trace containers.
 
-use crate::inst::{heap_block, MemInstRef, TraceInstruction};
+use crate::inst::{heap_block, MemInstRef, Reg};
 use crate::isa::OpcodeClass;
+use crate::warp::WarpTrace;
 use std::fmt;
 
 /// A CUDA launch dimension (x, y, z).
@@ -36,87 +37,6 @@ impl From<(u32, u32, u32)> for Dim3 {
 impl fmt::Display for Dim3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {} {}", self.x, self.y, self.z)
-    }
-}
-
-/// The dynamic instruction stream of one warp.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WarpTrace {
-    insts: Vec<TraceInstruction>,
-}
-
-impl WarpTrace {
-    /// Create an empty warp trace.
-    pub fn new() -> Self {
-        WarpTrace::default()
-    }
-
-    /// Create an empty warp trace with room for `insts` instructions, so a
-    /// producer that knows the count fills one right-sized allocation.
-    pub fn with_capacity(insts: usize) -> Self {
-        WarpTrace {
-            insts: Vec::with_capacity(insts),
-        }
-    }
-
-    /// Bytes this warp holds on the heap: the record array at its capacity
-    /// plus what the instructions hold.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        heap_block::<TraceInstruction>(self.insts.capacity())
-            + self
-                .insts
-                .iter()
-                .map(TraceInstruction::heap_bytes)
-                .sum::<usize>()
-    }
-
-    /// Append an instruction (anything convertible, e.g. an
-    /// [`InstBuilder`](crate::InstBuilder)).
-    pub fn push(&mut self, inst: impl Into<TraceInstruction>) {
-        self.insts.push(inst.into());
-    }
-
-    /// The instruction stream.
-    pub fn instructions(&self) -> &[TraceInstruction] {
-        &self.insts
-    }
-
-    /// Number of dynamic instructions.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// Whether the warp executes no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
-    /// Iterate over instructions.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceInstruction> {
-        self.insts.iter()
-    }
-}
-
-impl FromIterator<TraceInstruction> for WarpTrace {
-    fn from_iter<I: IntoIterator<Item = TraceInstruction>>(iter: I) -> Self {
-        WarpTrace {
-            insts: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<TraceInstruction> for WarpTrace {
-    fn extend<I: IntoIterator<Item = TraceInstruction>>(&mut self, iter: I) {
-        self.insts.extend(iter);
-    }
-}
-
-impl<'a> IntoIterator for &'a WarpTrace {
-    type Item = &'a TraceInstruction;
-    type IntoIter = std::slice::Iter<'a, TraceInstruction>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.insts.iter()
     }
 }
 
@@ -270,12 +190,21 @@ impl KernelTrace {
         for (b, block) in self.blocks.iter().enumerate() {
             for warp in &block.warps {
                 for inst in warp {
-                    if let Some(mem) = MemInstRef::of(b, inst) {
+                    if let Some(mem) = MemInstRef::of(b, &inst) {
                         f(&mem);
                     }
                 }
             }
         }
+    }
+
+    /// The first register above R255 an instruction of the kernel names,
+    /// if any ([`WarpTrace::invalid_register`]).
+    pub fn invalid_register(&self) -> Option<Reg> {
+        self.blocks
+            .iter()
+            .flat_map(|block| &block.warps)
+            .find_map(WarpTrace::invalid_register)
     }
 
     /// Check that the trace body matches the launch geometry: one traced

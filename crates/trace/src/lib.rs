@@ -18,7 +18,10 @@
 //! * [`KernelTrace`] — launch geometry plus one [`BlockTrace`] per thread
 //!   block.
 //! * [`BlockTrace`] — one [`WarpTrace`] per warp.
-//! * [`WarpTrace`] — the dynamic [`TraceInstruction`] stream of one warp.
+//! * [`WarpTrace`] — the dynamic instruction stream of one warp, packed into
+//!   16-byte records plus per-warp side tables; iterating it yields
+//!   borrowed [`InstView`]s, and [`WarpTrace::push`] packs owned
+//!   [`TraceInstruction`]s.
 //!
 //! Per-thread memory addresses are stored compressed ([`AddressList`]):
 //! uniform-stride accesses (the overwhelmingly common case) take constant
@@ -66,13 +69,16 @@ mod inst;
 mod isa;
 mod kernel;
 mod source;
+mod warp;
 
 pub use binfmt::ChunkedTraceWriter;
 pub use cache::{kernel_approx_bytes, CachedTraceSource, DecodedKernelCache, KernelCacheStats};
 pub use error::TraceError;
 pub use inst::{
-    AddressList, AddressView, InstBuilder, MemInfo, MemInstRef, Reg, SrcList, TraceInstruction,
+    AddressList, AddressView, InstBuilder, MemInfo, MemInstRef, MemView, Reg, SrcList,
+    TraceInstruction,
 };
 pub use isa::{MemSpace, Opcode, OpcodeClass};
-pub use kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, TraceStats, WarpTrace};
+pub use kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, TraceStats};
 pub use source::{open_trace, ChunkedTraceSource, KernelMeta, TextTraceSource, TraceSource};
+pub use warp::{InstCursor, InstView, SrcRegs, WarpIter, WarpTrace};

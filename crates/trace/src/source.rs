@@ -200,8 +200,17 @@ impl TraceSource for ApplicationTrace {
         KernelMeta::of(&self.kernels()[index])
     }
 
+    /// Borrows the kernel after the one check the text and SSTB decoders
+    /// make that a built kernel can fail: a register above R255.
     fn decode_kernel(&self, index: usize) -> Result<Cow<'_, KernelTrace>, TraceError> {
-        Ok(Cow::Borrowed(&self.kernels()[index]))
+        let kernel = &self.kernels()[index];
+        match kernel.invalid_register() {
+            Some(reg) => Err(TraceError::invalid_value(
+                format!("register in kernel {:?}", kernel.name),
+                reg.to_string(),
+            )),
+            None => Ok(Cow::Borrowed(kernel)),
+        }
     }
 
     fn content_hash(&self) -> Result<u64, TraceError> {

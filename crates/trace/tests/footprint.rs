@@ -1,7 +1,10 @@
 //! Heap behaviour of the decoded trace, measured with a counting global
-//! allocator: how many heap blocks a decode makes, that a hostile count
-//! cannot force a large one, that [`kernel_approx_bytes`] tracks what the
-//! allocator really holds, and that the pre-pass skims build nothing.
+//! allocator: a packed record takes at most 16 bytes, a warp's heap blocks
+//! do not grow with its instruction count, a hostile count cannot force a
+//! large block, [`kernel_approx_bytes`] tracks what the allocator really
+//! holds, and the pre-pass skims build nothing. Then the packed image
+//! against the owned records it is built from: packing and viewing gives
+//! back every instruction, and decoding gives back every file byte.
 //!
 //! The counters are per thread, so the tests of this binary (each on its
 //! own thread) do not see each other's allocations.
@@ -9,14 +12,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use swiftsim_config::fnv1a64;
+use swiftsim_rng::SmallRng;
 use swiftsim_trace::{
-    kernel_approx_bytes, ApplicationTrace, ChunkedTraceSource, InstBuilder, KernelTrace, Opcode,
-    TextTraceSource, TraceInstruction, TraceSource,
+    kernel_approx_bytes, AddressList, ApplicationTrace, ChunkedTraceSource, InstBuilder,
+    KernelTrace, MemInfo, Opcode, OpcodeClass, Reg, TextTraceSource, TraceInstruction, TraceSource,
+    WarpTrace,
 };
 use swiftsim_workloads::Scale;
 
-// The layout the whole change rests on; `inst.rs` asserts the same.
-const _: () = assert!(std::mem::size_of::<TraceInstruction>() <= 40);
+/// The most bytes one packed instruction record may take.
+const RECORD_BYTES: usize = 16;
 
 #[derive(Clone, Copy, Default)]
 struct Counters {
@@ -146,20 +151,108 @@ fn decode_allocates_once_per_container_and_payload() {
     assert_eq!(decoded, app);
 
     let memory_insts = blocks * warps * iters * 2;
-    let explicit_lists = blocks * warps * iters;
-    // The header, the names and the kernel list: a handful of blocks that
-    // do not grow with the kernel.
-    let fixed = 16;
-    let bound = (blocks + blocks * warps + memory_insts + explicit_lists + fixed) as usize;
+    // Per warp: its records, its memory payloads and its explicit-address
+    // arena, each one exact block. The header, the names, the kernel list
+    // and the scratch warp the decoder packs into (which grows by doubling,
+    // once per kernel): a few dozen blocks that do not grow with the
+    // kernel.
+    let fixed = 64;
+    let bound = (blocks + blocks * warps * 3 + fixed) as usize;
     assert!(
         counted.blocks <= bound,
-        "{} heap blocks for {blocks} blocks x {warps} warps, {memory_insts} memory \
-         instructions, {explicit_lists} explicit lists: bound {bound}",
+        "{} heap blocks for {blocks} blocks x {warps} warps: bound {bound}",
         counted.blocks
     );
-    // Most instructions are not memory instructions and must own no block:
-    // the bound above is far below one block per instruction.
-    assert!(bound < app.num_insts() as usize);
+    // No instruction owns a block: the bound is far below one block per
+    // memory instruction, let alone per instruction.
+    assert!(bound < memory_insts as usize);
+}
+
+/// The bytes `f` requested, net of what it freed, over `n` instructions.
+fn bytes_per_inst(n: usize, f: impl FnOnce() -> WarpTrace) -> f64 {
+    let (warp, counted) = measure(f);
+    assert_eq!(warp.len(), n);
+    counted.live_chunk_bytes as f64 / n as f64
+}
+
+#[test]
+fn a_record_is_at_most_16_bytes() {
+    // Five sources, a destination and a partial mask: a full record, and
+    // nothing for the side tables.
+    let n = 4096;
+    let inst = (1..=5)
+        .fold(InstBuilder::new(Opcode::Ffma).dst(255), |b, r| b.src(r))
+        .mask(0x00ff_ff00)
+        .build();
+    let per_inst = bytes_per_inst(n, || {
+        let mut warp = WarpTrace::with_capacity(n);
+        for _ in 0..n {
+            warp.push(inst.clone());
+        }
+        warp
+    });
+    // One block of `n` records; its malloc header spread over 4096 of them
+    // is far below a byte.
+    assert!(
+        per_inst <= RECORD_BYTES as f64 + 0.01,
+        "{per_inst} bytes per record"
+    );
+
+    // The same through both decoders.
+    let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
+    *kernel.push_block().push_warp() = std::iter::repeat_n(inst, n).collect();
+    let app = ApplicationTrace::new("app", vec![kernel]);
+    let (bin, text) = (app.to_binary(), app.to_trace_text());
+    for (what, decode) in [
+        (
+            "SSTB",
+            Box::new(|| ApplicationTrace::from_binary(&bin)) as Box<dyn Fn() -> _>,
+        ),
+        ("text", Box::new(|| ApplicationTrace::parse(&text))),
+    ] {
+        let (decoded, counted) = measure(|| decode().expect("decodes"));
+        assert_eq!(decoded, app);
+        // The record block, and the names and the kernel, block and warp
+        // lists: at most 2 KiB that do not grow with the warp.
+        let per_inst = (counted.live_chunk_bytes - 2048) as f64 / n as f64;
+        assert!(
+            per_inst <= RECORD_BYTES as f64,
+            "{what}: {per_inst} bytes per instruction beyond 2 KiB"
+        );
+    }
+}
+
+#[test]
+fn a_strided_memory_instruction_owns_no_heap_block() {
+    // A warp of `n` strided loads holds two blocks whatever `n` is: its
+    // records and its payload table.
+    let warp_of = |n: u64| {
+        let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
+        let warp = kernel.push_block().push_warp();
+        for i in 0..n {
+            warp.push(
+                InstBuilder::new(Opcode::Ldg)
+                    .pc(16 * i as u32)
+                    .dst(4)
+                    .src(2)
+                    .global_strided(0x1000 + 128 * i, 4, 4),
+            );
+        }
+        ApplicationTrace::new("app", vec![kernel]).to_binary()
+    };
+    let live_blocks = |bytes: &[u8]| {
+        let (decoded, counted) = measure(|| ApplicationTrace::from_binary(bytes).expect("decodes"));
+        drop(decoded);
+        counted.blocks
+    };
+    let (small, large) = (warp_of(64), warp_of(4096));
+    let (small, large) = (live_blocks(&small), live_blocks(&large));
+    // The scratch warp doubles its way up to the larger warp: six more
+    // doublings of each of its two tables, and nothing per instruction.
+    assert!(
+        large <= small + 2 * 6,
+        "64 loads: {small} heap blocks, 4096 loads: {large}"
+    );
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -262,4 +355,123 @@ fn binary_skim_allocates_one_payload_buffer_per_kernel() {
         [(1, 3 * 4 * 25 * 2), (1, 6 * 4 * 50 * 2)]
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A random well-formed instruction, biased to the cases the packing
+/// treats apart: sources past what a record holds, R255, no destination,
+/// explicit address lists.
+fn random_inst(rng: &mut SmallRng) -> TraceInstruction {
+    let opcode = Opcode::ALL[rng.gen_range(0..Opcode::ALL.len())];
+    let active_mask = match rng.gen_range(0u32..3) {
+        0 => u32::MAX,
+        _ => (rng.next_u64() as u32).max(1),
+    };
+    let reg = |rng: &mut SmallRng| match rng.gen_range(0u32..8) {
+        0 => Reg(255),
+        _ => Reg(rng.gen_range(0u32..256) as u16),
+    };
+    let base = rng.next_u64();
+    let mem = opcode.mem_space().map(|space| MemInfo {
+        space,
+        width: [1, 2, 4, 8, 16][rng.gen_range(0usize..5)],
+        addresses: if rng.gen_bool(0.5) {
+            AddressList::Explicit(
+                (0..u64::from(active_mask.count_ones()))
+                    .map(|i| base ^ (i * 0x9e37))
+                    .collect(),
+            )
+        } else {
+            AddressList::Strided {
+                base,
+                stride: rng.next_u64() >> rng.gen_range(0u32..64),
+            }
+        },
+    });
+    TraceInstruction {
+        pc: rng.next_u64() as u32,
+        opcode,
+        dst: rng.gen_bool(0.5).then(|| reg(rng)),
+        srcs: (0..rng.gen_range(0usize..13)).map(|_| reg(rng)).collect(),
+        active_mask,
+        mem,
+    }
+}
+
+#[test]
+fn packing_and_viewing_gives_back_every_instruction() {
+    let mut rng = SmallRng::seed_from_u64(38);
+    let (mut long_lists, mut r255, mut no_dst, mut explicit) = (0, 0, 0, 0);
+    let mut classes = Vec::new();
+    for case in 0..256 {
+        let insts: Vec<TraceInstruction> = (0..rng.gen_range(1usize..40))
+            .map(|_| random_inst(&mut rng))
+            .collect();
+        let warp: WarpTrace = insts.iter().cloned().collect();
+        let back: Vec<TraceInstruction> = warp.iter().map(TraceInstruction::from).collect();
+        assert_eq!(back, insts, "case {case}");
+        assert!(warp.iter().all(|inst| inst.is_well_formed()), "case {case}");
+        assert_eq!(warp.invalid_register(), None, "case {case}");
+        for inst in &insts {
+            long_lists += usize::from(inst.srcs.len() >= 7);
+            r255 += usize::from(inst.dst == Some(Reg(255)) || inst.srcs.contains(&Reg(255)));
+            no_dst += usize::from(inst.dst.is_none());
+            explicit += usize::from(matches!(
+                inst.mem.as_ref().map(|m| &m.addresses),
+                Some(AddressList::Explicit(_))
+            ));
+            if !classes.contains(&inst.opcode.class()) {
+                classes.push(inst.opcode.class());
+            }
+        }
+    }
+    assert!(long_lists > 100 && r255 > 100 && no_dst > 100 && explicit > 100);
+    let every_class = [
+        OpcodeClass::Int,
+        OpcodeClass::Sp,
+        OpcodeClass::Dp,
+        OpcodeClass::Sfu,
+        OpcodeClass::Tensor,
+        OpcodeClass::Memory,
+        OpcodeClass::Control,
+        OpcodeClass::Barrier,
+        OpcodeClass::Exit,
+    ];
+    assert!(
+        every_class.iter().all(|c| classes.contains(c)),
+        "{classes:?}"
+    );
+}
+
+#[test]
+fn decoding_then_encoding_gives_back_every_byte() {
+    let mut rng = SmallRng::seed_from_u64(3838);
+    let mut apps: Vec<ApplicationTrace> = ["bfs", "gemm"]
+        .iter()
+        .map(|name| {
+            swiftsim_workloads::by_name(name)
+                .expect("suite workload")
+                .generate(Scale::Tiny)
+        })
+        .collect();
+    for case in 0..16 {
+        let mut kernel = KernelTrace::new(format!("random{case}"), (2, 1, 1), (64, 1, 1));
+        for _ in 0..2 {
+            let block = kernel.push_block();
+            for _ in 0..2 {
+                *block.push_warp() = (0..rng.gen_range(0usize..30))
+                    .map(|_| random_inst(&mut rng))
+                    .collect();
+            }
+        }
+        apps.push(ApplicationTrace::new("random", vec![kernel]));
+    }
+    for app in &apps {
+        let bytes = app.to_binary();
+        let from_binary = ApplicationTrace::from_binary(&bytes).expect("SSTB decodes");
+        assert_eq!(from_binary.to_binary(), bytes, "{}", app.name);
+        let text = app.to_trace_text();
+        let parsed = ApplicationTrace::parse(&text).expect("text parses");
+        assert_eq!(parsed.to_trace_text(), text, "{}", app.name);
+        assert_eq!(parsed.to_binary(), bytes, "{}", app.name);
+    }
 }

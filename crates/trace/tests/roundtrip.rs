@@ -44,11 +44,11 @@ fn random_inst(rng: &mut SmallRng) -> TraceInstruction {
                 stride: rng.gen_range(0u64..256),
             }
         };
-        Box::new(MemInfo {
+        MemInfo {
             space,
             width: [1, 2, 4, 8, 16][rng.gen_range(0usize..5)],
             addresses,
-        })
+        }
     });
     TraceInstruction {
         pc: rng.gen_range(0u32..1 << 16),
@@ -269,31 +269,82 @@ fn long_source_lists_round_trip_and_skim() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The SSTB file of app "regs": one kernel "k" of one 32-thread block whose
+/// one warp is `LDG D:R{dst} S:R{src}` at pc 0x10, strided from 0x4000 by
+/// 4, 4 bytes wide. Written byte by byte, the way the encoder writes any
+/// register, so a value above R255 (which no in-memory trace can hold)
+/// reaches the decoder.
+fn sstb_one_load(dst: u16, src: u16) -> Vec<u8> {
+    let mut payload = vec![1, 1, 1]; // one block, one warp, one instruction
+    push_varint(&mut payload, 0x10);
+    let ldg = Opcode::ALL.iter().position(|&o| o == Opcode::Ldg).unwrap();
+    payload.push(ldg as u8);
+    payload.push(1 << 4 | 0b0011); // one source, a memory payload, a dst
+    for v in [u64::from(dst), u64::from(src), u64::from(u32::MAX)] {
+        push_varint(&mut payload, v);
+    }
+    payload.push(4);
+    push_varint(&mut payload, 0x4000);
+    push_varint(&mut payload, 4);
+
+    let mut file = b"SSTB\x02".to_vec();
+    for name in ["regs", "k"] {
+        push_varint(&mut file, name.len() as u64);
+        file.extend_from_slice(name.as_bytes());
+        if name == "regs" {
+            push_varint(&mut file, 1); // kernel count
+        }
+    }
+    for v in [1, 1, 1, 32, 1, 1, 0, 32, 1, payload.len() as u64] {
+        push_varint(&mut file, v); // grid, block, shmem, regs, insts, length
+    }
+    file.extend_from_slice(&swiftsim_config::fnv1a64(&payload).to_le_bytes());
+    file.extend_from_slice(&payload);
+    file
+}
+
 /// R255 is the last register: a higher one is refused, never aliased onto
 /// a low one, as a load's destination or as a source. A text trace fails
 /// with `Parse` on the instruction's line, an SSTB trace and its skim with
-/// `InvalidValue`.
+/// `InvalidValue`, and an in-memory trace, which cannot store the register,
+/// at its kernel's decode with `InvalidValue`.
 #[test]
 fn registers_above_r255_are_refused() {
     let dir = scratch("regs");
     for reg in [255u16, 256, u16::MAX] {
-        let loads = [
-            InstBuilder::new(Opcode::Ldg).dst(reg).src(1),
-            InstBuilder::new(Opcode::Ldg).dst(1).src(reg),
-        ];
-        for (i, load) in loads.into_iter().enumerate() {
-            let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
-            let warp = kernel.push_block().push_warp();
-            warp.push(load.pc(0x10).global_strided(0x4000, 4, 4));
-            let app = ApplicationTrace::new("regs", vec![kernel]);
+        let loads = [(reg, 1), (1, reg)];
+        for (i, (dst, src)) in loads.into_iter().enumerate() {
+            let app_of = |dst: u16, src: u16| {
+                let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
+                kernel.push_block().push_warp().push(
+                    InstBuilder::new(Opcode::Ldg)
+                        .pc(0x10)
+                        .dst(dst)
+                        .src(src)
+                        .global_strided(0x4000, 4, 4),
+                );
+                ApplicationTrace::new("regs", vec![kernel])
+            };
+            let app = app_of(dst, src);
             let ctx = format!("R{reg}, load {i}");
+            // The hand-written file is what the encoder writes.
+            let r255 = app_of(dst.min(255), src.min(255));
+            assert_eq!(sstb_one_load(dst.min(255), src.min(255)), r255.to_binary());
 
-            let text = app.to_trace_text();
+            let text = r255.to_trace_text().replace("R255", &format!("R{reg}"));
             let line = 1 + text
                 .lines()
                 .position(|l| l.contains(&format!("R{reg}")))
                 .expect("the register is written");
-            let bytes = app.to_binary();
+            let bytes = sstb_one_load(dst, src);
             let path = dir.join(format!("{reg}-{i}.sstraceb"));
             std::fs::write(&path, &bytes).expect("write binary trace");
             let chunked = ChunkedTraceSource::open(&path).expect("the header is intact");
@@ -312,9 +363,11 @@ fn registers_above_r255_are_refused() {
                 Err(TraceError::Parse { line: at, .. }) => assert_eq!(at, line, "{ctx}"),
                 other => panic!("{ctx}: text gave {other:?}"),
             }
+            assert_eq!(app.kernels()[0].invalid_register(), Some(Reg(reg)), "{ctx}");
             for (what, got) in [
                 ("SSTB", ApplicationTrace::from_binary(&bytes).map(|_| ())),
                 ("SSTB skim", records(&chunked, 0).map(|_| ())),
+                ("in memory", app.decode_kernel(0).map(|_| ())),
             ] {
                 assert!(
                     matches!(got, Err(TraceError::InvalidValue { .. })),

@@ -194,7 +194,7 @@ impl PatternKernel {
         warps_per_block: u32,
         rng: &mut SmallRng,
     ) -> WarpTrace {
-        let mut out = WarpTrace::new();
+        let mut out = WarpTrace::with_capacity((iters * self.body_len() + 1) as usize);
         let m = &self.mix;
         let global_warp = u64::from(block) * u64::from(warps_per_block) + u64::from(warp);
 
