@@ -31,7 +31,6 @@
 use crate::checkpoint::Snapshot;
 use crate::error::SimError;
 use crate::fidelity::FidelityConfig;
-use crate::input::TraceInput;
 use crate::mem_system::MemorySystem;
 use crate::options::{CheckpointOptions, RunOptions};
 use crate::result::{Confidence, KernelResult, SimulationResult};
@@ -98,12 +97,12 @@ impl std::str::FromStr for SimulatorPreset {
 ///
 /// Returns [`SimError`] for an invalid configuration, a trace failure, a
 /// checkpoint problem, or a modeling deadlock.
-pub fn run<'a>(
-    input: impl Into<TraceInput<'a>>,
+pub fn run(
+    source: &dyn TraceSource,
     cfg: &GpuConfig,
     options: &RunOptions,
 ) -> Result<SimulationResult, SimError> {
-    GpuSimulator::try_new(cfg.clone(), options)?.run(input)
+    GpuSimulator::try_new(cfg.clone(), options)?.run(source)
 }
 
 /// A fully configured Swift-Sim simulator instance.
@@ -175,22 +174,22 @@ impl GpuSimulator {
 
     /// Simulate an application and return the predicted cycles and metrics.
     ///
-    /// Accepts anything convertible to [`TraceInput`] — `&ApplicationTrace`
-    /// for in-memory traces, or any `&`[`TraceSource`] (including trait
-    /// objects) for streaming ones. Kernels are decoded lazily: while
-    /// kernel *k* simulates, kernel *k+1* is decoded on a background thread
-    /// (for file-backed sources), so peak memory stays at ~2 decoded
-    /// kernels regardless of application size. Decode time is attributed to
-    /// the profiler's `trace-decode` module on its own track.
+    /// Takes any [`TraceSource`]: `&app` for an in-memory
+    /// `ApplicationTrace`, or `source.as_ref()` for a streaming one.
+    /// Kernels are decoded lazily: while kernel *k* simulates, kernel *k+1*
+    /// is decoded on a background thread (for file-backed sources), so peak
+    /// memory stays at ~2 decoded kernels regardless of application size.
+    /// Decode time is attributed to the profiler's `trace-decode` module on
+    /// its own track.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when the trace is inconsistent with its launch
     /// geometry, a block exceeds SM resources, a kernel fails to decode, a
     /// checkpoint cannot be written/read/applied, or the model deadlocks.
-    pub fn run<'a>(&self, input: impl Into<TraceInput<'a>>) -> Result<SimulationResult, SimError> {
+    pub fn run(&self, source: &dyn TraceSource) -> Result<SimulationResult, SimError> {
         let started = std::time::Instant::now();
-        let mut result = crate::twophase::run_two_phase(self, input.into().source())?;
+        let mut result = crate::twophase::run_two_phase(self, source)?;
         result.wall_time = started.elapsed();
         Ok(result)
     }

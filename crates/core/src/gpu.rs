@@ -591,7 +591,7 @@ mod tests {
             let block = kernel.push_block();
             for w in 0..8u64 {
                 let warp = block.push_warp();
-                for i in 0..4u16 {
+                for i in 0..4u8 {
                     let base = ((b * 8 + w) * 4 + u64::from(i)) << 16;
                     let lines = (0..32).map(|lane| base + lane * 128).collect();
                     warp.push(

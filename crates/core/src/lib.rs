@@ -65,7 +65,6 @@ mod error;
 mod fidelity;
 mod gate;
 mod gpu;
-mod input;
 mod json;
 pub mod mem_system;
 mod options;
@@ -88,7 +87,6 @@ pub use fidelity::{
     AluModelKind, FidelityConfig, FrontendModelKind, MemoryModelKind, SamplingPolicy,
     DEFAULT_SAMPLING_REPS,
 };
-pub use input::TraceInput;
 pub use json::RESULT_SCHEMA_VERSION;
 pub use mem_system::{MemReply, MemorySystem};
 pub use options::{CheckpointOptions, RunOptions};

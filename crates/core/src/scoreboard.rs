@@ -85,22 +85,34 @@ impl Scoreboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swiftsim_trace::{InstBuilder, Opcode, TraceInstruction};
+    use swiftsim_trace::{InstBuilder, InstView, Opcode, WarpTrace};
 
-    /// Whether `inst` can issue against `sb`: the SM's hazard test.
-    fn can_issue(sb: &Scoreboard, inst: &TraceInstruction) -> bool {
-        sb.is_clear_of(&RegSet::of(
-            inst.dst.into_iter().chain(inst.srcs.iter().copied()),
-        ))
+    /// `inst` packed alone into a warp.
+    fn packed(inst: InstBuilder) -> WarpTrace {
+        let mut warp = WarpTrace::new();
+        warp.push(inst);
+        warp
+    }
+
+    /// The one instruction of `warp`.
+    fn only(warp: &WarpTrace) -> InstView<'_> {
+        warp.iter().next().unwrap()
+    }
+
+    /// Whether the instruction of `warp` can issue against `sb`: the SM's
+    /// hazard test.
+    fn can_issue(sb: &Scoreboard, warp: &WarpTrace) -> bool {
+        let inst = only(warp);
+        sb.is_clear_of(&RegSet::of(inst.dst.into_iter().chain(inst.srcs.iter())))
     }
 
     #[test]
     fn raw_hazard_blocks() {
         let mut sb = Scoreboard::new();
-        let producer = InstBuilder::new(Opcode::Iadd).dst(5).src(1).build();
-        let consumer = InstBuilder::new(Opcode::Fadd).dst(6).src(5).build();
+        let producer = packed(InstBuilder::new(Opcode::Iadd).dst(5).src(1));
+        let consumer = packed(InstBuilder::new(Opcode::Fadd).dst(6).src(5));
         assert!(can_issue(&sb, &producer));
-        sb.issue_dst(producer.dst);
+        sb.issue_dst(only(&producer).dst);
         assert!(!can_issue(&sb, &consumer), "RAW on R5");
         sb.writeback(Reg(5));
         assert!(can_issue(&sb, &consumer));
@@ -109,9 +121,9 @@ mod tests {
     #[test]
     fn waw_hazard_blocks() {
         let mut sb = Scoreboard::new();
-        let first = InstBuilder::new(Opcode::Iadd).dst(5).build();
-        let second = InstBuilder::new(Opcode::Imul).dst(5).build();
-        sb.issue_dst(first.dst);
+        let first = packed(InstBuilder::new(Opcode::Iadd).dst(5));
+        let second = packed(InstBuilder::new(Opcode::Imul).dst(5));
+        sb.issue_dst(only(&first).dst);
         assert!(!can_issue(&sb, &second), "WAW on R5");
         sb.writeback(Reg(5));
         assert!(can_issue(&sb, &second));
@@ -121,18 +133,15 @@ mod tests {
     fn independent_instructions_flow() {
         let mut sb = Scoreboard::new();
         sb.issue_dst(Some(Reg(1)));
-        let other = InstBuilder::new(Opcode::Fadd).dst(2).src(3).build();
+        let other = packed(InstBuilder::new(Opcode::Fadd).dst(2).src(3));
         assert!(can_issue(&sb, &other));
     }
 
     #[test]
     fn no_dst_instructions_always_reissue() {
         let mut sb = Scoreboard::new();
-        let store = InstBuilder::new(Opcode::Stg)
-            .src(1)
-            .global_strided(0, 4, 4)
-            .build();
-        sb.issue_dst(store.dst);
+        let store = packed(InstBuilder::new(Opcode::Stg).src(1).global_strided(0, 4, 4));
+        sb.issue_dst(only(&store).dst);
         assert!(sb.is_clear());
         assert!(can_issue(&sb, &store));
     }
@@ -155,7 +164,7 @@ mod tests {
     fn high_register_numbers_wrap_into_range() {
         let mut sb = Scoreboard::new();
         sb.issue_dst(Some(Reg(255)));
-        let reader = InstBuilder::new(Opcode::Iadd).dst(1).src(255).build();
+        let reader = packed(InstBuilder::new(Opcode::Iadd).dst(1).src(255));
         assert!(!can_issue(&sb, &reader));
         sb.writeback(Reg(255));
         assert!(sb.is_clear());

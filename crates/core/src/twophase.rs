@@ -748,3 +748,63 @@ fn finish(mut sms: SmSet<'_>, mailbox: Option<&mut Mailbox>, prof: &mut Profiler
         stalled: sms.oldest_stalled(),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{RunOptions, SimError, SimulatorPreset};
+    use swiftsim_config::presets;
+    use swiftsim_trace::{ApplicationTrace, InstBuilder, KernelTrace, Opcode};
+
+    /// One single-warp block per SM; block `bad` issues a global load at
+    /// [`crate::sm::POISONED_PC`], which panics like a model bug would.
+    fn app_with_poisoned_load(sms: u32, bad: u32) -> ApplicationTrace {
+        let mut kernel = KernelTrace::new("broken", (sms, 1, 1), (32, 1, 1));
+        for b in 0..sms {
+            let warp = kernel.push_block().push_warp();
+            let pc = if b == bad { crate::sm::POISONED_PC } else { 0 };
+            warp.push(
+                InstBuilder::new(Opcode::Ldg)
+                    .pc(pc)
+                    .dst(4)
+                    .global_strided(0x1000, 4, 4),
+            );
+            warp.push(InstBuilder::new(Opcode::Exit).pc(16));
+        }
+        ApplicationTrace::new("broken", vec![kernel])
+    }
+
+    /// A panic inside a shard's compute phase fails the run with
+    /// `SimError::WorkerPanic` naming the shard, whether the shard runs on
+    /// a worker thread behind the epoch gate or, as shard 0 does, on the
+    /// calling thread itself, single-threaded runs included; it never hangs
+    /// the other shards or unwinds into the caller.
+    #[test]
+    fn a_panic_on_any_shard_is_a_worker_panic_error() {
+        let mut cfg = presets::rtx2080ti();
+        cfg.num_sms = 4;
+        cfg.memory.partitions = 2;
+        cfg.sm.max_blocks = 1; // one slot per SM: block b lands on SM b
+
+        for threads in [1usize, 2, 4] {
+            for bad_sm in [0u32, 3] {
+                let err = crate::run(
+                    &app_with_poisoned_load(4, bad_sm),
+                    &cfg,
+                    &RunOptions::default()
+                        .with_preset(SimulatorPreset::SwiftBasic)
+                        .with_threads(threads),
+                )
+                .expect_err("the poisoned load must fail the run");
+                let SimError::WorkerPanic { context, message } = &err else {
+                    panic!("{threads} threads, SM {bad_sm}: expected a worker panic, got: {err}");
+                };
+                let shard = bad_sm as usize * threads / 4;
+                assert!(
+                    context.contains(&format!("shard {shard} ")),
+                    "{threads} threads, SM {bad_sm}: {context}"
+                );
+                assert!(message.contains("poisoned"), "{message}");
+            }
+        }
+    }
+}

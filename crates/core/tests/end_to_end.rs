@@ -188,7 +188,7 @@ fn independent_warps_overlap() {
                 w.push(
                     InstBuilder::new(Opcode::Ldg)
                         .pc(i * 16)
-                        .dst(8 + i as u16 % 4)
+                        .dst(8 + i as u8 % 4)
                         .src(1)
                         .global_strided(u64::from(wi) * 0x100000 + u64::from(i) * 0x1000, 4, 4),
                 );
@@ -266,50 +266,109 @@ fn oversized_block_is_rejected() {
     assert!(matches!(err, swiftsim_core::SimError::BlockTooLarge { .. }));
 }
 
-/// An in-memory trace cannot hold a register above R255 (a packed record
-/// keeps one byte), so naming one must fail the run with a typed error on
-/// every preset, never alias a low register (R300 read as R44) or reach
-/// the writeback sentinel (R65535, which used to deadlock the detailed
-/// preset at cycle 250).
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The SSTB file of app "regs": one kernel "k" of one 32-thread block whose
+/// one warp is `LDG D:R{dst} S:R{src}` at pc 0, strided from 0x1000 by 4,
+/// 4 bytes wide. Written byte by byte, the way the encoder writes any
+/// register, so a value above R255 (which no in-memory trace can hold)
+/// reaches the decoder.
+fn sstb_one_load(dst: u16, src: u16) -> Vec<u8> {
+    let mut payload = vec![1, 1, 1, 0]; // one block, one warp, one instruction; pc 0
+    let ldg = Opcode::ALL.iter().position(|&o| o == Opcode::Ldg).unwrap();
+    payload.push(ldg as u8);
+    payload.push(1 << 4 | 0b0011); // one source, a memory payload, a dst
+    for v in [u64::from(dst), u64::from(src), u64::from(u32::MAX)] {
+        push_varint(&mut payload, v);
+    }
+    payload.push(4);
+    push_varint(&mut payload, 0x1000);
+    push_varint(&mut payload, 4);
+
+    let mut file = b"SSTB\x02".to_vec();
+    for name in ["regs", "k"] {
+        push_varint(&mut file, name.len() as u64);
+        file.extend_from_slice(name.as_bytes());
+        if name == "regs" {
+            push_varint(&mut file, 1); // kernel count
+        }
+    }
+    for v in [1, 1, 1, 32, 1, 1, 0, 32, 1, payload.len() as u64] {
+        push_varint(&mut file, v); // grid, block, shmem, regs, insts, length
+    }
+    file.extend_from_slice(&swiftsim_config::fnv1a64(&payload).to_le_bytes());
+    file.extend_from_slice(&payload);
+    file
+}
+
+/// R255 is the last register. A trace file naming a higher one must fail
+/// the run with a typed error on every preset, never alias a low register
+/// (R300 read as R44) or reach the writeback sentinel (R65535, which once
+/// deadlocked the detailed preset). No in-memory trace can name one
+/// (`InstBuilder` takes a `u8`), so the files are written from the R255
+/// trace: the text by substituting the register token, the SSTB byte by
+/// byte.
 #[test]
 fn registers_above_r255_end_in_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("swiftsim-e2e-regs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
     for reg in [256u16, 300, u16::MAX] {
         for as_dst in [true, false] {
-            let load = InstBuilder::new(Opcode::Ldg).pc(0);
-            let load = if as_dst {
-                load.dst(reg).src(1)
-            } else {
-                load.dst(1).src(reg)
-            };
+            let (dst, src) = if as_dst { (reg, 1) } else { (1, reg) };
+            let low = |r: u16| r.min(255) as u8;
             let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
-            let warp = kernel.push_block().push_warp();
-            warp.push(load.global_strided(0x1000, 4, 4));
-            warp.push(InstBuilder::new(Opcode::Iadd).pc(16).dst(2).src(reg % 256));
-            warp.push(InstBuilder::new(Opcode::Exit).pc(32));
-            let app = ApplicationTrace::new("regs", vec![kernel]);
-            for preset in [
-                SimulatorPreset::Detailed,
-                SimulatorPreset::SwiftBasic,
-                SimulatorPreset::SwiftMemory,
-            ] {
-                for threads in [1, 2] {
-                    let options = RunOptions::default()
-                        .with_preset(preset)
-                        .with_threads(threads);
-                    let err = swiftsim_core::run(&app, &small_gpu(), &options)
-                        .expect_err("a register above R255 fails the run");
-                    let ctx = format!("R{reg}, dst {as_dst}, {preset:?}, {threads} threads");
-                    match &err {
-                        swiftsim_core::SimError::Trace { message, io_kind } => {
-                            assert!(message.contains(&format!("R{reg}")), "{ctx}: {message}");
-                            assert_eq!(*io_kind, None, "{ctx}");
+            kernel.push_block().push_warp().push(
+                InstBuilder::new(Opcode::Ldg)
+                    .pc(0)
+                    .dst(low(dst))
+                    .src(low(src))
+                    .global_strided(0x1000, 4, 4),
+            );
+            let r255 = ApplicationTrace::new("regs", vec![kernel]);
+            // The hand-written file is what the encoder writes.
+            assert_eq!(sstb_one_load(dst.min(255), src.min(255)), r255.to_binary());
+
+            let text = dir.join(format!("{reg}-{as_dst}.sstrace"));
+            let sstb = dir.join(format!("{reg}-{as_dst}.sstraceb"));
+            let r255_text = r255.to_trace_text();
+            std::fs::write(&text, r255_text.replace("R255", &format!("R{reg}"))).unwrap();
+            std::fs::write(&sstb, sstb_one_load(dst, src)).unwrap();
+            for path in [&text, &sstb] {
+                let source = swiftsim_trace::open_trace(path).expect("the file opens");
+                for preset in [
+                    SimulatorPreset::Detailed,
+                    SimulatorPreset::SwiftBasic,
+                    SimulatorPreset::SwiftMemory,
+                ] {
+                    for threads in [1, 2] {
+                        let options = RunOptions::default()
+                            .with_preset(preset)
+                            .with_threads(threads);
+                        let err = swiftsim_core::run(source.as_ref(), &small_gpu(), &options)
+                            .expect_err("a register above R255 fails the run");
+                        let ctx = format!("{}, {preset:?}, {threads} threads", path.display());
+                        match &err {
+                            swiftsim_core::SimError::Trace { message, io_kind } => {
+                                if path == &text {
+                                    let token = format!("R{reg}");
+                                    assert!(message.contains(&token), "{ctx}: {message}");
+                                }
+                                assert_eq!(*io_kind, None, "{ctx}");
+                            }
+                            other => panic!("{ctx}: {other:?}"),
                         }
-                        other => panic!("{ctx}: {other:?}"),
                     }
                 }
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn run_err(app: &ApplicationTrace) -> swiftsim_core::SimError {

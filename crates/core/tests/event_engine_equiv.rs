@@ -302,12 +302,12 @@ mod randomized {
                     let inst = match op {
                         0 => InstBuilder::new(Opcode::Ldg)
                             .pc(pc)
-                            .dst(8 + (i % 6) as u16)
+                            .dst(8 + (i % 6) as u8)
                             .src(2)
                             .global_strided(addr, 4, 4),
                         1 => InstBuilder::new(Opcode::Stg)
                             .pc(pc)
-                            .src(8 + (i % 6) as u16)
+                            .src(8 + (i % 6) as u8)
                             .global_strided(addr | 0x4000_0000, 4, 4),
                         2 => InstBuilder::new(Opcode::Bar).pc(pc),
                         3 => InstBuilder::new(Opcode::Dfma).pc(pc).dst(22).src(22),

@@ -149,7 +149,7 @@ fn torture_app(blocks: u32, warps: u32, bodies: &[Vec<(u32, u64)>]) -> Applicati
             for (i, &(op, seed)) in body.iter().enumerate() {
                 let pc = (i as u32) * 16;
                 let addr = (seed % (1 << 24)) & !0x7f;
-                let reg = 8 + (i % 6) as u16;
+                let reg = 8 + (i % 6) as u8;
                 warp.push(match op {
                     0 => InstBuilder::new(Opcode::Ldg)
                         .pc(pc)

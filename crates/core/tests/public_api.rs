@@ -189,8 +189,7 @@ fn load_bearing_exports_exist() {
         Cycle, FidelityConfig, FrontendModelKind, GpuSimulator, GtoScheduler, IssueMasks,
         KernelResult, LrrScheduler, MemReply, MemoryModelKind, MemorySystem, Occupancy, RunOptions,
         SamplingPolicy, Scoreboard, SimError, SimulationResult, SimulatorPreset, Snapshot, StatId,
-        StatUnit, TraceInput, TwoLevelScheduler, UnknownStat, WarpSchedulerPolicy,
-        RESULT_SCHEMA_VERSION,
+        StatUnit, TwoLevelScheduler, UnknownStat, WarpSchedulerPolicy, RESULT_SCHEMA_VERSION,
     };
     let _ = swiftsim_core::max_threads();
 }

@@ -62,7 +62,9 @@ pub struct ServeOptions {
     pub cache_dir: PathBuf,
     /// On-disk cache policy.
     pub cache: CacheMode,
-    /// Per-task simulation retries (errors/panics), as in campaigns.
+    /// Per-task simulation retries (errors/panics), as in campaigns: on
+    /// the local executor, and re-runs of a task whose remote worker
+    /// reported a real execution failure.
     pub max_retries: u32,
     /// Warm in-memory result cache budget, bytes.
     pub result_cache_bytes: usize,
@@ -73,10 +75,6 @@ pub struct ServeOptions {
     /// independently of execution failures, so a flaky fleet cannot burn a
     /// task's retry budget without ever running it.
     pub max_worker_losses: u32,
-    /// Re-runs granted to a task whose remote worker reported a real
-    /// execution failure (the remote analogue of `max_retries`, which
-    /// only governs the local executor and the worker's own runner).
-    pub max_remote_retries: u32,
     /// Remote lease age after which a task is taken back from a
     /// non-responsive worker.
     pub worker_lease: Duration,
@@ -110,7 +108,6 @@ impl Default for ServeOptions {
             result_cache_bytes: 64 << 20,
             kernel_cache_bytes: 256 << 20,
             max_worker_losses: 2,
-            max_remote_retries: 1,
             worker_lease: Duration::from_secs(300),
             trace_out: None,
             events_out: None,
@@ -221,7 +218,7 @@ pub fn start(opts: ServeOptions) -> std::io::Result<ServerHandle> {
     obs.gauge("workers_connected");
     obs.gauge("connections_open");
     let shared = Arc::new(ServerShared {
-        queue: JobQueue::new(opts.max_worker_losses, opts.max_remote_retries),
+        queue: JobQueue::new(opts.max_worker_losses, opts.max_retries),
         warm: WarmCaches::new(opts.result_cache_bytes, opts.kernel_cache_bytes),
         runner,
         obs,

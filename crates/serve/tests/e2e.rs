@@ -202,7 +202,7 @@ fn infra_losses_do_not_consume_execution_retries() {
     let mut o = opts("infra-vs-exec");
     o.local_slots = Some(0);
     o.max_worker_losses = 1;
-    o.max_remote_retries = 1;
+    o.max_retries = 1;
     let handle = server::start(o).unwrap();
     let addr = handle.addr().to_string();
 
@@ -262,7 +262,7 @@ fn infra_losses_do_not_consume_execution_retries() {
 
     // Loss #2, execution: a live worker runs the task and reports a real
     // failure. Under the old shared budget this second loss exhausted the
-    // task; independently capped, it only spends max_remote_retries = 1.
+    // task; independently capped, it only spends max_retries = 1.
     {
         let (mut sock, mut reader, task) = lease_task("flaky");
         let submission = task.get("submission").and_then(Json::as_u64).unwrap();

@@ -42,9 +42,7 @@
 //! value by encoding payloads one kernel at a time and discarding them.
 
 use crate::error::TraceError;
-use crate::inst::{
-    is_well_formed, AddressView, InstParts, MemInstRef, MemView, Reg, NUM_REGS, WARP_LANES,
-};
+use crate::inst::{is_well_formed, AddressView, InstParts, MemInstRef, MemView, WARP_LANES};
 use crate::isa::Opcode;
 use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace};
 use crate::source::KernelMeta;
@@ -166,12 +164,8 @@ impl<'a> Reader<'a> {
     }
 
     /// A register, R0 to R255.
-    fn reg(&mut self, what: &str) -> Result<Reg, TraceError> {
-        u16::try_from(self.varint()?)
-            .ok()
-            .filter(|&r| r < NUM_REGS)
-            .map(Reg)
-            .ok_or_else(|| self.err(what))
+    fn reg(&mut self, what: &str) -> Result<u8, TraceError> {
+        u8::try_from(self.varint()?).map_err(|_| self.err(what))
     }
 
     /// A count read from the data, refused above `limit`.
@@ -259,7 +253,7 @@ fn encode_inst(out: &mut Vec<u8>, inst: InstView<'_>) {
 fn read_inst<'l>(
     r: &mut Reader<'_>,
     lanes: &'l mut [u64; WARP_LANES],
-    mut src: impl FnMut(Reg),
+    mut src: impl FnMut(u8),
 ) -> Result<InstParts<'l>, TraceError> {
     let pc = r.varint_u32("pc out of range")?;
     let op_index = r.byte()? as usize;
@@ -386,7 +380,7 @@ pub(crate) fn decode_kernel_payload(
             for _ in 0..num_insts {
                 srcs.clear();
                 let inst = read_inst(&mut r, &mut lanes, |reg| srcs.push(reg))?;
-                scratch.push_parts(&inst, &srcs);
+                scratch.push_parts(&inst, &srcs, &[]);
             }
             block.push_warp_trace(scratch.take());
         }
@@ -695,7 +689,7 @@ impl ApplicationTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AddressList, InstBuilder, SrcList, TraceInstruction};
+    use crate::inst::{AddressList, InstBuilder, Reg};
 
     fn sample_app() -> ApplicationTrace {
         let mut kernel = KernelTrace::new("k0", (2, 1, 1), (64, 1, 1));
@@ -734,16 +728,17 @@ mod tests {
         assert_eq!(back, app);
     }
 
-    fn app_of(inst: TraceInstruction) -> ApplicationTrace {
+    fn app_of(inst: InstBuilder) -> ApplicationTrace {
         let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
         kernel.push_block().push_warp().push(inst);
         ApplicationTrace::new("one", vec![kernel])
     }
 
     /// The encoding of an instruction with `n` sources and a destination.
-    fn wide_inst_bytes(n: u16) -> Vec<u8> {
+    fn wide_inst_bytes(n: u8) -> Vec<u8> {
         let wide = (0..n).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
-        let warp: WarpTrace = std::iter::once(wide.build()).collect();
+        let mut warp = WarpTrace::new();
+        warp.push(wide);
         let mut out = Vec::new();
         encode_inst(&mut out, warp.iter().next().unwrap());
         out
@@ -754,7 +749,7 @@ mod tests {
         // The most the 4-bit source count of the flags byte can state, and
         // more than a record holds inline.
         let wide = (0..15).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
-        let app = app_of(wide.build());
+        let app = app_of(wide);
         let back = ApplicationTrace::from_binary(&app.to_binary()).expect("round trip");
         assert_eq!(back, app);
         let inst = back.kernels()[0].blocks()[0].warps()[0]
@@ -769,7 +764,7 @@ mod tests {
 
     #[test]
     fn longer_source_lists_carry_a_count_varint() {
-        for n in [16u16, 20, 64, 200] {
+        for n in [16u8, 20, 64, 200] {
             let bytes = wide_inst_bytes(n);
             // Flags: the long-list flag and an empty nibble; after the
             // destination, the count.
@@ -779,7 +774,7 @@ mod tests {
             assert_eq!(r.varint().unwrap(), u64::from(n));
 
             let wide = (0..n).fold(InstBuilder::new(Opcode::Hmma).dst(40), |b, r| b.src(r));
-            let app = app_of(wide.build());
+            let app = app_of(wide);
             let back = ApplicationTrace::from_binary(&app.to_binary()).expect("round trip");
             assert_eq!(back, app, "{n} sources");
         }
@@ -875,17 +870,6 @@ mod tests {
                 meta.name
             );
         }
-    }
-
-    #[test]
-    fn content_hash_ignores_how_sources_are_stored() {
-        let inline = InstBuilder::new(Opcode::Ffma).dst(9).src(1).src(2).build();
-        let mut spilled = inline.clone();
-        spilled.srcs = SrcList::spilled_for_tests(&[Reg(1), Reg(2)]);
-        let (inline, spilled) = (app_of(inline), app_of(spilled));
-        assert_eq!(inline, spilled);
-        assert_eq!(inline.to_binary(), spilled.to_binary());
-        assert_eq!(inline.content_hash(), spilled.content_hash());
     }
 
     #[test]

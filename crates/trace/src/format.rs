@@ -28,8 +28,7 @@
 
 use crate::error::TraceError;
 use crate::inst::{
-    is_well_formed, mem_payload_fits, AddressView, InstParts, MemInstRef, MemView, Reg, NUM_REGS,
-    WARP_LANES,
+    is_well_formed, mem_payload_fits, AddressView, InstParts, MemInstRef, MemView, WARP_LANES,
 };
 use crate::isa::{MemSpace, Opcode};
 use crate::kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace};
@@ -173,7 +172,7 @@ struct Parser<'a> {
     /// its warp's address arena.
     lanes: [u64; WARP_LANES],
     /// Where an instruction's sources are read before they are packed.
-    srcs: Vec<Reg>,
+    srcs: Vec<u8>,
     /// Where a warp is packed before it is taken out right-sized; empty
     /// between warps (a warp that fails to parse fails the whole parse).
     warp: WarpTrace,
@@ -347,12 +346,10 @@ pub(crate) fn parse_u32(no: usize, s: &str, what: &str) -> Result<u32, TraceErro
 /// registers are the one operand the pre-pass skim never reads, so this
 /// error often surfaces only when the simulation decodes the kernel, long
 /// after the skim.
-fn parse_reg(no: usize, token: &str) -> Result<Reg, TraceError> {
+fn parse_reg(no: usize, token: &str) -> Result<u8, TraceError> {
     token
         .strip_prefix('R')
-        .and_then(|body| body.parse::<u16>().ok())
-        .filter(|&r| r < NUM_REGS)
-        .map(Reg)
+        .and_then(|body| body.parse::<u8>().ok())
         .ok_or_else(|| TraceError::parse(no, format!("invalid register {token:?}")))
 }
 
@@ -473,7 +470,7 @@ fn parse_inst(
     no: usize,
     line: &str,
     lanes: &mut [u64; WARP_LANES],
-    srcs: &mut Vec<Reg>,
+    srcs: &mut Vec<u8>,
     warp: &mut WarpTrace,
 ) -> Result<(), TraceError> {
     let mut tokens = line.split_whitespace();
@@ -516,7 +513,7 @@ fn parse_inst(
     if !is_well_formed(opcode, active_mask, inst.mem) {
         return Err(inconsistent(no, opcode));
     }
-    warp.push_parts(&inst, srcs);
+    warp.push_parts(&inst, srcs, &[]);
     Ok(())
 }
 

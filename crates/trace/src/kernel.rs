@@ -1,6 +1,6 @@
 //! Kernel, block, warp, and application trace containers.
 
-use crate::inst::{heap_block, MemInstRef, Reg};
+use crate::inst::{heap_block, MemInstRef};
 use crate::isa::OpcodeClass;
 use crate::warp::WarpTrace;
 use std::fmt;
@@ -198,15 +198,6 @@ impl KernelTrace {
         }
     }
 
-    /// The first register above R255 an instruction of the kernel names,
-    /// if any ([`WarpTrace::invalid_register`]).
-    pub fn invalid_register(&self) -> Option<Reg> {
-        self.blocks
-            .iter()
-            .flat_map(|block| &block.warps)
-            .find_map(WarpTrace::invalid_register)
-    }
-
     /// Check that the trace body matches the launch geometry: one traced
     /// block per grid element (when blocks are present) and a consistent
     /// warp count per block.
@@ -388,9 +379,10 @@ mod tests {
 
     #[test]
     fn collect_warp_from_iterator() {
-        let warp: WarpTrace = (0..5)
-            .map(|i| InstBuilder::new(Opcode::Iadd).pc(i * 16).dst(1).build())
-            .collect();
+        let mut warp = WarpTrace::new();
+        for i in 0..5 {
+            warp.push(InstBuilder::new(Opcode::Iadd).pc(i * 16).dst(1));
+        }
         assert_eq!(warp.len(), 5);
         assert_eq!(warp.iter().count(), 5);
         let pcs: Vec<u32> = (&warp).into_iter().map(|i| i.pc).collect();

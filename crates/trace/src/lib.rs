@@ -20,10 +20,10 @@
 //! * [`BlockTrace`] — one [`WarpTrace`] per warp.
 //! * [`WarpTrace`] — the dynamic instruction stream of one warp, packed into
 //!   16-byte records plus per-warp side tables; iterating it yields
-//!   borrowed [`InstView`]s, and [`WarpTrace::push`] packs owned
-//!   [`TraceInstruction`]s.
+//!   borrowed [`InstView`]s, and [`WarpTrace::push`] packs an
+//!   [`InstBuilder`], the one owned form of an instruction.
 //!
-//! Per-thread memory addresses are stored compressed ([`AddressList`]):
+//! Per-thread memory addresses are stored compressed ([`AddressView`]):
 //! uniform-stride accesses (the overwhelmingly common case) take constant
 //! space, irregular accesses store the full per-lane list.
 //!
@@ -74,10 +74,7 @@ mod warp;
 pub use binfmt::ChunkedTraceWriter;
 pub use cache::{kernel_approx_bytes, CachedTraceSource, DecodedKernelCache, KernelCacheStats};
 pub use error::TraceError;
-pub use inst::{
-    AddressList, AddressView, InstBuilder, MemInfo, MemInstRef, MemView, Reg, SrcList,
-    TraceInstruction,
-};
+pub use inst::{AddressList, AddressView, InstBuilder, MemInstRef, MemView, Reg};
 pub use isa::{MemSpace, Opcode, OpcodeClass};
 pub use kernel::{ApplicationTrace, BlockTrace, Dim3, KernelTrace, TraceStats};
 pub use source::{open_trace, ChunkedTraceSource, KernelMeta, TextTraceSource, TraceSource};

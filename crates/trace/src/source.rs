@@ -82,14 +82,10 @@ impl KernelMeta {
 /// in `swiftsim-core`). Decoding the same index twice is allowed and
 /// returns equal kernels; the simulator decodes each index exactly once.
 ///
-/// # Migration
-///
-/// `GpuSimulator::run(&ApplicationTrace)` is now a thin wrapper over
-/// `run(impl Into<TraceInput>)` — `ApplicationTrace` implements this
-/// trait with borrowing (zero-copy) decode, so existing callers are
-/// unchanged. File-based callers should move from
-/// `ApplicationTrace::read_from_file`/`read_binary_file` + `run` to
-/// [`open_trace`] + `run(source.as_ref())` to get lazy decode and bounded memory.
+/// `GpuSimulator::run` takes any `&dyn TraceSource`: `&app` for an
+/// in-memory [`ApplicationTrace`], which decodes by borrowing, or
+/// `source.as_ref()` for what [`open_trace`] opens, which decodes lazily
+/// and keeps memory bounded.
 pub trait TraceSource: Send + Sync {
     /// Application name.
     fn name(&self) -> &str;
@@ -200,17 +196,8 @@ impl TraceSource for ApplicationTrace {
         KernelMeta::of(&self.kernels()[index])
     }
 
-    /// Borrows the kernel after the one check the text and SSTB decoders
-    /// make that a built kernel can fail: a register above R255.
     fn decode_kernel(&self, index: usize) -> Result<Cow<'_, KernelTrace>, TraceError> {
-        let kernel = &self.kernels()[index];
-        match kernel.invalid_register() {
-            Some(reg) => Err(TraceError::invalid_value(
-                format!("register in kernel {:?}", kernel.name),
-                reg.to_string(),
-            )),
-            None => Ok(Cow::Borrowed(kernel)),
-        }
+        Ok(Cow::Borrowed(&self.kernels()[index]))
     }
 
     fn content_hash(&self) -> Result<u64, TraceError> {

@@ -18,14 +18,12 @@
 //! [`InstCursor`] does as it walks the warp. DESIGN.md, "Decoded-trace
 //! layout", gives the bytes per instruction on the benchmark traces.
 
-use crate::inst::{
-    heap_block, is_well_formed, AddressView, InstParts, MemInfo, MemView, Reg, TraceInstruction,
-};
+use crate::inst::{heap_block, is_well_formed, AddressView, InstBuilder, InstParts, MemView, Reg};
 use crate::isa::{MemSpace, Opcode};
 use std::fmt;
 
 /// Sources a record holds itself; the rest go to the warp's spill table.
-const INLINE_SRCS: usize = 5;
+pub(crate) const INLINE_SRCS: usize = 5;
 
 // Bits of a record's `flags` byte.
 const HAS_DST: u8 = 0b0000_0001;
@@ -99,12 +97,7 @@ impl InstCursor {
 /// docs).
 ///
 /// Iterating a warp yields borrowed [`InstView`]s; [`WarpTrace::push`]
-/// packs owned [`TraceInstruction`]s. Equality is by content.
-///
-/// A record holds a register in one byte, so a pushed instruction naming
-/// a register above R255 cannot be stored: the warp keeps the first such
-/// register ([`WarpTrace::invalid_register`]), and simulating the kernel
-/// fails with a typed error rather than aliasing it to a low register.
+/// packs an [`InstBuilder`]. Equality is by content.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct WarpTrace {
     records: Vec<Record>,
@@ -113,7 +106,6 @@ pub struct WarpTrace {
     /// End offset in `spill_regs` of each spilled source list.
     spill_ends: Vec<u32>,
     spill_regs: Vec<u8>,
-    bad_reg: Option<Reg>,
 }
 
 impl WarpTrace {
@@ -125,7 +117,6 @@ impl WarpTrace {
             addrs: Vec::new(),
             spill_ends: Vec::new(),
             spill_regs: Vec::new(),
-            bad_reg: None,
         }
     }
 
@@ -138,24 +129,32 @@ impl WarpTrace {
         }
     }
 
-    /// Append an instruction (anything convertible, e.g. an
-    /// [`InstBuilder`](crate::InstBuilder)), packing it.
-    pub fn push(&mut self, inst: impl Into<TraceInstruction>) {
-        let inst = inst.into();
-        let parts = InstParts {
-            pc: inst.pc,
-            opcode: inst.opcode,
-            dst: inst.dst,
-            active_mask: inst.active_mask,
-            mem: inst.mem.as_ref().map(MemInfo::view),
-        };
-        self.push_parts(&parts, &inst.srcs);
+    /// Append an instruction, packing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instruction is inconsistent with its opcode, the check
+    /// the trace decoders make: a memory opcode without an access or one
+    /// in another space, a width other than 1, 2, 4, 8 or 16 bytes, or an
+    /// explicit address list whose length is not the active lane count.
+    /// Such an instruction is a bug in the caller, and packed it would
+    /// fail the run or write a trace file no decoder reads.
+    pub fn push(&mut self, inst: InstBuilder) {
+        let (parts, srcs, more) = inst.parts();
+        assert!(
+            is_well_formed(parts.opcode, parts.active_mask, parts.mem),
+            "instruction is inconsistent with opcode {}",
+            parts.opcode
+        );
+        self.push_parts(&parts, srcs, more);
     }
 
-    /// Pack one instruction: what the decoders call, with no owned record
-    /// built on the way.
+    /// Pack one instruction, what the decoders and [`WarpTrace::push`]
+    /// call: its sources are `srcs` followed by `more`, and `more` is
+    /// empty unless `srcs` fills a record's inline slots.
     #[inline]
-    pub(crate) fn push_parts(&mut self, inst: &InstParts<'_>, srcs: &[Reg]) {
+    pub(crate) fn push_parts(&mut self, inst: &InstParts<'_>, srcs: &[u8], more: &[u8]) {
+        debug_assert!(more.is_empty() || srcs.len() >= INLINE_SRCS);
         let mut rec = Record {
             pc: inst.pc,
             active_mask: inst.active_mask,
@@ -164,33 +163,18 @@ impl WarpTrace {
             dst: 0,
             srcs: [0; INLINE_SRCS],
         };
-        // Every register number or-ed together: above 0xff iff one is.
-        let mut all = 0u16;
         if let Some(dst) = inst.dst {
             rec.flags |= HAS_DST;
-            rec.dst = dst.0 as u8;
-            all |= dst.0;
+            rec.dst = dst;
         }
         let (inline, spilled) = srcs.split_at(srcs.len().min(INLINE_SRCS));
-        for (slot, &reg) in rec.srcs.iter_mut().zip(inline) {
-            *slot = reg.0 as u8;
-            all |= reg.0;
-        }
+        rec.srcs[..inline.len()].copy_from_slice(inline);
         rec.flags |= (inline.len() as u8) << SRC_COUNT_SHIFT;
-        if !spilled.is_empty() {
+        if !spilled.is_empty() || !more.is_empty() {
             rec.flags |= SPILLED;
-            for &reg in spilled {
-                self.spill_regs.push(reg.0 as u8);
-                all |= reg.0;
-            }
+            self.spill_regs.extend_from_slice(spilled);
+            self.spill_regs.extend_from_slice(more);
             self.spill_ends.push(offset(self.spill_regs.len()));
-        }
-        if all > 0xff && self.bad_reg.is_none() {
-            self.bad_reg = inst
-                .dst
-                .into_iter()
-                .chain(srcs.iter().copied())
-                .find(|r| r.0 > 0xff);
         }
         if let Some(MemView {
             space,
@@ -234,7 +218,6 @@ impl WarpTrace {
             addrs: self.addrs.to_vec(),
             spill_ends: self.spill_ends.to_vec(),
             spill_regs: self.spill_regs.to_vec(),
-            bad_reg: self.bad_reg.take(),
         };
         self.records.clear();
         self.payloads.clear();
@@ -242,12 +225,6 @@ impl WarpTrace {
         self.spill_ends.clear();
         self.spill_regs.clear();
         warp
-    }
-
-    /// The first register above R255 a pushed instruction named, if any:
-    /// such a warp cannot be simulated.
-    pub fn invalid_register(&self) -> Option<Reg> {
-        self.bad_reg
     }
 
     /// Bytes this warp holds on the heap: the record array and each side
@@ -360,22 +337,6 @@ impl fmt::Debug for WarpTrace {
     }
 }
 
-impl FromIterator<TraceInstruction> for WarpTrace {
-    fn from_iter<I: IntoIterator<Item = TraceInstruction>>(iter: I) -> Self {
-        let mut warp = WarpTrace::new();
-        warp.extend(iter);
-        warp
-    }
-}
-
-impl Extend<TraceInstruction> for WarpTrace {
-    fn extend<I: IntoIterator<Item = TraceInstruction>>(&mut self, iter: I) {
-        for inst in iter {
-            self.push(inst);
-        }
-    }
-}
-
 impl<'a> IntoIterator for &'a WarpTrace {
     type Item = InstView<'a>;
     type IntoIter = WarpIter<'a>;
@@ -413,8 +374,6 @@ impl<'a> Iterator for WarpIter<'a> {
 impl ExactSizeIterator for WarpIter<'_> {}
 
 /// One instruction of a [`WarpTrace`], borrowed from its packed image.
-/// The fields are those of [`TraceInstruction`]; `TraceInstruction::from`
-/// makes an owned copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstView<'a> {
     /// Program counter (byte offset of the instruction in the kernel).
@@ -437,7 +396,10 @@ impl InstView<'_> {
         self.active_mask.count_ones()
     }
 
-    /// As [`TraceInstruction::is_well_formed`].
+    /// Internal consistency check: a memory payload exactly when the
+    /// opcode accesses memory, in the opcode's space, with a width the
+    /// hardware has and, for an explicit list, one address per active
+    /// lane. Every packed instruction passes it.
     pub fn is_well_formed(&self) -> bool {
         is_well_formed(self.opcode, self.active_mask, self.mem)
     }
@@ -485,7 +447,6 @@ impl fmt::Debug for SrcRegs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::InstBuilder;
 
     #[test]
     fn cursors_find_side_table_entries_by_counting() {
@@ -494,45 +455,41 @@ mod tests {
                 .dst(1)
                 .src(2)
                 .global_strided(0x100, 4, 4),
-            (0..9u16).fold(InstBuilder::new(Opcode::Hmma).dst(3), |b, r| b.src(r)),
+            (0..9u8).fold(InstBuilder::new(Opcode::Hmma).dst(3), |b, r| b.src(r)),
             InstBuilder::new(Opcode::Sts)
                 .src(3)
                 .explicit_addrs(vec![8, 16, 24], 4),
             InstBuilder::new(Opcode::Iadd).dst(4).src(4),
-            (0..6u16).fold(InstBuilder::new(Opcode::Ffma), |b, r| b.src(250 + r)),
+            (0..6u8).fold(InstBuilder::new(Opcode::Ffma), |b, r| b.src(250 + r)),
             InstBuilder::new(Opcode::Exit),
-        ]
-        .map(InstBuilder::build);
-        let warp: WarpTrace = insts.iter().cloned().collect();
-        let back: Vec<TraceInstruction> = warp.iter().map(TraceInstruction::from).collect();
-        assert_eq!(back, insts);
+        ];
+        // Each instruction alone, and then all of them in one warp.
+        let alone: Vec<WarpTrace> = insts
+            .iter()
+            .map(|inst| {
+                let mut warp = WarpTrace::new();
+                warp.push(inst.clone());
+                warp
+            })
+            .collect();
+        let mut warp = WarpTrace::new();
+        for inst in &insts {
+            warp.push(inst.clone());
+        }
+        let want: Vec<InstView<'_>> = alone.iter().flat_map(WarpTrace::iter).collect();
+        assert_eq!(warp.iter().collect::<Vec<_>>(), want);
         assert_eq!(warp.iter().len(), insts.len());
-        assert_eq!(warp.invalid_register(), None);
+        assert_eq!(want[1].srcs.len(), 9);
+        assert_eq!(want[4].srcs.iter().last(), Some(Reg(255)));
 
         let mut cursor = InstCursor::default();
-        for (i, inst) in insts.iter().enumerate() {
+        for (i, inst) in want.iter().enumerate() {
             assert_eq!(cursor.index(), i);
-            assert_eq!(TraceInstruction::from(warp.at(cursor).unwrap()), *inst);
+            assert_eq!(warp.at(cursor).as_ref(), Some(inst));
             warp.advance(&mut cursor);
         }
         assert!(warp.at(cursor).is_none());
         warp.advance(&mut cursor);
         assert_eq!(cursor.index(), insts.len());
-    }
-
-    #[test]
-    fn a_register_above_r255_marks_the_warp() {
-        let mut warp = WarpTrace::new();
-        warp.push(InstBuilder::new(Opcode::Iadd).dst(255).src(7));
-        assert_eq!(warp.invalid_register(), None);
-        warp.push(InstBuilder::new(Opcode::Iadd).dst(1).src(300));
-        warp.push(InstBuilder::new(Opcode::Iadd).dst(256));
-        assert_eq!(warp.invalid_register(), Some(Reg(300)));
-        // Not equal to the warp its registers alias.
-        let mut aliased = WarpTrace::new();
-        aliased.push(InstBuilder::new(Opcode::Iadd).dst(255).src(7));
-        aliased.push(InstBuilder::new(Opcode::Iadd).dst(1).src(44));
-        aliased.push(InstBuilder::new(Opcode::Iadd).dst(0));
-        assert_ne!(warp, aliased);
     }
 }

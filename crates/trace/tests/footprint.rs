@@ -3,8 +3,8 @@
 //! do not grow with its instruction count, a hostile count cannot force a
 //! large block, [`kernel_approx_bytes`] tracks what the allocator really
 //! holds, and the pre-pass skims build nothing. Then the packed image
-//! against the owned records it is built from: packing and viewing gives
-//! back every instruction, and decoding gives back every file byte.
+//! against the builders it is packed from: packing and viewing gives back
+//! every instruction, and decoding gives back every file byte.
 //!
 //! The counters are per thread, so the tests of this binary (each on its
 //! own thread) do not see each other's allocations.
@@ -14,9 +14,8 @@ use std::cell::Cell;
 use swiftsim_config::fnv1a64;
 use swiftsim_rng::SmallRng;
 use swiftsim_trace::{
-    kernel_approx_bytes, AddressList, ApplicationTrace, ChunkedTraceSource, InstBuilder,
-    KernelTrace, MemInfo, Opcode, OpcodeClass, Reg, TextTraceSource, TraceInstruction, TraceSource,
-    WarpTrace,
+    kernel_approx_bytes, AddressList, ApplicationTrace, ChunkedTraceSource, InstBuilder, InstView,
+    KernelTrace, MemSpace, Opcode, OpcodeClass, Reg, TextTraceSource, TraceSource, WarpTrace,
 };
 use swiftsim_workloads::Scale;
 
@@ -182,8 +181,7 @@ fn a_record_is_at_most_16_bytes() {
     let n = 4096;
     let inst = (1..=5)
         .fold(InstBuilder::new(Opcode::Ffma).dst(255), |b, r| b.src(r))
-        .mask(0x00ff_ff00)
-        .build();
+        .mask(0x00ff_ff00);
     let per_inst = bytes_per_inst(n, || {
         let mut warp = WarpTrace::with_capacity(n);
         for _ in 0..n {
@@ -200,7 +198,10 @@ fn a_record_is_at_most_16_bytes() {
 
     // The same through both decoders.
     let mut kernel = KernelTrace::new("k", (1, 1, 1), (32, 1, 1));
-    *kernel.push_block().push_warp() = std::iter::repeat_n(inst, n).collect();
+    let warp = kernel.push_block().push_warp();
+    for _ in 0..n {
+        warp.push(inst.clone());
+    }
     let app = ApplicationTrace::new("app", vec![kernel]);
     let (bin, text) = (app.to_binary(), app.to_trace_text());
     for (what, decode) in [
@@ -357,24 +358,45 @@ fn binary_skim_allocates_one_payload_buffer_per_kernel() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An instruction's fields, owned: what its builder was told and what its
+/// view must show.
+type Owned = (
+    u32,
+    Opcode,
+    Option<Reg>,
+    Vec<Reg>,
+    u32,
+    Option<(MemSpace, u8, AddressList)>,
+);
+
+fn owned(inst: InstView<'_>) -> Owned {
+    (
+        inst.pc,
+        inst.opcode,
+        inst.dst,
+        inst.srcs.iter().collect(),
+        inst.active_mask,
+        inst.mem.map(|m| (m.space, m.width, m.addresses.into())),
+    )
+}
+
 /// A random well-formed instruction, biased to the cases the packing
 /// treats apart: sources past what a record holds, R255, no destination,
-/// explicit address lists.
-fn random_inst(rng: &mut SmallRng) -> TraceInstruction {
+/// explicit address lists. Its builder, and its fields as it was built.
+fn random_inst(rng: &mut SmallRng) -> (InstBuilder, Owned) {
     let opcode = Opcode::ALL[rng.gen_range(0..Opcode::ALL.len())];
     let active_mask = match rng.gen_range(0u32..3) {
         0 => u32::MAX,
         _ => (rng.next_u64() as u32).max(1),
     };
     let reg = |rng: &mut SmallRng| match rng.gen_range(0u32..8) {
-        0 => Reg(255),
-        _ => Reg(rng.gen_range(0u32..256) as u16),
+        0 => 255,
+        _ => rng.gen_range(0u32..256) as u8,
     };
     let base = rng.next_u64();
-    let mem = opcode.mem_space().map(|space| MemInfo {
-        space,
-        width: [1, 2, 4, 8, 16][rng.gen_range(0usize..5)],
-        addresses: if rng.gen_bool(0.5) {
+    let mem = opcode.mem_space().map(|space| {
+        let width = [1, 2, 4, 8, 16][rng.gen_range(0usize..5)];
+        let addresses = if rng.gen_bool(0.5) {
             AddressList::Explicit(
                 (0..u64::from(active_mask.count_ones()))
                     .map(|i| base ^ (i * 0x9e37))
@@ -385,16 +407,37 @@ fn random_inst(rng: &mut SmallRng) -> TraceInstruction {
                 base,
                 stride: rng.next_u64() >> rng.gen_range(0u32..64),
             }
-        },
+        };
+        (space, width, addresses)
     });
-    TraceInstruction {
-        pc: rng.next_u64() as u32,
+    let pc = rng.next_u64() as u32;
+    let dst = rng.gen_bool(0.5).then(|| reg(rng));
+    let srcs: Vec<u8> = (0..rng.gen_range(0usize..13)).map(|_| reg(rng)).collect();
+
+    let mut inst = InstBuilder::new(opcode);
+    match &mem {
+        Some((_, width, AddressList::Explicit(addrs))) => {
+            inst = inst.explicit_addrs(addrs.clone(), *width);
+        }
+        Some((_, width, AddressList::Strided { base, stride })) => {
+            inst = inst.global_strided(*base, *stride, *width);
+        }
+        None => {}
+    }
+    inst = inst.pc(pc).mask(active_mask);
+    if let Some(dst) = dst {
+        inst = inst.dst(dst);
+    }
+    let inst = srcs.iter().fold(inst, |inst, &r| inst.src(r));
+    let want = (
+        pc,
         opcode,
-        dst: rng.gen_bool(0.5).then(|| reg(rng)),
-        srcs: (0..rng.gen_range(0usize..13)).map(|_| reg(rng)).collect(),
+        dst.map(|r| Reg(r.into())),
+        srcs.iter().map(|&r| Reg(r.into())).collect(),
         active_mask,
         mem,
-    }
+    );
+    (inst, want)
 }
 
 #[test]
@@ -403,24 +446,23 @@ fn packing_and_viewing_gives_back_every_instruction() {
     let (mut long_lists, mut r255, mut no_dst, mut explicit) = (0, 0, 0, 0);
     let mut classes = Vec::new();
     for case in 0..256 {
-        let insts: Vec<TraceInstruction> = (0..rng.gen_range(1usize..40))
-            .map(|_| random_inst(&mut rng))
-            .collect();
-        let warp: WarpTrace = insts.iter().cloned().collect();
-        let back: Vec<TraceInstruction> = warp.iter().map(TraceInstruction::from).collect();
+        let mut warp = WarpTrace::new();
+        let mut insts = Vec::new();
+        for _ in 0..rng.gen_range(1usize..40) {
+            let (inst, want) = random_inst(&mut rng);
+            warp.push(inst);
+            insts.push(want);
+        }
+        let back: Vec<Owned> = warp.iter().map(owned).collect();
         assert_eq!(back, insts, "case {case}");
         assert!(warp.iter().all(|inst| inst.is_well_formed()), "case {case}");
-        assert_eq!(warp.invalid_register(), None, "case {case}");
-        for inst in &insts {
-            long_lists += usize::from(inst.srcs.len() >= 7);
-            r255 += usize::from(inst.dst == Some(Reg(255)) || inst.srcs.contains(&Reg(255)));
-            no_dst += usize::from(inst.dst.is_none());
-            explicit += usize::from(matches!(
-                inst.mem.as_ref().map(|m| &m.addresses),
-                Some(AddressList::Explicit(_))
-            ));
-            if !classes.contains(&inst.opcode.class()) {
-                classes.push(inst.opcode.class());
+        for (_, opcode, dst, srcs, _, mem) in &insts {
+            long_lists += usize::from(srcs.len() >= 7);
+            r255 += usize::from(*dst == Some(Reg(255)) || srcs.contains(&Reg(255)));
+            no_dst += usize::from(dst.is_none());
+            explicit += usize::from(matches!(mem, Some((_, _, AddressList::Explicit(_)))));
+            if !classes.contains(&opcode.class()) {
+                classes.push(opcode.class());
             }
         }
     }
@@ -458,9 +500,10 @@ fn decoding_then_encoding_gives_back_every_byte() {
         for _ in 0..2 {
             let block = kernel.push_block();
             for _ in 0..2 {
-                *block.push_warp() = (0..rng.gen_range(0usize..30))
-                    .map(|_| random_inst(&mut rng))
-                    .collect();
+                let warp = block.push_warp();
+                for _ in 0..rng.gen_range(0usize..30) {
+                    warp.push(random_inst(&mut rng).0);
+                }
             }
         }
         apps.push(ApplicationTrace::new("random", vec![kernel]));

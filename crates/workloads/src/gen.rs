@@ -207,11 +207,11 @@ impl PatternKernel {
             };
             // Rotating register allocation: loads feed the FP chain, the FP
             // chain feeds the stores — real RAW dependences.
-            let mut last_loaded: u16 = 8;
-            let mut fp_acc: u16 = 24;
+            let mut last_loaded: u8 = 8;
+            let mut fp_acc: u8 = 24;
 
             for l in 0..m.loads {
-                let dst = 8 + ((iter * m.loads + l) % 8) as u16;
+                let dst = 8 + ((iter * m.loads + l) % 8) as u8;
                 let addr = self.load_address(app_base, global_warp, iter, l, rng);
                 let inst = match self.pattern {
                     MemPattern::Strided { lane_stride } => InstBuilder::new(Opcode::Ldg)
@@ -242,7 +242,7 @@ impl PatternKernel {
                 out.push(InstBuilder::new(Opcode::Bar).pc(next_pc(&mut pc)));
             }
             for s in 0..m.shared_ld {
-                let dst = 16 + (s % 4) as u16;
+                let dst = 16 + (s % 4) as u8;
                 let addr = u64::from((warp * 7 + s * 13) % 64) * 4;
                 out.push(
                     InstBuilder::new(Opcode::Lds)
@@ -273,8 +273,8 @@ impl PatternKernel {
                         Opcode::Iadd
                     })
                     .pc(next_pc(&mut pc))
-                    .dst(4 + (i % 3) as u16)
-                    .src(4 + (i % 3) as u16),
+                    .dst(4 + (i % 3) as u8)
+                    .src(4 + (i % 3) as u8),
                 );
             }
             for _ in 0..m.sfu {
