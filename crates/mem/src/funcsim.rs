@@ -1,18 +1,22 @@
-//! Fast functional (timing-free) cache-hierarchy simulation.
+//! Fast functional (timing-free) cache-hierarchy simulation, and the
+//! per-PC table of where transactions were served.
 //!
-//! This is the "cache simulator" option the paper names for obtaining the
-//! per-PC hit rates `R_L1`, `R_L2`, `R_DRAM` of the analytical memory model
-//! (Eq. 1). It replays an application's coalesced memory transactions
-//! through functional copies of every L1 and every L2 slice — same sectored
-//! tag arrays and replacement policies as the cycle-accurate caches, but no
-//! MSHRs, queues, or cycle ticking — and accumulates, for each load PC,
-//! where its accesses were served.
+//! [`FunctionalCacheSim`] is the "cache simulator" option the paper names
+//! for obtaining the per-PC hit rates `R_L1`, `R_L2`, `R_DRAM` of the
+//! analytical memory model (Eq. 1). It replays an application's coalesced
+//! memory transactions through functional copies of every L1 and every L2
+//! slice — same sectored tag arrays and replacement policies as the
+//! cycle-accurate caches, but no MSHRs, queues, or cycle ticking — and
+//! says which level served each one. The other option, a reuse-distance
+//! tool ([`crate::ReuseDistanceAnalyzer`]), answers the same question from
+//! stack distances. Either way the answers go into one [`PcHitTable`],
+//! whose per-PC counts become the rates.
 //!
 //! The pass is part of every Swift-Sim-Memory run and is not free beside
 //! it: measured on the repository benchmark it is a quarter to a third of
 //! the run (DESIGN.md, "Analytical pre-pass"), most of that the trace
-//! decode that feeds it. The replay itself is one [`TagArray::touch`] per cache
-//! level and a counter bump per transaction, with no heap traffic.
+//! decode that feeds it. The replay itself is one [`TagArray::touch`] per
+//! cache level per transaction, with no heap traffic.
 
 use crate::addr::AddressMapping;
 use crate::coalesce::MemTxn;
@@ -43,16 +47,44 @@ impl PcHitRates {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Counts {
-    l1_hits: u64,
-    l2_hits: u64,
-    dram: u64,
+/// The level of the hierarchy that served one transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServedBy {
+    /// Hit in the issuing SM's L1.
+    L1,
+    /// Missed L1, hit in the L2.
+    L2,
+    /// Missed both caches.
+    Dram,
 }
 
-impl Counts {
-    fn total(&self) -> u64 {
-        self.l1_hits + self.l2_hits + self.dram
+/// Per-PC counts of the level that served each transaction. A PC gets an
+/// entry at its first transaction, so an instruction with no active lane
+/// leaves none.
+#[derive(Debug, Clone, Default)]
+pub struct PcHitTable {
+    /// Transactions served by `[L1, L2, DRAM]`.
+    per_pc: FastMap<u32, [u64; 3]>,
+}
+
+impl PcHitTable {
+    /// Count one transaction of `pc`, served by `level`.
+    pub fn record(&mut self, pc: u32, level: ServedBy) {
+        self.per_pc.entry(pc).or_default()[level as usize] += 1;
+    }
+
+    /// Every PC with a transaction and its hit rates, in no particular
+    /// order.
+    pub fn rates(&self) -> impl Iterator<Item = (u32, PcHitRates)> + '_ {
+        self.per_pc.iter().map(|(&pc, &[l1, l2, dram])| {
+            let t = (l1 + l2 + dram) as f64;
+            let rates = PcHitRates {
+                l1: l1 as f64 / t,
+                l2: l2 as f64 / t,
+                dram: dram as f64 / t,
+            };
+            (pc, rates)
+        })
     }
 }
 
@@ -63,8 +95,6 @@ pub struct FunctionalCacheSim {
     l2s: Vec<TagArray>,
     line_bytes: u32,
     partitions: u32,
-    per_pc: FastMap<u32, Counts>,
-    overall: Counts,
     time: u64,
 }
 
@@ -80,82 +110,37 @@ impl FunctionalCacheSim {
                 .collect(),
             line_bytes: cfg.memory.l2.line_bytes,
             partitions: cfg.memory.partitions,
-            per_pc: FastMap::default(),
-            overall: Counts::default(),
             time: 0,
         }
     }
 
     /// Replay one coalesced transaction issued by SM `sm` at load/store PC
-    /// `pc`.
+    /// `pc` and return the level that served it. The replay does not
+    /// depend on `pc`; the caller tallies levels per PC in a
+    /// [`PcHitTable`].
     ///
     /// # Panics
     ///
     /// Panics if `sm` is out of range for the configured GPU.
-    pub fn access(&mut self, sm: usize, pc: u32, txn: MemTxn) {
+    pub fn access(&mut self, sm: usize, pc: u32, txn: MemTxn) -> ServedBy {
+        let _ = pc;
         self.time += 1;
         let now = self.time;
-        let counts = self.per_pc.entry(pc).or_default();
-
         // Write-through, no-write-allocate L1: stores skip L1 presence.
         if !txn.write && self.l1s[sm].touch(txn.line_addr, txn.sector_mask, now) {
-            counts.l1_hits += 1;
-            self.overall.l1_hits += 1;
-            return;
+            return ServedBy::L1;
         }
         let part = AddressMapping::partition_index(txn.line_addr, self.line_bytes, self.partitions);
         if self.l2s[part].touch(txn.line_addr, txn.sector_mask, now) {
-            counts.l2_hits += 1;
-            self.overall.l2_hits += 1;
+            ServedBy::L2
         } else {
-            counts.dram += 1;
-            self.overall.dram += 1;
-        }
-    }
-
-    /// Hit rates observed for `pc`, or the all-DRAM default if the PC was
-    /// never replayed.
-    pub fn rates(&self, pc: u32) -> PcHitRates {
-        match self.per_pc.get(&pc) {
-            Some(c) if c.total() > 0 => {
-                let t = c.total() as f64;
-                PcHitRates {
-                    l1: c.l1_hits as f64 / t,
-                    l2: c.l2_hits as f64 / t,
-                    dram: c.dram as f64 / t,
-                }
-            }
-            _ => PcHitRates::all_dram(),
-        }
-    }
-
-    /// Aggregate hit rates over all replayed transactions.
-    pub fn overall_rates(&self) -> PcHitRates {
-        let c = self.overall;
-        if c.total() == 0 {
-            return PcHitRates::all_dram();
-        }
-        let t = c.total() as f64;
-        PcHitRates {
-            l1: c.l1_hits as f64 / t,
-            l2: c.l2_hits as f64 / t,
-            dram: c.dram as f64 / t,
+            ServedBy::Dram
         }
     }
 
     /// Total transactions replayed.
     pub fn accesses(&self) -> u64 {
         self.time
-    }
-
-    /// Distinct load/store PCs observed.
-    pub fn num_pcs(&self) -> usize {
-        self.per_pc.len()
-    }
-
-    /// The load/store PCs observed, in no particular order.
-    pub fn pcs(&self) -> impl Iterator<Item = u32> + '_ {
-        self.per_pc.keys().copied()
     }
 }
 
@@ -172,48 +157,81 @@ mod tests {
         }
     }
 
+    /// Replay `(sm, pc, txn)` triples into a fresh table.
+    fn replay(sim: &mut FunctionalCacheSim, txns: &[(usize, u32, MemTxn)]) -> PcHitTable {
+        let mut table = PcHitTable::default();
+        for &(sm, pc, txn) in txns {
+            table.record(pc, sim.access(sm, pc, txn));
+        }
+        table
+    }
+
+    fn rates_of(table: &PcHitTable, pc: u32) -> Option<PcHitRates> {
+        table.rates().find(|&(p, _)| p == pc).map(|(_, r)| r)
+    }
+
     #[test]
     fn repeated_access_hits_l1() {
         let mut sim = FunctionalCacheSim::new(&presets::rtx2080ti());
-        sim.access(0, 0x10, read(0x1000));
+        assert_eq!(sim.access(0, 0x10, read(0x1000)), ServedBy::Dram);
         for _ in 0..9 {
-            sim.access(0, 0x10, read(0x1000));
+            assert_eq!(sim.access(0, 0x10, read(0x1000)), ServedBy::L1);
         }
-        let r = sim.rates(0x10);
+        assert_eq!(sim.accesses(), 10);
+
+        let mut sim = FunctionalCacheSim::new(&presets::rtx2080ti());
+        let table = replay(&mut sim, &[(0, 0x10, read(0x1000)); 10]);
+        let r = rates_of(&table, 0x10).expect("replayed");
         assert!((r.l1 - 0.9).abs() < 1e-12, "r = {r:?}");
         assert!((r.dram - 0.1).abs() < 1e-12);
-        assert_eq!(sim.accesses(), 10);
-        assert_eq!(sim.num_pcs(), 1);
+        assert_eq!(table.rates().count(), 1);
     }
 
     #[test]
     fn cross_sm_reuse_hits_l2_not_l1() {
         let mut sim = FunctionalCacheSim::new(&presets::rtx2080ti());
-        sim.access(0, 0x10, read(0x1000));
+        assert_eq!(sim.access(0, 0x10, read(0x1000)), ServedBy::Dram);
         // A different SM misses its own L1 but finds the line in shared L2.
-        sim.access(1, 0x10, read(0x1000));
-        let r = sim.rates(0x10);
-        assert_eq!(r.l1, 0.0);
-        assert!((r.l2 - 0.5).abs() < 1e-12);
+        assert_eq!(sim.access(1, 0x10, read(0x1000)), ServedBy::L2);
     }
 
     #[test]
     fn rates_sum_to_one() {
         let mut sim = FunctionalCacheSim::new(&presets::rtx2080ti());
-        for i in 0..500u64 {
-            sim.access((i % 4) as usize, 0x20, read((i % 37) * 0x80));
+        let txns: Vec<_> = (0..500u64)
+            .map(|i| {
+                (
+                    (i % 4) as usize,
+                    0x20 + (i % 3) as u32,
+                    read((i % 37) * 0x80),
+                )
+            })
+            .collect();
+        let table = replay(&mut sim, &txns);
+        assert_eq!(table.rates().count(), 3);
+        for (pc, r) in table.rates() {
+            assert!(
+                (r.l1 + r.l2 + r.dram - 1.0).abs() < 1e-9,
+                "pc {pc:#x}: {r:?}"
+            );
         }
-        let r = sim.rates(0x20);
-        assert!((r.l1 + r.l2 + r.dram - 1.0).abs() < 1e-9);
-        let o = sim.overall_rates();
-        assert!((o.l1 + o.l2 + o.dram - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn unknown_pc_defaults_to_dram() {
-        let sim = FunctionalCacheSim::new(&presets::rtx2080ti());
-        assert_eq!(sim.rates(0xdead), PcHitRates::all_dram());
-        assert_eq!(sim.overall_rates(), PcHitRates::all_dram());
+        // A PC the table never saw has no rates; Eq. 1 charges it all-DRAM.
+        let mut sim = FunctionalCacheSim::new(&presets::rtx2080ti());
+        let table = replay(&mut sim, &[(0, 0x10, read(0x1000))]);
+        assert_eq!(rates_of(&table, 0xdead), None);
+        assert_eq!(rates_of(&PcHitTable::default(), 0x10), None);
+        assert_eq!(
+            PcHitRates::all_dram(),
+            PcHitRates {
+                l1: 0.0,
+                l2: 0.0,
+                dram: 1.0
+            }
+        );
     }
 
     #[test]
@@ -224,23 +242,20 @@ mod tests {
             sector_mask: 1,
             write: true,
         };
-        sim.access(0, 0x30, w);
-        sim.access(0, 0x30, w);
-        let r = sim.rates(0x30);
         // Second store hits L2 (allocated by the first), never L1.
-        assert_eq!(r.l1, 0.0);
-        assert!((r.l2 - 0.5).abs() < 1e-12);
+        assert_eq!(sim.access(0, 0x30, w), ServedBy::Dram);
+        assert_eq!(sim.access(0, 0x30, w), ServedBy::L2);
     }
 
     #[test]
     fn per_pc_rates_are_independent() {
         let mut sim = FunctionalCacheSim::new(&presets::rtx2080ti());
         // PC 1 streams (never reuses); PC 2 hammers one line.
-        for i in 0..100u64 {
-            sim.access(0, 1, read(0x10_0000 + i * 0x80));
-            sim.access(0, 2, read(0x2000));
-        }
-        assert_eq!(sim.rates(1).l1, 0.0);
-        assert!(sim.rates(2).l1 > 0.9);
+        let txns: Vec<_> = (0..100u64)
+            .flat_map(|i| [(0, 1, read(0x10_0000 + i * 0x80)), (0, 2, read(0x2000))])
+            .collect();
+        let table = replay(&mut sim, &txns);
+        assert_eq!(rates_of(&table, 1).unwrap().l1, 0.0);
+        assert!(rates_of(&table, 2).unwrap().l1 > 0.9);
     }
 }
