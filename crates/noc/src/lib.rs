@@ -79,7 +79,6 @@ pub trait Interconnect: Send {
     fn num_ports(&self) -> usize;
 
     /// Snapshot the interconnect's persistent state for checkpointing.
-    /// Port-less models (e.g. [`IdealNoc`]) return an empty port list.
     fn save_state(&self) -> NocState;
 
     /// Restore a snapshot taken from an identically configured
@@ -103,7 +102,7 @@ pub struct PortState {
 /// Serializable snapshot of an [`Interconnect`]'s persistent state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NocState {
-    /// One entry per destination port (empty for port-less models).
+    /// One entry per destination port.
     pub ports: Vec<PortState>,
     /// Lifetime counters.
     pub stats: NocStats,
@@ -323,63 +322,6 @@ impl Interconnect for Mesh {
     }
 }
 
-/// An ideal (infinite-bandwidth, zero-latency) interconnect, used by the
-/// analytical memory model where NoC contention is folded into the
-/// contention adder instead of being simulated.
-#[derive(Debug, Clone, Default)]
-pub struct IdealNoc {
-    stats: NocStats,
-    ports: usize,
-}
-
-impl IdealNoc {
-    /// Build an ideal interconnect with `num_dst` destination ports.
-    pub fn new(num_dst: usize) -> Self {
-        IdealNoc {
-            stats: NocStats::default(),
-            ports: num_dst,
-        }
-    }
-}
-
-impl Interconnect for IdealNoc {
-    fn traverse(&mut self, _src: usize, _dst: usize, flits: u32, now: Cycle) -> Option<Cycle> {
-        self.stats.flits += u64::from(flits);
-        self.stats.traversals += 1;
-        Some(now)
-    }
-
-    fn earliest_accept(&mut self, _dst: usize, now: Cycle) -> Cycle {
-        now
-    }
-
-    fn stats(&self) -> NocStats {
-        self.stats
-    }
-
-    fn num_ports(&self) -> usize {
-        self.ports
-    }
-
-    fn save_state(&self) -> NocState {
-        NocState {
-            ports: Vec::new(),
-            stats: self.stats,
-        }
-    }
-
-    fn restore_state(&mut self, state: &NocState) -> Result<(), String> {
-        if !state.ports.is_empty() {
-            return Err(format!(
-                "ideal NoC snapshot must be port-less, has {} ports",
-                state.ports.len()
-            ));
-        }
-        self.stats = state.stats;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,15 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn ideal_noc_is_free() {
-        let mut n = IdealNoc::new(22);
-        assert_eq!(n.traverse(0, 21, 9, 1234), Some(1234));
-        assert_eq!(n.stats().flits, 9);
-        assert_eq!(n.num_ports(), 22);
-        assert_eq!(n.stats().avg_stall(), 0.0);
-    }
-
-    #[test]
     fn avg_stall_reflects_contention() {
         let mut x = Crossbar::new(&noc_cfg(), 4, 1);
         for s in 0..4 {
@@ -490,7 +423,6 @@ mod tests {
         let mut nocs: Vec<Box<dyn Interconnect>> = vec![
             Box::new(Crossbar::new(&noc_cfg(), 4, 4)),
             Box::new(Mesh::new(&noc_cfg(), 4, 4)),
-            Box::new(IdealNoc::new(4)),
         ];
         for noc in &mut nocs {
             assert!(noc.traverse(0, 3, 1, 0).is_some());
