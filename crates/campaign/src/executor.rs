@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use swiftsim_core::{panic_message, SimulationResult};
+use swiftsim_metrics::Json;
 
 /// A shared cancellation flag: cancel once, observed by every holder.
 ///
@@ -85,13 +86,52 @@ impl ExecutorOptions {
     }
 }
 
+/// A finished simulation and its [`SimulationResult::to_json`] text,
+/// rendered once when the result is made.
+///
+/// Rows splice the text in verbatim ([`RenderedResult::json`]), so a
+/// result reported many times, as the serve daemon's warm cache reports
+/// one for every resubmission, is serialized once. It is shared behind an
+/// [`Arc`] and derefs to the result.
+#[derive(Debug, PartialEq)]
+pub struct RenderedResult {
+    result: SimulationResult,
+    text: Arc<str>,
+}
+
+impl RenderedResult {
+    /// Render `result` and wrap both for sharing.
+    pub fn new(result: SimulationResult) -> Arc<RenderedResult> {
+        let text = result.to_json().dump().into();
+        Arc::new(RenderedResult { result, text })
+    }
+
+    /// The rendered text: `self.to_json().dump()`.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The result's JSON as a [`Json::Raw`] node sharing the text.
+    pub fn json(&self) -> Json {
+        Json::Raw(Arc::clone(&self.text))
+    }
+}
+
+impl std::ops::Deref for RenderedResult {
+    type Target = SimulationResult;
+
+    fn deref(&self) -> &SimulationResult {
+        &self.result
+    }
+}
+
 /// How one job ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobStatus {
     /// Simulated in this run.
-    Completed(SimulationResult),
+    Completed(Arc<RenderedResult>),
     /// Served from the result cache.
-    Cached(SimulationResult),
+    Cached(Arc<RenderedResult>),
     /// All attempts errored or panicked; the message is the last failure.
     Failed {
         /// Last error or panic message.

@@ -56,6 +56,7 @@ mod spec;
 pub use cache::{CacheMode, ResultCache};
 pub use executor::{
     run_jobs, run_jobs_cancellable, CancelToken, ExecutorOptions, JobOutcome, JobStatus,
+    RenderedResult,
 };
 pub use report::{CampaignReport, JobRow, RowStatus};
 pub use runner::{JobRunner, StageTimings};

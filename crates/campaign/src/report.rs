@@ -1,8 +1,8 @@
 //! Campaign results: structured rows, JSON-lines emission, summary table.
 
-use crate::executor::{JobOutcome, JobStatus};
+use crate::executor::{JobOutcome, JobStatus, RenderedResult};
 use crate::spec::ResolvedJob;
-use swiftsim_core::SimulationResult;
+use std::sync::Arc;
 use swiftsim_metrics::{Json, Table};
 
 /// How a row ended (the data-less mirror of [`JobStatus`]).
@@ -63,13 +63,14 @@ pub struct JobRow {
     /// Failure message, for [`RowStatus::Failed`] rows.
     pub error: Option<String>,
     /// The simulation result, for non-failed rows.
-    pub result: Option<SimulationResult>,
+    pub result: Option<Arc<RenderedResult>>,
 }
 
 impl JobRow {
     /// Serialize to the JSONL row schema. The `result` field uses exactly
-    /// [`SimulationResult::to_json`]'s schema — the same one `swiftsim
-    /// --json` prints for single runs.
+    /// [`swiftsim_core::SimulationResult::to_json`]'s schema — the same one
+    /// `swiftsim --json` prints for single runs — as the result's rendered
+    /// text ([`RenderedResult::json`]), so dump it to read it.
     pub fn to_json(&self) -> Json {
         let opt_str = |v: &Option<String>| match v {
             Some(s) => Json::str(s.clone()),
@@ -98,7 +99,7 @@ impl JobRow {
             (
                 "result",
                 match &self.result {
-                    Some(r) => r.to_json(),
+                    Some(r) => r.json(),
                     None => Json::Null,
                 },
             ),

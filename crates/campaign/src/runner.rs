@@ -12,7 +12,9 @@
 //! [`CancelToken`].
 
 use crate::cache::ResultCache;
-use crate::executor::{run_jobs_cancellable, CancelToken, ExecutorOptions, JobOutcome, JobStatus};
+use crate::executor::{
+    run_jobs_cancellable, CancelToken, ExecutorOptions, JobOutcome, JobStatus, RenderedResult,
+};
 use crate::spec::ResolvedJob;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -268,8 +270,11 @@ fn outcome_of(
 ) -> JobOutcome {
     let (status, attempts) = match (run.result, run.cancelled) {
         (_, true) => (JobStatus::Cancelled, 0),
-        (Ok((result, true)), _) => (JobStatus::Cached(result), 0),
-        (Ok((result, false)), _) => (JobStatus::Completed(result), run.attempts),
+        (Ok((result, true)), _) => (JobStatus::Cached(RenderedResult::new(result)), 0),
+        (Ok((result, false)), _) => (
+            JobStatus::Completed(RenderedResult::new(result)),
+            run.attempts,
+        ),
         (Err(error), _) => (JobStatus::Failed { error }, run.attempts),
     };
     JobOutcome {

@@ -886,15 +886,17 @@ mod tests {
         assert_eq!(report.completed(), 1);
     }
 
-    fn result_stub() -> swiftsim_core::SimulationResult {
+    fn result_stub() -> std::sync::Arc<swiftsim_campaign::RenderedResult> {
         // Cheapest honest way to get a real result: run the tiny job.
         let job = jobs(1).remove(0);
-        swiftsim_core::run(
-            job.app.as_ref(),
-            &job.cfg,
-            &swiftsim_core::RunOptions::default().with_fidelity(job.fidelity),
+        swiftsim_campaign::RenderedResult::new(
+            swiftsim_core::run(
+                job.app.as_ref(),
+                &job.cfg,
+                &swiftsim_core::RunOptions::default().with_fidelity(job.fidelity),
+            )
+            .unwrap(),
         )
-        .unwrap()
     }
 
     #[test]

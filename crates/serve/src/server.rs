@@ -44,8 +44,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swiftsim_campaign::{
-    CacheMode, CampaignSpec, ExecutorOptions, JobOutcome, JobRunner, JobStatus, ResultCache,
-    StageTimings,
+    CacheMode, CampaignReport, CampaignSpec, ExecutorOptions, JobOutcome, JobRow, JobRunner,
+    JobStatus, RenderedResult, ResultCache, StageTimings,
 };
 use swiftsim_core::SimulationResult;
 use swiftsim_metrics::{CounterSet, FlightRecorder, Json, ProfileReport, Registry};
@@ -892,17 +892,25 @@ fn handle_result(shared: &Arc<ServerShared>, msg: &Json) -> Json {
     match state {
         None if shared.queue.status(id).is_none() => err_response("unknown job"),
         None => err_response("job not finished"),
-        Some(_) => {
-            let report = shared.queue.report(id).expect("terminal implies report");
-            let rows: Vec<Json> = report.rows.iter().map(|r| r.to_json()).collect();
-            ok_response(vec![
-                ("job", Json::int(id)),
-                ("name", Json::str(&report.name)),
-                ("summary", Json::str(report.summary_line())),
-                ("rows", Json::Arr(rows)),
-            ])
-        }
+        Some(_) => result_reply(
+            id,
+            &shared.queue.report(id).expect("terminal implies report"),
+        ),
     }
+}
+
+/// The `result` reply for a finished submission. Each row's `result` is
+/// its shared rendered text, copied into the line as is.
+fn result_reply(id: u64, report: &CampaignReport) -> Json {
+    ok_response(vec![
+        ("job", Json::int(id)),
+        ("name", Json::str(&report.name)),
+        ("summary", Json::str(report.summary_line())),
+        (
+            "rows",
+            Json::Arr(report.rows.iter().map(JobRow::to_json).collect()),
+        ),
+    ])
 }
 
 fn handle_stats(shared: &Arc<ServerShared>) -> Json {
@@ -1134,6 +1142,7 @@ fn handle_task_result(shared: &Arc<ServerShared>, conn: &mut ConnState, msg: &Js
         let status = match status {
             "ok" | "cached" => match msg.get("result").map(SimulationResult::from_json) {
                 Some(Ok(result)) => {
+                    let result = RenderedResult::new(result);
                     shared.warm.store_result(task.job.key, &result);
                     if status == "cached" {
                         JobStatus::Cached(result)
@@ -1206,4 +1215,64 @@ fn view_fields(v: &SubmissionView) -> Vec<(&'static str, Json)> {
         ("running", Json::int(v.running as u64)),
         ("total", Json::int(v.total as u64)),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A warm reply, rendered by splicing each row's stored text, against
+    /// the same reply with every result rendered from the value by
+    /// `SimulationResult::to_json`.
+    #[test]
+    fn warm_reply_splices_the_bytes_a_rendered_result_gives() {
+        let jobs = CampaignSpec::parse(
+            "name = splice\nworkload = nw\nscale = tiny\npreset = swift-memory\nscheduler = gto, lrr\n",
+        )
+        .unwrap()
+        .resolve()
+        .unwrap();
+        let outcomes = jobs
+            .iter()
+            .map(|job| {
+                // Row 0 without a profile, row 1 with one.
+                let options = swiftsim_core::RunOptions::default()
+                    .with_fidelity(job.fidelity)
+                    .with_profile(job.spec.index == 1);
+                let result = swiftsim_core::run(job.app.as_ref(), &job.cfg, &options).unwrap();
+                JobOutcome {
+                    index: job.spec.index,
+                    label: job.spec.label(),
+                    status: JobStatus::Cached(RenderedResult::new(result)),
+                    attempts: 0,
+                    wall: Duration::from_micros(3),
+                }
+            })
+            .collect();
+        let report = CampaignReport::from_outcomes("splice".to_owned(), jobs, outcomes);
+        assert!(report.rows[0].result.as_ref().unwrap().profile.is_none());
+        assert!(report.rows[1].result.as_ref().unwrap().profile.is_some());
+
+        let mut reference = result_reply(5, &report);
+        let Some(Json::Arr(rows)) = reference_field(&mut reference, "rows") else {
+            panic!("reply has rows");
+        };
+        for (json, row) in rows.iter_mut().zip(&report.rows) {
+            *reference_field(json, "result").unwrap() = row.result.as_ref().unwrap().to_json();
+        }
+        let spliced = result_reply(5, &report).dump();
+        assert_eq!(spliced, reference.dump());
+        assert!(
+            spliced.contains("\"profile\":{"),
+            "row 1 carries its profile"
+        );
+        assert!(spliced.contains("\"profile\":null"), "row 0 has none");
+    }
+
+    fn reference_field<'j>(json: &'j mut Json, key: &str) -> Option<&'j mut Json> {
+        match json {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
 }

@@ -4,10 +4,14 @@
 //! The daemon outlives individual requests, so it can keep hot state that
 //! a one-shot `swiftsim campaign` run rebuilds every time:
 //!
-//! * **Result cache** — finished [`SimulationResult`]s keyed by the same
+//! * **Result cache** — finished results keyed by the same
 //!   content-addressed job key the on-disk [`swiftsim_campaign::ResultCache`]
 //!   uses. A warm hit skips the scheduler, the runner, and the disk round
-//!   trip entirely. LRU-evicted under a byte budget.
+//!   trip entirely. Each entry is a shared [`RenderedResult`]: the result
+//!   and its JSON text, rendered once when the result was made. A hit
+//!   hands out the `Arc`, not a copy, and every reply that carries the
+//!   result copies that text, so a warm round serializes no result.
+//!   LRU-evicted under a byte budget measured in rendered bytes.
 //! * **Decoded-kernel cache** — a shared
 //!   [`swiftsim_trace::DecodedKernelCache`]: file-backed traces decode each
 //!   kernel once per *daemon*, not once per job, even across submissions
@@ -19,14 +23,18 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use swiftsim_campaign::{ResolvedJob, WorkloadSource};
-use swiftsim_core::SimulationResult;
+use swiftsim_campaign::{RenderedResult, ResolvedJob, WorkloadSource};
 use swiftsim_trace::{CachedTraceSource, DecodedKernelCache, KernelCacheStats};
 
 struct ResultEntry {
-    result: SimulationResult,
-    bytes: usize,
+    result: Arc<RenderedResult>,
     tick: u64,
+}
+
+impl ResultEntry {
+    fn bytes(&self) -> usize {
+        self.result.text().len()
+    }
 }
 
 struct ResultLruState {
@@ -82,15 +90,15 @@ impl WarmCaches {
         self.results.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Look up a finished result by job key.
-    pub fn lookup_result(&self, key: u64) -> Option<SimulationResult> {
+    /// Look up a finished result by job key: the shared entry, not a copy.
+    pub fn lookup_result(&self, key: u64) -> Option<Arc<RenderedResult>> {
         let mut state = self.lock();
         state.tick += 1;
         let tick = state.tick;
         match state.map.get_mut(&key) {
             Some(entry) => {
                 entry.tick = tick;
-                let result = entry.result.clone();
+                let result = Arc::clone(&entry.result);
                 state.hits += 1;
                 Some(result)
             }
@@ -104,28 +112,22 @@ impl WarmCaches {
     /// Remember a finished result under its job key, evicting
     /// least-recently-used entries past the byte budget. Results larger
     /// than the whole budget are not cached.
-    pub fn store_result(&self, key: u64, result: &SimulationResult) {
-        // The serialized form is an honest, representation-independent
-        // size measure, and results are stored rarely (once per fresh
-        // simulation) so the serialization cost is noise.
-        let bytes = result.to_json().dump().len();
+    pub fn store_result(&self, key: u64, result: &Arc<RenderedResult>) {
+        // The rendered text is an honest, representation-independent size
+        // measure, and the entry keeps it: it is what replies copy.
+        let bytes = result.text().len();
         if bytes > self.result_budget {
             return;
         }
         let mut state = self.lock();
         state.tick += 1;
-        let tick = state.tick;
-        if let Some(old) = state.map.remove(&key) {
-            state.bytes -= old.bytes;
+        let entry = ResultEntry {
+            result: Arc::clone(result),
+            tick: state.tick,
+        };
+        if let Some(old) = state.map.insert(key, entry) {
+            state.bytes -= old.bytes();
         }
-        state.map.insert(
-            key,
-            ResultEntry {
-                result: result.clone(),
-                bytes,
-                tick,
-            },
-        );
         state.bytes += bytes;
         while state.bytes > self.result_budget {
             let Some((&lru, _)) = state
@@ -137,7 +139,7 @@ impl WarmCaches {
                 break;
             };
             let evicted = state.map.remove(&lru).expect("lru key exists");
-            state.bytes -= evicted.bytes;
+            state.bytes -= evicted.bytes();
             state.evictions += 1;
         }
     }
@@ -184,18 +186,20 @@ mod tests {
     use super::*;
     use swiftsim_campaign::CampaignSpec;
 
-    fn run_tiny() -> SimulationResult {
+    fn run_tiny() -> Arc<RenderedResult> {
         let job = CampaignSpec::parse("workload = nw\nscale = tiny\npreset = swift-memory")
             .unwrap()
             .resolve()
             .unwrap()
             .remove(0);
-        swiftsim_core::run(
-            job.app.as_ref(),
-            &job.cfg,
-            &swiftsim_core::RunOptions::default().with_fidelity(job.fidelity),
+        RenderedResult::new(
+            swiftsim_core::run(
+                job.app.as_ref(),
+                &job.cfg,
+                &swiftsim_core::RunOptions::default().with_fidelity(job.fidelity),
+            )
+            .unwrap(),
         )
-        .unwrap()
     }
 
     #[test]
@@ -205,16 +209,16 @@ mod tests {
         assert!(warm.lookup_result(7).is_none());
         warm.store_result(7, &result);
         let hit = warm.lookup_result(7).unwrap();
-        assert_eq!(hit.cycles, result.cycles);
+        assert!(Arc::ptr_eq(&hit, &result), "a hit shares the stored entry");
         let stats = warm.result_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert!(stats.bytes > 0);
+        assert_eq!(stats.bytes, result.to_json().dump().len());
     }
 
     #[test]
     fn result_cache_evicts_lru_under_budget() {
         let result = run_tiny();
-        let one = result.to_json().dump().len();
+        let one = result.text().len();
         // Room for two results, not three.
         let warm = WarmCaches::new(one * 2 + one / 2, 1 << 20);
         warm.store_result(1, &result);

@@ -214,7 +214,7 @@ fn execute_task(
             }
             let mut fields = base(if cached { "cached" } else { "ok" });
             fields.push(("key", Json::str(key)));
-            fields.push(("result", result.to_json()));
+            fields.push(("result", result.json()));
             fields.push(("attempts", Json::int(u64::from(outcome.attempts))));
             fields.push(("wall_us", Json::int(outcome.wall.as_micros() as u64)));
             fields.push(("decode_us", Json::int(stages.build.as_micros() as u64)));

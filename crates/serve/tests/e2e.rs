@@ -92,7 +92,11 @@ fn remote_sweep_matches_local_campaign_bit_for_bit() {
     let spec = CampaignSpec::parse(SWEEP_SPEC).unwrap();
     let local = run_campaign(&spec, &CampaignOptions::default().cache_off()).unwrap();
     assert_eq!(local.failed(), 0);
-    let local_rows: Vec<Json> = local.rows.iter().map(|r| r.to_json()).collect();
+    let local_rows: Vec<Json> = local
+        .to_jsonl()
+        .lines()
+        .map(|line| Json::parse(line).unwrap())
+        .collect();
 
     for (served, direct) in rows.iter().zip(&local_rows) {
         assert_eq!(
@@ -341,6 +345,9 @@ fn warm_resubmission_skips_all_simulation() {
     assert_eq!(cold_rows.len(), warm_rows.len());
     for (a, b) in cold_rows.iter().zip(warm_rows) {
         assert_eq!(prediction_fields(a), prediction_fields(b));
+        // A warm row serves the cold row's result itself, host wall time
+        // included.
+        assert_eq!(a.get("result"), b.get("result"));
         assert_eq!(
             b.get("status").and_then(Json::as_str),
             Some("cached"),
