@@ -93,10 +93,6 @@ pub struct CampaignOptions {
     /// Profiled rows carry a per-module attribution summary in the JSONL
     /// emission.
     pub profile: bool,
-    /// Checkpoint every job at kernel boundaries into this directory. A
-    /// killed campaign rerun resumes each interrupted job from its last
-    /// snapshot instead of restarting it (see [`JobRunner::with_checkpoint_dir`]).
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 impl Default for CampaignOptions {
@@ -108,7 +104,6 @@ impl Default for CampaignOptions {
             cache_dir: PathBuf::from("target/swiftsim-campaigns/cache"),
             progress: false,
             profile: false,
-            checkpoint_dir: None,
         }
     }
 }
@@ -159,10 +154,7 @@ pub fn run_campaign(
         heartbeat: opts.progress.then(|| std::time::Duration::from_secs(10)),
         profile: opts.profile || spec.profile,
     };
-    let mut runner = JobRunner::new(exec_opts, cache);
-    if let Some(dir) = &opts.checkpoint_dir {
-        runner = runner.with_checkpoint_dir(dir.clone());
-    }
+    let runner = JobRunner::new(exec_opts, cache);
     let outcomes = runner.run(&jobs, &CancelToken::new());
     Ok(CampaignReport::from_outcomes(
         spec.name.clone(),

@@ -16,11 +16,9 @@ use crate::executor::{
     run_jobs_cancellable, CancelToken, ExecutorOptions, JobOutcome, JobStatus, RenderedResult,
 };
 use crate::spec::ResolvedJob;
-use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use swiftsim_config::fnv1a64;
-use swiftsim_core::{GpuSimulator, RunOptions, SimError, Snapshot};
+use swiftsim_core::{GpuSimulator, RunOptions};
 
 /// Wall time spent in each stage of one job attempt: cache consultation,
 /// simulator construction (config validation + trace open/decode setup),
@@ -49,40 +47,12 @@ pub struct StageTimings {
 pub struct JobRunner {
     opts: ExecutorOptions,
     cache: ResultCache,
-    checkpoint_dir: Option<PathBuf>,
 }
 
 impl JobRunner {
     /// A runner with the given pool options and result cache.
     pub fn new(opts: ExecutorOptions, cache: ResultCache) -> Self {
-        JobRunner {
-            opts,
-            cache,
-            checkpoint_dir: None,
-        }
-    }
-
-    /// Checkpoint every job at kernel boundaries into `dir` (one
-    /// `<key>.sstbckpt` per job, named by the job's cache key). A killed
-    /// attempt leaves its last boundary snapshot behind; the next attempt
-    /// of the same job resumes from it instead of starting over, and the
-    /// snapshot is removed once the job completes.
-    #[must_use]
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// The directory jobs checkpoint into, when enabled.
-    pub fn checkpoint_dir(&self) -> Option<&Path> {
-        self.checkpoint_dir.as_deref()
-    }
-
-    /// Where this job's boundary snapshot lives, when checkpointing is on.
-    pub fn snapshot_path(&self, job: &ResolvedJob) -> Option<PathBuf> {
-        self.checkpoint_dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.sstbckpt", job.key_hex())))
+        JobRunner { opts, cache }
     }
 
     /// The runner's pool options.
@@ -167,98 +137,32 @@ impl JobRunner {
         let publish = |t: StageTimings| {
             *timings.lock().unwrap_or_else(|p| p.into_inner()) = t;
         };
-        // A snapshot left by an earlier (killed) attempt of this exact job.
-        // Its digest is folded into the cache key below: a resumed result
-        // is only interchangeable with a fresh one relative to the snapshot
-        // it actually grew from, so a different (or tampered) snapshot must
-        // not be served a stale entry. Unreadable snapshots are discarded
-        // up front rather than failing the attempt.
-        let snapshot_path = self.snapshot_path(job);
-        let resume_digest = snapshot_path.as_ref().filter(|p| p.exists()).and_then(|p| {
-            match Snapshot::read_from(p) {
-                Ok(snap) => Some(snap.digest()),
-                Err(_) => {
-                    let _ = std::fs::remove_file(p);
-                    None
-                }
-            }
-        });
-        let key = match resume_digest {
-            Some(digest) => fold_resume_key(job.key, digest),
-            None => job.key,
-        };
-
         let mut t = StageTimings::default();
         let t0 = Instant::now();
-        // A completed job's base-key entry satisfies the lookup even when a
-        // snapshot lingers (the resumed run would reproduce it bit for bit).
-        let hit = self.cache.lookup(key).or_else(|| {
-            (key != job.key)
-                .then(|| self.cache.lookup(job.key))
-                .flatten()
-        });
+        let hit = self.cache.lookup(job.key);
         t.cache_lookup = t0.elapsed();
         publish(t);
         if let Some(hit) = hit {
             return Ok((hit, true));
         }
         let t1 = Instant::now();
-        let mut options = RunOptions::default()
+        let options = RunOptions::default()
             .with_fidelity(job.fidelity)
             .with_threads(job.spec.threads)
             .with_profile(self.opts.profile);
-        if let Some(path) = &snapshot_path {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            options = options.with_checkpoint_out(path);
-            if resume_digest.is_some() {
-                options = options.with_resume(path);
-            }
-        }
         let sim = GpuSimulator::try_new(job.cfg.clone(), &options).map_err(|e| e.to_string())?;
         t.build = t1.elapsed();
         publish(t);
         let t2 = Instant::now();
-        let result = match sim.run(job.app.as_ref()) {
-            Ok(result) => result,
-            Err(SimError::Checkpoint { .. }) if resume_digest.is_some() => {
-                // The snapshot no longer matches the job (config or trace
-                // moved underneath it, or it was corrupted after the read
-                // above). Drop it and redo the attempt from scratch — the
-                // recursion terminates because the snapshot is gone.
-                if let Some(path) = &snapshot_path {
-                    let _ = std::fs::remove_file(path);
-                }
-                return self.attempt_timed(job, timings);
-            }
-            Err(e) => return Err(e.to_string()),
-        };
+        let result = sim.run(job.app.as_ref()).map_err(|e| e.to_string())?;
         t.simulate = t2.elapsed();
         publish(t);
         let t3 = Instant::now();
-        // Store under the base key (the canonical complete-job result;
-        // resumed runs are bit-identical to fresh ones, proven by the
-        // checkpoint round-trip suite) and drop the now-redundant snapshot
-        // so the next attempt of this job is a plain base-key hit.
         self.cache.store(job.key, &job.spec.label(), &result);
-        if key != job.key {
-            self.cache.store(key, &job.spec.label(), &result);
-        }
-        if let Some(path) = &snapshot_path {
-            let _ = std::fs::remove_file(path);
-        }
         t.store = t3.elapsed();
         publish(t);
         Ok((result, false))
     }
-}
-
-/// Fold a resume snapshot's digest (itself a hash over the snapshot's
-/// per-section hashes) into a job's cache key, giving the resumed
-/// computation its own identity.
-pub(crate) fn fold_resume_key(base: u64, snapshot_digest: u64) -> u64 {
-    fnv1a64(format!("swiftsim-resume;base={base:016x};snapshot={snapshot_digest:016x}").as_bytes())
 }
 
 /// Map one executor run back onto the job it executed.
@@ -365,111 +269,6 @@ mod tests {
         assert_eq!(t2.simulate, Duration::ZERO, "{t2:?}");
         assert_eq!(t2.build, Duration::ZERO, "{t2:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A multi-kernel job so a `halt_after`-interrupted attempt genuinely
-    /// stops mid-application.
-    fn backprop_job() -> Vec<ResolvedJob> {
-        CampaignSpec::parse("workload = backprop\nscale = tiny\npreset = swift-memory\n")
-            .unwrap()
-            .resolve()
-            .unwrap()
-    }
-
-    #[test]
-    fn fold_resume_key_is_stable_and_distinct() {
-        let base = 0x1234_5678_9abc_def0u64;
-        let folded = fold_resume_key(base, 7);
-        assert_eq!(folded, fold_resume_key(base, 7), "deterministic");
-        assert_ne!(folded, base, "a resumed computation has its own key");
-        assert_ne!(folded, fold_resume_key(base, 8), "digest-sensitive");
-        assert_ne!(folded, fold_resume_key(base ^ 1, 7), "base-sensitive");
-    }
-
-    #[test]
-    fn interrupted_job_resumes_and_matches_a_fresh_run() {
-        let cache_dir = scratch_dir("ckpt-cache");
-        let ckpt_dir = scratch_dir("ckpt-snaps");
-        let jobs = backprop_job();
-        let job = &jobs[0];
-        let runner = JobRunner::new(
-            ExecutorOptions::default(),
-            ResultCache::new(cache_dir.clone(), CacheMode::Use),
-        )
-        .with_checkpoint_dir(ckpt_dir.clone());
-        let snap_path = runner.snapshot_path(job).expect("checkpointing is on");
-        std::fs::create_dir_all(&ckpt_dir).unwrap();
-
-        // "Kill" an attempt mid-application: the same configuration run
-        // with halt_after leaves its boundary snapshot in the job's slot.
-        let halted = RunOptions::default()
-            .with_fidelity(job.fidelity)
-            .with_threads(job.spec.threads)
-            .with_checkpoint_out(&snap_path)
-            .with_halt_after(1);
-        let partial = GpuSimulator::try_new(job.cfg.clone(), &halted)
-            .unwrap()
-            .run(job.app.as_ref())
-            .unwrap();
-        assert_eq!(partial.kernels.len(), 1, "halted after the first kernel");
-        let digest = Snapshot::read_from(&snap_path).unwrap().digest();
-
-        // The next attempt resumes from the snapshot and completes.
-        let outcome = runner.run_one(job, &CancelToken::new());
-        let JobStatus::Completed(resumed) = &outcome.status else {
-            panic!("resumed attempt must complete: {outcome:?}");
-        };
-        assert!(resumed.kernels.len() > 1, "covers the whole application");
-        assert!(!snap_path.exists(), "snapshot is dropped on completion");
-        // The result is canonical: stored under the base key and the
-        // folded resume key alike.
-        assert!(runner.cache().lookup(job.key).is_some());
-        assert!(runner
-            .cache()
-            .lookup(fold_resume_key(job.key, digest))
-            .is_some());
-
-        // Bit-identical to an uninterrupted run of the same job.
-        let fresh_runner = JobRunner::new(
-            ExecutorOptions::default(),
-            ResultCache::new(scratch_dir("ckpt-fresh"), CacheMode::Off),
-        );
-        let fresh = fresh_runner.run_one(job, &CancelToken::new());
-        let JobStatus::Completed(fresh) = &fresh.status else {
-            panic!("fresh run must complete: {fresh:?}");
-        };
-        assert_eq!(resumed.cycles, fresh.cycles);
-        assert_eq!(resumed.kernels, fresh.kernels);
-        assert_eq!(resumed.metrics, fresh.metrics);
-
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
-    }
-
-    #[test]
-    fn corrupt_snapshot_is_discarded_and_the_job_completes() {
-        let cache_dir = scratch_dir("ckpt-bad-cache");
-        let ckpt_dir = scratch_dir("ckpt-bad-snaps");
-        let jobs = backprop_job();
-        let job = &jobs[0];
-        let runner = JobRunner::new(
-            ExecutorOptions::default(),
-            ResultCache::new(cache_dir.clone(), CacheMode::Off),
-        )
-        .with_checkpoint_dir(ckpt_dir.clone());
-        let snap_path = runner.snapshot_path(job).unwrap();
-        std::fs::create_dir_all(&ckpt_dir).unwrap();
-        std::fs::write(&snap_path, "not a snapshot").unwrap();
-
-        let outcome = runner.run_one(job, &CancelToken::new());
-        assert!(
-            matches!(outcome.status, JobStatus::Completed(_)),
-            "a corrupt snapshot must not fail the job: {outcome:?}"
-        );
-        assert!(!snap_path.exists(), "the corrupt snapshot is removed");
-
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
     }
 
     #[test]

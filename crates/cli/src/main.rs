@@ -68,15 +68,6 @@ OPTIONS:
                                                    per-module wall-time attribution table
     --trace-out <FILE>                             write the profile as a Chrome trace-event /
                                                    Perfetto JSON file (implies --profile)
-    --checkpoint-out <FILE>                        write a resumable snapshot of the simulation
-                                                   at every kernel boundary (atomic overwrite)
-    --resume <FILE>                                resume from a snapshot written by
-                                                   --checkpoint-out; the completed prefix is
-                                                   replayed from the snapshot bit-identically
-    --halt-after <N>                               stop cleanly after N kernels have completed
-                                                   (the result covers the simulated prefix;
-                                                   with --checkpoint-out this is a
-                                                   deterministic \"kill mid-app\")
     --json                                         print the result as JSON instead of a report
     --list-workloads                               list built-in workloads and exit
     --dump-config <GPU>                            print a GPU preset as a config file and exit
@@ -88,9 +79,6 @@ CAMPAIGN OPTIONS (after `swiftsim campaign <SPEC>`):
     --fidelity \"<OPTS>\" / bare -sim_* pairs        force one fidelity override across every job
                                                    (replaces the spec's matching axis; same
                                                    keys as the FIDELITY GRAMMAR above)
-    --checkpoint-dir <DIR>                         checkpoint every job at kernel boundaries
-                                                   into DIR; a killed campaign resumes each
-                                                   interrupted job from its last snapshot
     --jobs <N>                                     concurrent simulations [default: one per CPU]
     --no-cache                                     neither read nor write the result cache
     --refresh                                      ignore cached results but overwrite them
@@ -123,9 +111,6 @@ SERVE OPTIONS (after `swiftsim serve`):
                                                    budget, or a dump-events request
     --flight-capacity <N>                          flight-recorder ring size; 0 disables it
                                                    [default: 4096]
-    --checkpoint-dir <DIR>                         checkpoint local tasks at kernel boundaries
-                                                   into DIR; after a crash or drain, restarted
-                                                   tasks resume from their last snapshot
 
 SUBMIT OPTIONS (after `swiftsim submit <SPEC>`):
     --to <ADDR>                                    daemon address [default: 127.0.0.1:7733]
@@ -211,9 +196,6 @@ struct Args {
     json: bool,
     profile: bool,
     trace_out: Option<String>,
-    checkpoint_out: Option<String>,
-    resume: Option<String>,
-    halt_after: Option<usize>,
 }
 
 #[derive(Debug)]
@@ -258,7 +240,6 @@ fn parse_campaign_args(mut argv: Vec<String>) -> Result<CampaignArgs, String> {
             "--refresh" => options = options.refresh(),
             "--profile" => options.profile = true,
             "--cache-dir" => options.cache_dir = value("--cache-dir")?.into(),
-            "--checkpoint-dir" => options.checkpoint_dir = Some(value("--checkpoint-dir")?.into()),
             "--fidelity" => {
                 let text = value("--fidelity")?;
                 push_fidelity_text(&mut fidelity, &text);
@@ -342,9 +323,6 @@ fn parse_args(mut argv: Vec<String>) -> Result<Option<Args>, String> {
     let mut json = false;
     let mut profile = false;
     let mut trace_out = None;
-    let mut checkpoint_out = None;
-    let mut resume = None;
-    let mut halt_after = None;
 
     let mut it = argv.drain(..);
     while let Some(arg) = it.next() {
@@ -418,15 +396,6 @@ fn parse_args(mut argv: Vec<String>) -> Result<Option<Args>, String> {
                 trace_out = Some(value("--trace-out")?);
                 profile = true;
             }
-            "--checkpoint-out" => checkpoint_out = Some(value("--checkpoint-out")?),
-            "--resume" => resume = Some(value("--resume")?),
-            "--halt-after" => {
-                halt_after = Some(
-                    value("--halt-after")?
-                        .parse()
-                        .map_err(|_| "invalid kernel count".to_owned())?,
-                );
-            }
             // Bare `-sim_*` pairs are sugar for --fidelity "<key> <value>";
             // both spellings funnel into one override string, so they
             // compose in either order.
@@ -448,9 +417,6 @@ fn parse_args(mut argv: Vec<String>) -> Result<Option<Args>, String> {
         json,
         profile,
         trace_out,
-        checkpoint_out,
-        resume,
-        halt_after,
     }))
 }
 
@@ -573,7 +539,6 @@ fn parse_serve_args(mut argv: Vec<String>) -> Result<ServeArgs, String> {
                     .parse()
                     .map_err(|_| "invalid flight-recorder capacity".to_owned())?;
             }
-            "--checkpoint-dir" => options.checkpoint_dir = Some(value("--checkpoint-dir")?.into()),
             other => return Err(format!("unknown serve option {other:?} (try --help)")),
         }
     }
@@ -960,19 +925,10 @@ fn run(mut argv: Vec<String>) -> Result<(), String> {
     if let Some(text) = &args.fidelity {
         apply_fidelity_text(&mut fidelity, text)?;
     }
-    let mut options = RunOptions::default()
+    let options = RunOptions::default()
         .with_fidelity(fidelity)
         .with_threads(args.threads)
         .with_profile(args.profile);
-    if let Some(path) = &args.checkpoint_out {
-        options = options.with_checkpoint_out(path);
-    }
-    if let Some(path) = &args.resume {
-        options = options.with_resume(path);
-    }
-    if let Some(kernels) = args.halt_after {
-        options = options.with_halt_after(kernels);
-    }
     let sim = GpuSimulator::try_new(args.gpu.clone(), &options).map_err(|e| e.to_string())?;
 
     eprintln!(
@@ -985,9 +941,6 @@ fn run(mut argv: Vec<String>) -> Result<(), String> {
     );
     let result = sim.run(source.as_ref()).map_err(|e| e.to_string())?;
 
-    if let Some(path) = &args.checkpoint_out {
-        eprintln!("checkpoint snapshot at {path} (resume with --resume {path})");
-    }
     if let (Some(path), Some(report)) = (&args.trace_out, &result.profile) {
         let trace = report.to_chrome_trace().dump();
         std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -1218,30 +1171,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_flags_parse() {
-        let args = parse_args(vec![
-            "--checkpoint-out".into(),
-            "snap.sstbckpt".into(),
-            "--resume".into(),
-            "old.sstbckpt".into(),
-            "--halt-after".into(),
-            "3".into(),
-        ])
-        .unwrap()
-        .unwrap();
-        assert_eq!(args.checkpoint_out.as_deref(), Some("snap.sstbckpt"));
-        assert_eq!(args.resume.as_deref(), Some("old.sstbckpt"));
-        assert_eq!(args.halt_after, Some(3));
-
-        let defaults = parse_args(vec![]).unwrap().unwrap();
-        assert!(defaults.checkpoint_out.is_none());
-        assert!(defaults.resume.is_none());
-        assert!(defaults.halt_after.is_none());
-        assert!(parse_args(vec!["--halt-after".into(), "some".into()]).is_err());
-        assert!(parse_args(vec!["--checkpoint-out".into()]).is_err());
-    }
-
-    #[test]
     fn campaign_fidelity_overrides_replace_spec_axes() {
         let args = parse_campaign_args(vec![
             "sweep.campaign".into(),
@@ -1249,17 +1178,11 @@ mod tests {
             "-sim_alu_model analytical".into(),
             "-sim_sampling".into(),
             "cluster:2".into(),
-            "--checkpoint-dir".into(),
-            "/tmp/ckpts".into(),
         ])
         .unwrap();
         assert_eq!(
             args.fidelity.as_deref(),
             Some("-sim_alu_model analytical -sim_sampling cluster:2")
-        );
-        assert_eq!(
-            args.options.checkpoint_dir,
-            Some(std::path::PathBuf::from("/tmp/ckpts"))
         );
 
         let mut spec =
@@ -1356,14 +1279,7 @@ mod tests {
         assert_eq!(args.options.flight_capacity, 128);
         assert!(args.worker.is_none());
 
-        let ckpt = parse_serve_args(vec!["--checkpoint-dir".into(), "/tmp/sd".into()]).unwrap();
-        assert_eq!(
-            ckpt.options.checkpoint_dir,
-            Some(std::path::PathBuf::from("/tmp/sd"))
-        );
-
         let defaults = parse_serve_args(vec![]).unwrap();
-        assert!(defaults.options.checkpoint_dir.is_none());
         assert!(defaults.options.trace_out.is_none());
         assert!(defaults.options.events_out.is_none());
         assert_eq!(defaults.options.flight_capacity, 4096);

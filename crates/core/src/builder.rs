@@ -4,11 +4,9 @@
 //! methods for a single module" (§III-B3). A simulator instance is a
 //! hardware description ([`GpuConfig`]) plus one [`RunOptions`] value
 //! carrying everything else — fidelity (including sampling), thread count,
-//! profiling, checkpointing. [`SimulatorPreset`] is a pure alias table over
-//! the fidelity plan (see [`FidelityConfig::for_preset`]). Every run, on
-//! any thread count, goes through the one kernel loop in
-//! [`crate::twophase`]; [`RunDriver`] is its per-run sampling and
-//! checkpointing companion.
+//! profiling. [`SimulatorPreset`] is a pure alias table over the fidelity
+//! plan (see [`FidelityConfig::for_preset`]). Every run, on any thread
+//! count, goes through the one kernel loop in [`crate::twophase`].
 //!
 //! The one-call entry point is the free [`run`]:
 //!
@@ -28,13 +26,10 @@
 //! assert_eq!(result.kernels.len(), 1);
 //! ```
 
-use crate::checkpoint::Snapshot;
 use crate::error::SimError;
 use crate::fidelity::FidelityConfig;
-use crate::mem_system::MemorySystem;
-use crate::options::{CheckpointOptions, RunOptions};
-use crate::result::{Confidence, KernelResult, SimulationResult};
-use crate::sampling::{RepMeasure, Sampler};
+use crate::options::RunOptions;
+use crate::result::SimulationResult;
 use crate::sm::SmStats;
 use crate::Cycle;
 use swiftsim_config::GpuConfig;
@@ -95,8 +90,8 @@ impl std::str::FromStr for SimulatorPreset {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for an invalid configuration, a trace failure, a
-/// checkpoint problem, or a modeling deadlock.
+/// Returns [`SimError`] for an invalid configuration, a trace failure, or
+/// a modeling deadlock.
 pub fn run(
     source: &dyn TraceSource,
     cfg: &GpuConfig,
@@ -112,7 +107,6 @@ pub struct GpuSimulator {
     pub(crate) fidelity: FidelityConfig,
     pub(crate) threads: usize,
     pub(crate) profile: bool,
-    pub(crate) checkpoint: CheckpointOptions,
     pub(crate) dense_clock: bool,
 }
 
@@ -150,7 +144,6 @@ impl GpuSimulator {
             fidelity: options.fidelity,
             threads,
             profile: options.profile,
-            checkpoint: options.checkpoint.clone(),
             dense_clock: options.dense_clock,
         })
     }
@@ -185,8 +178,8 @@ impl GpuSimulator {
     /// # Errors
     ///
     /// Returns [`SimError`] when the trace is inconsistent with its launch
-    /// geometry, a block exceeds SM resources, a kernel fails to decode, a
-    /// checkpoint cannot be written/read/applied, or the model deadlocks.
+    /// geometry, a block exceeds SM resources, a kernel fails to decode, or
+    /// the model deadlocks.
     pub fn run(&self, source: &dyn TraceSource) -> Result<SimulationResult, SimError> {
         let started = std::time::Instant::now();
         let mut result = crate::twophase::run_two_phase(self, source)?;
@@ -218,197 +211,6 @@ pub(crate) fn report_common(
     core.set("ccache.misses", Value::Count(stats.ccache_misses));
     core.set("active_cycles", Value::Cycles(stats.active_cycles));
     metrics.set("sim.threads", Value::Count(sim.threads as u64));
-}
-
-/// Snapshot identity of one run, captured once when checkpointing is
-/// active.
-struct RunIdentity {
-    app: String,
-    content_hash: u64,
-    config_hash: u64,
-    fidelity: String,
-    threads: usize,
-}
-
-/// Per-run coordinator for sampling and checkpointing around the kernel
-/// loop. Owns the sampling plan and measurements, the resume snapshot, and
-/// the boundary-snapshot writer; the loop owns the clock, stats, and kernel
-/// results and threads them through.
-pub(crate) struct RunDriver {
-    sampler: Option<Sampler>,
-    write_to: Option<std::path::PathBuf>,
-    halt_after: Option<usize>,
-    identity: Option<RunIdentity>,
-    resume: Option<Snapshot>,
-    start_kernel: usize,
-}
-
-impl RunDriver {
-    /// Plan sampling, capture snapshot identity, and load + validate the
-    /// resume snapshot when one was requested.
-    pub(crate) fn new(sim: &GpuSimulator, source: &dyn TraceSource) -> Result<RunDriver, SimError> {
-        let mut sampler = Sampler::plan(source, sim.fidelity.sampling);
-        let identity = if sim.checkpoint.is_active() {
-            Some(RunIdentity {
-                app: source.name().to_owned(),
-                content_hash: source.content_hash()?,
-                config_hash: sim.cfg.stable_hash(),
-                fidelity: sim.fidelity.describe(),
-                threads: sim.threads,
-            })
-        } else {
-            None
-        };
-        let mut start_kernel = 0;
-        let mut resume = None;
-        if let Some(path) = &sim.checkpoint.resume_from {
-            let snap = Snapshot::read_from(path)?;
-            let id = identity.as_ref().expect("resume_from implies is_active");
-            snap.validate_identity(
-                &id.app,
-                id.content_hash,
-                id.config_hash,
-                &id.fidelity,
-                id.threads,
-            )?;
-            if snap.next_kernel() > source.num_kernels() {
-                return Err(SimError::Checkpoint {
-                    message: format!(
-                        "snapshot completed {} kernels but the trace has only {}",
-                        snap.next_kernel(),
-                        source.num_kernels()
-                    ),
-                });
-            }
-            // The fidelity match above guarantees the snapshot and this run
-            // agree on the sampling policy, so the sampling section is
-            // present exactly when a sampler was planned.
-            if let (Some(s), Some(words)) = (&mut sampler, &snap.sampling) {
-                s.restore_words(words)
-                    .map_err(|e| SimError::Checkpoint { message: e })?;
-            }
-            start_kernel = snap.next_kernel();
-            resume = Some(snap);
-        }
-        Ok(RunDriver {
-            sampler,
-            write_to: sim.checkpoint.write_to.clone(),
-            halt_after: sim.checkpoint.halt_after,
-            identity,
-            resume,
-            start_kernel,
-        })
-    }
-
-    /// Index of the first kernel this run simulates (0 unless resuming).
-    pub(crate) fn start_kernel(&self) -> usize {
-        self.start_kernel
-    }
-
-    /// Initial accumulators: clock, statistics, and per-kernel results —
-    /// the snapshot's on resume, zeros otherwise.
-    pub(crate) fn initial(&self) -> (Cycle, SmStats, Vec<KernelResult>) {
-        match &self.resume {
-            Some(s) => (s.cycle, s.total_stats, s.kernels.clone()),
-            None => (0, SmStats::default(), Vec::new()),
-        }
-    }
-
-    /// Apply the resume snapshot's memory section to a freshly built model.
-    pub(crate) fn restore_memory(&self, mem: &mut dyn MemorySystem) -> Result<(), SimError> {
-        if let Some(s) = &self.resume {
-            mem.load_state(&s.memory)
-                .map_err(|e| SimError::Checkpoint {
-                    message: format!("restoring memory state: {e}"),
-                })?;
-        }
-        Ok(())
-    }
-
-    /// Whether launch `kernel` is simulated in detail (always, when
-    /// sampling is off).
-    pub(crate) fn is_detailed(&self, kernel: usize) -> bool {
-        self.sampler.as_ref().is_none_or(|s| s.is_detailed(kernel))
-    }
-
-    /// Launch indices the engine will decode this run: detailed ones not
-    /// already covered by the resume snapshot.
-    pub(crate) fn decode_schedule(&self, total: usize) -> Vec<usize> {
-        (self.start_kernel..total)
-            .filter(|&k| self.is_detailed(k))
-            .collect()
-    }
-
-    /// Launch indices the analytical memory pre-pass must decode. This is
-    /// every detailed launch — including ones a resume snapshot already
-    /// covers — so the per-PC hit rates match the original run exactly
-    /// (bit-identity of the resumed run depends on it).
-    pub(crate) fn prepass_indices(&self, total: usize) -> Vec<usize> {
-        match &self.sampler {
-            Some(s) => s.detailed_indices(),
-            None => (0..total).collect(),
-        }
-    }
-
-    /// Record a detailed launch's measurements for later replays.
-    pub(crate) fn record(&mut self, kernel: usize, measure: RepMeasure) {
-        if let Some(s) = &mut self.sampler {
-            s.record(kernel, measure);
-        }
-    }
-
-    /// Synthesize a replayed launch's outcome.
-    pub(crate) fn replay(&self, kernel: usize) -> RepMeasure {
-        self.sampler
-            .as_ref()
-            .expect("replay is only reached when a sampling plan exists")
-            .replay(kernel)
-    }
-
-    /// Kernel-boundary hook: write a snapshot when requested, and report
-    /// whether the run should continue (`false` once `halt_after` kernels
-    /// have completed — the partial result covers the simulated prefix).
-    pub(crate) fn boundary(
-        &mut self,
-        kernel: usize,
-        cycle: Cycle,
-        total_stats: &SmStats,
-        kernels: &[KernelResult],
-        mem: &dyn MemorySystem,
-    ) -> Result<bool, SimError> {
-        let completed = kernel + 1;
-        if cfg!(debug_assertions) {
-            if let Err(e) = mem.check_quiescent() {
-                panic!("memory still busy after kernel {kernel}: {e}");
-            }
-        }
-        if let Some(path) = &self.write_to {
-            let id = self.identity.as_ref().expect("write_to implies is_active");
-            let memory = mem.save_state().map_err(|e| SimError::Checkpoint {
-                message: format!("snapshot at kernel {kernel} boundary: {e}"),
-            })?;
-            let snap = Snapshot {
-                app: id.app.clone(),
-                content_hash: id.content_hash,
-                config_hash: id.config_hash,
-                fidelity: id.fidelity.clone(),
-                threads: id.threads,
-                next_kernel: completed,
-                cycle,
-                total_stats: *total_stats,
-                kernels: kernels.to_vec(),
-                sampling: self.sampler.as_ref().map(Sampler::save_words),
-                memory,
-            };
-            snap.write_to(path)?;
-        }
-        Ok(self.halt_after != Some(completed))
-    }
-
-    /// The run's confidence block (`None` when sampling is off).
-    pub(crate) fn confidence(&self, kernels: &[KernelResult]) -> Option<Confidence> {
-        self.sampler.as_ref().map(|s| s.confidence(kernels))
-    }
 }
 
 #[cfg(test)]

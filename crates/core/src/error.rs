@@ -70,14 +70,6 @@ pub enum SimError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A checkpoint snapshot could not be written, read, or applied:
-    /// I/O failure, detected corruption (payload or section hash
-    /// mismatch), or an identity mismatch between the snapshot and the
-    /// resuming run.
-    Checkpoint {
-        /// Explanation of the problem.
-        message: String,
-    },
 }
 
 /// Render a `catch_unwind`/`join` panic payload as text.
@@ -121,9 +113,6 @@ impl fmt::Display for SimError {
             }
             SimError::WorkerPanic { context, message } => {
                 write!(f, "worker panicked in {context}: {message}")
-            }
-            SimError::Checkpoint { message } => {
-                write!(f, "checkpoint error: {message}")
             }
         }
     }

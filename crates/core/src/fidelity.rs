@@ -292,7 +292,7 @@ impl FidelityConfig {
             FrontendModelKind::Simplified => "simplified_frontend",
         };
         // The clock is an engine property, not a choice, but descriptions
-        // (and the campaign keys and checkpoint identities built from them)
+        // (and the campaign keys built from them)
         // predate its removal and must not move.
         let mut out = format!("{alu}+{mem}+{frontend}+event_driven");
         // Sampling changes what a run computes, so any non-off policy must

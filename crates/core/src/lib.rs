@@ -60,7 +60,6 @@
 pub mod alu;
 mod block_scheduler;
 mod builder;
-pub mod checkpoint;
 mod error;
 mod fidelity;
 mod gate;
@@ -81,7 +80,6 @@ mod twophase;
 pub use alu::AluModel;
 pub use block_scheduler::{BlockScheduler, Occupancy};
 pub use builder::{run, GpuSimulator, SimulatorPreset};
-pub use checkpoint::Snapshot;
 pub use error::{panic_message, SimError, DEADLOCK_MARKER};
 pub use fidelity::{
     AluModelKind, FidelityConfig, FrontendModelKind, MemoryModelKind, SamplingPolicy,
@@ -89,7 +87,7 @@ pub use fidelity::{
 };
 pub use json::RESULT_SCHEMA_VERSION;
 pub use mem_system::{MemReply, MemorySystem};
-pub use options::{CheckpointOptions, RunOptions};
+pub use options::RunOptions;
 pub use parallel::max_threads;
 pub use result::{Confidence, KernelResult, SimulationResult};
 pub use scheduler::{

@@ -29,7 +29,7 @@
 
 use crate::Cycle;
 use swiftsim_mem::{AddressMapping, MemTxn};
-use swiftsim_metrics::{Json, MetricsCollector, Profiler};
+use swiftsim_metrics::{MetricsCollector, Profiler};
 use swiftsim_trace::{AddressView, MemInstRef};
 
 mod analytical;
@@ -121,34 +121,6 @@ pub trait MemorySystem: Send {
     /// Names the first live piece of state found.
     fn check_quiescent(&self) -> Result<(), String> {
         Ok(())
-    }
-
-    /// Serialize the model's persistent state at a quiescent kernel
-    /// boundary for a checkpoint snapshot (cache tags, DRAM timing,
-    /// lifetime counters — everything that carries across kernels).
-    ///
-    /// Only valid at a kernel boundary, where no request or event is in
-    /// flight; implementations must verify that quiescence
-    /// ([`MemorySystem::check_quiescent`]) and refuse otherwise. Models
-    /// that do not support checkpointing keep the default, which refuses.
-    ///
-    /// # Errors
-    ///
-    /// The model is not quiescent, or does not support checkpointing.
-    fn save_state(&self) -> Result<Json, String> {
-        Err(format!("{} does not support checkpointing", self.name()))
-    }
-
-    /// Restore state serialized by [`MemorySystem::save_state`] into a
-    /// freshly built model of the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// The state is malformed, belongs to a different model kind, or
-    /// disagrees with this model's geometry (SM/partition/bank counts).
-    fn load_state(&mut self, state: &Json) -> Result<(), String> {
-        let _ = state;
-        Err(format!("{} does not support checkpointing", self.name()))
     }
 }
 

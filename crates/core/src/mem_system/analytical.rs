@@ -2,12 +2,11 @@
 //! plus a contention adder.
 
 use super::{MemCompletion, MemReply, MemorySystem};
-use crate::checkpoint::{WordReader, WordWriter};
 use crate::Cycle;
 use std::collections::{HashMap, VecDeque};
 use swiftsim_config::GpuConfig;
 use swiftsim_mem::{FastMap, MemTxn, PcHitRates};
-use swiftsim_metrics::{Json, MetricsCollector, ProfModule, Profiler, Value};
+use swiftsim_metrics::{MetricsCollector, ProfModule, Profiler, Value};
 
 // ---------------------------------------------------------------------------
 // Analytical memory model (Eq. 1)
@@ -259,90 +258,6 @@ impl MemorySystem for AnalyticalMemory {
         if contention > 0 {
             prof.add_cycles(ProfModule::MemAnalytical, contention);
         }
-    }
-
-    fn save_state(&self) -> Result<Json, String> {
-        // The per-PC latency table and the Eq. 1 terms are a pure function
-        // of the configuration and the pre-pass, which a resumed run
-        // rebuilds identically — only the evolving timing state travels.
-        // Outstanding completion times may legitimately lie in the future
-        // at a kernel boundary, and times already past stay until the SM's
-        // next access expires them; one word per transaction, ascending.
-        let mut w = WordWriter::new();
-        w.push_f64(self.bw_next_free);
-        w.push(self.accesses);
-        w.push(self.txns);
-        w.push(self.contention_cycles);
-        w.push(self.prof_accesses);
-        w.push(self.prof_contention);
-        w.push_f64(self.est_l1_hits);
-        w.push_f64(self.est_l1_misses);
-        w.push_f64(self.est_l2_hits);
-        w.push_f64(self.est_dram_reads);
-        w.push_f64(self.est_dram_writes);
-        w.push(self.outstanding.len() as u64);
-        for outstanding in &self.outstanding {
-            let (front, back) = outstanding.times.as_slices();
-            w.push_slice(&[front, back].concat());
-        }
-        Ok(Json::obj(vec![
-            ("kind", Json::str("analytical")),
-            ("v", Json::str(w.finish())),
-        ]))
-    }
-
-    fn load_state(&mut self, state: &Json) -> Result<(), String> {
-        let kind = state.get("kind").and_then(Json::as_str).unwrap_or("?");
-        if kind != "analytical" {
-            return Err(format!(
-                "memory snapshot is for a {kind:?} model, this run uses analytical"
-            ));
-        }
-        let text = state
-            .get("v")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "memory snapshot missing words".to_owned())?;
-        let mut r = WordReader::new(text, "analytical memory");
-        let bw_next_free = r.next_f64()?;
-        let accesses = r.next()?;
-        let txns = r.next()?;
-        let contention_cycles = r.next()?;
-        let prof_accesses = r.next()?;
-        let prof_contention = r.next()?;
-        let est_l1_hits = r.next_f64()?;
-        let est_l1_misses = r.next_f64()?;
-        let est_l2_hits = r.next_f64()?;
-        let est_dram_reads = r.next_f64()?;
-        let est_dram_writes = r.next_f64()?;
-        let nsm = r.next_usize()?;
-        if nsm != self.outstanding.len() {
-            return Err(format!(
-                "memory snapshot has {nsm} SMs, this config has {}",
-                self.outstanding.len()
-            ));
-        }
-        let mut outstanding = Vec::with_capacity(nsm);
-        for _ in 0..nsm {
-            let mut sm = Outstanding::default();
-            for t in r.next_slice()? {
-                sm.push(t, 1);
-            }
-            outstanding.push(sm);
-        }
-        r.finish()?;
-        self.bw_next_free = bw_next_free;
-        self.accesses = accesses;
-        self.txns = txns;
-        self.contention_cycles = contention_cycles;
-        self.prof_accesses = prof_accesses;
-        self.prof_contention = prof_contention;
-        self.est_l1_hits = est_l1_hits;
-        self.est_l1_misses = est_l1_misses;
-        self.est_l2_hits = est_l2_hits;
-        self.est_dram_reads = est_dram_reads;
-        self.est_dram_writes = est_dram_writes;
-        self.outstanding = outstanding;
-        Ok(())
     }
 }
 

@@ -80,14 +80,9 @@ impl<T, const WINDOW: usize> CalendarQueue<T, WINDOW> {
     }
 
     /// Events ever scheduled, the `seq` the next one gets.
+    #[cfg(test)]
     pub(crate) fn scheduled(&self) -> u64 {
         self.scheduled
-    }
-
-    /// Resume the scheduling counter (snapshot restore; queue empty).
-    pub(crate) fn set_scheduled(&mut self, scheduled: u64) {
-        debug_assert_eq!(self.len, 0, "the counter moves only on an empty queue");
-        self.scheduled = scheduled;
     }
 
     /// Schedule `item` at cycle `at`, which must not precede the window:

@@ -1,19 +1,14 @@
-//! The cycle-accurate hierarchy walk: [`CycleAccurateMemory`] and the
-//! checkpoint word codecs of its components.
+//! The cycle-accurate hierarchy walk: [`CycleAccurateMemory`].
 
 use super::calendar::CalendarQueue;
 use super::slab::Slab;
 use super::{MemCompletion, MemReply, MemorySystem};
-use crate::checkpoint::{WordReader, WordWriter};
 use crate::Cycle;
 use std::collections::VecDeque;
 use swiftsim_config::GpuConfig;
-use swiftsim_mem::{
-    AccessOutcome, AddressMapping, DramChannel, DramChannelState, DramStats, LineSnapshot, MemTxn,
-    MshrCounters, SectorCache, SectorCacheState, TagArrayState,
-};
-use swiftsim_metrics::{Json, MetricsCollector, ProfModule, Profiler, Value};
-use swiftsim_noc::{Crossbar, Interconnect, Mesh, NocState, NocStats, PortState};
+use swiftsim_mem::{AccessOutcome, AddressMapping, DramChannel, MemTxn, SectorCache};
+use swiftsim_metrics::{MetricsCollector, ProfModule, Profiler, Value};
+use swiftsim_noc::{Crossbar, Interconnect, Mesh};
 
 /// Sentinel waiter for requests nobody waits on (forwarded stores).
 const NO_WAITER: u64 = u64::MAX;
@@ -123,15 +118,10 @@ pub struct CycleAccurateMemory {
     rsp_noc: Box<dyn Interconnect>,
     line_bytes: u32,
     partitions: u32,
-    /// Pending events, popped in `(cycle, scheduling order)` order; its
-    /// scheduling counter is the snapshot's `event_seq` word.
+    /// Pending events, popped in `(cycle, scheduling order)` order.
     events: CalendarQueue<Event>,
     /// In-flight warp requests; a request's token is its slot.
     reqs: Slab<PendingReq>,
-    /// Requests ever issued and L2 waiters ever registered: snapshot words
-    /// only (ids are slots, not these counts).
-    next_token: u64,
-    next_l2_waiter: u64,
     /// What each link refused, indexed by [`Link`].
     refused: [Refused; 3],
     /// Transactions blocked by an L1 MSHR/way reservation failure, drained
@@ -189,8 +179,6 @@ impl CycleAccurateMemory {
             partitions: cfg.memory.partitions,
             events: CalendarQueue::new(),
             reqs: Slab::new(),
-            next_token: 0,
-            next_l2_waiter: 0,
             refused: [parts, sms, parts].map(|n| Refused {
                 pending: vec![VecDeque::new(); n],
                 armed: vec![false; n],
@@ -416,9 +404,6 @@ impl CycleAccurateMemory {
                 // The L2 MSHR holds the requester's packed (SM, token): the
                 // fill's line and that SM are all a reply needs, and the
                 // token itself completes at L1 fill time.
-                if waiter != NO_WAITER {
-                    self.next_l2_waiter += 1;
-                }
                 match self.l2[part].access(txn, waiter, now) {
                     AccessOutcome::Hit {
                         ready_at,
@@ -545,7 +530,6 @@ impl MemorySystem for CycleAccurateMemory {
         if txns.iter().all(|t| t.write) {
             self.store_only += 1;
         }
-        self.next_token += 1;
         // Register the request *before* touching the L1: an event-path
         // transaction (retry) may otherwise complete against a missing
         // entry.
@@ -761,282 +745,6 @@ impl MemorySystem for CycleAccurateMemory {
         }
         Ok(())
     }
-
-    fn save_state(&self) -> Result<Json, String> {
-        // Anything in flight would be lost by the snapshot, so refuse
-        // loudly.
-        self.check_quiescent()?;
-        let caches = |list: &[SectorCache], what: &str| -> Result<Json, String> {
-            let mut out = Vec::with_capacity(list.len());
-            for (i, cache) in list.iter().enumerate() {
-                let state = cache
-                    .save_state()
-                    .map_err(|e| format!("{what}[{i}]: {e}"))?;
-                out.push(Json::str(cache_words(&state)));
-            }
-            Ok(Json::Arr(out))
-        };
-        let mut counters = WordWriter::new();
-        for &c in &[
-            self.events.scheduled(),
-            self.next_token,
-            self.next_l2_waiter,
-            self.retry_cycles,
-            self.accesses,
-            self.store_only,
-            self.events_processed,
-        ] {
-            counters.push(c);
-        }
-        Ok(Json::obj(vec![
-            ("kind", Json::str("cycle_accurate")),
-            ("l1", caches(&self.l1, "l1")?),
-            ("l2", caches(&self.l2, "l2")?),
-            (
-                "dram",
-                Json::Arr(
-                    self.dram
-                        .iter()
-                        .map(|d| Json::str(dram_words(&d.save_state())))
-                        .collect(),
-                ),
-            ),
-            ("fwd_noc", Json::str(noc_words(&self.fwd_noc.save_state()))),
-            ("rsp_noc", Json::str(noc_words(&self.rsp_noc.save_state()))),
-            ("counters", Json::str(counters.finish())),
-        ]))
-    }
-
-    fn load_state(&mut self, state: &Json) -> Result<(), String> {
-        let kind = state.get("kind").and_then(Json::as_str).unwrap_or("?");
-        if kind != "cycle_accurate" {
-            return Err(format!(
-                "memory snapshot is for a {kind:?} model, this run uses cycle_accurate"
-            ));
-        }
-        let arr = |key: &str, expect: usize| -> Result<Vec<&str>, String> {
-            let items = state
-                .get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("memory snapshot missing {key} array"))?;
-            if items.len() != expect {
-                return Err(format!(
-                    "memory snapshot has {} {key} entries, this config has {expect}",
-                    items.len()
-                ));
-            }
-            items
-                .iter()
-                .map(|j| {
-                    j.as_str()
-                        .ok_or_else(|| format!("{key} entry is not a string"))
-                })
-                .collect()
-        };
-        for (i, words) in arr("l1", self.l1.len())?.iter().enumerate() {
-            let parsed = cache_from_words(words, "l1")?;
-            self.l1[i]
-                .restore_state(&parsed)
-                .map_err(|e| format!("l1[{i}]: {e}"))?;
-        }
-        for (i, words) in arr("l2", self.l2.len())?.iter().enumerate() {
-            let parsed = cache_from_words(words, "l2")?;
-            self.l2[i]
-                .restore_state(&parsed)
-                .map_err(|e| format!("l2[{i}]: {e}"))?;
-        }
-        for (i, words) in arr("dram", self.dram.len())?.iter().enumerate() {
-            let parsed = dram_from_words(words)?;
-            self.dram[i]
-                .restore_state(&parsed)
-                .map_err(|e| format!("dram[{i}]: {e}"))?;
-        }
-        let noc_text = |key: &str| -> Result<String, String> {
-            state
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("memory snapshot missing {key}"))
-        };
-        self.fwd_noc
-            .restore_state(&noc_from_words(&noc_text("fwd_noc")?, "fwd_noc")?)
-            .map_err(|e| format!("fwd_noc: {e}"))?;
-        self.rsp_noc
-            .restore_state(&noc_from_words(&noc_text("rsp_noc")?, "rsp_noc")?)
-            .map_err(|e| format!("rsp_noc: {e}"))?;
-        let counters = state
-            .get("counters")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "memory snapshot missing counters".to_owned())?;
-        let mut r = WordReader::new(counters, "memory counters");
-        self.events.set_scheduled(r.next()?);
-        self.next_token = r.next()?;
-        self.next_l2_waiter = r.next()?;
-        self.retry_cycles = r.next()?;
-        self.accesses = r.next()?;
-        self.store_only = r.next()?;
-        self.events_processed = r.next()?;
-        r.finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint word codecs for the component state structs
-// ---------------------------------------------------------------------------
-
-/// Encode one cache's snapshot as a word stream:
-/// `[nlines, per line (tag, state|valid<<8|dirty<<16, last_use, alloc_time),
-/// rng x4, bank_free_at slice, mshr x4, stats x10]`.
-fn cache_words(state: &SectorCacheState) -> String {
-    let mut w = WordWriter::new();
-    w.push(state.tags.lines.len() as u64);
-    for line in &state.tags.lines {
-        w.push(line.tag);
-        w.push(
-            u64::from(line.state)
-                | u64::from(line.valid_mask) << 8
-                | u64::from(line.dirty_mask) << 16,
-        );
-        w.push(line.last_use);
-        w.push(line.alloc_time);
-    }
-    for &word in &state.tags.rng {
-        w.push(word);
-    }
-    w.push_slice(&state.bank_free_at);
-    w.push(state.mshr.peak);
-    w.push(state.mshr.merges);
-    w.push(state.mshr.reservation_failures);
-    w.push(state.mshr.seq);
-    let s = &state.stats;
-    for &c in &[
-        s.accesses,
-        s.hits,
-        s.misses,
-        s.merged_misses,
-        s.write_forwards,
-        s.reservation_failures,
-        s.bank_conflicts,
-        s.bank_stall_cycles,
-        s.writebacks,
-        s.fills,
-    ] {
-        w.push(c);
-    }
-    w.finish()
-}
-
-fn cache_from_words(text: &str, what: &str) -> Result<SectorCacheState, String> {
-    let mut r = WordReader::new(text, what);
-    let nlines = r.next_usize()?;
-    let mut lines = Vec::with_capacity(nlines.min(1 << 20));
-    for _ in 0..nlines {
-        let tag = r.next()?;
-        let packed = r.next()?;
-        lines.push(LineSnapshot {
-            tag,
-            state: (packed & 0xff) as u8,
-            valid_mask: (packed >> 8 & 0xff) as u8,
-            dirty_mask: (packed >> 16 & 0xff) as u8,
-            last_use: r.next()?,
-            alloc_time: r.next()?,
-        });
-    }
-    let rng = [r.next()?, r.next()?, r.next()?, r.next()?];
-    let bank_free_at = r.next_slice()?;
-    let mshr = MshrCounters {
-        peak: r.next()?,
-        merges: r.next()?,
-        reservation_failures: r.next()?,
-        seq: r.next()?,
-    };
-    let stats = swiftsim_mem::CacheStats {
-        accesses: r.next()?,
-        hits: r.next()?,
-        misses: r.next()?,
-        merged_misses: r.next()?,
-        write_forwards: r.next()?,
-        reservation_failures: r.next()?,
-        bank_conflicts: r.next()?,
-        bank_stall_cycles: r.next()?,
-        writebacks: r.next()?,
-        fills: r.next()?,
-    };
-    r.finish()?;
-    Ok(SectorCacheState {
-        tags: TagArrayState { lines, rng },
-        bank_free_at,
-        mshr,
-        stats,
-    })
-}
-
-/// `[next_free, reads, writes, queued_cycles, busy_cycles, rejections,
-/// in_flight slice]`.
-fn dram_words(state: &DramChannelState) -> String {
-    let mut w = WordWriter::new();
-    w.push(state.next_free);
-    w.push(state.stats.reads);
-    w.push(state.stats.writes);
-    w.push(state.stats.queued_cycles);
-    w.push(state.stats.busy_cycles);
-    w.push(state.stats.rejections);
-    w.push_slice(&state.in_flight);
-    w.finish()
-}
-
-fn dram_from_words(text: &str) -> Result<DramChannelState, String> {
-    let mut r = WordReader::new(text, "dram channel");
-    let next_free = r.next()?;
-    let stats = DramStats {
-        reads: r.next()?,
-        writes: r.next()?,
-        queued_cycles: r.next()?,
-        busy_cycles: r.next()?,
-        rejections: r.next()?,
-    };
-    let in_flight = r.next_slice()?;
-    r.finish()?;
-    Ok(DramChannelState {
-        next_free,
-        in_flight,
-        stats,
-    })
-}
-
-/// `[nports, per port (next_free, in_flight slice), stats x4]`.
-fn noc_words(state: &NocState) -> String {
-    let mut w = WordWriter::new();
-    w.push(state.ports.len() as u64);
-    for port in &state.ports {
-        w.push(port.next_free);
-        w.push_slice(&port.in_flight);
-    }
-    w.push(state.stats.flits);
-    w.push(state.stats.traversals);
-    w.push(state.stats.stall_cycles);
-    w.push(state.stats.rejections);
-    w.finish()
-}
-
-fn noc_from_words(text: &str, what: &str) -> Result<NocState, String> {
-    let mut r = WordReader::new(text, what);
-    let nports = r.next_usize()?;
-    let mut ports = Vec::with_capacity(nports.min(4096));
-    for _ in 0..nports {
-        ports.push(PortState {
-            next_free: r.next()?,
-            in_flight: r.next_slice()?,
-        });
-    }
-    let stats = NocStats {
-        flits: r.next()?,
-        traversals: r.next()?,
-        stall_cycles: r.next()?,
-        rejections: r.next()?,
-    };
-    r.finish()?;
-    Ok(NocState { ports, stats })
 }
 
 #[cfg(test)]

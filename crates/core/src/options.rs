@@ -1,9 +1,9 @@
 //! Run configuration: one [`RunOptions`] value carries everything a
 //! simulation run needs beyond the hardware description.
 //!
-//! The `SimulatorBuilder` surface grew one setter per PR (threads, profile,
-//! fidelity, per-module overrides…); sampling and checkpointing would have
-//! added five more. [`RunOptions`] collapses that surface into a single
+//! The `SimulatorBuilder` surface grew one setter per knob (threads,
+//! profile, fidelity, per-module overrides…). [`RunOptions`] collapses that
+//! surface into a single
 //! plain-data struct with `Default` + builder-style `with_*` methods,
 //! consumed by [`crate::run`] and [`crate::GpuSimulator::try_new`]:
 //!
@@ -20,40 +20,9 @@
 
 use crate::builder::SimulatorPreset;
 use crate::fidelity::{FidelityConfig, SamplingPolicy};
-use std::path::PathBuf;
-
-/// Checkpoint/resume knobs of one run.
-///
-/// Snapshots are written at kernel boundaries (the only points where the
-/// engine's dynamic state — MSHRs, event heaps, in-flight requests — is
-/// provably empty), so a resumed run replays the remaining kernels against
-/// restored persistent state and is **bit-identical** to an uninterrupted
-/// one.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CheckpointOptions {
-    /// Write a snapshot here after every kernel boundary (atomically:
-    /// write-then-rename, each snapshot replacing the last).
-    pub write_to: Option<PathBuf>,
-    /// Load a snapshot from here before simulating and continue from its
-    /// kernel boundary. The snapshot's identity (trace content hash,
-    /// fidelity, thread count) must match this run.
-    pub resume_from: Option<PathBuf>,
-    /// Stop after this many kernels, writing a final snapshot to
-    /// `write_to`. The deterministic stand-in for "the process was killed
-    /// mid-application": the partial result covers only the simulated
-    /// prefix.
-    pub halt_after: Option<usize>,
-}
-
-impl CheckpointOptions {
-    /// Whether any checkpoint behavior is requested.
-    pub fn is_active(&self) -> bool {
-        self.write_to.is_some() || self.resume_from.is_some() || self.halt_after.is_some()
-    }
-}
 
 /// Everything a simulation run needs beyond the hardware description:
-/// fidelity (including sampling), thread count, profiling, checkpointing.
+/// fidelity (including sampling), thread count, profiling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOptions {
     /// Per-module fidelity plan (presets are aliases over it).
@@ -64,21 +33,17 @@ pub struct RunOptions {
     pub threads: usize,
     /// Record per-module wall-time/cycle attribution while simulating.
     pub profile: bool,
-    /// Checkpoint/resume behavior.
-    pub checkpoint: CheckpointOptions,
     /// Tick every SM every cycle ([`RunOptions::with_dense_clock`]).
     pub(crate) dense_clock: bool,
 }
 
 impl Default for RunOptions {
-    /// Single-threaded detailed-baseline run, no profiling, no
-    /// checkpointing.
+    /// Single-threaded detailed-baseline run, no profiling.
     fn default() -> Self {
         RunOptions {
             fidelity: FidelityConfig::default(),
             threads: 1,
             profile: false,
-            checkpoint: CheckpointOptions::default(),
             dense_clock: false,
         }
     }
@@ -122,28 +87,6 @@ impl RunOptions {
         self
     }
 
-    /// Write a snapshot to `path` after every kernel boundary.
-    #[must_use]
-    pub fn with_checkpoint_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint.write_to = Some(path.into());
-        self
-    }
-
-    /// Resume from the snapshot at `path`.
-    #[must_use]
-    pub fn with_resume(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint.resume_from = Some(path.into());
-        self
-    }
-
-    /// Stop after `kernels` kernels, writing a final snapshot (see
-    /// [`CheckpointOptions::halt_after`]).
-    #[must_use]
-    pub fn with_halt_after(mut self, kernels: usize) -> Self {
-        self.checkpoint.halt_after = Some(kernels);
-        self
-    }
-
     /// Tick every SM on every cycle: no SM sleeps and the clock never
     /// jumps. This is the oracle the sleep-set tests compare the engine
     /// against, bit-identical to a normal run by contract
@@ -168,7 +111,6 @@ mod tests {
         assert_eq!(o.fidelity, FidelityConfig::default());
         assert_eq!(o.threads, 1);
         assert!(!o.profile);
-        assert!(!o.checkpoint.is_active());
     }
 
     #[test]
@@ -177,10 +119,7 @@ mod tests {
             .with_preset(SimulatorPreset::SwiftBasic)
             .with_sampling(SamplingPolicy::KernelCluster { reps: 3 })
             .with_threads(4)
-            .with_profile(true)
-            .with_checkpoint_out("/tmp/ck")
-            .with_resume("/tmp/ck")
-            .with_halt_after(7);
+            .with_profile(true);
         assert_eq!(o.fidelity.alu, AluModelKind::Analytical);
         assert_eq!(
             o.fidelity.sampling,
@@ -188,12 +127,5 @@ mod tests {
         );
         assert_eq!(o.threads, 4);
         assert!(o.profile);
-        assert_eq!(o.checkpoint.write_to.as_deref(), Some("/tmp/ck".as_ref()));
-        assert_eq!(
-            o.checkpoint.resume_from.as_deref(),
-            Some("/tmp/ck".as_ref())
-        );
-        assert_eq!(o.checkpoint.halt_after, Some(7));
-        assert!(o.checkpoint.is_active());
     }
 }

@@ -60,8 +60,8 @@ pub(crate) struct Prefetcher<'scope, 'env> {
 
 impl<'scope, 'env> Prefetcher<'scope, 'env> {
     /// Start the pipeline over `schedule`, a strictly increasing list of
-    /// kernel indices — a sampled run decodes only its detailed launches,
-    /// a resumed run only the ones past its snapshot. `prof` is the
+    /// kernel indices — a sampled run decodes only its detailed launches.
+    /// `prof` is the
     /// profiler decode frames land on; `threaded` enables the background
     /// thread (callers pass `false` for in-memory sources). When threaded,
     /// the first scheduled decode starts immediately.

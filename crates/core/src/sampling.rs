@@ -18,11 +18,6 @@
 //! is bounded and *reported*: the spread of the representatives' measured
 //! cycles becomes a per-cluster relative error bound, surfaced per kernel
 //! and as a whole-app bound in the result's [`Confidence`] block.
-//!
-//! The sampler's measurements are part of checkpoint snapshots (a resumed
-//! run must replay later launches from the **same** representative
-//! measurements to stay bit-identical), serialized through the word-stream
-//! helpers in [`crate::checkpoint`].
 
 use crate::fidelity::SamplingPolicy;
 use crate::result::{Confidence, KernelResult};
@@ -62,7 +57,7 @@ pub(crate) struct RepMeasure {
 
 /// The sampling driver one run owns: the launch-order plan plus the
 /// representative measurements accumulated so far.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct Sampler {
     /// Cluster index of each kernel launch, in launch order.
     cluster_of: Vec<usize>,
@@ -95,8 +90,7 @@ impl Sampler {
     /// Build the launch-order plan for `source` under `policy`.
     ///
     /// Returns `None` when sampling is off. The plan is a pure function of
-    /// the trace metadata and the policy, so a resumed run rebuilds the
-    /// identical plan from the trace alone.
+    /// the trace metadata and the policy.
     pub(crate) fn plan(source: &dyn TraceSource, policy: SamplingPolicy) -> Option<Sampler> {
         let SamplingPolicy::KernelCluster { reps } = policy else {
             return None;
@@ -213,10 +207,9 @@ impl Sampler {
     }
 
     /// The run's [`Confidence`] block. `kernels` is the launch-order
-    /// result list — the full application, or the simulated prefix when
-    /// the run halted at a checkpoint boundary.
+    /// result list of the whole application.
     pub(crate) fn confidence(&self, kernels: &[KernelResult]) -> Confidence {
-        debug_assert!(kernels.len() <= self.detailed.len());
+        debug_assert_eq!(kernels.len(), self.detailed.len());
         let mut kernel_error_bounds = Vec::with_capacity(kernels.len());
         let mut replayed_kernels = 0u64;
         let mut replayed_cycles: Cycle = 0;
@@ -247,70 +240,6 @@ impl Sampler {
             kernel_error_bounds,
             app_error_bound,
         }
-    }
-
-    /// Serialize the representative measurements as a word stream for
-    /// checkpoint snapshots. The plan itself is not serialized — it is a
-    /// pure function of the trace and policy, and snapshot identity
-    /// already pins both.
-    pub(crate) fn save_words(&self) -> Vec<u64> {
-        let mut out = vec![self.num_clusters as u64];
-        for cluster in &self.reps {
-            out.push(cluster.len() as u64);
-            for r in cluster {
-                out.push(r.cycles);
-                out.extend_from_slice(&crate::checkpoint::stats_words(&r.stats));
-                out.push(r.instructions);
-                out.push(r.blocks);
-            }
-        }
-        out
-    }
-
-    /// Restore representative measurements saved by
-    /// [`Sampler::save_words`] into a freshly planned sampler.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a stream whose cluster count disagrees with the plan or
-    /// that is truncated/malformed.
-    pub(crate) fn restore_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let mut it = words.iter().copied();
-        let mut next = || -> Result<u64, String> {
-            it.next()
-                .ok_or_else(|| "sampling state truncated".to_owned())
-        };
-        let clusters = next()? as usize;
-        if clusters != self.num_clusters {
-            return Err(format!(
-                "sampling state has {clusters} clusters, trace plan has {}",
-                self.num_clusters
-            ));
-        }
-        let mut reps = Vec::with_capacity(clusters);
-        for _ in 0..clusters {
-            let len = next()? as usize;
-            let mut cluster = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                let cycles = next()?;
-                let mut stats = [0u64; 10];
-                for slot in &mut stats {
-                    *slot = next()?;
-                }
-                cluster.push(RepMeasure {
-                    cycles,
-                    stats: crate::checkpoint::stats_from_words(&stats),
-                    instructions: next()?,
-                    blocks: next()?,
-                });
-            }
-            reps.push(cluster);
-        }
-        if it.next().is_some() {
-            return Err("sampling state has trailing words".to_owned());
-        }
-        self.reps = reps;
-        Ok(())
     }
 }
 
@@ -474,30 +403,5 @@ mod tests {
         ];
         let c = s.confidence(&kernels);
         assert_eq!(c.kernel_error_bounds[1], SINGLE_REP_ERROR_FLOOR);
-    }
-
-    #[test]
-    fn measurements_round_trip_through_words() {
-        let src = MetaSource {
-            metas: vec![meta("a", 4, 100), meta("b", 8, 200)],
-            order: vec![0, 1, 0, 1],
-        };
-        let mut s = Sampler::plan(&src, SamplingPolicy::KernelCluster { reps: 1 }).unwrap();
-        s.record(0, measure(u64::MAX - 3));
-        s.record(1, measure(7));
-        let words = s.save_words();
-        let mut restored = Sampler::plan(&src, SamplingPolicy::KernelCluster { reps: 1 }).unwrap();
-        restored.restore_words(&words).unwrap();
-        assert_eq!(restored, s);
-        // Cluster-count mismatch is rejected.
-        let other = MetaSource {
-            metas: vec![meta("a", 4, 100)],
-            order: vec![0],
-        };
-        let mut wrong = Sampler::plan(&other, SamplingPolicy::KernelCluster { reps: 1 }).unwrap();
-        assert!(wrong
-            .restore_words(&words)
-            .unwrap_err()
-            .contains("clusters"));
     }
 }

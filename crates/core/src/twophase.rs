@@ -52,7 +52,7 @@
 //! decodes the first kernel on its own thread.
 
 use crate::block_scheduler::BlockScheduler;
-use crate::builder::{GpuSimulator, RunDriver};
+use crate::builder::GpuSimulator;
 use crate::error::SimError;
 use crate::fidelity::MemoryModelKind;
 use crate::gate::{Coordinator, Dead, Gate};
@@ -63,7 +63,7 @@ use crate::mem_system::{
 use crate::parallel::split_sms;
 use crate::prefetch::Prefetcher;
 use crate::result::{KernelResult, SimulationResult};
-use crate::sampling::RepMeasure;
+use crate::sampling::{RepMeasure, Sampler};
 use crate::sm::{SmStats, WbTarget};
 use crate::Cycle;
 use std::ops::Range;
@@ -257,7 +257,13 @@ pub(crate) fn run_two_phase(
         .collect();
 
     let total = source.num_kernels();
-    let mut driver = RunDriver::new(sim, source)?;
+    let mut sampler = Sampler::plan(source, sim.fidelity.sampling);
+    // The launches simulated in detail: every one, unless sampling replays
+    // some. Only these are decoded, by the engine and by the pre-pass.
+    let detailed = match &sampler {
+        Some(s) => s.detailed_indices(),
+        None => (0..total).collect(),
+    };
 
     // The calling thread (coordinator, shard 0, memory) renders on track 0,
     // worker shards on tracks 1..shards, decode on the one after; one epoch
@@ -281,21 +287,24 @@ pub(crate) fn run_two_phase(
             source,
             decode_prof,
             source.prefers_prefetch(),
-            driver.decode_schedule(total),
+            detailed.clone(),
         );
         let mut mem: Box<dyn MemorySystem> = match sim.fidelity.memory {
             MemoryModelKind::CycleAccurate => Box::new(CycleAccurateMemory::new(&sim.cfg)),
-            kind => {
-                let kernels = driver.prepass_indices(total);
-                Box::new(build_analytical_memory(&sim.cfg, kind, source, &kernels)?)
-            }
+            kind => Box::new(build_analytical_memory(&sim.cfg, kind, source, &detailed)?),
         };
-        driver.restore_memory(mem.as_mut())?;
         mem.set_profiling(sim.profile);
-        let (mut start, mut total_stats, mut kernels) = driver.initial();
+        let mut start: Cycle = 0;
+        let mut total_stats = SmStats::default();
+        let mut kernels = Vec::with_capacity(total);
 
-        for kidx in driver.start_kernel()..total {
-            let (name, measure) = if driver.is_detailed(kidx) {
+        for kidx in 0..total {
+            let replayed = sampler.as_ref().filter(|s| !s.is_detailed(kidx));
+            let (name, measure) = if let Some(s) = replayed {
+                // Replayed launch: synthesized from its cluster's
+                // representatives, trace body never decoded.
+                (source.kernel_meta(kidx).name, s.replay(kidx))
+            } else {
                 let kernel = pf.get(kidx)?;
                 let kernel = &*kernel;
                 let (end, stats) = run_kernel(
@@ -314,12 +323,10 @@ pub(crate) fn run_two_phase(
                     instructions: stats.issued,
                     blocks: kernel.blocks().len() as u64,
                 };
-                driver.record(kidx, measure);
+                if let Some(s) = &mut sampler {
+                    s.record(kidx, measure);
+                }
                 (kernel.name.clone(), measure)
-            } else {
-                // Replayed launch: synthesized from its cluster's
-                // representatives, trace body never decoded.
-                (source.kernel_meta(kidx).name, driver.replay(kidx))
             };
             kernels.push(KernelResult {
                 name,
@@ -329,8 +336,10 @@ pub(crate) fn run_two_phase(
             });
             total_stats.add(&measure.stats);
             start += measure.cycles;
-            if !driver.boundary(kidx, start, &total_stats, &kernels, mem.as_ref())? {
-                break;
+            if cfg!(debug_assertions) {
+                if let Err(e) = mem.check_quiescent() {
+                    panic!("memory still busy after kernel {kidx}: {e}");
+                }
             }
         }
 
@@ -347,7 +356,7 @@ pub(crate) fn run_two_phase(
                     .collect(),
             )
         });
-        let confidence = driver.confidence(&kernels);
+        let confidence = sampler.as_ref().map(|s| s.confidence(&kernels));
 
         Ok(SimulationResult {
             app: source.name().to_owned(),

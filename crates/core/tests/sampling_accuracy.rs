@@ -159,39 +159,3 @@ fn singleton_clusters_fall_back_to_the_error_floor() {
     assert_eq!(sampled.cycles, exact.cycles, "all-detailed run is exact");
     assert_eq!(sampled.kernels, exact.kernels);
 }
-
-#[test]
-fn sampling_survives_a_checkpoint_resume_cycle() {
-    // A sampled run halted mid-app and resumed must reproduce the
-    // uninterrupted sampled run exactly — the snapshot carries the
-    // sampler's measurements, so replays after the boundary use the same
-    // representative means.
-    let dir = std::env::temp_dir().join(format!("swiftsim-sampling-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let snap_path = dir.join("sampled.sstbckpt");
-
-    let app = iterative_app(8); // 16 launches
-    let gpu = small_gpu();
-    let options = RunOptions::default()
-        .with_preset(SimulatorPreset::SwiftMemory)
-        .with_sampling(SamplingPolicy::KernelCluster { reps: 2 });
-
-    let fresh = run(&app, &gpu, &options).expect("uninterrupted sampled run");
-    let halted = options
-        .clone()
-        .with_checkpoint_out(&snap_path)
-        .with_halt_after(6);
-    let partial = run(&app, &gpu, &halted).expect("halted sampled run");
-    assert_eq!(partial.kernels.len(), 6);
-
-    let resumed =
-        run(&app, &gpu, &options.clone().with_resume(&snap_path)).expect("resumed sampled run");
-    assert_eq!(resumed.cycles, fresh.cycles, "cycles");
-    assert_eq!(resumed.kernels, fresh.kernels, "per-kernel results");
-    assert_eq!(resumed.metrics, fresh.metrics, "metrics");
-    assert_eq!(
-        resumed.confidence, fresh.confidence,
-        "the confidence block survives resume"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}

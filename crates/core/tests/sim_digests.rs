@@ -16,23 +16,6 @@
 //! UPDATE_DIGESTS=1 cargo test -p swiftsim-core --test sim_digests
 //! git diff crates/core/tests/golden/sim_digests.txt  # review the delta
 //! ```
-//!
-//! The state a run carries *between* kernels is pinned the same way:
-//! `tests/fixtures/bfs_tiny_{basic,memory}.sstbckpt` are snapshots an
-//! earlier commit (5329878) wrote after the first kernel of tiny `bfs`,
-//! and resuming from them must land on the golden line of the whole run.
-//! They hold every L1/L2 line as that commit's tag arrays laid them out,
-//! the replacement RNGs, and the analytical model's service clock, so a
-//! reorganised tag array or pre-pass that reads them differently cannot
-//! pass. After a deliberate change to the snapshot format, the trace
-//! generator or the GPU preset, rewrite them:
-//!
-//! ```sh
-//! swiftsim --workload bfs --scale tiny --preset swift-basic --halt-after 1 \
-//!     --checkpoint-out crates/core/tests/fixtures/bfs_tiny_basic.sstbckpt
-//! ```
-//!
-//! and likewise with `swift-memory` / `bfs_tiny_memory.sstbckpt`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -288,47 +271,4 @@ fn simulated_stats_match_the_golden_snapshot() {
          with `UPDATE_DIGESTS=1 cargo test -p swiftsim-core --test\n\
          sim_digests` and review the diff. Changes:\n{diff}"
     );
-}
-
-#[test]
-fn snapshots_of_an_earlier_commit_resume_to_the_golden_line() {
-    if std::env::var_os("UPDATE_DIGESTS").is_some() {
-        return; // the golden file is being rewritten next to this test
-    }
-    let golden = std::fs::read_to_string(golden_path()).expect("read golden snapshot");
-    let cfg = presets::rtx2080ti();
-    let app = swiftsim_workloads::by_name("bfs")
-        .expect("bfs is in the suite")
-        .generate(Scale::Tiny);
-    for (preset, label, file) in [
-        (
-            SimulatorPreset::SwiftBasic,
-            "swift-basic",
-            "bfs_tiny_basic.sstbckpt",
-        ),
-        (
-            SimulatorPreset::SwiftMemory,
-            "swift-memory",
-            "bfs_tiny_memory.sstbckpt",
-        ),
-    ] {
-        let snapshot = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures")
-            .join(file);
-        let options = RunOptions::default()
-            .with_preset(preset)
-            .with_resume(snapshot);
-        let result = swiftsim_core::run(&app, &cfg, &options)
-            .unwrap_or_else(|e| panic!("resuming {file}: {e}"));
-        let line = format!(
-            "bfs {label} {} {} {:016x}",
-            result.cycles,
-            result.instructions(),
-            stats_digest(&result)
-        );
-        assert!(
-            golden.lines().any(|l| l == line),
-            "resumed from {file} to {line:?}, which is not the golden line"
-        );
-    }
 }

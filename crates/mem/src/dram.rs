@@ -123,52 +123,6 @@ impl DramChannel {
     pub fn stats(&self) -> DramStats {
         self.stats
     }
-
-    /// Snapshot the channel's persistent state for checkpointing.
-    ///
-    /// Unlike caches, a DRAM channel may legitimately hold in-flight
-    /// completion times at a kernel boundary: writes complete without any
-    /// upstream event, so their scheduled completions can lie in the
-    /// future. They are part of the snapshot.
-    pub fn save_state(&self) -> DramChannelState {
-        DramChannelState {
-            next_free: self.next_free,
-            in_flight: self.in_flight.iter().copied().collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restore a snapshot taken from an identically configured channel.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a snapshot holding more in-flight transactions than this
-    /// channel's queue depth.
-    pub fn restore_state(&mut self, state: &DramChannelState) -> Result<(), String> {
-        if state.in_flight.len() > self.queue_depth {
-            return Err(format!(
-                "snapshot has {} in-flight transactions, queue depth is {}",
-                state.in_flight.len(),
-                self.queue_depth
-            ));
-        }
-        self.next_free = state.next_free;
-        self.in_flight = state.in_flight.iter().copied().collect();
-        self.stats = state.stats;
-        Ok(())
-    }
-}
-
-/// Serializable snapshot of a [`DramChannel`]'s persistent state
-/// (checkpointing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DramChannelState {
-    /// Cycle at which the channel can start its next transaction.
-    pub next_free: Cycle,
-    /// Completion times of in-flight transactions (ascending).
-    pub in_flight: Vec<Cycle>,
-    /// Lifetime counters.
-    pub stats: DramStats,
 }
 
 #[cfg(test)]

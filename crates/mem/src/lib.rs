@@ -43,15 +43,13 @@ mod tag_array;
 
 pub use addr::AddressMapping;
 pub use coalesce::{coalesce_accesses, coalesce_accesses_into, coalesce_strided_into, MemTxn};
-pub use dram::{DramChannel, DramChannelState, DramStats};
+pub use dram::{DramChannel, DramStats};
 pub use fasthash::FastMap;
 pub use funcsim::{FunctionalCacheSim, PcHitRates, PcHitTable, ServedBy};
-pub use mshr::{MshrCounters, MshrFile, MshrOutcome};
+pub use mshr::{MshrFile, MshrOutcome};
 pub use reuse::ReuseDistanceAnalyzer;
-pub use sector_cache::{
-    AccessOutcome, CacheStats, EvictedLine, FillResult, SectorCache, SectorCacheState,
-};
-pub use tag_array::{LineSnapshot, LineState, TagArray, TagArrayState};
+pub use sector_cache::{AccessOutcome, CacheStats, EvictedLine, FillResult, SectorCache};
+pub use tag_array::{LineState, TagArray};
 
 /// A simulation cycle index.
 pub type Cycle = u64;

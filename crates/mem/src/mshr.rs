@@ -33,16 +33,6 @@ struct Entry {
     allocated_seq: u64,
 }
 
-/// Lifetime counter snapshot of an MSHR file (checkpointing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // mirrors the counter fields one-to-one
-pub struct MshrCounters {
-    pub peak: u64,
-    pub merges: u64,
-    pub reservation_failures: u64,
-    pub seq: u64,
-}
-
 /// The MSHR file of one cache.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
@@ -136,39 +126,6 @@ impl MshrFile {
     /// Lifetime reservation failures.
     pub fn reservation_failures(&self) -> u64 {
         self.reservation_failures
-    }
-
-    /// Lifetime counter snapshot for checkpointing.
-    pub fn counters(&self) -> MshrCounters {
-        MshrCounters {
-            peak: self.peak as u64,
-            merges: self.merges,
-            reservation_failures: self.reservation_failures,
-            seq: self.seq,
-        }
-    }
-
-    /// Restore lifetime counters captured by [`MshrFile::counters`].
-    ///
-    /// Only valid on an *empty* file — checkpoints are taken at kernel
-    /// boundaries where every fill has returned, so in-flight entries never
-    /// need restoring.
-    ///
-    /// # Errors
-    ///
-    /// Rejects the restore when entries are in flight.
-    pub fn restore_counters(&mut self, counters: &MshrCounters) -> Result<(), String> {
-        if !self.entries.is_empty() {
-            return Err(format!(
-                "cannot restore MSHR counters with {} entries in flight",
-                self.entries.len()
-            ));
-        }
-        self.peak = counters.peak as usize;
-        self.merges = counters.merges;
-        self.reservation_failures = counters.reservation_failures;
-        self.seq = counters.seq;
-        Ok(())
     }
 
     /// The longest-outstanding in-flight line, with its waiter count —

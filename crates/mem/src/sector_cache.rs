@@ -9,8 +9,8 @@
 
 use crate::coalesce::MemTxn;
 use crate::fasthash::FastMap;
-use crate::mshr::{MshrCounters, MshrFile, MshrOutcome};
-use crate::tag_array::{LineState, Probe, TagArray, TagArrayState};
+use crate::mshr::{MshrFile, MshrOutcome};
+use crate::tag_array::{LineState, Probe, TagArray};
 use crate::Cycle;
 use swiftsim_config::{AllocPolicy, CacheConfig, CacheWriteAllocate, CacheWritePolicy};
 
@@ -398,79 +398,6 @@ impl SectorCache {
     pub fn mapping(&self) -> &crate::AddressMapping {
         self.tags.mapping()
     }
-
-    /// Snapshot the cache's persistent state for checkpointing.
-    ///
-    /// Only valid at a quiescent point: no in-flight fills, no pending
-    /// dirty marks, no staged writebacks. (Kernel boundaries satisfy this —
-    /// the engine drains all memory traffic before a kernel completes.)
-    ///
-    /// # Errors
-    ///
-    /// Rejects the snapshot when transient state is outstanding.
-    pub fn save_state(&self) -> Result<SectorCacheState, String> {
-        if self.mshr.occupancy() != 0 {
-            return Err(format!(
-                "cache has {} MSHR fills in flight",
-                self.mshr.occupancy()
-            ));
-        }
-        if !self.pending_dirty.is_empty() {
-            return Err(format!(
-                "cache has {} pending dirty marks",
-                self.pending_dirty.len()
-            ));
-        }
-        if !self.staged_writebacks.is_empty() {
-            return Err(format!(
-                "cache has {} staged writebacks",
-                self.staged_writebacks.len()
-            ));
-        }
-        Ok(SectorCacheState {
-            tags: self.tags.save_state(),
-            bank_free_at: self.bank_free_at.clone(),
-            mshr: self.mshr.counters(),
-            stats: self.stats,
-        })
-    }
-
-    /// Restore a snapshot taken from an identically configured cache.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a snapshot whose geometry does not match this cache.
-    pub fn restore_state(&mut self, state: &SectorCacheState) -> Result<(), String> {
-        if state.bank_free_at.len() != self.bank_free_at.len() {
-            return Err(format!(
-                "snapshot has {} banks, this cache has {}",
-                state.bank_free_at.len(),
-                self.bank_free_at.len()
-            ));
-        }
-        self.tags.restore_state(&state.tags)?;
-        self.bank_free_at.copy_from_slice(&state.bank_free_at);
-        self.mshr.restore_counters(&state.mshr)?;
-        self.stats = state.stats;
-        Ok(())
-    }
-}
-
-/// Serializable snapshot of a [`SectorCache`]'s persistent state
-/// (checkpointing). Transient state — in-flight MSHR entries, pending
-/// dirty marks, staged writebacks — must be empty at snapshot time, so it
-/// is not represented.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectorCacheState {
-    /// Tag array lines + replacement RNG.
-    pub tags: TagArrayState,
-    /// Per-bank busy-until cycles.
-    pub bank_free_at: Vec<Cycle>,
-    /// MSHR lifetime counters.
-    pub mshr: MshrCounters,
-    /// Cache lifetime counters (raw, without the derived
-    /// `merged_misses` — [`SectorCache::stats`] re-derives it).
-    pub stats: CacheStats,
 }
 
 /// Offset of the lowest requested sector, used for bank selection.

@@ -34,29 +34,6 @@ impl Flags {
     };
 }
 
-/// Serializable snapshot of one cache line (checkpointing). `state` is the
-/// [`LineState`] encoded as 0 = Invalid, 1 = Reserved, 2 = Valid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // one row across the array's private columns
-pub struct LineSnapshot {
-    pub tag: u64,
-    pub state: u8,
-    pub valid_mask: u8,
-    pub dirty_mask: u8,
-    pub last_use: Cycle,
-    pub alloc_time: Cycle,
-}
-
-/// Serializable snapshot of a whole tag array: every line plus the
-/// replacement policy's RNG state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TagArrayState {
-    /// One entry per line, in `set * ways + way` order.
-    pub lines: Vec<LineSnapshot>,
-    /// Replacement RNG state ([`SmallRng::state`]).
-    pub rng: [u64; 4],
-}
-
 /// Result of probing the tag array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
@@ -322,60 +299,6 @@ impl TagArray {
     pub fn ways(&self) -> usize {
         self.ways
     }
-
-    /// Snapshot every line and the replacement RNG for checkpointing.
-    pub fn save_state(&self) -> TagArrayState {
-        TagArrayState {
-            lines: (0..self.tags.len())
-                .map(|idx| LineSnapshot {
-                    tag: self.tags[idx],
-                    state: match self.flags[idx].state {
-                        LineState::Invalid => 0,
-                        LineState::Reserved => 1,
-                        LineState::Valid => 2,
-                    },
-                    valid_mask: self.flags[idx].valid_mask,
-                    dirty_mask: self.flags[idx].dirty_mask,
-                    last_use: self.last_use[idx],
-                    alloc_time: self.alloc_time[idx],
-                })
-                .collect(),
-            rng: self.rng.state(),
-        }
-    }
-
-    /// Restore a snapshot taken from an identically configured array.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a snapshot whose geometry or line-state encoding does not
-    /// match this array.
-    pub fn restore_state(&mut self, state: &TagArrayState) -> Result<(), String> {
-        if state.lines.len() != self.tags.len() {
-            return Err(format!(
-                "tag array snapshot has {} lines, this array has {}",
-                state.lines.len(),
-                self.tags.len()
-            ));
-        }
-        for (idx, snap) in state.lines.iter().enumerate() {
-            self.tags[idx] = snap.tag;
-            self.flags[idx] = Flags {
-                state: match snap.state {
-                    0 => LineState::Invalid,
-                    1 => LineState::Reserved,
-                    2 => LineState::Valid,
-                    other => return Err(format!("invalid line state encoding {other}")),
-                },
-                valid_mask: snap.valid_mask,
-                dirty_mask: snap.dirty_mask,
-            };
-            self.last_use[idx] = snap.last_use;
-            self.alloc_time[idx] = snap.alloc_time;
-        }
-        self.rng = SmallRng::from_state(state.rng);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -487,6 +410,41 @@ mod tests {
         t.fill(0x1000, 0b0001, 0);
     }
 
+    /// One line of [`View`]: its tag, flags and timestamps.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct LineView {
+        tag: u64,
+        state: LineState,
+        valid_mask: u8,
+        dirty_mask: u8,
+        last_use: Cycle,
+        alloc_time: Cycle,
+    }
+
+    /// Every line of a tag array, in `set * ways + way` order, and its
+    /// replacement RNG: what the reference tests compare.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct View {
+        lines: Vec<LineView>,
+        rng: SmallRng,
+    }
+
+    fn view(t: &TagArray) -> View {
+        View {
+            lines: (0..t.tags.len())
+                .map(|idx| LineView {
+                    tag: t.tags[idx],
+                    state: t.flags[idx].state,
+                    valid_mask: t.flags[idx].valid_mask,
+                    dirty_mask: t.flags[idx].dirty_mask,
+                    last_use: t.last_use[idx],
+                    alloc_time: t.alloc_time[idx],
+                })
+                .collect(),
+            rng: t.rng.clone(),
+        }
+    }
+
     /// The three-step functional access `touch` stands in for.
     fn reference_touch(t: &mut TagArray, addr: u64, sector_mask: u8, now: Cycle) -> bool {
         match t.probe(addr, sector_mask, now) {
@@ -508,19 +466,21 @@ mod tests {
     /// into a list and the policy applied to the list. Returns the way and
     /// the replacement RNG afterwards.
     fn reference_victim(
-        state: &TagArrayState,
+        state: &View,
         set: usize,
         ways: usize,
         policy: ReplacementPolicy,
-    ) -> (Option<usize>, [u64; 4]) {
+    ) -> (Option<usize>, SmallRng) {
         let lines = &state.lines[set * ways..(set + 1) * ways];
-        let mut rng = SmallRng::from_state(state.rng);
-        if let Some(way) = lines.iter().position(|l| l.state == 0) {
-            return (Some(way), rng.state());
+        let mut rng = state.rng.clone();
+        if let Some(way) = lines.iter().position(|l| l.state == LineState::Invalid) {
+            return (Some(way), rng);
         }
-        let candidates: Vec<usize> = (0..ways).filter(|&w| lines[w].state == 2).collect();
+        let candidates: Vec<usize> = (0..ways)
+            .filter(|&w| lines[w].state == LineState::Valid)
+            .collect();
         if candidates.is_empty() {
-            return (None, rng.state());
+            return (None, rng);
         }
         let way = match policy {
             ReplacementPolicy::Lru => *candidates
@@ -533,7 +493,7 @@ mod tests {
                 .expect("non-empty"),
             ReplacementPolicy::Random => candidates[rng.gen_range(0..candidates.len())],
         };
-        (Some(way), rng.state())
+        (Some(way), rng)
     }
 
     const POLICIES: [ReplacementPolicy; 3] = [
@@ -588,8 +548,8 @@ mod tests {
                         "{policy:?} geometry {g} access {i}"
                     );
                     assert_eq!(
-                        fused.save_state(),
-                        steps.save_state(),
+                        view(&fused),
+                        view(&steps),
                         "{policy:?} geometry {g} access {i}"
                     );
                     hits += u32::from(hit);
@@ -616,7 +576,7 @@ mod tests {
                         t.fill(addr, mask, now);
                         continue;
                     }
-                    let before = t.save_state();
+                    let before = view(&t);
                     let set = t.mapping().set_index(addr);
                     let (want, rng_after) = reference_victim(&before, set, ways, policy);
                     // Every third allocation reserves, so sets fill up with
@@ -627,10 +587,10 @@ mod tests {
                         want,
                         "{policy:?} geometry {g} access {i}"
                     );
-                    assert_eq!(t.save_state().rng, rng_after, "{policy:?} geometry {g}");
+                    assert_eq!(view(&t).rng, rng_after, "{policy:?} geometry {g}");
                     if let (Some(victim), Some(way)) = (got, want) {
                         let old = before.lines[set * ways + way];
-                        let held_data = old.state == 2;
+                        let held_data = old.state == LineState::Valid;
                         assert_eq!(victim.evicted_line, held_data.then_some(old.tag));
                         assert_eq!(
                             victim.dirty_mask,
@@ -652,9 +612,9 @@ mod tests {
         let mut t = TagArray::new(&small_cfg(ReplacementPolicy::Lru), 0);
         t.allocate(0x0000, true, 0).unwrap();
         t.allocate(0x0100, true, 1).unwrap();
-        let before = t.save_state();
+        let before = view(&t);
         assert!(!t.touch(0x0200, 0b0001, 2));
-        assert_eq!(t.save_state(), before);
+        assert_eq!(view(&t), before);
         // Touching a reserved line completes it like a fill would.
         assert!(!t.touch(0x0100, 0b0011, 3));
         assert_eq!(t.line_state(0x0100), Some((LineState::Valid, 0b0011)));

@@ -77,35 +77,6 @@ pub trait Interconnect: Send {
 
     /// Number of destination ports.
     fn num_ports(&self) -> usize;
-
-    /// Snapshot the interconnect's persistent state for checkpointing.
-    fn save_state(&self) -> NocState;
-
-    /// Restore a snapshot taken from an identically configured
-    /// interconnect.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a snapshot whose port count does not match.
-    fn restore_state(&mut self, state: &NocState) -> Result<(), String>;
-}
-
-/// Serializable snapshot of one destination port (checkpointing).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PortState {
-    /// Cycle at which the port can start serializing its next message.
-    pub next_free: Cycle,
-    /// Arrival times of messages still occupying the queue (ascending).
-    pub in_flight: Vec<Cycle>,
-}
-
-/// Serializable snapshot of an [`Interconnect`]'s persistent state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NocState {
-    /// One entry per destination port.
-    pub ports: Vec<PortState>,
-    /// Lifetime counters.
-    pub stats: NocStats,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -170,43 +141,6 @@ impl PortFabric {
             port.in_flight.front().copied().unwrap_or(now) + 1
         }
     }
-
-    fn save_state(&self) -> NocState {
-        NocState {
-            ports: self
-                .ports
-                .iter()
-                .map(|p| PortState {
-                    next_free: p.next_free,
-                    in_flight: p.in_flight.iter().copied().collect(),
-                })
-                .collect(),
-            stats: self.stats,
-        }
-    }
-
-    fn restore_state(&mut self, state: &NocState) -> Result<(), String> {
-        if state.ports.len() != self.ports.len() {
-            return Err(format!(
-                "NoC snapshot has {} ports, this fabric has {}",
-                state.ports.len(),
-                self.ports.len()
-            ));
-        }
-        for (port, snap) in self.ports.iter_mut().zip(&state.ports) {
-            if snap.in_flight.len() > self.queue_depth {
-                return Err(format!(
-                    "NoC snapshot port holds {} messages, queue depth is {}",
-                    snap.in_flight.len(),
-                    self.queue_depth
-                ));
-            }
-            port.next_free = snap.next_free;
-            port.in_flight = snap.in_flight.iter().copied().collect();
-        }
-        self.stats = state.stats;
-        Ok(())
-    }
 }
 
 /// Full crossbar: every source reaches every destination in the same
@@ -247,14 +181,6 @@ impl Interconnect for Crossbar {
 
     fn num_ports(&self) -> usize {
         self.fabric.ports.len()
-    }
-
-    fn save_state(&self) -> NocState {
-        self.fabric.save_state()
-    }
-
-    fn restore_state(&mut self, state: &NocState) -> Result<(), String> {
-        self.fabric.restore_state(state)
     }
 }
 
@@ -311,14 +237,6 @@ impl Interconnect for Mesh {
 
     fn num_ports(&self) -> usize {
         self.fabric.ports.len()
-    }
-
-    fn save_state(&self) -> NocState {
-        self.fabric.save_state()
-    }
-
-    fn restore_state(&mut self, state: &NocState) -> Result<(), String> {
-        self.fabric.restore_state(state)
     }
 }
 

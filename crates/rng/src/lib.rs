@@ -58,18 +58,6 @@ impl SmallRng {
         SmallRng { s }
     }
 
-    /// The full 256-bit generator state, for checkpointing. Feeding the
-    /// result to [`SmallRng::from_state`] reproduces the exact sequence the
-    /// generator would have continued with.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from a state captured by [`SmallRng::state`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        SmallRng { s }
-    }
-
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]

@@ -90,11 +90,6 @@ pub struct ServeOptions {
     /// Flight-recorder ring capacity, in events. `0` disables recording
     /// entirely (the disabled path is one branch per event).
     pub flight_capacity: usize,
-    /// Checkpoint every locally executed task at kernel boundaries into
-    /// this directory (one snapshot per job cache key). A daemon killed
-    /// mid-task leaves the last boundary snapshot behind; after restart,
-    /// the resubmitted task resumes from it instead of starting over.
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 impl Default for ServeOptions {
@@ -112,7 +107,6 @@ impl Default for ServeOptions {
             trace_out: None,
             events_out: None,
             flight_capacity: 4096,
-            checkpoint_dir: None,
         }
     }
 }
@@ -208,10 +202,7 @@ pub fn start(opts: ServeOptions) -> std::io::Result<ServerHandle> {
         profile: opts.trace_out.is_some(),
     };
     let cache = ResultCache::new(opts.cache_dir.clone(), opts.cache);
-    let mut runner = JobRunner::new(exec_opts, cache);
-    if let Some(dir) = &opts.checkpoint_dir {
-        runner = runner.with_checkpoint_dir(dir.clone());
-    }
+    let runner = JobRunner::new(exec_opts, cache);
     let obs = Registry::new();
     // Touch the gauges so a scrape before any activity still shows them.
     obs.gauge("queue_depth");

@@ -1,9 +1,9 @@
 //! The binary trace encoding, pinned across commits: the byte length and
 //! FNV-1a of every suite application's `.sstraceb` image at `tiny` scale,
 //! diffed against a golden file an earlier commit wrote. Every existing
-//! binary trace file and every content hash (campaign cache keys,
-//! checkpoint identities) depends on these bytes, so a change to the
-//! encoder must leave them alone unless it changes the format version.
+//! binary trace file and every content hash (campaign cache keys) depends
+//! on these bytes, so a change to the encoder must leave them alone unless
+//! it changes the format version.
 //!
 //! After a deliberate format change (which must bump the version byte),
 //! regenerate with:

@@ -192,8 +192,8 @@ mod tests {
         }
         // ...and across builds/platforms: the pipeline is integer hashing
         // plus a fixed sequence of IEEE-754 double operations, so the exact
-        // bit pattern is part of the contract (checkpoints and thresholds
-        // depend on it). If this assertion fires, the oracle changed and
+        // bit pattern is part of the contract (stored thresholds depend on
+        // it). If this assertion fires, the oracle changed and
         // every stored accuracy threshold must be re-baselined.
         assert_eq!(
             stat_discrepancy_factor("bfs", "RTX 2080 Ti", "dram_reads").to_bits(),
