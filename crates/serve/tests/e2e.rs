@@ -409,7 +409,11 @@ fn status_list_cancel_and_fairness() {
     assert!(clients.contains(&"alice") && clients.contains(&"bob"));
 
     // Cancel a fresh submission: queued tasks die, report says cancelled.
-    let (doomed, _) = bob.submit(flood_spec, "bob", 0).unwrap();
+    // No earlier submission ran its jobs, so none is warm at submit, and
+    // the one slot cannot finish six detailed runs before the cancel lands.
+    let doomed_spec = "name = doomed\nworkload = hotspot, pathfinder\nscale = tiny\npreset = detailed\nscheduler = gto, lrr, two_level\n";
+    let (doomed, doomed_tasks) = bob.submit(doomed_spec, "bob", 0).unwrap();
+    assert_eq!(doomed_tasks, 6);
     bob.cancel(doomed).unwrap();
     let report = bob.wait_result(doomed, Duration::from_secs(300)).unwrap();
     let rows = report.get("rows").and_then(Json::as_arr).unwrap();
